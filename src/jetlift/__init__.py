@@ -17,6 +17,7 @@ from .errors import (
     ExprError,
     JetliftError,
     ModelError,
+    NonFiniteError,
     OrderOverflowError,
     ParseError,
     SamplingError,

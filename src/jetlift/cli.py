@@ -147,7 +147,8 @@ def cmd_darboux(args) -> int:
         raise ModelError(f"darboux needs a tensor11_E object, "
                          f"{args.object!r} is {kind}")
     box = _parse_domain(args.domain)
-    pn = pn_check(R, points=args.points, seed=args.seed, tol=args.tol)
+    pn = pn_check(R, points=args.points, seed=args.seed, tol=args.tol,
+                  box=box)
     if not pn.is_pn:
         payload = {"object": args.object, "pn": pn.to_dict()}
         if args.json:

@@ -31,6 +31,10 @@ class DomainError(EvaluationError):
     """log/sqrt of a negative number, or similar."""
 
 
+class NonFiniteError(EvaluationError):
+    """A value evaluated to inf or nan."""
+
+
 class OrderOverflowError(JetliftError):
     """A procedural field was asked for derivatives beyond order 2."""
 

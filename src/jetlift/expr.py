@@ -7,8 +7,11 @@ random-point evaluation, so simplification here is best-effort only
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -224,7 +227,10 @@ def evaluate(e: Expr, env: dict, guard: float = SINGULAR_GUARD) -> float:
             if u < 0.0:
                 raise DomainError(f"sqrt of negative value {u}")
             return math.sqrt(u)
-        return getattr(math, e.op)(u)
+        try:
+            return getattr(math, e.op)(u)
+        except ValueError:  # sin or cos of an infinite value
+            raise DomainError(f"{e.op} of {u}") from None
     if isinstance(e, Binary):
         a = evaluate(e.left, env, guard)
         b = evaluate(e.right, env, guard)
@@ -246,6 +252,130 @@ def evaluate(e: Expr, env: dict, guard: float = SINGULAR_GUARD) -> float:
             raise SingularPointError(f"base {b} below guard for negative power")
         return b ** float(r)
     raise ExprError(f"unknown node {e!r}")
+
+
+# Transcendental functions and powers are applied per element through the
+# scalar Python operations, so that batched values are bit-identical to
+# `evaluate` (numpy's vectorized exp, log and power can differ from them in
+# the last bit).
+_MATH_UFUNCS = {name: np.frompyfunc(getattr(math, name), 1, 1)
+                for name in ("sin", "cos", "exp", "log")}
+_POW_UFUNC = np.frompyfunc(operator.pow, 2, 1)
+
+
+def _pointwise(fn, ufunc, u, *args):
+    """fn(x, *args) for every element x of u, as a float array, and the mask
+    of the elements where fn raised ValueError or OverflowError (those hold
+    nan)."""
+    raised = np.zeros(len(u), dtype=bool)
+    try:
+        return ufunc(u, *args).astype(float), raised
+    except (ValueError, OverflowError):
+        pass
+    out = np.empty(len(u))
+    for i, x in enumerate(u.tolist()):
+        try:
+            out[i] = fn(x, *args)
+        except (ValueError, OverflowError):
+            out[i] = math.nan
+            raised[i] = True
+    return out, raised
+
+
+def _compile(roots, column: dict):
+    """A topologically ordered program computing every root, with each node
+    shared by identity or by structure computed once. Instructions are
+    (op, payload, argument slots); returns the program and the root slots."""
+    program = []
+    slot_of = {}  # id(node) -> slot
+    by_key = {}   # structural key -> slot
+
+    def visit(e):
+        slot = slot_of.get(id(e))
+        if slot is not None:
+            return slot
+        if isinstance(e, Const):
+            ins = ("const", e.value, ())
+            # the sign keeps 0.0 and -0.0 apart, which compare equal
+            key = ins + (math.copysign(1.0, e.value),)
+        elif isinstance(e, Var):
+            ins = key = ("var", column[e.name], ())
+        elif isinstance(e, Unary):
+            ins = key = (e.op, None, (visit(e.arg),))
+        elif isinstance(e, Binary):
+            ins = key = (e.op, None, (visit(e.left), visit(e.right)))
+        elif isinstance(e, Pow):
+            ins = key = ("pow", e.exponent, (visit(e.base),))
+        else:
+            raise ExprError(f"unknown node {e!r}")
+        slot = by_key.get(key)
+        if slot is None:
+            slot = by_key[key] = len(program)
+            program.append(ins)
+        slot_of[id(e)] = slot
+        return slot
+
+    return program, [visit(r) for r in roots]
+
+
+def evaluate_batch(roots, coords, points, guard: float = SINGULAR_GUARD):
+    """Evaluate every root expression at every point in one pass.
+
+    coords names the columns of points, an (m, dim) array. Returns the
+    (len(roots), m) values and an (m,) mask of rejected points: those at
+    which `evaluate` would raise a guard error for some root, a value
+    overflows, or some root is not finite. Values are bit-identical to
+    `evaluate` at every point that is not rejected.
+    """
+    X = np.asarray(points, dtype=float)
+    m = len(X)
+    program, out_slots = _compile(roots, {c: j for j, c in enumerate(coords)})
+    vals = []
+    rejected = np.zeros(m, dtype=bool)
+    with np.errstate(all="ignore"):
+        for op, payload, args in program:
+            u = vals[args[0]] if args else None
+            if op == "const":
+                v = np.full(m, payload)
+            elif op == "var":
+                v = X[:, payload]
+            elif op == "neg":
+                v = -u
+            elif op == "add":
+                v = u + vals[args[1]]
+            elif op == "sub":
+                v = u - vals[args[1]]
+            elif op == "mul":
+                v = u * vals[args[1]]
+            elif op == "div":
+                w = vals[args[1]]
+                rejected |= np.abs(w) < guard
+                v = u / w
+            elif op == "sqrt":
+                rejected |= u < 0.0
+                v = np.sqrt(u)
+            elif op == "pow":
+                bad = np.zeros(m, dtype=bool)
+                if payload.denominator != 1:
+                    bad |= u < 0.0
+                if payload < 0:
+                    bad |= np.abs(u) < guard
+                v, raised = _pointwise(operator.pow, _POW_UFUNC,
+                                       np.where(bad, 1.0, u), float(payload))
+                rejected |= bad | raised
+            elif op in _MATH_UFUNCS:
+                if op == "log":
+                    bad = u <= 0.0
+                    rejected |= bad
+                    u = np.where(bad, 1.0, u)
+                v, raised = _pointwise(getattr(math, op), _MATH_UFUNCS[op], u)
+                rejected |= raised
+            else:
+                raise ExprError(f"cannot evaluate {op!r}")
+            vals.append(v)
+        values = np.array([vals[s] for s in out_slots]).reshape(len(roots), m)
+        rejected |= ~np.isfinite(values).all(axis=0)
+    return values, rejected
 
 
 def variables(e: Expr) -> set:

@@ -66,7 +66,7 @@ class ScalarField:
         if other is NotImplemented:
             return NotImplemented
         if self.is_symbolic and other.is_symbolic:
-            return SymbolicField(self.space, ex.add(self.expr, other.expr))
+            return self._derived(ex.add(self.expr, other.expr))
         return _proc_add(self, other)
 
     __radd__ = __add__
@@ -76,7 +76,7 @@ class ScalarField:
         if other is NotImplemented:
             return NotImplemented
         if self.is_symbolic and other.is_symbolic:
-            return SymbolicField(self.space, ex.sub(self.expr, other.expr))
+            return self._derived(ex.sub(self.expr, other.expr))
         return _proc_add(self, -other)
 
     def __rsub__(self, other):
@@ -87,7 +87,7 @@ class ScalarField:
         if other is NotImplemented:
             return NotImplemented
         if self.is_symbolic and other.is_symbolic:
-            return SymbolicField(self.space, ex.mul(self.expr, other.expr))
+            return self._derived(ex.mul(self.expr, other.expr))
         return _proc_mul(self, other)
 
     __rmul__ = __mul__
@@ -97,7 +97,7 @@ class ScalarField:
         if other is NotImplemented:
             return NotImplemented
         if self.is_symbolic and other.is_symbolic:
-            return SymbolicField(self.space, ex.div(self.expr, other.expr))
+            return self._derived(ex.div(self.expr, other.expr))
         return _proc_div(self, other)
 
     def __rtruediv__(self, other):
@@ -108,7 +108,7 @@ class ScalarField:
 
     def __neg__(self):
         if self.is_symbolic:
-            return SymbolicField(self.space, ex.neg(self.expr))
+            return self._derived(ex.neg(self.expr))
         return ProceduralField(
             self.space,
             lambda pt, f=self: -f.eval(pt),
@@ -118,14 +118,20 @@ class ScalarField:
 
 
 class SymbolicField(ScalarField):
-    def __init__(self, space: Space, expression: ex.Expr):
-        unknown = ex.variables(expression) - set(space.coords)
-        if unknown:
-            raise SpaceMismatchError(
-                f"expression uses {sorted(unknown)} not in {space}")
+    def __init__(self, space: Space, expression: ex.Expr, _checked=False):
+        # _checked: built from fields already validated on this space, so
+        # the expression cannot name a coordinate outside it
+        if not _checked:
+            unknown = ex.variables(expression) - set(space.coords)
+            if unknown:
+                raise SpaceMismatchError(
+                    f"expression uses {sorted(unknown)} not in {space}")
         self.space = space
         self.expr = expression
         self._deriv_cache: dict[str, "SymbolicField"] = {}
+
+    def _derived(self, expression: ex.Expr) -> "SymbolicField":
+        return SymbolicField(self.space, expression, _checked=True)
 
     def eval(self, point) -> float:
         return ex.evaluate(self.expr, dict(zip(self.space.coords, point)))
@@ -133,8 +139,8 @@ class SymbolicField(ScalarField):
     def diff(self, coord: str) -> "SymbolicField":
         if coord not in self._deriv_cache:
             self.space.index(coord)  # validates the name
-            self._deriv_cache[coord] = SymbolicField(
-                self.space, ex.differentiate(self.expr, coord))
+            self._deriv_cache[coord] = self._derived(
+                ex.differentiate(self.expr, coord))
         return self._deriv_cache[coord]
 
     def grad(self, point):

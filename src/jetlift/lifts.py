@@ -8,12 +8,14 @@ from __future__ import annotations
 
 from .errors import JetliftError, SpaceMismatchError
 from .fields import ScalarField, coord_field, inject, zero
+from .report import max_residual
 from .spaces import BASE_E, Space, extended_t, phase_j
 from .tensors import (
     OneForm,
     Tensor11,
     TwoForm,
     VectorField,
+    adjoint_tensor11,
     sum_fields,
 )
 
@@ -207,21 +209,23 @@ def project_oneform_to_extended(sigma: OneForm) -> OneForm:
     return OneForm(et, comps)
 
 
-def rho_related(U: Tensor11, V: Tensor11, points, tol=1e-9):
-    """Check U(rho* sigma) = rho*(V(sigma)) over the coordinate co-basis of
-    phase space, at the given extended-space sample points. rho drops p0."""
-    from .tensors import adjoint_tensor11
-
-    n = V.space.n
-    pj = phase_j(n)
-    worst = 0.0
+def rho_pairs(U: Tensor11, V: Tensor11):
+    """The one-forms U(rho* sigma) and rho*(V(sigma)) on the extended space,
+    as two lists, for sigma over the coordinate co-basis of phase space.
+    rho drops p0; U and V are rho-related when the lists agree."""
+    pj = phase_j(V.space.n)
+    lhs, rhs = [], []
     for k in range(pj.dim):
         comps = [0.0] * pj.dim
         comps[k] = 1.0
         sigma = OneForm(pj, comps)
-        lhs = adjoint_tensor11(U, project_oneform_to_extended(sigma))
-        rhs = project_oneform_to_extended(adjoint_tensor11(V, sigma))
-        for pt in points:
-            res = float(max(abs(lhs.eval_at(pt) - rhs.eval_at(pt))))
-            worst = max(worst, res)
-    return worst < tol
+        lhs.append(adjoint_tensor11(U, project_oneform_to_extended(sigma)))
+        rhs.append(project_oneform_to_extended(adjoint_tensor11(V, sigma)))
+    return lhs, rhs
+
+
+def rho_related(U: Tensor11, V: Tensor11, points, tol=1e-9):
+    """Check U(rho* sigma) = rho*(V(sigma)) over the coordinate co-basis of
+    phase space, at the given extended-space sample points."""
+    lhs, rhs = rho_pairs(U, V)
+    return max_residual(lhs, points, rhs) < tol

@@ -24,7 +24,13 @@ from .lifts import (
     momentum_function,
     vlift_oneform,
 )
-from .report import Checker, CheckReport, PROCEDURAL_TOL, residual_of
+from .report import (
+    DEFAULT_BOX,
+    Checker,
+    CheckReport,
+    PROCEDURAL_TOL,
+    max_residual,
+)
 from .spaces import BASE_E, PHASE_J, base_e, phase_j
 from .tensors import (
     Bivector,
@@ -121,13 +127,7 @@ def commutation_defect(Rt: Tensor11) -> list:
 
 
 def commutation_residual(Rt: Tensor11, points) -> float:
-    D = commutation_defect(Rt)
-    worst = 0.0
-    for pt in points:
-        for row in D:
-            for f in row:
-                worst = max(worst, abs(f.eval(pt)))
-    return worst
+    return max_residual(commutation_defect(Rt), points)
 
 
 def magri_morosi(Rt: Tensor11, sigma: OneForm, Z: VectorField) -> VectorField:
@@ -184,7 +184,8 @@ def _basis_pairs(n: int):
     return sigmas, zs
 
 
-def pn_check(R: Tensor11, points=64, seed=0, tol=1e-9) -> PNReport:
+def pn_check(R: Tensor11, points=64, seed=0, tol=1e-9,
+             box=DEFAULT_BOX) -> PNReport:
     """Check the Poisson-Nijenhuis conditions for the complete lift of R:
     commutation with the Poisson map, vanishing concomitant, and the torsion
     dichotomy on the base and on phase space."""
@@ -192,24 +193,17 @@ def pn_check(R: Tensor11, points=64, seed=0, tol=1e-9) -> PNReport:
         raise LiftError("the tensor does not annihilate dt (nonzero t-row)")
     n = R.space.n
     Rt = complete_lift_tensor11(R)
-    checker = Checker(points=points, seed=seed, tol=tol)
+    checker = Checker(points=points, seed=seed, tol=tol, box=box)
     phase_pts = checker.sample(Rt.space.dim)
     base_pts = [pt[:n + 1] for pt in phase_pts]
 
     comm = commutation_residual(Rt, phase_pts)
 
-    mm = 0.0
     sigmas, zs = _basis_pairs(n)
-    for sigma in sigmas:
-        for Z in zs:
-            mu = magri_morosi(Rt, sigma, Z)
-            for pt in phase_pts:
-                mm = max(mm, residual_of(mu, pt))
-
-    NR = nijenhuis_torsion(R)
-    tors = max(residual_of(NR, pt) for pt in base_pts)
-    NRt = nijenhuis_torsion(Rt)
-    tors_lift = max(residual_of(NRt, pt) for pt in phase_pts)
+    mm = max_residual([magri_morosi(Rt, sigma, Z)
+                       for sigma in sigmas for Z in zs], phase_pts)
+    tors = max_residual(nijenhuis_torsion(R), base_pts)
+    tors_lift = max_residual(nijenhuis_torsion(Rt), phase_pts)
 
     ok = comm < tol and mm < tol and tors < tol and tors_lift < tol
     return PNReport(comm, mm, tors, tors_lift, tol,
@@ -307,7 +301,7 @@ def build_dn_transform(R: Tensor11, box=(-2.0, 2.0), points=16, seed=0,
         eigen_analysis(R, pt)
 
     base_pts = checker.sample(R.space.dim, probe)
-    tors = max(residual_of(NR, pt) for pt in base_pts)
+    tors = max_residual(NR, base_pts)
     if tors >= tol:
         raise TransformError(
             f"nonzero torsion (residual {tors:.3e}); eigenvalue coordinates "

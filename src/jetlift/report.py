@@ -2,23 +2,28 @@
 
 Identity checking is always pointwise sampling in a box, never symbolic
 zero-testing. Points that trip the singularity guard (or any other
-evaluation error) are rejected and redrawn; too many rejections abort.
+evaluation error), overflow, or give a non-finite value are rejected and
+redrawn; too many rejections abort.
 """
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expr as ex
 from .errors import (
     DomainError,
     EigenError,
+    NonFiniteError,
     SamplingError,
     SingularPointError,
     TransformError,
 )
+from .fields import SymbolicField
 
 DEFAULT_POINTS = 64
 DEFAULT_SEED = 0
@@ -26,7 +31,8 @@ DEFAULT_TOL = 1e-9
 PROCEDURAL_TOL = 1e-6
 DEFAULT_BOX = (-2.0, 2.0)
 
-_REJECTABLE = (SingularPointError, DomainError, TransformError, EigenError)
+_REJECTABLE = (SingularPointError, DomainError, NonFiniteError, OverflowError,
+               TransformError, EigenError)
 
 
 @dataclass
@@ -84,20 +90,107 @@ class CheckReport:
                    f"{item.max_residual:.3e} (tol {item.tol:.0e}) -- {item.identity}")
 
 
+def _values(a, point) -> np.ndarray:
+    v = a.eval_at(point) if hasattr(a, "eval_at") else a.eval(point)
+    v = np.asarray(v)
+    if not np.isfinite(v).all():
+        raise NonFiniteError(f"non-finite value at {point}")
+    return v
+
+
 def residual_between(a, b, point) -> float:
     """Max abs componentwise difference of two evaluable objects."""
-    va = a.eval_at(point) if hasattr(a, "eval_at") else a.eval(point)
-    vb = b.eval_at(point) if hasattr(b, "eval_at") else b.eval(point)
-    return float(np.max(np.abs(np.asarray(va) - np.asarray(vb))))
+    va = _values(a, point)
+    vb = _values(b, point)
+    return float(np.max(np.abs(va - vb)))
 
 
 def residual_of(a, point) -> float:
-    va = a.eval_at(point) if hasattr(a, "eval_at") else a.eval(point)
-    return float(np.max(np.abs(np.asarray(va))))
+    return float(np.max(np.abs(_values(a, point))))
+
+
+def _objects(a) -> list:
+    """The objects of a (nested) list, or [a] for a single object."""
+    if isinstance(a, (list, tuple)):
+        return [x for item in a for x in _objects(item)]
+    return [a]
+
+
+def _point_residual(a, b, point) -> float:
+    """The residual of a (an object or a list of objects), or of a - b, at
+    one point, evaluated object by object."""
+    if b is None:
+        return max(residual_of(x, point) for x in _objects(a))
+    return max(residual_between(x, y, point)
+               for x, y in zip(_objects(a), _objects(b)))
+
+
+def _leaves(a) -> list:
+    """The scalar components of an object or a list of objects, in order."""
+    return [f for obj in _objects(a)
+            for f in _objects(getattr(obj, "entries",
+                                      getattr(obj, "comps", obj)))]
+
+
+def _compiled_residuals(a, b=None):
+    """points -> (residual per point, rejected mask), from one program that
+    evaluates every component of a (and b) over all points at once; None
+    when some component is not symbolic."""
+    lhs = _leaves(a)
+    rhs = [] if b is None else _leaves(b)
+    fields = lhs + rhs
+    if (not fields or (b is not None and len(rhs) != len(lhs))
+            or not all(isinstance(f, SymbolicField) for f in fields)
+            or any(f.space != fields[0].space for f in fields)):
+        return None
+    roots = [f.expr for f in fields]
+    coords = fields[0].space.coords
+    k = len(lhs)
+
+    def residuals(points):
+        values, rejected = ex.evaluate_batch(roots, coords, points)
+        with np.errstate(all="ignore"):  # rejected points may hold inf or nan
+            diff = values if b is None else values[:k] - values[k:]
+            return np.max(np.abs(diff), axis=0), rejected
+
+    return residuals
+
+
+def max_residual(a, points, b=None) -> float:
+    """Largest residual of a (or of a - b) over the given points, where a
+    and b are objects or lists of objects. An evaluation error at a point
+    is raised as evaluating that point alone raises it."""
+    residuals = _compiled_residuals(a, b)
+    if residuals is not None and points:
+        res, rejected = residuals(points)
+        if not rejected.any():
+            return float(np.max(res))
+    return max((_point_residual(a, b, pt) for pt in points), default=0.0)
+
+
+def _each_point(fn):
+    """Lift a per-point fn to a batch: a point where fn raises a rejectable
+    error is rejected."""
+    def batch(points):
+        values, rejected = [], []
+        for pt in points:
+            try:
+                values.append(fn(pt))
+                rejected.append(False)
+            except _REJECTABLE:
+                values.append(None)
+                rejected.append(True)
+        return values, rejected
+    return batch
 
 
 class Checker:
-    """Draws seeded sample points per check and accumulates a report."""
+    """Draws seeded sample points per check and accumulates a report.
+
+    Points are drawn in rounds of exactly as many as are still missing and
+    judged in stream order, so a check consumes the same random stream
+    whether its points are evaluated one at a time or all at once.
+    """
 
     def __init__(self, points=DEFAULT_POINTS, seed=DEFAULT_SEED,
                  tol=DEFAULT_TOL, box=DEFAULT_BOX, name="checks"):
@@ -113,44 +206,43 @@ class Checker:
         lo, hi = self.box
         return tuple(self.rng.uniform(lo, hi) for _ in range(dim))
 
+    def _accept(self, dim, batch, message):
+        """The first self.points points that batch does not reject, with
+        their values; abort after 10x rejections."""
+        accepted = []
+        rejected = 0
+        while len(accepted) < self.points:
+            pts = [self.draw_point(dim)
+                   for _ in range(self.points - len(accepted))]
+            values, mask = batch(pts)
+            for pt, value, bad in zip(pts, values, mask):
+                if not bad:
+                    accepted.append((pt, value))
+                    continue
+                rejected += 1
+                if rejected > 10 * self.points:
+                    raise SamplingError(message(rejected))
+        return accepted
+
     def sample(self, dim: int, probe=None) -> list:
         """Draw self.points points, rejecting those on which probe raises a
         guard error; abort after 10x rejections."""
-        pts = []
-        rejected = 0
-        while len(pts) < self.points:
-            pt = self.draw_point(dim)
-            if probe is not None:
-                try:
-                    probe(pt)
-                except _REJECTABLE:
-                    rejected += 1
-                    if rejected > 10 * self.points:
-                        raise SamplingError(
-                            f"rejected {rejected} sample points; "
-                            "the objects are singular on most of the box")
-                    continue
-            pts.append(pt)
-        return pts
+        batch = _each_point(probe or (lambda pt: None))
+        accepted = self._accept(dim, batch, lambda n: (
+            f"rejected {n} sample points; "
+            "the objects are singular on most of the box"))
+        return [pt for pt, _ in accepted]
 
-    def residual(self, check_id, identity, dim, fn, tol=None):
-        """fn(point) -> float residual; record the worst point."""
+    def _record(self, check_id, identity, dim, batch, tol):
         tol = self.tol if tol is None else tol
         worst = 0.0
         worst_pt = ()
-        rejected = 0
-        accepted = 0
-        while accepted < self.points:
-            pt = self.draw_point(dim)
-            try:
-                r = float(fn(pt))
-            except _REJECTABLE:
-                rejected += 1
-                if rejected > 10 * self.points:
-                    raise SamplingError(
-                        f"check {check_id}: rejected {rejected} sample points")
-                continue
-            accepted += 1
+        accepted = self._accept(dim, batch, lambda n: (
+            f"check {check_id}: rejected {n} sample points"))
+        for pt, r in accepted:
+            r = float(r)
+            if not math.isfinite(r):
+                r = math.inf  # an unbounded residual never passes
             if r > worst:
                 worst = r
                 worst_pt = pt
@@ -158,12 +250,23 @@ class Checker:
         self.report.items.append(item)
         return item
 
+    def residual(self, check_id, identity, dim, fn, tol=None):
+        """fn(point) -> float residual; record the worst point."""
+        return self._record(check_id, identity, dim, _each_point(fn), tol)
+
+    def _check(self, check_id, identity, a, b, tol, dim):
+        if dim is None:
+            dim = _objects(a)[0].space.dim
+        batch = _compiled_residuals(a, b)
+        if batch is None:
+            return self.residual(check_id, identity, dim,
+                                 lambda pt: _point_residual(a, b, pt), tol=tol)
+        return self._record(check_id, identity, dim, batch, tol)
+
     def compare(self, check_id, identity, a, b, tol=None, dim=None):
-        dim = a.space.dim if dim is None else dim
-        return self.residual(check_id, identity, dim,
-                             lambda pt: residual_between(a, b, pt), tol=tol)
+        """a = b, for two objects or two lists of objects."""
+        return self._check(check_id, identity, a, b, tol, dim)
 
     def vanish(self, check_id, identity, a, tol=None, dim=None):
-        dim = a.space.dim if dim is None else dim
-        return self.residual(check_id, identity, dim,
-                             lambda pt: residual_of(a, pt), tol=tol)
+        """a = 0, for an object or a list of objects."""
+        return self._check(check_id, identity, a, None, tol, dim)

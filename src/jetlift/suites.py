@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 from .catalog import SuiteInputs
 from .fields import inject
 from .lifts import (
@@ -20,7 +18,7 @@ from .lifts import (
     complete_lift_vector,
     hlift_tensor11,
     momentum_function,
-    project_oneform_to_extended,
+    rho_pairs,
     theta_representative,
     vlift_cov2,
     vlift_oneform,
@@ -36,7 +34,7 @@ from .pn import (
     pn_check,
     pullback_oneform_to_phase,
 )
-from .report import Checker, CheckItem, CheckReport, residual_of
+from .report import Checker, CheckItem, CheckReport, max_residual
 from .spaces import base_e, extended_t, phase_j
 from .tensors import (
     OneForm,
@@ -225,28 +223,13 @@ def suite_theorem1(inp: SuiteInputs, ch: Checker):
 
 
 def suite_prop2(inp: SuiteInputs, ch: Checker):
-    n = inp.n
-    pj = phase_j(n)
-    et = extended_t(n)
+    et = extended_t(inp.n)
     for ri, R in enumerate(inp.tensors):
-        Rt = complete_lift_tensor11(R)
-        Rct = complete_lift_cotangent(R)
-        pairs = []
-        for k in range(pj.dim):
-            comps = [0.0] * pj.dim
-            comps[k] = 1.0
-            sigma = OneForm(pj, comps)
-            lhs = adjoint_tensor11(Rct, project_oneform_to_extended(sigma))
-            rhs = project_oneform_to_extended(adjoint_tensor11(Rt, sigma))
-            pairs.append((lhs, rhs))
-
-        def fn(pt, pairs=pairs):
-            return max(float(np.max(np.abs(a.eval_at(pt) - b.eval_at(pt))))
-                       for a, b in pairs)
-
-        ch.residual(f"prop2[R{ri}]",
-                    "the two complete lifts are related under dropping p0",
-                    et.dim, fn)
+        lhs, rhs = rho_pairs(complete_lift_cotangent(R),
+                             complete_lift_tensor11(R))
+        ch.compare(f"prop2[R{ri}]",
+                   "the two complete lifts are related under dropping p0",
+                   lhs, rhs, dim=et.dim)
 
 
 def suite_prop4(inp: SuiteInputs, ch: Checker):
@@ -333,8 +316,8 @@ def suite_theorem2(inp: SuiteInputs, ch: Checker):
         NRt = nijenhuis_torsion(complete_lift_tensor11(R))
         base_pts = ch.sample(R.space.dim)
         phase_pts = ch.sample(NRt.space.dim)
-        res_base = max(residual_of(NR, pt) for pt in base_pts)
-        res_lift = max(residual_of(NRt, pt) for pt in phase_pts)
+        res_base = max_residual(NR, base_pts)
+        res_lift = max_residual(NRt, phase_pts)
         consistent = (res_base < ch.tol) == (res_lift < ch.tol)
         ch.report.items.append(CheckItem(
             f"theorem2[R{ri}]",
@@ -402,36 +385,25 @@ def suite_lemma2(inp: SuiteInputs, ch: Checker):
 
 
 def suite_prop7(inp: SuiteInputs, ch: Checker):
-    n = inp.n
-    pj = phase_j(n)
     for ri, R in enumerate(inp.tensors):
         Rt = complete_lift_tensor11(R)
-        D = commutation_defect(Rt)
-
-        def comm_fn(pt, D=D):
-            return max(abs(f.eval(pt)) for row in D for f in row)
-
-        ch.residual(f"prop7.commutation[R{ri}]",
-                    "the Poisson map commutes with lift(R)",
-                    pj.dim, comm_fn)
+        ch.vanish(f"prop7.commutation[R{ri}]",
+                  "the Poisson map commutes with lift(R)",
+                  commutation_defect(Rt))
 
         sigmas = [pullback_oneform_to_phase(a) for a in inp.oneforms]
         sigmas += [differential(momentum_function(X)) for X in inp.vert_fields]
         zs = [vlift_oneform(a) for a in inp.oneforms]
         zs += [complete_lift_vector(X) for X in inp.lift_fields]
-        mus = [magri_morosi(Rt, sigma, Z) for sigma in sigmas for Z in zs]
-
-        def mm_fn(pt, mus=mus):
-            return max(residual_of(mu, pt) for mu in mus)
-
-        ch.residual(f"prop7.concomitant[R{ri}]",
-                    "the Magri-Morosi concomitant vanishes on the lifted basis",
-                    pj.dim, mm_fn)
+        ch.vanish(f"prop7.concomitant[R{ri}]",
+                  "the Magri-Morosi concomitant vanishes on the lifted basis",
+                  [magri_morosi(Rt, sigma, Z) for sigma in sigmas for Z in zs])
 
 
 def suite_theorem3(inp: SuiteInputs, ch: Checker):
     for ri, R in enumerate(inp.tensors):
-        rep = pn_check(R, points=ch.points, seed=ch.seed, tol=ch.tol)
+        rep = pn_check(R, points=ch.points, seed=ch.seed, tol=ch.tol,
+                       box=ch.box)
         ch.report.items.append(CheckItem(
             f"theorem3.commutation[R{ri}]",
             "commutation holds for any R killing dt",

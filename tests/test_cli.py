@@ -66,6 +66,13 @@ class TestVerify:
                            "--suite", "lemma1")
         assert code == 2
 
+    def test_overflowing_domain_is_bad_input(self, capsys):
+        # every point overflows: the check cannot sample, which is exit 2
+        code, _, err = run(capsys, "verify", "--model", N1,
+                           "--suite", "lemma1", "--domain", "1e200,1e201")
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_json_report_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", N1,
                            "--suite", "prop2", "--points", "4", "--json")
@@ -113,6 +120,31 @@ class TestDarboux:
         payload = json.loads(out)
         assert payload["checks"]["pass"] is True
         assert len(payload["eigenvalue_samples"]) == 3
+
+
+    def test_domain_reaches_pn_check(self, capsys, monkeypatch):
+        from jetlift import cli
+        from jetlift.report import Checker
+
+        drawn = []
+        real_pn_check, real_draw = cli.pn_check, Checker.draw_point
+
+        def spy_draw(self, dim):
+            drawn.append(real_draw(self, dim))
+            return drawn[-1]
+
+        def pn_check(*args, **kwargs):
+            monkeypatch.setattr(Checker, "draw_point", spy_draw)
+            try:
+                return real_pn_check(*args, **kwargs)
+            finally:
+                monkeypatch.setattr(Checker, "draw_point", real_draw)
+
+        monkeypatch.setattr(cli, "pn_check", pn_check)
+        run(capsys, "darboux", "--model", N2, "--object", "R_dn",
+            "--points", "4", "--domain", "3,4")
+        assert drawn
+        assert all(3.0 <= v <= 4.0 for pt in drawn for v in pt)
 
 
 class TestPrint:

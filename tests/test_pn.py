@@ -164,6 +164,14 @@ class TestPNCheck:
     def test_zero_is_pn(self):
         assert pn_check(Tensor11.zero(BE), points=8).verdict == "pn-structure"
 
+    def test_box_sets_the_sample_points(self):
+        # the torsion of this R grows with |t|: it shows where points fall
+        R = Tensor11.from_dict(BE, {"q1,q1": "q1", "q1,t": "t"})
+        near = pn_check(R, points=8)
+        far = pn_check(R, points=8, box=(10.0, 11.0))
+        assert near.torsion_residual <= 2.0
+        assert 10.0 <= far.torsion_residual <= 11.0
+
 
 class TestEigenAnalysis:
     def test_dn_example_point(self):
