@@ -6,6 +6,7 @@ random-point evaluation, so simplification here is best-effort only
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -318,18 +319,24 @@ def _compile(roots, column: dict):
     return program, [visit(r) for r in roots]
 
 
-def evaluate_batch(roots, coords, points, guard: float = SINGULAR_GUARD):
-    """Evaluate every root expression at every point in one pass.
+def compile_batch(roots, coords):
+    """Compile the root expressions, over the coordinates coords, into one
+    program, and return run(points) that evaluates every root at every
+    point in one pass.
 
-    coords names the columns of points, an (m, dim) array. Returns the
-    (len(roots), m) values and an (m,) mask of rejected points: those at
-    which `evaluate` would raise a guard error for some root, a value
-    overflows, or some root is not finite. Values are bit-identical to
-    `evaluate` at every point that is not rejected.
+    points is an (m, len(coords)) array. run returns the (len(roots), m)
+    values and an (m,) mask of rejected points: those at which `evaluate`
+    would raise a guard error for some root, a value overflows, or some
+    root is not finite. Values are bit-identical to `evaluate` at every
+    point that is not rejected.
     """
+    program, out_slots = _compile(roots, {c: j for j, c in enumerate(coords)})
+    return functools.partial(_run, program, out_slots)
+
+
+def _run(program, out_slots, points):
     X = np.asarray(points, dtype=float)
     m = len(X)
-    program, out_slots = _compile(roots, {c: j for j, c in enumerate(coords)})
     vals = []
     rejected = np.zeros(m, dtype=bool)
     with np.errstate(all="ignore"):
@@ -349,7 +356,7 @@ def evaluate_batch(roots, coords, points, guard: float = SINGULAR_GUARD):
                 v = u * vals[args[1]]
             elif op == "div":
                 w = vals[args[1]]
-                rejected |= np.abs(w) < guard
+                rejected |= np.abs(w) < SINGULAR_GUARD
                 v = u / w
             elif op == "sqrt":
                 rejected |= u < 0.0
@@ -359,7 +366,7 @@ def evaluate_batch(roots, coords, points, guard: float = SINGULAR_GUARD):
                 if payload.denominator != 1:
                     bad |= u < 0.0
                 if payload < 0:
-                    bad |= np.abs(u) < guard
+                    bad |= np.abs(u) < SINGULAR_GUARD
                 v, raised = _pointwise(operator.pow, _POW_UFUNC,
                                        np.where(bad, 1.0, u), float(payload))
                 rejected |= bad | raised
@@ -373,7 +380,8 @@ def evaluate_batch(roots, coords, points, guard: float = SINGULAR_GUARD):
             else:
                 raise ExprError(f"cannot evaluate {op!r}")
             vals.append(v)
-        values = np.array([vals[s] for s in out_slots]).reshape(len(roots), m)
+        values = np.array([vals[s] for s in out_slots])
+        values = values.reshape(len(out_slots), m)
         rejected |= ~np.isfinite(values).all(axis=0)
     return values, rejected
 

@@ -34,6 +34,10 @@ class ScalarField:
     def eval(self, point) -> float:
         raise NotImplementedError
 
+    def components(self) -> list:
+        """The scalar components: the field itself."""
+        return [self]
+
     def diff(self, coord: str) -> "ScalarField":
         raise NotImplementedError
 

@@ -35,6 +35,13 @@ _REJECTABLE = (SingularPointError, DomainError, NonFiniteError, OverflowError,
                TransformError, EigenError)
 
 
+def _json_number(v):
+    """v as a float, or as the string "inf", "-inf" or "nan", which JSON
+    has no numbers for."""
+    v = float(v)
+    return v if math.isfinite(v) else str(v)
+
+
 @dataclass
 class CheckItem:
     check_id: str
@@ -48,8 +55,8 @@ class CheckItem:
         return {
             "id": self.check_id,
             "identity": self.identity,
-            "max_residual": float(self.max_residual),
-            "worst_point": [float(v) for v in self.worst_point],
+            "max_residual": _json_number(self.max_residual),
+            "worst_point": [_json_number(v) for v in self.worst_point],
             "pass": bool(self.passed),
             "tol": self.tol,
         }
@@ -125,30 +132,35 @@ def _point_residual(a, b, point) -> float:
                for x, y in zip(_objects(a), _objects(b)))
 
 
-def _leaves(a) -> list:
-    """The scalar components of an object or a list of objects, in order."""
-    return [f for obj in _objects(a)
-            for f in _objects(getattr(obj, "entries",
-                                      getattr(obj, "comps", obj)))]
+def _leaves(a):
+    """The scalar components of an object or a list of objects, in order;
+    None when some object does not expose its components."""
+    leaves = []
+    for obj in _objects(a):
+        if not hasattr(obj, "components"):
+            return None
+        leaves.extend(obj.components())
+    return leaves
 
 
 def _compiled_residuals(a, b=None):
-    """points -> (residual per point, rejected mask), from one program that
-    evaluates every component of a (and b) over all points at once; None
-    when some component is not symbolic."""
+    """points -> (residual per point, rejected mask), from one program,
+    compiled here once, that evaluates every component of a (and b) over
+    all points at once; None when some component is not symbolic."""
     lhs = _leaves(a)
     rhs = [] if b is None else _leaves(b)
+    if lhs is None or rhs is None:
+        return None
     fields = lhs + rhs
     if (not fields or (b is not None and len(rhs) != len(lhs))
             or not all(isinstance(f, SymbolicField) for f in fields)
             or any(f.space != fields[0].space for f in fields)):
         return None
-    roots = [f.expr for f in fields]
-    coords = fields[0].space.coords
+    run = ex.compile_batch([f.expr for f in fields], fields[0].space.coords)
     k = len(lhs)
 
     def residuals(points):
-        values, rejected = ex.evaluate_batch(roots, coords, points)
+        values, rejected = run(points)
         with np.errstate(all="ignore"):  # rejected points may hold inf or nan
             diff = values if b is None else values[:k] - values[k:]
             return np.max(np.abs(diff), axis=0), rejected

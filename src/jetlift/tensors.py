@@ -43,6 +43,10 @@ class _Indexed:
     def eval_at(self, point) -> np.ndarray:
         raise NotImplementedError
 
+    def components(self) -> list:
+        """The scalar components, flattened in eval_at order."""
+        raise NotImplementedError
+
 
 class VectorField(_Indexed):
     def __init__(self, space: Space, comps):
@@ -63,6 +67,9 @@ class VectorField(_Indexed):
 
     def eval_at(self, point) -> np.ndarray:
         return np.array([c.eval(point) for c in self.comps])
+
+    def components(self) -> list:
+        return list(self.comps)
 
     @property
     def is_vertical(self) -> bool:
@@ -115,6 +122,9 @@ class OneForm(_Indexed):
     def eval_at(self, point) -> np.ndarray:
         return np.array([c.eval(point) for c in self.comps])
 
+    def components(self) -> list:
+        return list(self.comps)
+
     def __add__(self, other):
         _require_same_space(self, other)
         return OneForm(self.space, [a + b for a, b in zip(self.comps, other.comps)])
@@ -157,6 +167,9 @@ class _Matrix(_Indexed):
 
     def eval_at(self, point) -> np.ndarray:
         return np.array([[v.eval(point) for v in row] for row in self.entries])
+
+    def components(self) -> list:
+        return [v for row in self.entries for v in row]
 
     def __add__(self, other):
         _require_same_space(self, other)
@@ -221,6 +234,11 @@ class Tensor12(_Indexed):
         return np.array([[[self.comps[a][b][c].eval(point)
                            for c in range(d)] for b in range(d)]
                          for a in range(d)])
+
+    def components(self) -> list:
+        d = self.space.dim
+        return [self.comps[a][b][c]
+                for a in range(d) for b in range(d) for c in range(d)]
 
     def apply(self, X: VectorField, Y: VectorField) -> VectorField:
         _require_same_space(self, X, Y)

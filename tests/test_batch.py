@@ -1,5 +1,6 @@
 """The compiled batch evaluator against scalar evaluation, and the checks
 that run on it."""
+import json
 import math
 from fractions import Fraction
 
@@ -11,12 +12,18 @@ from jetlift import (
     SamplingError,
     SingularPointError,
     base_e,
+    nijenhuis_torsion,
     parse_field,
 )
 from jetlift import expr as ex
 from jetlift.catalog import standard_corpus
 from jetlift.fields import ProceduralField
-from jetlift.report import Checker, residual_between, residual_of
+from jetlift.report import (
+    CheckReport,
+    Checker,
+    residual_between,
+    residual_of,
+)
 from jetlift.suites import SUITES
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -68,7 +75,7 @@ def _scalar(roots, point):
 @hypothesis.settings(max_examples=400)
 @hypothesis.given(st.lists(TREES, min_size=1, max_size=3), POINTS)
 def test_batch_matches_scalar_evaluate(roots, points):
-    values, rejected = ex.evaluate_batch(roots, COORDS, points)
+    values, rejected = ex.compile_batch(roots, COORDS)(points)
     assert values.shape == (len(roots), len(points))
     for j, pt in enumerate(points):
         expected = _scalar(roots, pt)
@@ -81,7 +88,7 @@ def test_batch_matches_scalar_evaluate(roots, points):
                   st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=50))
 def test_functions_match_math(name, xs):
     e = ex.Unary(name, ex.Var("t"))
-    values, rejected = ex.evaluate_batch([e], ("t",), [[x] for x in xs])
+    values, rejected = ex.compile_batch([e], ("t",))([[x] for x in xs])
     for j, x in enumerate(xs):
         expected = _scalar([e], (x, 0.0, 0.0))
         assert rejected[j] == (expected is None)
@@ -91,7 +98,7 @@ def test_functions_match_math(name, xs):
 
 def test_signed_zero_constants_stay_apart():
     roots = [ex.Const(0.0), ex.Const(-0.0)]
-    values, _ = ex.evaluate_batch(roots, ("t",), [[1.0]])
+    values, _ = ex.compile_batch(roots, ("t",))([[1.0]])
     assert _bits(values[:, 0]) == _bits([0.0, -0.0])
 
 
@@ -109,7 +116,7 @@ def test_exp_overflow_is_masked_not_raised():
     e = ex.Unary("exp", ex.Var("t"))
     with pytest.raises(OverflowError):
         ex.evaluate(e, {"t": 800.0})
-    values, rejected = ex.evaluate_batch([e], ("t",), [[1.0], [800.0], [2.0]])
+    values, rejected = ex.compile_batch([e], ("t",))([[1.0], [800.0], [2.0]])
     assert rejected.tolist() == [False, True, False]
     assert values[0, 0] == math.exp(1.0) and values[0, 2] == math.exp(2.0)
 
@@ -119,7 +126,7 @@ def test_non_finite_values_are_masked():
     square = ex.Binary("mul", t, t)  # overflows to inf without raising
     assert ex.evaluate(square, {"t": 1e200}) == math.inf
     nan = ex.Binary("sub", square, square)
-    _, rejected = ex.evaluate_batch([square, nan], ("t",), [[1e200], [3.0]])
+    _, rejected = ex.compile_batch([square, nan], ("t",))([[1e200], [3.0]])
     assert rejected.tolist() == [True, False]
 
 
@@ -130,7 +137,7 @@ def test_guards_match_evaluate():
              ex.Pow(t, Fraction(-2))]
     pts = [[-1.0], [0.0], [1e-7], [4.0]]
     for e in cases:
-        _, rejected = ex.evaluate_batch([e], ("t",), pts)
+        _, rejected = ex.compile_batch([e], ("t",))(pts)
         assert rejected.tolist() == [_scalar([e], (p[0], 0, 0)) is None
                                      for p in pts]
 
@@ -140,6 +147,19 @@ class TestNonFinite:
         item = Checker(points=4).residual("x", "", 1, lambda p: float("nan"))
         assert not item.passed
         assert item.max_residual == math.inf
+
+    def test_nan_residual_report_is_strict_json(self):
+        ch = Checker(points=4)
+        ch.residual("x", "", 1, lambda p: float("nan"))
+        report = CheckReport("r", items=ch.report.items)
+
+        def no_bare_constants(token):
+            raise ValueError(f"bare {token} in JSON")
+
+        parsed = json.loads(report.to_json(),
+                            parse_constant=no_bare_constants)
+        assert parsed["checks"][0]["max_residual"] == "inf"
+        assert parsed["pass"] is False
 
     def test_nan_value_is_rejected_per_point(self):
         nan_field = ProceduralField(base_e(1), lambda pt: math.nan)
@@ -210,3 +230,31 @@ def test_batched_checks_match_per_point(suite):
     for batched, per_point in ch.pairs:
         assert batched.max_residual == per_point.max_residual
         assert batched.worst_point == per_point.worst_point
+
+
+def test_check_compiles_once_across_rejection_rounds(monkeypatch):
+    compiled = []
+    compile_ = ex._compile
+    monkeypatch.setattr(ex, "_compile",
+                        lambda *args: compiled.append(1) or compile_(*args))
+    f = parse_field("exp(q1)", base_e(1))
+    ch = Checker(points=16, box=(700.0, 720.0))
+    rounds = []
+    draw = ch.draw_point
+    monkeypatch.setattr(ch, "draw_point",
+                        lambda dim: rounds.append(1) or draw(dim))
+    ch.vanish("x", "", f)
+    assert len(rounds) > 16  # exp overflows above 709.78: points redrawn
+    assert len(compiled) == 1
+
+
+def test_components_are_in_eval_at_order():
+    corpus = standard_corpus(2)
+    objects = (corpus.tensors + corpus.oneforms + corpus.twoforms
+               + corpus.vert_fields + corpus.scalars
+               + [nijenhuis_torsion(R) for R in corpus.tensors])
+    for obj in objects:
+        pt = tuple(0.3 + 0.4 * i for i in range(obj.space.dim))
+        values = obj.eval_at(pt) if hasattr(obj, "eval_at") else obj.eval(pt)
+        assert [c.eval(pt) for c in obj.components()] == \
+            np.ravel(values).tolist()
