@@ -87,12 +87,6 @@ class ChartMap:
             raise TransformError("the chart map has no inverse")
         return self.inv
 
-    def map_point(self, point):
-        return tuple(f.eval(point) for f in self.fwd)
-
-    def unmap_point(self, point):
-        return tuple(g.eval(point) for g in self._require_inv())
-
     def _jac_fwd_at_inv(self):
         """J^a_b = d fwd^a / dx^b, composed with the inverse: fields on dst."""
         inv = self._require_inv()
@@ -229,30 +223,42 @@ class FibredTransform:
 
     # -- numeric inverse ----------------------------------------------------
 
-    def _q_jacobian_at(self, t, q):
-        pt = (t,) + tuple(q)
-        return np.array([[self.q_fwd[i].diff(f"q{j + 1}").eval(pt)
-                          for j in range(self.n)] for i in range(self.n)])
-
     def _newton_inverse(self):
+        """Invert Q = Q(t, q) per point by Newton's method seeded at the
+        target. A solve stops when it converges, when an iterate repeats an
+        earlier one bit for bit (the step depends on q alone, so the
+        iterates cycle through points that all failed NEWTON_TOL and can
+        never converge), or after NEWTON_MAX_ITER steps."""
         n = self.n
+        # the derivative fields, built once for every solve and gradient
+        dQdq = [[f.diff(f"q{j + 1}") for j in range(n)] for f in self.q_fwd]
+        dQdt = [f.diff("t") for f in self.q_fwd]
+
+        def q_jacobian_at(t, q):
+            pt = (t,) + tuple(q)
+            return np.array([[f.eval(pt) for f in row] for row in dQdq])
 
         @lru_cache(maxsize=4096)
         def solve(point):
             t = point[0]
             target = np.array(point[1:])
             q = np.array(point[1:], dtype=float)  # seeded at the point itself
+            seen = {q.tobytes()}
             for _ in range(NEWTON_MAX_ITER):
                 val = np.array([f.eval((t,) + tuple(q)) for f in self.q_fwd])
                 res = val - target
                 if np.max(np.abs(res)) < NEWTON_TOL:
                     return tuple(q)
-                jac = self._q_jacobian_at(t, q)
+                jac = q_jacobian_at(t, q)
                 try:
                     step = np.linalg.solve(jac, res)
                 except np.linalg.LinAlgError as e:
                     raise TransformError(f"singular Jacobian at t={t}, q={q}") from e
                 q = q - step
+                key = q.tobytes()
+                if key in seen:
+                    break
+                seen.add(key)
             raise TransformError(f"Newton iteration failed to invert at {point}")
 
         def make_field(i):
@@ -264,10 +270,9 @@ class FibredTransform:
                 t = pt[0]
                 q = solve(tuple(pt))
                 base_pt = (t,) + q
-                jac = self._q_jacobian_at(t, q)
+                jac = q_jacobian_at(t, q)
                 jinv = np.linalg.inv(jac)
-                dQdt = np.array([f.diff("t").eval(base_pt) for f in self.q_fwd])
-                dt_part = -jinv @ dQdt
+                dt_part = -jinv @ np.array([f.eval(base_pt) for f in dQdt])
                 return (dt_part[i],) + tuple(jinv[i])
 
             return ProceduralField(self.base, value, grad, 2)
@@ -307,11 +312,3 @@ class FibredTransform:
                      for j in range(n)]
             inv.append(sum_fields(pj, terms))
         return ChartMap(pj, pj, fwd, inv)
-
-    def transform(self, obj, on_phase=None):
-        """Transport an object to the new chart. Objects on the base use the
-        base map; objects on PhaseJ the induced map."""
-        space = obj.space
-        use_phase = on_phase if on_phase is not None else space.kind == "PhaseJ"
-        cm = self.phase_map() if use_phase else self.base_map()
-        return cm.push(obj)

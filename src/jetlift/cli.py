@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import JetliftError, ModelError, SamplingError
+from .errors import JetliftError, ModelError
 from .lifts import (
     complete_lift_cotangent,
     complete_lift_tensor11,
@@ -147,8 +147,10 @@ def cmd_darboux(args) -> int:
         raise ModelError(f"darboux needs a tensor11_E object, "
                          f"{args.object!r} is {kind}")
     box = _parse_domain(args.domain)
-    pn = pn_check(R, points=args.points, seed=args.seed, tol=args.tol,
-                  box=box)
+    sizes = {name: value for name, value in (("points", args.points),
+                                             ("tol", args.tol))
+             if value is not None}
+    pn = pn_check(R, seed=args.seed, box=box, **sizes)
     if not pn.is_pn:
         payload = {"object": args.object, "pn": pn.to_dict()}
         if args.json:
@@ -157,8 +159,8 @@ def cmd_darboux(args) -> int:
             print(f"refusing {args.object}: verdict {pn.verdict} "
                   f"(torsion residual {pn.torsion_residual:.3e})")
         return 1
-    T = build_dn_transform(R, box=box, seed=args.seed)
-    report = verify_dn(R, T, seed=args.seed, box=box)
+    T = build_dn_transform(R, box=box, seed=args.seed, **sizes)
+    report = verify_dn(R, T, seed=args.seed, box=box, **sizes)
     from .errors import EigenError
     from .pn import eigen_analysis
     import random as _random
@@ -225,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("darboux",
                        help="build Darboux-Nijenhuis coordinates")
     common(p, need_object=True)
-    p.set_defaults(fn=cmd_darboux)
+    # an omitted --points/--tol leaves each of the three calls its own default
+    p.set_defaults(fn=cmd_darboux, points=None, tol=None)
 
     p = sub.add_parser("print", help="print a model object")
     common(p, need_object=True)
@@ -238,9 +241,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ModelError, SamplingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except JetliftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

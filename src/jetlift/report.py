@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +197,19 @@ def _each_point(fn):
     return batch
 
 
+def _reasons(fn, points) -> str:
+    """How many of the points fn rejects with each error class, evaluating
+    them one at a time, e.g. "NonFiniteError: 630, OverflowError: 11"."""
+    counts = Counter()
+    for pt in points:
+        try:
+            fn(pt)
+        except _REJECTABLE as exc:
+            counts[type(exc).__name__] += 1
+    return ", ".join(f"{name}: {k}" for name, k in
+                     sorted(counts.items(), key=lambda c: (-c[1], c[0])))
+
+
 class Checker:
     """Draws seeded sample points per check and accumulates a report.
 
@@ -218,11 +232,12 @@ class Checker:
         lo, hi = self.box
         return tuple(self.rng.uniform(lo, hi) for _ in range(dim))
 
-    def _accept(self, dim, batch, message):
+    def _accept(self, dim, batch, fn, message):
         """The first self.points points that batch does not reject, with
-        their values; abort after 10x rejections."""
+        their values; abort after 10x rejections, naming the errors fn
+        raises at the rejected points."""
         accepted = []
-        rejected = 0
+        rejected = []
         while len(accepted) < self.points:
             pts = [self.draw_point(dim)
                    for _ in range(self.points - len(accepted))]
@@ -231,26 +246,27 @@ class Checker:
                 if not bad:
                     accepted.append((pt, value))
                     continue
-                rejected += 1
-                if rejected > 10 * self.points:
-                    raise SamplingError(message(rejected))
+                rejected.append(pt)
+                if len(rejected) > 10 * self.points:
+                    raise SamplingError(message(
+                        f"rejected {len(rejected)} sample points "
+                        f"({_reasons(fn, rejected)})"))
         return accepted
 
     def sample(self, dim: int, probe=None) -> list:
         """Draw self.points points, rejecting those on which probe raises a
         guard error; abort after 10x rejections."""
-        batch = _each_point(probe or (lambda pt: None))
-        accepted = self._accept(dim, batch, lambda n: (
-            f"rejected {n} sample points; "
-            "the objects are singular on most of the box"))
+        probe = probe or (lambda pt: None)
+        accepted = self._accept(dim, _each_point(probe), probe, lambda why: (
+            f"{why}; the objects are singular on most of the box"))
         return [pt for pt, _ in accepted]
 
-    def _record(self, check_id, identity, dim, batch, tol):
+    def _record(self, check_id, identity, dim, batch, fn, tol):
         tol = self.tol if tol is None else tol
         worst = 0.0
         worst_pt = ()
-        accepted = self._accept(dim, batch, lambda n: (
-            f"check {check_id}: rejected {n} sample points"))
+        accepted = self._accept(dim, batch, fn,
+                                lambda why: f"check {check_id}: {why}")
         for pt, r in accepted:
             r = float(r)
             if not math.isfinite(r):
@@ -264,16 +280,19 @@ class Checker:
 
     def residual(self, check_id, identity, dim, fn, tol=None):
         """fn(point) -> float residual; record the worst point."""
-        return self._record(check_id, identity, dim, _each_point(fn), tol)
+        return self._record(check_id, identity, dim, _each_point(fn), fn, tol)
 
     def _check(self, check_id, identity, a, b, tol, dim):
         if dim is None:
             dim = _objects(a)[0].space.dim
+
+        def fn(pt):
+            return _point_residual(a, b, pt)
+
         batch = _compiled_residuals(a, b)
         if batch is None:
-            return self.residual(check_id, identity, dim,
-                                 lambda pt: _point_residual(a, b, pt), tol=tol)
-        return self._record(check_id, identity, dim, batch, tol)
+            return self.residual(check_id, identity, dim, fn, tol=tol)
+        return self._record(check_id, identity, dim, batch, fn, tol)
 
     def compare(self, check_id, identity, a, b, tol=None, dim=None):
         """a = b, for two objects or two lists of objects."""

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import numpy as np
@@ -17,6 +18,9 @@ from jetlift import (
     parse_field,
     phase_j,
 )
+from jetlift.charts import NEWTON_TOL
+from jetlift.model import load_model
+from jetlift.pn import build_dn_transform
 
 
 def rand_points(dim, n=32, seed=0):
@@ -125,3 +129,38 @@ class TestNewtonInverse:
         T = FibredTransform(1, [parse_field("t + 0*q1", BE)])
         with pytest.raises(TransformError):
             T.base_map().push_scalar(parse_field("q1", BE)).eval((0.5, 0.7))
+
+
+@pytest.fixture(scope="module")
+def dn_transform():
+    path = os.path.join(os.path.dirname(__file__), "..", "models", "n2.json")
+    _, R = load_model(path).get("R_dn")
+    return build_dn_transform(R)
+
+
+class TestNewtonStop:
+    def test_no_preimage_stops_at_cycle(self, dn_transform, monkeypatch):
+        # the forward map is the sorted eigenvalues (q1 - t*q2, q2 + 3), so
+        # a target with Q1 > Q2 has no preimage; Newton falls into a cycle
+        solves = []
+        real_solve = np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        point = (0.3, 0.5, -1.0)
+        with pytest.raises(TransformError) as info:
+            dn_transform.q_inv[0].eval(point)
+        assert str(info.value) == f"Newton iteration failed to invert at {point}"
+        assert len(solves) < 20
+
+    def test_invertible_point_round_trips(self, dn_transform):
+        for t, q1, q2 in rand_points(3, n=8, seed=1):
+            base_pt = (t, q1, q2)
+            target = tuple(f.eval(base_pt) for f in dn_transform.q_fwd)
+            Q = (t,) + target
+            q = tuple(g.eval(Q) for g in dn_transform.q_inv)
+            back = [f.eval((t,) + q) for f in dn_transform.q_fwd]
+            assert max(abs(b - c) for b, c in zip(back, target)) < NEWTON_TOL

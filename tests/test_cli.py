@@ -73,6 +73,13 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_sampling_abort_names_its_reasons(self, capsys):
+        code, _, err = run(capsys, "verify", "--model", N1,
+                           "--suite", "lemma1", "--domain", "1e200,1e201")
+        assert code == 2
+        assert err == ("error: check lemma1.1[f0,a0]: rejected 641 sample "
+                       "points (NonFiniteError: 641)\n")
+
     def test_json_report_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", N1,
                            "--suite", "prop2", "--points", "4", "--json")
@@ -120,6 +127,45 @@ class TestDarboux:
         payload = json.loads(out)
         assert payload["checks"]["pass"] is True
         assert len(payload["eigenvalue_samples"]) == 3
+
+    def test_points_and_tol_reach_every_call(self, capsys, monkeypatch):
+        from jetlift import cli
+
+        calls = ("pn_check", "build_dn_transform", "verify_dn")
+        seen = {}
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                seen[name] = (kwargs.get("points"), kwargs.get("tol"))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, call)
+
+        for name in calls:
+            spy(name, getattr(cli, name))
+        code, out, _ = run(capsys, "darboux", "--model", N2, "--object",
+                           "R_dn", "--points", "8", "--tol", "1e-5", "--json")
+        assert code == 0
+        meta = json.loads(out)["checks"]["meta"]
+        assert (meta["points"], meta["tol"]) == (8, 1e-5)
+        assert seen == dict.fromkeys(calls, (8, 1e-5))
+
+    def test_omitted_sizes_keep_each_default(self, capsys, monkeypatch):
+        from jetlift import cli
+
+        kwargs_seen = []
+        real = cli.build_dn_transform
+
+        def spy(*args, **kwargs):
+            kwargs_seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_dn_transform", spy)
+        code, out, _ = run(capsys, "darboux", "--model", N2, "--object",
+                           "R_dn", "--json")
+        assert code == 0
+        assert "points" not in kwargs_seen[0] and "tol" not in kwargs_seen[0]
+        meta = json.loads(out)["checks"]["meta"]
+        assert (meta["points"], meta["tol"]) == (32, 1e-6)
 
 
     def test_domain_reaches_pn_check(self, capsys, monkeypatch):
