@@ -89,6 +89,7 @@ from .pn import (
     fiber_hamiltonian_field,
     hamiltonian_vector_field,
     magri_morosi,
+    magri_morosi_table,
     pn_check,
     poisson_apply,
     poisson_bracket,

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import JetliftError, ModelError
+from .errors import EigenError, JetliftError, ModelError
 from .lifts import (
     complete_lift_cotangent,
     complete_lift_tensor11,
@@ -28,8 +28,14 @@ from .lifts import (
     vlift_twoform,
 )
 from .model import load_model
-from .pn import build_dn_transform, pn_check, verify_dn
-from .report import DEFAULT_BOX, DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL
+from .pn import build_dn_transform, eigen_analysis, pn_check, verify_dn
+from .report import (
+    DEFAULT_BOX,
+    DEFAULT_POINTS,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
+    Checker,
+)
 from .suites import SUITES, run_all_suites, run_suite
 
 LIFT_KINDS = ("vertical", "complete", "horizontal", "momentum", "cotangent")
@@ -161,15 +167,12 @@ def cmd_darboux(args) -> int:
         return 1
     T = build_dn_transform(R, box=box, seed=args.seed, **sizes)
     report = verify_dn(R, T, seed=args.seed, box=box, **sizes)
-    from .errors import EigenError
-    from .pn import eigen_analysis
-    import random as _random
-    rng = _random.Random(args.seed)
+    sampler = Checker(seed=args.seed, box=box)
     samples = []
     tries = 0
     while len(samples) < 3 and tries < 100:
         tries += 1
-        pt = tuple(rng.uniform(*box) for _ in range(R.space.dim))
+        pt = sampler.draw_point(R.space.dim)
         try:
             data = eigen_analysis(R, pt)
         except EigenError:

@@ -3,7 +3,9 @@
 Two backends: symbolic expression trees (derivatives of any order, exact)
 and procedural fields (a value function plus analytic first partials;
 second derivatives fall back to central differences of the gradient).
-Mixed arithmetic degrades gracefully to the procedural backend.
+Each backend owns its arithmetic: symbolic fields and numbers combine into
+expression trees, and any procedural operand makes the result procedural
+(the chain rule over values and gradients in ScalarField).
 """
 from __future__ import annotations
 
@@ -49,11 +51,7 @@ class ScalarField:
     def order_budget(self) -> int:
         raise NotImplementedError
 
-    @property
-    def is_symbolic(self) -> bool:
-        return isinstance(self, SymbolicField)
-
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: the procedural chain rule (SymbolicField overrides it) --
 
     def _coerce(self, other):
         if isinstance(other, ScalarField):
@@ -69,8 +67,6 @@ class ScalarField:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_symbolic and other.is_symbolic:
-            return self._derived(ex.add(self.expr, other.expr))
         return _proc_add(self, other)
 
     __radd__ = __add__
@@ -79,8 +75,6 @@ class ScalarField:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_symbolic and other.is_symbolic:
-            return self._derived(ex.sub(self.expr, other.expr))
         return _proc_add(self, -other)
 
     def __rsub__(self, other):
@@ -90,8 +84,6 @@ class ScalarField:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_symbolic and other.is_symbolic:
-            return self._derived(ex.mul(self.expr, other.expr))
         return _proc_mul(self, other)
 
     __rmul__ = __mul__
@@ -100,8 +92,6 @@ class ScalarField:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_symbolic and other.is_symbolic:
-            return self._derived(ex.div(self.expr, other.expr))
         return _proc_div(self, other)
 
     def __rtruediv__(self, other):
@@ -111,14 +101,28 @@ class ScalarField:
         return other / self
 
     def __neg__(self):
-        if self.is_symbolic:
-            return self._derived(ex.neg(self.expr))
         return ProceduralField(
             self.space,
             lambda pt, f=self: -f.eval(pt),
             lambda pt, f=self: tuple(-g for g in f.grad(pt)),
             self.order_budget,
         )
+
+
+def _symbolic_op(build, procedural):
+    """A SymbolicField operator: with a symbolic field on the same space or
+    a number it builds the tree directly; anything else (a procedural
+    field, another space, a foreign type) takes ScalarField's path."""
+    def op(self, other):
+        if isinstance(other, SymbolicField) and (
+                other.space is self.space or other.space == self.space):
+            other = other.expr
+        elif isinstance(other, (int, float)):
+            other = ex.const(other)
+        else:
+            return procedural(self, other)
+        return SymbolicField(self.space, build(self.expr, other), True)
+    return op
 
 
 class SymbolicField(ScalarField):
@@ -136,6 +140,14 @@ class SymbolicField(ScalarField):
 
     def _derived(self, expression: ex.Expr) -> "SymbolicField":
         return SymbolicField(self.space, expression, _checked=True)
+
+    __add__ = __radd__ = _symbolic_op(ex.add, ScalarField.__add__)
+    __sub__ = _symbolic_op(ex.sub, ScalarField.__sub__)
+    __mul__ = __rmul__ = _symbolic_op(ex.mul, ScalarField.__mul__)
+    __truediv__ = _symbolic_op(ex.div, ScalarField.__truediv__)
+
+    def __neg__(self):
+        return SymbolicField(self.space, ex.neg(self.expr), True)
 
     def eval(self, point) -> float:
         return ex.evaluate(self.expr, dict(zip(self.space.coords, point)))

@@ -130,14 +130,28 @@ def commutation_residual(Rt: Tensor11, points) -> float:
     return max_residual(commutation_defect(Rt), points)
 
 
-def magri_morosi(Rt: Tensor11, sigma: OneForm, Z: VectorField) -> VectorField:
-    """mu(sigma, Z) = (L_{P(sigma)} Rt)(Z) - P(L_Z(Rt(sigma)))
+def magri_morosi_table(Rt: Tensor11, sigmas, zs) -> list:
+    """[mu(sigma, Z) for sigma in sigmas for Z in zs], where
+    mu(sigma, Z) = (L_{P(sigma)} Rt)(Z) - P(L_Z(Rt(sigma)))
     + P(L_{Rt(Z)} sigma). The Lie derivative in the middle term runs along
-    the vector argument Z."""
-    t1 = apply_tensor11(lie_derivative(poisson_apply(sigma), Rt), Z)
-    t2 = poisson_apply(lie_derivative(Z, adjoint_tensor11(Rt, sigma)))
-    t3 = poisson_apply(lie_derivative(apply_tensor11(Rt, Z), sigma))
-    return t1 - t2 + t3
+    the vector argument Z. L_{P(sigma)} Rt and Rt(sigma) are built once per
+    sigma and Rt(Z) once per Z, then combined per pair."""
+    Rt_zs = [apply_tensor11(Rt, Z) for Z in zs]
+    out = []
+    for sigma in sigmas:
+        L_Rt = lie_derivative(poisson_apply(sigma), Rt)
+        Rt_sigma = adjoint_tensor11(Rt, sigma)
+        for Z, Rt_Z in zip(zs, Rt_zs):
+            t1 = apply_tensor11(L_Rt, Z)
+            t2 = poisson_apply(lie_derivative(Z, Rt_sigma))
+            t3 = poisson_apply(lie_derivative(Rt_Z, sigma))
+            out.append(t1 - t2 + t3)
+    return out
+
+
+def magri_morosi(Rt: Tensor11, sigma: OneForm, Z: VectorField) -> VectorField:
+    """The Magri-Morosi concomitant mu(sigma, Z) of one pair."""
+    return magri_morosi_table(Rt, [sigma], [Z])[0]
 
 
 @dataclass
@@ -200,8 +214,7 @@ def pn_check(R: Tensor11, points=64, seed=0, tol=1e-9,
     comm = commutation_residual(Rt, phase_pts)
 
     sigmas, zs = _basis_pairs(n)
-    mm = max_residual([magri_morosi(Rt, sigma, Z)
-                       for sigma in sigmas for Z in zs], phase_pts)
+    mm = max_residual(magri_morosi_table(Rt, sigmas, zs), phase_pts)
     tors = max_residual(nijenhuis_torsion(R), base_pts)
     tors_lift = max_residual(nijenhuis_torsion(Rt), phase_pts)
 

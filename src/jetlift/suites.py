@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .catalog import SuiteInputs
-from .fields import inject
+from .fields import coord_field, inject
 from .lifts import (
     canonical_theta,
     complete_lift_cotangent,
@@ -27,10 +27,8 @@ from .lifts import (
 )
 from .charts import pullback_twoform
 from .pn import (
-    _basis_pairs,
-    canonical_bivector,
     commutation_defect,
-    magri_morosi,
+    magri_morosi_table,
     pn_check,
     pullback_oneform_to_phase,
 )
@@ -38,9 +36,6 @@ from .report import Checker, CheckItem, CheckReport, max_residual
 from .spaces import base_e, extended_t, phase_j
 from .tensors import (
     OneForm,
-    Tensor11,
-    TwoForm,
-    VectorField,
     adjoint_tensor11,
     apply_tensor11,
     compose_tensor11,
@@ -109,8 +104,6 @@ def suite_lemma1(inp: SuiteInputs, ch: Checker):
 
 
 def suite_brackets(inp: SuiteInputs, ch: Checker):
-    n = inp.n
-    pj = phase_j(n)
     valphas = [vlift_oneform(a) for a in inp.oneforms]
     for (i, va), (j, vb) in combinations(enumerate(valphas), 2):
         ch.vanish(f"brackets.1[a{i},a{j}]",
@@ -175,7 +168,7 @@ def suite_theta(inp: SuiteInputs, ch: Checker):
                    -Theta)
     for ai, alpha in enumerate(inp.oneforms):
         rep = _class_representative(alpha)
-        maps = ([__t(base)] + [__q(base, i) for i in range(1, n + 1)]
+        maps = ([coord_field(base, c) for c in base.coords]
                 + [rep.comps[i] for i in range(1, n + 1)])
         pulled = pullback_twoform(maps, base, Theta)
         ch.compare(f"theta.4[a{ai}]",
@@ -183,18 +176,7 @@ def suite_theta(inp: SuiteInputs, ch: Checker):
                    pulled, wedge(rep, _dt_form(base)))
 
 
-def __t(space):
-    from .fields import coord_field
-    return coord_field(space, "t")
-
-
-def __q(space, i):
-    from .fields import coord_field
-    return coord_field(space, f"q{i}")
-
-
 def suite_theorem1(inp: SuiteInputs, ch: Checker):
-    n = inp.n
     for ri, R in enumerate(inp.tensors):
         Rt = complete_lift_tensor11(R)
         for ai, alpha in enumerate(inp.oneforms):
@@ -328,7 +310,6 @@ def suite_theorem2(inp: SuiteInputs, ch: Checker):
 
 
 def suite_lemma2(inp: SuiteInputs, ch: Checker):
-    n = inp.n
     for bi, beta in enumerate(inp.oneforms):
         vb = vlift_oneform(beta)
         for ai, alpha in enumerate(inp.oneforms):
@@ -397,7 +378,7 @@ def suite_prop7(inp: SuiteInputs, ch: Checker):
         zs += [complete_lift_vector(X) for X in inp.lift_fields]
         ch.vanish(f"prop7.concomitant[R{ri}]",
                   "the Magri-Morosi concomitant vanishes on the lifted basis",
-                  [magri_morosi(Rt, sigma, Z) for sigma in sigmas for Z in zs])
+                  magri_morosi_table(Rt, sigmas, zs))
 
 
 def suite_theorem3(inp: SuiteInputs, ch: Checker):
@@ -425,9 +406,7 @@ def suite_theorem3(inp: SuiteInputs, ch: Checker):
 
 
 def suite_naturality(inp: SuiteInputs, ch: Checker):
-    n = inp.n
-    pj = phase_j(n)
-    Theta = canonical_theta(n)
+    Theta = canonical_theta(inp.n)
     for ti, T in enumerate(inp.transforms):
         bm = T.base_map()
         pm = T.phase_map()

@@ -1,6 +1,8 @@
 import math
+import operator
 import random
 
+import numpy as np
 import pytest
 
 from jetlift import (
@@ -14,7 +16,13 @@ from jetlift import (
     phase_j,
     zero,
 )
-from jetlift.fields import ProceduralField, is_symbolically_one, is_symbolically_zero
+from jetlift import expr as ex
+from jetlift.fields import (
+    ProceduralField,
+    SymbolicField,
+    is_symbolically_one,
+    is_symbolically_zero,
+)
 
 
 def rand_points(dim, n=32, seed=1):
@@ -49,6 +57,65 @@ class TestArithmetic:
         assert is_symbolically_zero(parse_field("q1", be) - parse_field("q1", be))
         assert is_symbolically_one(const_field(be, 1.0))
         assert not is_symbolically_zero(parse_field("q1", be))
+
+
+class TestCoercion:
+    def test_numbers_give_the_same_trees(self):
+        f = parse_field("t*q1", base_e(1))
+        e = f.expr
+        cases = [
+            (f * np.float64(2), ex.mul(e, ex.const(np.float64(2)))),
+            (True + f, ex.add(e, ex.const(True))),
+            (2 - f, ex.add(ex.neg(e), ex.const(2))),
+            (1 / f, ex.div(ex.const(1), e)),
+            (f - 0.5, ex.sub(e, ex.const(0.5))),
+            (3 * f, ex.mul(e, ex.const(3))),
+            (-f, ex.neg(e)),
+        ]
+        for got, want in cases:
+            assert isinstance(got, SymbolicField)
+            assert got.expr == want
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul, operator.truediv])
+    def test_two_spaces_raise(self, op):
+        f = parse_field("t + 1", base_e(1))
+        g = parse_field("t + 2", base_e(2))
+        proc = ProceduralField(base_e(2), lambda pt: 1.0, lambda pt: (0.0,) * 3)
+        for other in (g, proc):
+            with pytest.raises(SpaceMismatchError,
+                               match="cannot combine fields on"):
+                op(f, other)
+
+    def test_foreign_type_is_not_implemented(self):
+        f = parse_field("t", base_e(1))
+        with pytest.raises(TypeError):
+            f + "t"
+        with pytest.raises(TypeError):
+            [1.0] * f
+
+    def test_symbolic_with_procedural_is_procedural(self):
+        be = base_e(1)
+        s = parse_field("t*q1 + 2", be)
+        p = ProceduralField(be, lambda pt: pt[0] ** 2,
+                            lambda pt: (2.0 * pt[0], 0.0))
+        ref_s = lambda t, q: t * q + 2
+        ref_p = lambda t, q: t * t
+        cases = [
+            (s + p, lambda t, q: ref_s(t, q) + ref_p(t, q),
+             lambda t, q: (q + 2 * t, t)),
+            (p + s, lambda t, q: ref_p(t, q) + ref_s(t, q),
+             lambda t, q: (2 * t + q, t)),
+            (s - p, lambda t, q: ref_s(t, q) - ref_p(t, q),
+             lambda t, q: (q - 2 * t, t)),
+            (s * p, lambda t, q: ref_s(t, q) * ref_p(t, q),
+             lambda t, q: (q * t * t + ref_s(t, q) * 2 * t, t * t * t)),
+        ]
+        for field, value, grad in cases:
+            assert isinstance(field, ProceduralField)
+            for pt in rand_points(2, n=4):
+                assert field.eval(pt) == pytest.approx(value(*pt), abs=1e-12)
+                assert field.grad(pt) == pytest.approx(grad(*pt), abs=1e-12)
 
 
 class TestInject:

@@ -1,0 +1,42 @@
+"""Golden digests of the seeded reports.
+
+Every performance change must leave the seeded reports byte for byte as
+they were. This test pins that: it hashes (sha256) the stdout of three
+seeded CLI runs and compares each digest with the value captured before
+the last change that was meant to keep them.
+
+The digests also pin the numpy build and the platform libm the reports
+were computed with (numpy 2.4 on x86-64 Linux with glibc); on another
+platform the last bits of some residuals, and so the digests, may differ.
+A change that alters a report on purpose updates the digest in the same
+change and says why.
+"""
+import hashlib
+import os
+
+import pytest
+
+from jetlift.cli import main
+
+MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
+
+GOLDEN = [
+    (["verify", "--model", os.path.join(MODELS, "n1.json"),
+      "--suite", "all", "--json", "--seed", "0"],
+     "4d66f4adba49f3ebb0af586cbecaae77a15530f24b6779ff76d224fe0c04bf90"),
+    (["verify", "--model", os.path.join(MODELS, "n2.json"),
+      "--suite", "all", "--json", "--seed", "0"],
+     "60ea8e6c56d0f5d25c5de52c4174f8de99b3e7999095bfb823f132994b0749a5"),
+    (["darboux", "--model", os.path.join(MODELS, "n2.json"),
+      "--object", "R_dn", "--json", "--seed", "0"],
+     "5f6ed23afd30f3f0e5f21b9a5a2221112ab8cacc75c784df90a0f58e147f1396"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=["verify-n1", "verify-n2", "darboux-n2"])
+def test_seeded_report_digest(capsys, argv, digest):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

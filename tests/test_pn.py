@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from jetlift import pn
 from jetlift import (
     EigenError,
     FibredTransform,
@@ -23,6 +24,7 @@ from jetlift import (
     hamiltonian_vector_field,
     interior_product,
     magri_morosi,
+    magri_morosi_table,
     momentum_function,
     parse_field,
     phase_j,
@@ -141,6 +143,35 @@ class TestMagriMorosi:
         mu = magri_morosi(Rt, sigma, Z)
         for pt in rand_points(3):
             assert np.max(np.abs(mu.eval_at(pt))) < 1e-9
+
+
+class TestConcomitantTable:
+    @pytest.mark.parametrize("R", [
+        Tensor11.from_dict(BE, {"q1,q1": "q1", "q1,t": "t"}),
+        dn_example_tensor(),
+    ], ids=["n1", "n2"])
+    def test_table_matches_pairs(self, R):
+        Rt = complete_lift_tensor11(R)
+        sigmas, zs = pn._basis_pairs(R.space.n)
+        table = magri_morosi_table(Rt, sigmas, zs)
+        pairs = [magri_morosi(Rt, sigma, Z) for sigma in sigmas for Z in zs]
+        assert len(table) == len(pairs) == len(sigmas) * len(zs)
+        for got, want in zip(table, pairs):
+            assert [c.expr for c in got.comps] == [c.expr for c in want.comps]
+
+    def test_one_tensor_lie_derivative_per_sigma(self, monkeypatch):
+        # L_{P(sigma)} Rt depends on sigma alone: 2n of them, not 2n(3n+1)
+        targets = []
+        original = pn.lie_derivative
+
+        def counting(X, T):
+            if isinstance(T, Tensor11):
+                targets.append(T)
+            return original(X, T)
+
+        monkeypatch.setattr(pn, "lie_derivative", counting)
+        pn_check(dn_example_tensor(), points=4)
+        assert len(targets) == 4
 
 
 class TestPNCheck:
