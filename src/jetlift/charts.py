@@ -10,19 +10,17 @@ and induces the momentum-space map P_j = p_i dq^i/dQ^j.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import TransformError
 from .fields import (
+    Batch,
     ProceduralField,
     ScalarField,
     compose,
     const_field,
     coord_field,
     inject,
-    zero,
 )
 from .spaces import Space, base_e, phase_j
 from .tensors import (
@@ -32,6 +30,7 @@ from .tensors import (
     Tensor12,
     TwoForm,
     VectorField,
+    _table,
     sum_fields,
 )
 
@@ -44,14 +43,10 @@ def _determinant(space, M):
     d = len(M)
     if d == 1:
         return M[0][0]
-    acc = zero(space)
-    sign = 1.0
-    for j in range(d):
-        minor = [[M[i][k] for k in range(d) if k != j] for i in range(1, d)]
-        term = M[0][j] * _determinant(space, minor)
-        acc = acc + (term if sign > 0 else -term)
-        sign = -sign
-    return acc
+    terms = [M[0][j] * _determinant(space, [[M[i][k] for k in range(d) if k != j]
+                                            for i in range(1, d)])
+             for j in range(d)]
+    return sum_fields(space, [t if j % 2 == 0 else -t for j, t in enumerate(terms)])
 
 
 def invert_field_matrix(space, M):
@@ -61,14 +56,12 @@ def invert_field_matrix(space, M):
     det = _determinant(space, M)
     if d == 1:
         return [[const_field(space, 1.0) / det]]
-    inv = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            minor = [[M[r][c] for c in range(d) if c != i]
-                     for r in range(d) if r != j]
-            cof = _determinant(space, minor)
-            inv[i][j] = (cof if (i + j) % 2 == 0 else -cof) / det
-    return inv
+
+    def entry(i, j):
+        cof = _determinant(space, [[M[r][c] for c in range(d) if c != i]
+                                   for r in range(d) if r != j])
+        return (cof if (i + j) % 2 == 0 else -cof) / det
+    return _table(d, 2, entry)
 
 
 class ChartMap:
@@ -125,16 +118,9 @@ class ChartMap:
         J = self._jac_fwd_at_inv()
         K = self._jac_inv()
         Tc = [[self.push_scalar(v) for v in row] for row in T.entries]
-        d_src, d_dst = self.src.dim, self.dst.dim
-        entries = []
-        for a in range(d_dst):
-            row = []
-            for b in range(d_dst):
-                terms = [J[a][c] * Tc[c][e] * K[e][b]
-                         for c in range(d_src) for e in range(d_src)]
-                row.append(sum_fields(self.dst, terms))
-            entries.append(row)
-        return Tensor11(self.dst, entries)
+        s = range(self.src.dim)
+        return Tensor11(self.dst, _table(self.dst.dim, 2, lambda a, b: sum_fields(
+            self.dst, [J[a][c] * Tc[c][e] * K[e][b] for c in s for e in s])))
 
     def push_twoform(self, w: TwoForm) -> TwoForm:
         K = self._jac_inv()
@@ -157,22 +143,12 @@ class ChartMap:
     def push_tensor12(self, N: Tensor12) -> Tensor12:
         J = self._jac_fwd_at_inv()
         K = self._jac_inv()
-        Nc = [[[self.push_scalar(N.comps[a][b][c]) for c in range(self.src.dim)]
-               for b in range(self.src.dim)] for a in range(self.src.dim)]
-        d_src, d_dst = self.src.dim, self.dst.dim
-        comps = []
-        for a in range(d_dst):
-            plane = []
-            for b in range(d_dst):
-                row = []
-                for c in range(d_dst):
-                    terms = [J[a][x] * Nc[x][y][z] * K[y][b] * K[z][c]
-                             for x in range(d_src) for y in range(d_src)
-                             for z in range(d_src)]
-                    row.append(sum_fields(self.dst, terms))
-                plane.append(row)
-            comps.append(plane)
-        return Tensor12(self.dst, comps)
+        s = range(self.src.dim)
+        Nc = _table(self.src.dim, 3,
+                    lambda a, b, c: self.push_scalar(N.comps[a][b][c]))
+        return Tensor12(self.dst, _table(self.dst.dim, 3, lambda a, b, c: sum_fields(
+            self.dst, [J[a][x] * Nc[x][y][z] * K[y][b] * K[z][c]
+                       for x in s for y in s for z in s])))
 
     def push(self, obj):
         if isinstance(obj, ScalarField):
@@ -224,60 +200,97 @@ class FibredTransform:
     # -- numeric inverse ----------------------------------------------------
 
     def _newton_inverse(self):
-        """Invert Q = Q(t, q) per point by Newton's method seeded at the
-        target. A solve stops when it converges, when an iterate repeats an
+        """Invert Q = Q(t, q) by Newton's method seeded at the target, over
+        all the points of a batch at once with one stacked linear solve per
+        step. A row stops when it converges, when its iterate repeats an
         earlier one bit for bit (the step depends on q alone, so the
         iterates cycle through points that all failed NEWTON_TOL and can
-        never converge), or after NEWTON_MAX_ITER steps."""
+        never converge), or after NEWTON_MAX_ITER steps; the rows that do
+        not converge are rejected."""
         n = self.n
         # the derivative fields, built once for every solve and gradient
         dQdq = [[f.diff(f"q{j + 1}") for j in range(n)] for f in self.q_fwd]
         dQdt = [f.diff("t") for f in self.q_fwd]
 
-        def q_jacobian_at(t, q):
-            pt = (t,) + tuple(q)
-            return np.array([[f.eval(pt) for f in row] for row in dQdq])
+        def values(fields, b):
+            return np.column_stack([f._value(b) for f in fields])
 
-        @lru_cache(maxsize=4096)
-        def solve(point):
-            t = point[0]
-            target = np.array(point[1:])
-            q = np.array(point[1:], dtype=float)  # seeded at the point itself
-            seen = {q.tobytes()}
+        def q_jacobian(b):
+            return np.stack([values(row, b) for row in dQdq], axis=1)
+
+        def solve(b):
+            X = b.X
+            target = X[:, 1:]
+            q = target.copy()  # seeded at the point itself
+            active = np.flatnonzero(~b.rejected)
+            seen = {i: {q[i].tobytes()} for i in active.tolist()}
+
+            def failed(i):
+                return TransformError(
+                    f"Newton iteration failed to invert at {b.point(i)}")
+
             for _ in range(NEWTON_MAX_ITER):
-                val = np.array([f.eval((t,) + tuple(q)) for f in self.q_fwd])
-                res = val - target
-                if np.max(np.abs(res)) < NEWTON_TOL:
-                    return tuple(q)
-                jac = q_jacobian_at(t, q)
-                try:
-                    step = np.linalg.solve(jac, res)
-                except np.linalg.LinAlgError as e:
-                    raise TransformError(f"singular Jacobian at t={t}, q={q}") from e
-                q = q - step
-                key = q.tobytes()
-                if key in seen:
+                if not active.size:
                     break
-                seen.add(key)
-            raise TransformError(f"Newton iteration failed to invert at {point}")
+                it = Batch(np.hstack([X[active, :1], q[active]]), rows=active)
+                res = values(self.q_fwd, it) - target[active]
+                # a converged row is done: it takes no further step
+                it.rejected |= np.max(np.abs(res), axis=1) < NEWTON_TOL
+                jac = q_jacobian(it)
+                b.absorb(it)
+                go = np.flatnonzero(~it.rejected)
+                rows = active[go]
+                if not go.size:
+                    break
+                try:
+                    step = np.linalg.solve(jac[go], res[go][..., None])[..., 0]
+                except np.linalg.LinAlgError:
+                    step = np.zeros((go.size, n))
+                    for j, i in enumerate(rows.tolist()):
+                        try:
+                            step[j] = np.linalg.solve(jac[go[j]], res[go[j]])
+                        except np.linalg.LinAlgError:
+                            b.reject([i], lambda i: TransformError(
+                                f"singular Jacobian at t={X[i, 0]}, q={q[i]}"))
+                    step, rows = step[~b.rejected[rows]], rows[~b.rejected[rows]]
+                q[rows] = q[rows] - step
+                cycled = np.zeros(rows.size, dtype=bool)
+                for j, i in enumerate(rows.tolist()):
+                    cycled[j] = q[i].tobytes() in seen[i]
+                    seen[i].add(q[i].tobytes())
+                b.reject(rows[cycled], failed)
+                active = rows[~cycled]
+            else:
+                b.reject(active, failed)
+            return q
 
-        def make_field(i):
-            def value(pt):
-                return solve(tuple(pt))[i]
+        key = ("newton", id(dQdq))
 
-            def grad(pt):
-                # dq/dQ = Jq^{-1}; dq/dt = -Jq^{-1} dQ/dt, all at the solution
-                t = pt[0]
-                q = solve(tuple(pt))
-                base_pt = (t,) + q
-                jac = q_jacobian_at(t, q)
-                jinv = np.linalg.inv(jac)
-                dt_part = -jinv @ np.array([f.eval(base_pt) for f in dQdt])
-                return (dt_part[i],) + tuple(jinv[i])
+        def solution(b):
+            return b.once(key, lambda: solve(b))
 
-            return ProceduralField(self.base, value, grad, 2)
+        def inverse_jacobian(b):
+            # dq/dQ = Jq^{-1}; dq/dt = -Jq^{-1} dQ/dt, all at the solution:
+            # row i of the (m, n, 1 + n) result is the gradient of q^i
+            def compute():
+                q = solution(b)
 
-        return [make_field(i) for i in range(n)]
+                def at(fn):
+                    return b.on(key + ("at",),
+                                lambda: np.column_stack([b.X[:, 0], q]), fn)
+
+                jac = at(q_jacobian)
+                live = np.flatnonzero(~b.rejected)
+                jinv = np.zeros_like(jac)
+                jinv[live] = np.linalg.inv(jac[live])
+                dt = at(lambda c: values(dQdt, c))
+                dt_part = (-jinv @ dt[..., None])[..., 0]
+                return np.concatenate([dt_part[..., None], jinv], axis=2)
+            return b.once(key + ("grad",), compute)
+
+        return [ProceduralField(self.base, lambda b, i=i: solution(b)[:, i],
+                                lambda b, i=i: inverse_jacobian(b)[:, i, :],
+                                2, _on_batch=True) for i in range(n)]
 
     # -- chart maps ---------------------------------------------------------
 
@@ -298,17 +311,14 @@ class FibredTransform:
         A = invert_field_matrix(base, Jq)  # A^i_j = dq^i/dQ^j o (t, Q(t, q))
         fwd = [coord_field(pj, "t")]
         fwd += [inject(f, pj) for f in self.q_fwd]
-        for j in range(n):
-            terms = [coord_field(pj, f"p{i + 1}") * inject(A[i][j], pj)
-                     for i in range(n)]
-            fwd.append(sum_fields(pj, terms))
+        fwd += [sum_fields(pj, [coord_field(pj, f"p{i + 1}") * inject(A[i][j], pj)
+                                for i in range(n)]) for j in range(n)]
         # inverse: q = q(t, Q); p_i = P_j dQ^j/dq^i o (t, q(t, Q))
         inv = [coord_field(pj, "t")]
         inv += [inject(g, pj) for g in self.q_inv]
-        B = [[compose(Jq[j][i], [coord_field(base, "t")] + self.q_inv, base)
+        back = [coord_field(base, "t")] + self.q_inv
+        B = [[compose(Jq[j][i], back, base)
               for j in range(n)] for i in range(n)]  # B^j_i = dQ^j/dq^i o inv
-        for i in range(n):
-            terms = [coord_field(pj, f"p{j + 1}") * inject(B[i][j], pj)
-                     for j in range(n)]
-            inv.append(sum_fields(pj, terms))
+        inv += [sum_fields(pj, [coord_field(pj, f"p{j + 1}") * inject(B[i][j], pj)
+                                for j in range(n)]) for i in range(n)]
         return ChartMap(pj, pj, fwd, inv)

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import EigenError, JetliftError, ModelError
+from .errors import JetliftError, ModelError
 from .lifts import (
     complete_lift_cotangent,
     complete_lift_tensor11,
@@ -30,6 +30,7 @@ from .lifts import (
 from .model import load_model
 from .pn import build_dn_transform, eigen_analysis, pn_check, verify_dn
 from .report import (
+    _REJECTABLE,
     DEFAULT_BOX,
     DEFAULT_POINTS,
     DEFAULT_SEED,
@@ -169,13 +170,13 @@ def cmd_darboux(args) -> int:
     report = verify_dn(R, T, seed=args.seed, box=box, **sizes)
     sampler = Checker(seed=args.seed, box=box)
     samples = []
-    tries = 0
-    while len(samples) < 3 and tries < 100:
-        tries += 1
+    for _ in range(100):
+        if len(samples) == 3:
+            break
         pt = sampler.draw_point(R.space.dim)
         try:
             data = eigen_analysis(R, pt)
-        except EigenError:
+        except _REJECTABLE:  # a point the checks would redraw
             continue
         samples.append({"point": list(pt),
                         "eigenvalues": [float(v) for v in data.eigenvalues]})

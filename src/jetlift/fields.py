@@ -6,13 +6,27 @@ second derivatives fall back to central differences of the gradient).
 Each backend owns its arithmetic: symbolic fields and numbers combine into
 expression trees, and any procedural operand makes the result procedural
 (the chain rule over values and gradients in ScalarField).
+
+Procedural fields are evaluated over a whole (m, dim) point array at once.
+A `Batch` is one such evaluation: it keeps every value and gradient it
+computes, so a node that many fields share runs once per point array, and
+for each rejected row the error that evaluating that point alone raises.
+Symbolic leaves inside a procedural field run through `expr.compile_batch`;
+a second derivative evaluates the parent gradient once, on the stacked
+shifted copies of the array. `eval(point)` and `grad(point)` are the
+one-row case.
 """
 from __future__ import annotations
 
-import functools
+import numpy as np
 
 from . import expr as ex
-from .errors import OrderOverflowError, SpaceMismatchError
+from .errors import (
+    JetliftError,
+    OrderOverflowError,
+    SingularPointError,
+    SpaceMismatchError,
+)
 from .spaces import Space
 
 #: central-difference step for procedural second derivatives
@@ -22,10 +36,113 @@ FD_STEP = 1e-5
 _UNLIMITED = 10 ** 9
 
 
-def _shift(point, j, h):
-    p = list(point)
-    p[j] += h
-    return tuple(p)
+class Batch:
+    """One evaluation over an (m, dim) point array X: the values and
+    gradients computed so far, the rows rejected so far and, for each row
+    rejected here, the error that evaluating that point alone raises (the
+    first one met, in the order the one-point evaluation meets them).
+
+    A child batch evaluates points derived from these (projected, mapped,
+    shifted); its row r belongs to row rows[r] of its parent (row r when
+    rows is None), and `absorb` passes its rejections up."""
+
+    def __init__(self, X, rejected=None, rows=None):
+        self.X = X
+        self.values, self.grads, self.memo, self.errors = {}, {}, {}, {}
+        self.rejected = (np.zeros(len(X), dtype=bool) if rejected is None
+                         else rejected.copy())
+        self.rows = rows
+
+    def once(self, key, compute):
+        """compute(), run once per key in this evaluation."""
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def point(self, i) -> tuple:
+        return tuple(self.X[i].tolist())
+
+    def reject(self, rows, error):
+        """Reject the rows (indices) not rejected yet, row i with error(i)."""
+        for i in np.asarray(rows, dtype=int).tolist():
+            if not self.rejected[i]:
+                self.rejected[i] = True
+                self.errors[i] = error(i)
+
+    def absorb(self, child):
+        """Reject each row whose points in child were rejected, with the
+        error of the first of them."""
+        for r in sorted(child.errors):
+            i = r if child.rows is None else int(child.rows[r])
+            if not self.rejected[i]:
+                self.rejected[i] = True
+                self.errors[i] = child.errors[r]
+
+    def on(self, key, points, fn, rows=None):
+        """fn of the child batch over points() (made once per key; rows
+        rejected here start rejected there), its rejections absorbed."""
+        child = self.once(key, lambda: Batch(
+            points(), self.rejected[slice(None) if rows is None else rows],
+            rows))
+        out = fn(child)
+        self.absorb(child)
+        return out
+
+
+def at_point(point, fn):
+    """fn of the one-row batch of point; the error that rejects the row, if
+    one does."""
+    b = Batch(np.array([point], dtype=float).reshape(1, -1))
+    with np.errstate(all="ignore"):
+        out = fn(b)
+    if b.rejected[0]:
+        raise b.errors[0]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# procedural combinators (chain rules over values and gradients)
+
+def _min_budget(a, c) -> int:
+    return min(a.order_budget, c.order_budget, 2)
+
+
+def _proc_add(a, c):
+    return ProceduralField(a.space, lambda b: a._value(b) + c._value(b),
+                           lambda b: a._grad(b) + c._grad(b),
+                           _min_budget(a, c), _on_batch=True)
+
+
+def _proc_mul(a, c):
+    def grad(b):
+        av, cv = a._value(b)[:, None], c._value(b)[:, None]
+        return a._grad(b) * cv + av * c._grad(b)
+
+    return ProceduralField(a.space, lambda b: a._value(b) * c._value(b),
+                           grad, _min_budget(a, c), _on_batch=True)
+
+
+def _proc_div(a, c):
+    def den(b):
+        cv = c._value(b)
+        b.reject(np.flatnonzero(np.abs(cv) < ex.SINGULAR_GUARD),
+                 lambda i: SingularPointError(f"denominator {cv[i]} below guard"))
+        return cv
+
+    def grad(b):
+        av, cv = a._value(b)[:, None], den(b)[:, None]
+        return (a._grad(b) * cv - av * c._grad(b)) / (cv * cv)
+
+    return ProceduralField(a.space, lambda b: a._value(b) / den(b), grad,
+                           _min_budget(a, c), _on_batch=True)
+
+
+def _chain(combine):
+    """A ScalarField operator: combine(self, other) once other is coerced."""
+    def op(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else combine(self, other)
+    return op
 
 
 class ScalarField:
@@ -33,23 +150,24 @@ class ScalarField:
 
     space: Space
 
-    def eval(self, point) -> float:
-        raise NotImplementedError
+    def _value(self, b: Batch) -> np.ndarray:
+        """The (m,) values over batch b, computed once per batch; rows that
+        cannot be evaluated are rejected in b."""
+        v = b.values.get(self)
+        if v is None:
+            v = b.values[self] = self._batch_value(b)
+        return v
+
+    def _grad(self, b: Batch) -> np.ndarray:
+        """The (m, dim) first partials over batch b, computed once."""
+        g = b.grads.get(self)
+        if g is None:
+            g = b.grads[self] = self._batch_grad(b)
+        return g
 
     def components(self) -> list:
         """The scalar components: the field itself."""
         return [self]
-
-    def diff(self, coord: str) -> "ScalarField":
-        raise NotImplementedError
-
-    def grad(self, point):
-        """All first partials at a point, as a tuple."""
-        raise NotImplementedError
-
-    @property
-    def order_budget(self) -> int:
-        raise NotImplementedError
 
     # -- arithmetic: the procedural chain rule (SymbolicField overrides it) --
 
@@ -63,50 +181,19 @@ class ScalarField:
             return SymbolicField(self.space, ex.const(other))
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _proc_add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _proc_add(self, -other)
+    __add__ = __radd__ = _chain(_proc_add)
+    __sub__ = _chain(lambda a, c: _proc_add(a, -c))
+    __mul__ = __rmul__ = _chain(_proc_mul)
+    __truediv__ = _chain(_proc_div)
+    __rtruediv__ = _chain(lambda a, c: c / a)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _proc_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _proc_div(self, other)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __neg__(self):
-        return ProceduralField(
-            self.space,
-            lambda pt, f=self: -f.eval(pt),
-            lambda pt, f=self: tuple(-g for g in f.grad(pt)),
-            self.order_budget,
-        )
+        return ProceduralField(self.space, lambda b: -self._value(b),
+                               lambda b: -self._grad(b), self.order_budget,
+                               _on_batch=True)
 
 
 def _symbolic_op(build, procedural):
@@ -138,9 +225,6 @@ class SymbolicField(ScalarField):
         self.expr = expression
         self._deriv_cache: dict[str, "SymbolicField"] = {}
 
-    def _derived(self, expression: ex.Expr) -> "SymbolicField":
-        return SymbolicField(self.space, expression, _checked=True)
-
     __add__ = __radd__ = _symbolic_op(ex.add, ScalarField.__add__)
     __sub__ = _symbolic_op(ex.sub, ScalarField.__sub__)
     __mul__ = __rmul__ = _symbolic_op(ex.mul, ScalarField.__mul__)
@@ -155,12 +239,34 @@ class SymbolicField(ScalarField):
     def diff(self, coord: str) -> "SymbolicField":
         if coord not in self._deriv_cache:
             self.space.index(coord)  # validates the name
-            self._deriv_cache[coord] = self._derived(
-                ex.differentiate(self.expr, coord))
+            self._deriv_cache[coord] = SymbolicField(
+                self.space, ex.differentiate(self.expr, coord), True)
         return self._deriv_cache[coord]
 
     def grad(self, point):
         return tuple(self.diff(c).eval(point) for c in self.space.coords)
+
+    def _rows(self, b, key, exprs):
+        """The (len(exprs), m) values of exprs over batch b, compiled once
+        per field. A row the compiled program rejects is evaluated alone:
+        an error there rejects it, a value (an unguarded inf) is kept."""
+        if key not in self.__dict__:
+            self.__dict__[key] = _compile(exprs, self.space.coords)
+        values, masked = self.__dict__[key](b.X)
+        for i in np.flatnonzero(masked & ~b.rejected).tolist():
+            env = dict(zip(self.space.coords, b.X[i].tolist()))
+            try:
+                values[:, i] = [ex.evaluate(e, env) for e in exprs]
+            except (JetliftError, OverflowError) as exc:
+                b.reject([i], lambda _, exc=exc: exc)
+        return values
+
+    def _batch_value(self, b):
+        return self._rows(b, "_run", [self.expr])[0]
+
+    def _batch_grad(self, b):
+        exprs = [self.diff(c).expr for c in self.space.coords]
+        return self._rows(b, "_grad_run", exprs).T
 
     @property
     def order_budget(self) -> int:
@@ -182,23 +288,34 @@ class SymbolicField(ScalarField):
 
 
 class ProceduralField(ScalarField):
-    def __init__(self, space: Space, value_fn, grad_fn=None, order_budget=2):
+    """A field given by functions of the point array: value_fn maps an
+    (m, dim) array to the (m,) values and grad_fn to the (m, dim) first
+    partials. Rows a function cannot evaluate hold nan or inf."""
+
+    def __init__(self, space: Space, value_fn, grad_fn=None, order_budget=2,
+                 _on_batch=False):
+        # _on_batch: the functions take the Batch itself, so that they can
+        # evaluate other fields in it and reject rows
         self.space = space
-        # Procedural fields form shared DAGs (e.g. one Jacobian entry feeding
-        # many pushed-tensor components), so memoize per point at every node.
-        self._value_fn = functools.lru_cache(maxsize=512)(value_fn)
-        self._grad_fn = (None if grad_fn is None
-                         else functools.lru_cache(maxsize=512)(grad_fn))
+        if not _on_batch:
+            value_fn = _over_points(value_fn)
+            grad_fn = None if grad_fn is None else _over_points(grad_fn)
+        self._batch_value = value_fn
+        self._grad_fn = grad_fn
         self._budget = order_budget
 
     def eval(self, point) -> float:
-        return self._value_fn(tuple(point))
+        return float(at_point(point, self._value)[0])
 
     def grad(self, point):
+        """All first partials at a point, as a tuple."""
+        return tuple(at_point(point, self._grad)[0].tolist())
+
+    def _batch_grad(self, b):
         if self._grad_fn is None:
             raise OrderOverflowError(
                 "procedural field has no derivative information left")
-        return tuple(self._grad_fn(tuple(point)))
+        return self._grad_fn(b)
 
     @property
     def order_budget(self) -> int:
@@ -209,68 +326,46 @@ class ProceduralField(ScalarField):
             raise OrderOverflowError(
                 "procedural fields support derivatives up to order 2")
         k = self.space.index(coord)
-        gf = self._grad_fn
-        value_fn = lambda pt: gf(pt)[k]
+        grad_fn = None
         if self._budget >= 2:
-            dim = self.space.dim
-            grad_fn = lambda pt: tuple(
-                (gf(_shift(pt, j, FD_STEP))[k] - gf(_shift(pt, j, -FD_STEP))[k])
-                / (2.0 * FD_STEP)
-                for j in range(dim))
-        else:
-            grad_fn = None
-        return ProceduralField(self.space, value_fn, grad_fn, self._budget - 1)
+            def grad_fn(b):
+                # the parent gradient at x + h e_j and x - h e_j for every j,
+                # stacked in that order, in one child batch shared by every
+                # second derivative over b
+                m, dim = b.X.shape
+                G = b.on("shifted", lambda: _shifted(b.X), self._grad,
+                         np.tile(np.arange(m), 2 * dim))
+                G = G[:, k].reshape(2 * dim, m)
+                return ((G[0::2] - G[1::2]) / (2.0 * FD_STEP)).T
+        return ProceduralField(self.space, lambda b: self._grad(b)[:, k],
+                               grad_fn, self._budget - 1, _on_batch=True)
 
     def __repr__(self):
         return f"ProceduralField({self.space}, budget={self._budget})"
 
 
-# ---------------------------------------------------------------------------
-# procedural combinators (chain rules over eval/grad)
-
-def _min_budget(a: ScalarField, b: ScalarField) -> int:
-    return min(a.order_budget, b.order_budget)
-
-
-def _proc_add(a, b):
-    def value(pt):
-        return a.eval(pt) + b.eval(pt)
-
-    def grad(pt):
-        return tuple(x + y for x, y in zip(a.grad(pt), b.grad(pt)))
-
-    return ProceduralField(a.space, value, grad, min(_min_budget(a, b), 2))
+def _compile(exprs, coords):
+    """expr.compile_batch, with the run of constants (most leaves of a
+    procedural field) done without it."""
+    if not all(isinstance(e, ex.Const) for e in exprs):
+        return ex.compile_batch(exprs, coords)
+    column = np.array([[e.value] for e in exprs])
+    return lambda X: (column.repeat(len(X), axis=1),
+                      np.zeros(len(X), dtype=bool))
 
 
-def _proc_mul(a, b):
-    def value(pt):
-        return a.eval(pt) * b.eval(pt)
-
-    def grad(pt):
-        av, bv = a.eval(pt), b.eval(pt)
-        return tuple(ag * bv + av * bg for ag, bg in zip(a.grad(pt), b.grad(pt)))
-
-    return ProceduralField(a.space, value, grad, min(_min_budget(a, b), 2))
+def _over_points(fn):
+    return lambda b: np.asarray(fn(b.X), dtype=float)
 
 
-def _proc_div(a, b):
-    from .errors import SingularPointError
-
-    def _den(pt):
-        bv = b.eval(pt)
-        if abs(bv) < ex.SINGULAR_GUARD:
-            raise SingularPointError(f"denominator {bv} below guard")
-        return bv
-
-    def value(pt):
-        return a.eval(pt) / _den(pt)
-
-    def grad(pt):
-        av, bv = a.eval(pt), _den(pt)
-        return tuple((ag * bv - av * bg) / (bv * bv)
-                     for ag, bg in zip(a.grad(pt), b.grad(pt)))
-
-    return ProceduralField(a.space, value, grad, min(_min_budget(a, b), 2))
+def _shifted(X):
+    """2 * dim copies of X stacked: copy 2j shifted by +FD_STEP and copy
+    2j + 1 by -FD_STEP in coordinate j."""
+    m, dim = X.shape
+    Y, j = np.tile(X, (2 * dim, 1, 1)), np.arange(dim)
+    Y[2 * j, :, j] += FD_STEP
+    Y[2 * j + 1, :, j] -= FD_STEP
+    return Y.reshape(2 * dim * m, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +376,12 @@ def parse_field(src: str, space: Space) -> SymbolicField:
 
 
 def const_field(space: Space, v) -> SymbolicField:
-    return SymbolicField(space, ex.const(v))
+    return SymbolicField(space, ex.const(v), True)  # names no coordinate
 
 
 def coord_field(space: Space, name: str) -> SymbolicField:
-    space.index(name)
-    return SymbolicField(space, ex.var(name))
+    space.index(name)  # validates the name
+    return SymbolicField(space, ex.var(name), True)
 
 
 def zero(space: Space) -> SymbolicField:
@@ -302,24 +397,18 @@ def inject(f: ScalarField, dst: Space) -> ScalarField:
     if missing:
         raise SpaceMismatchError(f"{dst} lacks coordinates {sorted(missing)}")
     if isinstance(f, SymbolicField):
-        return SymbolicField(dst, f.expr)
+        return SymbolicField(dst, f.expr, True)  # its names are all in dst
     idx = [dst.index(c) for c in f.space.coords]
-    scatter = {src_i: dst_i for src_i, dst_i in enumerate(idx)}
+    key = ("inject", tuple(idx))
 
-    def project(pt):
-        return tuple(pt[i] for i in idx)
+    def grad(b):
+        out = np.zeros((len(b.X), dst.dim))
+        out[:, idx] = b.on(key, lambda: b.X[:, idx], f._grad)
+        return out
 
-    def value(pt):
-        return f.eval(project(pt))
-
-    def grad(pt):
-        g = f.grad(project(pt))
-        out = [0.0] * dst.dim
-        for src_i, dst_i in scatter.items():
-            out[dst_i] = g[src_i]
-        return tuple(out)
-
-    return ProceduralField(dst, value, grad, f.order_budget)
+    return ProceduralField(dst, lambda b: b.on(key, lambda: b.X[:, idx],
+                                               f._value),
+                           grad, f.order_budget, _on_batch=True)
 
 
 def compose(f: ScalarField, maps: list, src: Space) -> ScalarField:
@@ -341,22 +430,22 @@ def compose(f: ScalarField, maps: list, src: Space) -> ScalarField:
         return SymbolicField(src, ex.substitute(f.expr, mapping))
 
     budget = min([f.order_budget] + [m.order_budget for m in maps] + [2])
+    key = ("compose",) + tuple(map(id, maps))
 
-    def mapped(pt):
-        return tuple(m.eval(pt) for m in maps)
+    def on_mapped(b, fn):
+        return b.on(key, lambda: np.column_stack([m._value(b) for m in maps]),
+                    fn)
 
-    def value(pt):
-        return f.eval(mapped(pt))
+    def grad(b):
+        fg = on_mapped(b, f._grad)
+        mg = [m._grad(b) for m in maps]
+        acc = 0.0  # summed left to right, as sum() would
+        for a in range(dst.dim):
+            acc = acc + fg[:, a, None] * mg[a]
+        return acc
 
-    def grad(pt):
-        y = mapped(pt)
-        fg = f.grad(y)
-        mg = [m.grad(pt) for m in maps]
-        return tuple(
-            sum(fg[a] * mg[a][j] for a in range(dst.dim))
-            for j in range(src.dim))
-
-    return ProceduralField(src, value, grad, budget)
+    return ProceduralField(src, lambda b: on_mapped(b, f._value), grad,
+                           budget, _on_batch=True)
 
 
 def is_symbolically_zero(f: ScalarField) -> bool:
@@ -365,3 +454,13 @@ def is_symbolically_zero(f: ScalarField) -> bool:
 
 def is_symbolically_one(f: ScalarField) -> bool:
     return isinstance(f, SymbolicField) and f.is_one
+
+
+def evaluate_batch(fields, points):
+    """The (len(fields), m) values of the fields at an (m, dim) point array,
+    evaluated in one shared Batch, and that Batch: its rejected rows, and
+    the error evaluating each of them alone raises."""
+    b = Batch(np.asarray(points, dtype=float))
+    with np.errstate(all="ignore"):
+        values = np.array([f._value(b) for f in fields]).reshape(len(fields), -1)
+    return values, b

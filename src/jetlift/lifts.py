@@ -65,10 +65,9 @@ def complete_lift_vector(X: VectorField) -> VectorField:
     pj = phase_j(n)
     comps = [inject(X.comps[0], pj)]
     comps += [inject(X.comps[i], pj) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        terms = [-(coord_field(pj, f"p{j}") * inject(X.comps[j].diff(f"q{i}"), pj))
-                 for j in range(1, n + 1)]
-        comps.append(sum_fields(pj, terms))
+    comps += [sum_fields(pj, [
+        -(coord_field(pj, f"p{j}") * inject(X.comps[j].diff(f"q{i}"), pj))
+        for j in range(1, n + 1)]) for i in range(1, n + 1)]
     return VectorField(pj, comps)
 
 
@@ -77,12 +76,7 @@ def vlift_tensor11(R: Tensor11) -> VectorField:
     _require_annihilates_dt(R)
     n = R.space.n
     pj = phase_j(n)
-    comps = [zero(pj)] * (n + 1)
-    for j in range(1, n + 1):
-        terms = [coord_field(pj, f"p{i}") * inject(R.entries[i][j], pj)
-                 for i in range(1, n + 1)]
-        comps.append(sum_fields(pj, terms))
-    return VectorField(pj, comps)
+    return VectorField(pj, [zero(pj)] * (n + 1) + _p_contracted(R, pj))
 
 
 def hlift_tensor11(R: Tensor11) -> OneForm:
@@ -90,13 +84,16 @@ def hlift_tensor11(R: Tensor11) -> OneForm:
     _require_annihilates_dt(R)
     n = R.space.n
     pj = phase_j(n)
-    comps = []
-    for b in range(n + 1):  # dt, dq^1..dq^n columns of R
-        terms = [coord_field(pj, f"p{i}") * inject(R.entries[i][b], pj)
-                 for i in range(1, n + 1)]
-        comps.append(sum_fields(pj, terms))
-    comps += [zero(pj)] * n
-    return OneForm(pj, comps)
+    # the dt and dq^1..dq^n columns of R
+    return OneForm(pj, _p_contracted(R, pj, 0) + [zero(pj)] * n)
+
+
+def _p_contracted(R: Tensor11, pj: Space, first=1) -> list:
+    """p_i R^i_j for the columns j = first..n of R, as fields on pj."""
+    n = R.space.n
+    return [sum_fields(pj, [coord_field(pj, f"p{i}") * inject(R.entries[i][j], pj)
+                            for i in range(1, n + 1)])
+            for j in range(first, n + 1)]
 
 
 def _lift_blocks(R: Tensor11, space: Space, qi, pi):

@@ -31,7 +31,6 @@ from .errors import ExprError, ModelError
 from .fields import parse_field
 from .spaces import Space, base_e, phase_j
 from .tensors import OneForm, Tensor11, TwoForm, VectorField
-from .expr import parse_expr
 
 KINDS = ("scalar_E", "scalar_J", "vector_E", "oneform_E", "tensor11_E",
          "twoform_E", "transform")
@@ -83,22 +82,15 @@ def _build_object(name: str, spec: dict, n: int):
     be = base_e(n)
     pj = phase_j(n)
 
-    if kind == "scalar_E":
+    if kind in ("scalar_E", "scalar_J"):
         if list(comps) != ["value"]:
             raise ModelError(f"object {name!r}: scalar needs a single "
                              "'value' component")
-        return kind, parse_field(comps["value"], be)
-    if kind == "scalar_J":
-        if list(comps) != ["value"]:
-            raise ModelError(f"object {name!r}: scalar needs a single "
-                             "'value' component")
-        return kind, parse_field(comps["value"], pj)
-    if kind == "vector_E":
+        return kind, parse_field(comps["value"], be if kind == "scalar_E" else pj)
+    if kind in ("vector_E", "oneform_E"):
         fields = _parse_components(be, comps, name)
-        return kind, VectorField(be, _comp_list(be, fields, name))
-    if kind == "oneform_E":
-        fields = _parse_components(be, comps, name)
-        return kind, OneForm(be, _comp_list(be, fields, name))
+        cls = VectorField if kind == "vector_E" else OneForm
+        return kind, cls(be, _comp_list(be, fields, name))
     if kind == "tensor11_E":
         _entry_dict(be, comps, name)
         T = Tensor11.from_dict(be, comps)

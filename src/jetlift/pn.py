@@ -4,8 +4,7 @@ of a (1,1) tensor, and the Darboux-Nijenhuis coordinate construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -14,6 +13,8 @@ from .errors import EigenError, SpaceMismatchError, TransformError
 from .fields import (
     ProceduralField,
     ScalarField,
+    at_point,
+    evaluate_batch,
     inject,
     zero,
 )
@@ -37,6 +38,7 @@ from .tensors import (
     OneForm,
     Tensor11,
     VectorField,
+    _table,
     adjoint_tensor11,
     apply_tensor11,
     differential,
@@ -77,11 +79,9 @@ def poisson_bracket(F: ScalarField, G: ScalarField) -> ScalarField:
         raise SpaceMismatchError("Poisson bracket needs two phase-space fields")
     pj = F.space
     n = pj.n
-    terms = []
-    for i in range(1, n + 1):
-        terms.append(F.diff(f"q{i}") * G.diff(f"p{i}"))
-        terms.append(-(F.diff(f"p{i}") * G.diff(f"q{i}")))
-    return sum_fields(pj, terms)
+    return sum_fields(pj, [t for i in range(1, n + 1) for t in (
+        F.diff(f"q{i}") * G.diff(f"p{i}"),
+        -(F.diff(f"p{i}") * G.diff(f"q{i}")))])
 
 
 def fiber_hamiltonian_field(F: ScalarField) -> VectorField:
@@ -114,16 +114,10 @@ def commutation_defect(Rt: Tensor11) -> list:
     pj = Rt.space
     n = pj.n
     d = pj.dim
-    Lam = canonical_bivector(n).entries
-    out = []
-    for c in range(d):
-        row = []
-        for b in range(d):
-            terms = [Rt.entries[c][a] * Lam[a][b] for a in range(d)]
-            terms += [-(Lam[c][a] * Rt.entries[b][a]) for a in range(d)]
-            row.append(sum_fields(pj, terms))
-        out.append(row)
-    return out
+    Lam, E = canonical_bivector(n).entries, Rt.entries
+    return _table(d, 2, lambda c, b: sum_fields(
+        pj, [E[c][a] * Lam[a][b] for a in range(d)]
+        + [-(Lam[c][a] * E[b][a]) for a in range(d)]))
 
 
 def commutation_residual(Rt: Tensor11, points) -> float:
@@ -168,14 +162,7 @@ class PNReport:
         return self.verdict == "pn-structure"
 
     def to_dict(self):
-        return {
-            "commutation_residual": self.commutation_residual,
-            "magri_morosi_residual": self.magri_morosi_residual,
-            "torsion_residual": self.torsion_residual,
-            "lifted_torsion_residual": self.lifted_torsion_residual,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _basis_pairs(n: int):
@@ -208,15 +195,12 @@ def pn_check(R: Tensor11, points=64, seed=0, tol=1e-9,
     n = R.space.n
     Rt = complete_lift_tensor11(R)
     checker = Checker(points=points, seed=seed, tol=tol, box=box)
-    phase_pts = checker.sample(Rt.space.dim)
-    base_pts = [pt[:n + 1] for pt in phase_pts]
-
-    comm = commutation_residual(Rt, phase_pts)
-
     sigmas, zs = _basis_pairs(n)
-    mm = max_residual(magri_morosi_table(Rt, sigmas, zs), phase_pts)
-    tors = max_residual(nijenhuis_torsion(R), base_pts)
-    tors_lift = max_residual(nijenhuis_torsion(Rt), phase_pts)
+    # the base torsion, read at the base part of each phase-space point
+    tors_base = [inject(f, Rt.space) for f in nijenhuis_torsion(R).components()]
+    _, (comm, mm, tors, tors_lift) = checker.sample_residuals(Rt.space.dim, [
+        commutation_defect(Rt), magri_morosi_table(Rt, sigmas, zs),
+        tors_base, nijenhuis_torsion(Rt)])
 
     ok = comm < tol and mm < tol and tors < tol and tors_lift < tol
     return PNReport(comm, mm, tors, tors_lift, tol,
@@ -240,64 +224,93 @@ def _q_block(R: Tensor11):
     return [[R.entries[i][j] for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
+def _stacked(rows, b):
+    """The (m, n, n) stack of a matrix of fields over batch b, contiguous, so
+    that matmul gives the bits it gives one matrix (a strided stack does not)."""
+    return np.ascontiguousarray(
+        np.array([[f._value(b) for f in row] for row in rows]).transpose(2, 0, 1))
+
+
+def _eigen(A, b):
+    """Ascending eigenvalues w, right eigenvectors V (columns) and left ones
+    U (rows, u_i . v_j = delta) of the q-blocks A at the rows of batch b.
+    Rejects the rows whose eigenvalues are not real and pairwise distinct
+    or whose eigenvectors do not rebuild the block."""
+    m, n = A.shape[:2]
+    w, V, U = np.zeros((m, n)), np.zeros((m, n, n)), np.zeros((m, n, n))
+    live = np.flatnonzero(~b.rejected)
+    wc, Vc = np.linalg.eig(A[live])
+    imag = np.max(np.abs(wc.imag), axis=1)
+    b.reject(live[imag > EIGEN_DISTINCT_THRESHOLD], lambda i: EigenError(
+        f"complex eigenvalues {wc[np.searchsorted(live, i)]} at {b.point(i)}"))
+    order = np.argsort(wc.real, axis=1)
+    w[live] = np.take_along_axis(wc.real, order, 1)
+    V[live] = np.take_along_axis(Vc.real, order[:, None, :], 2)
+    if n > 1:
+        gaps = np.diff(w, axis=1).min(axis=1)
+        b.reject(np.flatnonzero(gaps < EIGEN_DISTINCT_THRESHOLD), lambda i: (
+            EigenError(f"clustered eigenvalues {w[i]} at {b.point(i)}")))
+    live = np.flatnonzero(~b.rejected)
+    try:
+        U[live] = np.linalg.inv(V[live])
+    except np.linalg.LinAlgError:
+        for i in live.tolist():
+            try:
+                U[i] = np.linalg.inv(V[i])
+            except np.linalg.LinAlgError:
+                b.reject([i], lambda i: EigenError(
+                    f"defective eigenvector matrix at {b.point(i)}"))
+    D = np.zeros_like(V)
+    D[:, range(n), range(n)] = w
+    misfit = np.max(np.abs(V @ D @ U - A), axis=(1, 2))
+    b.reject(np.flatnonzero(misfit > EIGEN_RECONSTRUCT_TOL),
+             lambda i: EigenError(f"eigen-reconstruction failed at {b.point(i)}"))
+    return w, V, U
+
+
 def eigen_analysis(R: Tensor11, point) -> EigenData:
     """Eigen-decomposition of the q-block of R at a base point; requires
     real, pairwise distinct eigenvalues."""
     if not R.annihilates_dt:
         raise LiftError("the tensor does not annihilate dt (nonzero t-row)")
-    n = R.space.n
     A = np.array([[f.eval(point) for f in row] for row in _q_block(R)])
-    w, V = np.linalg.eig(A)
-    if np.max(np.abs(w.imag)) > EIGEN_DISTINCT_THRESHOLD:
-        raise EigenError(f"complex eigenvalues {w} at {point}")
-    w = w.real
-    order = np.argsort(w)
-    w = w[order]
-    V = V.real[:, order]
-    gaps = np.diff(w)
-    if n > 1 and np.min(gaps) < EIGEN_DISTINCT_THRESHOLD:
-        raise EigenError(f"clustered eigenvalues {w} at {point}")
-    try:
-        U = np.linalg.inv(V)  # rows are left eigenvectors, already u.v = 1
-    except np.linalg.LinAlgError as e:
-        raise EigenError(f"defective eigenvector matrix at {point}") from e
-    recon = V @ np.diag(w) @ U
-    if np.max(np.abs(recon - A)) > EIGEN_RECONSTRUCT_TOL:
-        raise EigenError(f"eigen-reconstruction failed at {point}")
-    return EigenData(tuple(point), tuple(w), V, U)
+    w, V, U = at_point(point, lambda b: _eigen(A[None], b))
+    return EigenData(tuple(point), tuple(w[0]), V[0], U[0])
 
 
 def eigenvalue_fields(R: Tensor11):
     """Eigenvalues of the q-block as procedural fields on the base, in
     ascending order per point, with analytic first derivatives from
     first-order eigenvalue perturbation."""
+    if not R.annihilates_dt:
+        raise LiftError("the tensor does not annihilate dt (nonzero t-row)")
     n = R.space.n
     base = R.space
     block = _q_block(R)
     dblock = {name: [[f.diff(name) for f in row] for row in block]
               for name in base.coords}
 
-    @lru_cache(maxsize=8192)
-    def eig_at(pt):
-        return eigen_analysis(R, pt)
+    def eigen(b):
+        return b.once(("eigen", id(block)),
+                      lambda: _eigen(_stacked(block, b), b))
 
-    def make_field(i):
-        def value(pt):
-            return eig_at(tuple(pt)).eigenvalues[i]
+    def perturbation(b):
+        # (m, n, dim): u_i . dA/dx^c . v_i for every eigenvalue i and
+        # coordinate c
+        def compute():
+            _, V, U = eigen(b)
+            out = np.empty((len(b.X), n, base.dim))
+            for c, name in enumerate(base.coords):
+                dA = _stacked(dblock[name], b)
+                for i in range(n):
+                    out[:, i, c] = (U[:, i:i + 1, :] @ dA
+                                    @ V[:, :, i:i + 1])[:, 0, 0]
+            return out
+        return b.once(("eigen-grad", id(block)), compute)
 
-        def grad(pt):
-            data = eig_at(tuple(pt))
-            u = data.left[i]
-            v = data.right[:, i]
-            out = []
-            for name in base.coords:
-                dA = np.array([[f.eval(pt) for f in row] for row in dblock[name]])
-                out.append(float(u @ dA @ v))
-            return tuple(out)
-
-        return ProceduralField(base, value, grad, 2)
-
-    return [make_field(i) for i in range(n)]
+    return [ProceduralField(base, lambda b, i=i: eigen(b)[0][:, i],
+                            lambda b, i=i: perturbation(b)[:, i, :], 2,
+                            _on_batch=True) for i in range(n)]
 
 
 def build_dn_transform(R: Tensor11, box=(-2.0, 2.0), points=16, seed=0,
@@ -307,25 +320,23 @@ def build_dn_transform(R: Tensor11, box=(-2.0, 2.0), points=16, seed=0,
     q-Jacobian on the sampled domain."""
     n = R.space.n
     checker = Checker(points=points, seed=seed, tol=tol, box=box)
-    NR = nijenhuis_torsion(R)
     lam = eigenvalue_fields(R)
-
-    def probe(pt):
-        eigen_analysis(R, pt)
-
-    base_pts = checker.sample(R.space.dim, probe)
-    tors = max_residual(NR, base_pts)
+    base_pts = checker.sample(R.space.dim, lambda pt: eigen_analysis(R, pt))
+    tors = max_residual(nijenhuis_torsion(R), base_pts)
     if tors >= tol:
         raise TransformError(
             f"nonzero torsion (residual {tors:.3e}); eigenvalue coordinates "
             "do not yield Darboux-Nijenhuis coordinates")
-    for pt in base_pts:
-        jac = np.array([[lam[i].grad(pt)[1 + j] for j in range(n)]
-                        for i in range(n)])
-        if abs(np.linalg.det(jac)) < EIGEN_DISTINCT_THRESHOLD:
+    # the q-Jacobian of the eigenvalues, row-major, at every sampled point
+    J, batch = evaluate_batch(
+        [f.diff(f"q{j + 1}") for f in lam for j in range(n)], base_pts)
+    for k, det in enumerate(np.linalg.det(J.T.reshape(-1, n, n))):
+        if batch.rejected[k]:
+            raise batch.errors[k]
+        if abs(det) < EIGEN_DISTINCT_THRESHOLD:
             raise TransformError(
-                f"degenerate eigenvalue Jacobian at {pt}; the eigenvalues "
-                "are not usable as coordinates")
+                f"degenerate eigenvalue Jacobian at {base_pts[k]}; the "
+                "eigenvalues are not usable as coordinates")
     return FibredTransform(n, lam)
 
 
@@ -343,68 +354,29 @@ def verify_dn(R: Tensor11, T: FibredTransform, points=32, seed=0,
     Rp = base_map.push_tensor11(R)
     Rtp = phase_map.push_tensor11(complete_lift_tensor11(R))
     Lamp = phase_map.push_bivector(canonical_bivector(n))
-    d_base = n + 1
-    d_phase = 2 * n + 1
+    base, pj = Rp.space, Rtp.space
+    diag = [Rp.entries[i][i] for i in range(1, n + 1)]
 
-    def offdiag_residual(pt):
-        M = Rp.eval_at(pt)
-        worst = 0.0
-        for a in range(d_base):
-            for b in range(d_base):
-                if a == b and a >= 1:
-                    continue
-                worst = max(worst, abs(M[a][b]))
-        return worst
+    def diagonal(space, entries):  # entries down the diagonal after t's
+        return Tensor11.from_dict(space, {f"{c},{c}": f for c, f in
+                                          zip(space.coords[1:], entries)})
 
-    checker.residual(
+    checker.compare(
         "dn.diagonal",
         "transformed R is diag(0, lambda_1..lambda_n)",
-        d_base, offdiag_residual)
-
-    diag = [Rp.entries[i][i] for i in range(1, n + 1)]
-    locality_fields = []
-    for i in range(n):
-        for j, name in enumerate(base_e(n).coords):
-            if name == f"q{i + 1}":
-                continue
-            locality_fields.append(diag[i].diff(name))
-
-    def locality_residual(pt):
-        return max(abs(f.eval(pt)) for f in locality_fields)
-
-    checker.residual(
+        Rp, diagonal(base, diag), dim=base.dim)
+    checker.vanish(
         "dn.eigen_locality",
         "each diagonal eigenvalue depends only on its own coordinate",
-        d_base, locality_residual)
-
-    def lift_residual(pt):
-        M = Rtp.eval_at(pt)
-        base_pt = pt[:n + 1]
-        lam = [f.eval(base_pt) for f in diag]
-        worst = 0.0
-        for a in range(d_phase):
-            for b in range(d_phase):
-                expect = 0.0
-                if a == b and 1 <= a <= n:
-                    expect = lam[a - 1]
-                elif a == b and a > n:
-                    expect = lam[a - n - 1]
-                worst = max(worst, abs(M[a][b] - expect))
-        return worst
-
-    checker.residual(
+        [diag[i].diff(name) for i in range(n) for name in base.coords
+         if name != f"q{i + 1}"], dim=base.dim)
+    lifted = [inject(f, pj) for f in diag]
+    checker.compare(
         "dn.lift_diagonal",
         "transformed complete lift is the doubled diagonal of R",
-        d_phase, lift_residual)
-
-    canonical = canonical_bivector(n)
-
-    def poisson_residual(pt):
-        return float(np.max(np.abs(Lamp.eval_at(pt) - canonical.eval_at(pt))))
-
-    checker.residual(
+        Rtp, diagonal(pj, lifted + lifted), dim=pj.dim)
+    checker.compare(
         "dn.poisson_canonical",
         "transformed Poisson tensor keeps the canonical form",
-        d_phase, poisson_residual)
-
+        Lamp, canonical_bivector(n), dim=pj.dim)
     return checker.report

@@ -24,7 +24,7 @@ from .errors import (
     SingularPointError,
     TransformError,
 )
-from .fields import SymbolicField
+from .fields import Batch, ScalarField, SymbolicField
 
 DEFAULT_POINTS = 64
 DEFAULT_SEED = 0
@@ -108,9 +108,7 @@ def _values(a, point) -> np.ndarray:
 
 def residual_between(a, b, point) -> float:
     """Max abs componentwise difference of two evaluable objects."""
-    va = _values(a, point)
-    vb = _values(b, point)
-    return float(np.max(np.abs(va - vb)))
+    return float(np.max(np.abs(_values(a, point) - _values(b, point))))
 
 
 def residual_of(a, point) -> float:
@@ -144,27 +142,43 @@ def _leaves(a):
     return leaves
 
 
-def _compiled_residuals(a, b=None):
-    """points -> (residual per point, rejected mask), from one program,
-    compiled here once, that evaluates every component of a (and b) over
-    all points at once; None when some component is not symbolic."""
+def _compiled_residuals(a, b=None, sizes=None):
+    """points -> (residual per point, rejected mask), evaluating every
+    component of a (and b) over all points at once: the symbolic ones in one
+    program, compiled here once, the procedural ones in one shared Batch.
+    With sizes, one residual per point for each run of that many
+    consecutive components. None when some object does not expose its
+    components."""
     lhs = _leaves(a)
     rhs = [] if b is None else _leaves(b)
     if lhs is None or rhs is None:
         return None
     fields = lhs + rhs
     if (not fields or (b is not None and len(rhs) != len(lhs))
-            or not all(isinstance(f, SymbolicField) for f in fields)
+            or not all(isinstance(f, ScalarField) for f in fields)
             or any(f.space != fields[0].space for f in fields)):
         return None
-    run = ex.compile_batch([f.expr for f in fields], fields[0].space.coords)
+    symbolic = [i for i, f in enumerate(fields) if isinstance(f, SymbolicField)]
+    procedural = sorted(set(range(len(fields))) - set(symbolic))
+    run = ex.compile_batch([fields[i].expr for i in symbolic],
+                           fields[0].space.coords)
     k = len(lhs)
 
     def residuals(points):
-        values, rejected = run(points)
+        X = np.asarray(points, dtype=float)
+        values = np.empty((len(fields), len(X)))
+        values[symbolic], rejected = run(X)
         with np.errstate(all="ignore"):  # rejected points may hold inf or nan
-            diff = values if b is None else values[:k] - values[k:]
-            return np.max(np.abs(diff), axis=0), rejected
+            if procedural:
+                batch = Batch(X, rejected)
+                for i in procedural:
+                    values[i] = fields[i]._value(batch)
+                rejected = batch.rejected | ~np.isfinite(values).all(axis=0)
+            diff = np.abs(values if b is None else values[:k] - values[k:])
+            if sizes is None:
+                return np.max(diff, axis=0), rejected
+            return np.array([part.max(axis=0, initial=0.0) for part in
+                             np.split(diff, np.cumsum(sizes)[:-1])]), rejected
 
     return residuals
 
@@ -213,9 +227,10 @@ def _reasons(fn, points) -> str:
 class Checker:
     """Draws seeded sample points per check and accumulates a report.
 
-    Points are drawn in rounds of exactly as many as are still missing and
-    judged in stream order, so a check consumes the same random stream
-    whether its points are evaluated one at a time or all at once.
+    Points are judged in stream order and a check consumes the stream up
+    to its last accepted point, so it consumes the same random stream
+    whether its points are evaluated one at a time or all at once, and
+    however many are drawn per round.
     """
 
     def __init__(self, points=DEFAULT_POINTS, seed=DEFAULT_SEED,
@@ -232,34 +247,70 @@ class Checker:
         lo, hi = self.box
         return tuple(self.rng.uniform(lo, hi) for _ in range(dim))
 
-    def _accept(self, dim, batch, fn, message):
-        """The first self.points points that batch does not reject, with
-        their values; abort after 10x rejections, naming the errors fn
-        raises at the rejected points."""
+    def _accept(self, dim, batch, fn, message=lambda why: (
+            f"{why}; the objects are singular on most of the box")):
+        """The first self.points points of the stream that batch does not
+        reject, with their values; abort after 10x rejections, naming the
+        errors fn raises at the rejected points.
+
+        A round draws as many points as are still missing or, once some
+        were rejected, that many scaled by the rejection rate so far. The
+        points are judged in stream order, and those after the last one
+        judged are put back."""
         accepted = []
         rejected = []
         while len(accepted) < self.points:
-            pts = [self.draw_point(dim)
-                   for _ in range(self.points - len(accepted))]
+            need = self.points - len(accepted)
+            if rejected:
+                need = min(need * (len(accepted) + len(rejected))
+                           // max(len(accepted), 1) + 1, 11 * self.points)
+            state = self.rng.getstate() if rejected else None
+            pts = [self.draw_point(dim) for _ in range(need)]
             values, mask = batch(pts)
+            judged = 0
             for pt, value, bad in zip(pts, values, mask):
+                judged += 1
                 if not bad:
                     accepted.append((pt, value))
+                    if len(accepted) == self.points:
+                        break
                     continue
                 rejected.append(pt)
                 if len(rejected) > 10 * self.points:
                     raise SamplingError(message(
                         f"rejected {len(rejected)} sample points "
                         f"({_reasons(fn, rejected)})"))
+            if judged < len(pts):
+                self.rng.setstate(state)
+                for _ in range(judged):
+                    self.draw_point(dim)
         return accepted
 
     def sample(self, dim: int, probe=None) -> list:
         """Draw self.points points, rejecting those on which probe raises a
         guard error; abort after 10x rejections."""
         probe = probe or (lambda pt: None)
-        accepted = self._accept(dim, _each_point(probe), probe, lambda why: (
-            f"{why}; the objects are singular on most of the box"))
+        accepted = self._accept(dim, _each_point(probe), probe)
         return [pt for pt, _ in accepted]
+
+    def sample_residuals(self, dim: int, groups):
+        """Draw self.points points at which every group (an object or a list
+        of objects) evaluates, redrawing the others as a check does; return
+        the points and each group's largest absolute component over them."""
+        # one program for all groups, so that their shared terms run once
+        run = _compiled_residuals(list(groups),
+                                  sizes=[len(_leaves(g)) for g in groups])
+
+        def batch(points):
+            res, rejected = run(points)
+            return res.T, rejected
+
+        def fn(pt):
+            return [_point_residual(g, None, pt) for g in groups]
+
+        accepted = self._accept(dim, batch, fn)
+        res = np.array([r for _, r in accepted]).reshape(-1, len(groups))
+        return [pt for pt, _ in accepted], res.max(axis=0, initial=0.0).tolist()
 
     def _record(self, check_id, identity, dim, batch, fn, tol):
         tol = self.tol if tol is None else tol

@@ -44,13 +44,6 @@ class Space:
         except ValueError:
             raise KeyError(f"{name!r} is not a coordinate of {self}") from None
 
-    def q_indices(self) -> range:
-        return range(1, self.n + 1)
-
-    def p_index(self, i: int) -> int:
-        """Index of p_i in the coordinate tuple (PhaseJ / ExtendedT only)."""
-        return self.index(f"p{i}")
-
     def __str__(self):
         return f"{self.kind}({self.n})"
 

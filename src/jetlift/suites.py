@@ -19,7 +19,6 @@ from .lifts import (
     hlift_tensor11,
     momentum_function,
     rho_pairs,
-    theta_representative,
     vlift_cov2,
     vlift_oneform,
     vlift_tensor11,
@@ -32,7 +31,7 @@ from .pn import (
     pn_check,
     pullback_oneform_to_phase,
 )
-from .report import Checker, CheckItem, CheckReport, max_residual
+from .report import Checker, CheckItem, CheckReport
 from .spaces import base_e, extended_t, phase_j
 from .tensors import (
     OneForm,
@@ -296,10 +295,8 @@ def suite_theorem2(inp: SuiteInputs, ch: Checker):
     for ri, R in enumerate(inp.tensors):
         NR = nijenhuis_torsion(R)
         NRt = nijenhuis_torsion(complete_lift_tensor11(R))
-        base_pts = ch.sample(R.space.dim)
-        phase_pts = ch.sample(NRt.space.dim)
-        res_base = max_residual(NR, base_pts)
-        res_lift = max_residual(NRt, phase_pts)
+        (res_base,) = ch.sample_residuals(R.space.dim, [NR])[1]
+        (res_lift,) = ch.sample_residuals(NRt.space.dim, [NRt])[1]
         consistent = (res_base < ch.tol) == (res_lift < ch.tol)
         ch.report.items.append(CheckItem(
             f"theorem2[R{ri}]",
@@ -385,16 +382,13 @@ def suite_theorem3(inp: SuiteInputs, ch: Checker):
     for ri, R in enumerate(inp.tensors):
         rep = pn_check(R, points=ch.points, seed=ch.seed, tol=ch.tol,
                        box=ch.box)
-        ch.report.items.append(CheckItem(
-            f"theorem3.commutation[R{ri}]",
-            "commutation holds for any R killing dt",
-            rep.commutation_residual, (), rep.commutation_residual < ch.tol,
-            ch.tol))
-        ch.report.items.append(CheckItem(
-            f"theorem3.concomitant[R{ri}]",
-            "the concomitant vanishes for any R killing dt",
-            rep.magri_morosi_residual, (), rep.magri_morosi_residual < ch.tol,
-            ch.tol))
+        for name, identity, r in (
+                ("commutation", "commutation holds for any R killing dt",
+                 rep.commutation_residual),
+                ("concomitant", "the concomitant vanishes for any R killing dt",
+                 rep.magri_morosi_residual)):
+            ch.report.items.append(CheckItem(
+                f"theorem3.{name}[R{ri}]", identity, r, (), r < ch.tol, ch.tol))
         consistent = ((rep.torsion_residual < ch.tol)
                       == (rep.lifted_torsion_residual < ch.tol)
                       == rep.is_pn)
@@ -447,21 +441,9 @@ def suite_naturality(inp: SuiteInputs, ch: Checker):
                        vlift_twoform(bm.push_twoform(w)))
 
 
-SUITES = {
-    "lemma1": suite_lemma1,
-    "brackets": suite_brackets,
-    "theta": suite_theta,
-    "theorem1": suite_theorem1,
-    "prop2": suite_prop2,
-    "prop4": suite_prop4,
-    "prop5": suite_prop5,
-    "prop6": suite_prop6,
-    "theorem2": suite_theorem2,
-    "lemma2": suite_lemma2,
-    "prop7": suite_prop7,
-    "theorem3": suite_theorem3,
-    "naturality": suite_naturality,
-}
+SUITES = {name: globals()[f"suite_{name}"] for name in (
+    "lemma1", "brackets", "theta", "theorem1", "prop2", "prop4", "prop5",
+    "prop6", "theorem2", "lemma2", "prop7", "theorem3", "naturality")}
 
 
 def run_suite(name: str, inp: SuiteInputs, points=64, seed=0, tol=1e-9,

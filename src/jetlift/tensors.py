@@ -11,7 +11,6 @@ import numpy as np
 from .errors import SpaceMismatchError
 from .fields import (
     ScalarField,
-    SymbolicField,
     const_field,
     is_symbolically_one,
     is_symbolically_zero,
@@ -36,74 +35,34 @@ def _as_field(space: Space, v) -> ScalarField:
 
 
 class _Indexed:
-    """Shared plumbing for component containers."""
+    """Shared plumbing for component containers: arithmetic acts on the
+    scalar components one by one. A container gives `components()`, its
+    scalar components flattened in eval_at order, and `_rebuild(flat)`, the
+    same kind of object with the given flattened components."""
 
     space: Space
 
-    def eval_at(self, point) -> np.ndarray:
-        raise NotImplementedError
-
-    def components(self) -> list:
-        """The scalar components, flattened in eval_at order."""
-        raise NotImplementedError
-
-
-class VectorField(_Indexed):
-    def __init__(self, space: Space, comps):
-        if len(comps) != space.dim:
-            raise SpaceMismatchError(
-                f"need {space.dim} components on {space}, got {len(comps)}")
-        self.space = space
-        self.comps = [_as_field(space, c) for c in comps]
-
-    @classmethod
-    def zero(cls, space: Space):
-        return cls(space, [zero(space)] * space.dim)
-
-    @classmethod
-    def from_dict(cls, space: Space, named: dict):
-        comps = [named.get(c, 0.0) for c in space.coords]
-        return cls(space, comps)
-
-    def eval_at(self, point) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.comps])
-
-    def components(self) -> list:
-        return list(self.comps)
-
-    @property
-    def is_vertical(self) -> bool:
-        """Zero dt-pairing, by exact symbolic equality after folding."""
-        return is_symbolically_zero(self.comps[0])
-
-    @property
-    def is_t_normalized(self) -> bool:
-        return is_symbolically_one(self.comps[0])
-
     def __add__(self, other):
         _require_same_space(self, other)
-        return VectorField(self.space, [a + b for a, b in zip(self.comps, other.comps)])
+        return self._rebuild([a + b for a, b in
+                              zip(self.components(), other.components())])
 
     def __sub__(self, other):
         _require_same_space(self, other)
-        return VectorField(self.space, [a - b for a, b in zip(self.comps, other.comps)])
+        return self._rebuild([a - b for a, b in
+                              zip(self.components(), other.components())])
 
     def __neg__(self):
-        return VectorField(self.space, [-c for c in self.comps])
+        return self._rebuild([-c for c in self.components()])
 
-    def scaled(self, f) -> "VectorField":
+    def scaled(self, f):
         f = _as_field(self.space, f)
-        return VectorField(self.space, [f * c for c in self.comps])
-
-    def __call__(self, f: ScalarField) -> ScalarField:
-        """Directional derivative X(f)."""
-        out = zero(self.space)
-        for c, name in zip(self.comps, self.space.coords):
-            out = out + c * f.diff(name)
-        return out
+        return self._rebuild([f * c for c in self.components()])
 
 
-class OneForm(_Indexed):
+class _Vector(_Indexed):
+    """One component per coordinate; base of VectorField / OneForm."""
+
     def __init__(self, space: Space, comps):
         if len(comps) != space.dim:
             raise SpaceMismatchError(
@@ -119,26 +78,35 @@ class OneForm(_Indexed):
     def from_dict(cls, space: Space, named: dict):
         return cls(space, [named.get(c, 0.0) for c in space.coords])
 
-    def eval_at(self, point) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.comps])
-
     def components(self) -> list:
         return list(self.comps)
 
-    def __add__(self, other):
-        _require_same_space(self, other)
-        return OneForm(self.space, [a + b for a, b in zip(self.comps, other.comps)])
+    def _rebuild(self, flat):
+        return type(self)(self.space, flat)
 
-    def __sub__(self, other):
-        _require_same_space(self, other)
-        return OneForm(self.space, [a - b for a, b in zip(self.comps, other.comps)])
 
-    def __neg__(self):
-        return OneForm(self.space, [-c for c in self.comps])
+class VectorField(_Vector):
+    def eval_at(self, point) -> np.ndarray:
+        return np.array([c.eval(point) for c in self.comps])
 
-    def scaled(self, f) -> "OneForm":
-        f = _as_field(self.space, f)
-        return OneForm(self.space, [f * c for c in self.comps])
+    @property
+    def is_vertical(self) -> bool:
+        """Zero dt-pairing, by exact symbolic equality after folding."""
+        return is_symbolically_zero(self.comps[0])
+
+    @property
+    def is_t_normalized(self) -> bool:
+        return is_symbolically_one(self.comps[0])
+
+    def __call__(self, f: ScalarField) -> ScalarField:
+        """Directional derivative X(f)."""
+        return sum_fields(self.space, [c * f.diff(name) for c, name
+                                       in zip(self.comps, self.space.coords)])
+
+
+class OneForm(_Vector):
+    def eval_at(self, point) -> np.ndarray:
+        return np.array([c.eval(point) for c in self.comps])
 
 
 class _Matrix(_Indexed):
@@ -171,24 +139,10 @@ class _Matrix(_Indexed):
     def components(self) -> list:
         return [v for row in self.entries for v in row]
 
-    def __add__(self, other):
-        _require_same_space(self, other)
-        return type(self)(self.space, [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        _require_same_space(self, other)
-        return type(self)(self.space, [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return type(self)(self.space, [[-v for v in row] for row in self.entries])
-
-    def scaled(self, f):
-        f = _as_field(self.space, f)
-        return type(self)(self.space, [[f * v for v in row] for row in self.entries])
+    def _rebuild(self, flat):
+        d = self.space.dim
+        return type(self)(self.space, [flat[a * d:(a + 1) * d]
+                                       for a in range(d)])
 
 
 class Tensor11(_Matrix):
@@ -231,9 +185,8 @@ class Tensor12(_Indexed):
 
     def eval_at(self, point) -> np.ndarray:
         d = self.space.dim
-        return np.array([[[self.comps[a][b][c].eval(point)
-                           for c in range(d)] for b in range(d)]
-                         for a in range(d)])
+        return np.array(_table(d, 3, lambda a, b, c:
+                               self.comps[a][b][c].eval(point)))
 
     def components(self) -> list:
         d = self.space.dim
@@ -242,30 +195,25 @@ class Tensor12(_Indexed):
 
     def apply(self, X: VectorField, Y: VectorField) -> VectorField:
         _require_same_space(self, X, Y)
-        d = self.space.dim
-        out = []
-        for a in range(d):
-            acc = zero(self.space)
-            for b in range(d):
-                for c in range(d):
-                    acc = acc + self.comps[a][b][c] * X.comps[b] * Y.comps[c]
-            out.append(acc)
-        return VectorField(self.space, out)
+        r = range(self.space.dim)
+        return VectorField(self.space, [sum_fields(self.space, [
+            self.comps[a][b][c] * X.comps[b] * Y.comps[c]
+            for b in r for c in r]) for a in r])
 
     def hook(self, X: VectorField) -> Tensor11:
         """(i_X N)(Y) = N(X, Y), as a (1,1) tensor."""
         _require_same_space(self, X)
         d = self.space.dim
-        entries = []
-        for a in range(d):
-            row = []
-            for c in range(d):
-                acc = zero(self.space)
-                for b in range(d):
-                    acc = acc + self.comps[a][b][c] * X.comps[b]
-                row.append(acc)
-            entries.append(row)
-        return Tensor11(self.space, entries)
+        return Tensor11(self.space, _table(d, 2, lambda a, c: sum_fields(
+            self.space, [self.comps[a][b][c] * X.comps[b] for b in range(d)])))
+
+
+def _table(d, rank, fn, *index):
+    """Nested lists [[fn(a, b) for b in range(d)] for a in range(d)], to the
+    given rank."""
+    if len(index) == rank:
+        return fn(*index)
+    return [_table(d, rank, fn, *index, i) for i in range(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,51 +221,30 @@ class Tensor12(_Indexed):
 
 def apply_tensor11(T: Tensor11, X: VectorField) -> VectorField:
     _require_same_space(T, X)
-    d = T.space.dim
-    out = []
-    for a in range(d):
-        acc = zero(T.space)
-        for b in range(d):
-            acc = acc + T.entries[a][b] * X.comps[b]
-        out.append(acc)
-    return VectorField(T.space, out)
+    r = range(T.space.dim)
+    return VectorField(T.space, [sum_fields(T.space, [
+        T.entries[a][b] * X.comps[b] for b in r]) for a in r])
 
 
 def adjoint_tensor11(T: Tensor11, alpha: OneForm) -> OneForm:
     """(T(alpha))_b = T^a_b alpha_a, so that <T(X), alpha> = <X, T(alpha)>."""
     _require_same_space(T, alpha)
-    d = T.space.dim
-    out = []
-    for b in range(d):
-        acc = zero(T.space)
-        for a in range(d):
-            acc = acc + T.entries[a][b] * alpha.comps[a]
-        out.append(acc)
-    return OneForm(T.space, out)
+    r = range(T.space.dim)
+    return OneForm(T.space, [sum_fields(T.space, [
+        T.entries[a][b] * alpha.comps[a] for a in r]) for b in r])
 
 
 def pair(X: VectorField, alpha: OneForm) -> ScalarField:
     _require_same_space(X, alpha)
-    acc = zero(X.space)
-    for x, a in zip(X.comps, alpha.comps):
-        acc = acc + x * a
-    return acc
+    return sum_fields(X.space, [x * a for x, a in zip(X.comps, alpha.comps)])
 
 
 def compose_tensor11(A: Tensor11, B: Tensor11) -> Tensor11:
     """Matrix product: (A o B)(X) = A(B(X))."""
     _require_same_space(A, B)
     d = A.space.dim
-    entries = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            acc = zero(A.space)
-            for c in range(d):
-                acc = acc + A.entries[a][c] * B.entries[c][b]
-            row.append(acc)
-        entries.append(row)
-    return Tensor11(A.space, entries)
+    return Tensor11(A.space, _table(d, 2, lambda a, b: sum_fields(
+        A.space, [A.entries[a][c] * B.entries[c][b] for c in range(d)])))
 
 
 def tensor_product(X: VectorField, alpha: OneForm) -> Tensor11:
@@ -327,17 +254,14 @@ def tensor_product(X: VectorField, alpha: OneForm) -> Tensor11:
 
 def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
     _require_same_space(alpha, beta)
-    d = alpha.space.dim
-    return TwoForm(alpha.space, [
-        [alpha.comps[a] * beta.comps[b] - alpha.comps[b] * beta.comps[a]
-         for b in range(d)] for a in range(d)])
+    A, B = alpha.comps, beta.comps
+    return TwoForm(alpha.space, _table(alpha.space.dim, 2, lambda a, b:
+                                       A[a] * B[b] - A[b] * B[a]))
 
 
 def identity_tensor(space: Space) -> Tensor11:
-    d = space.dim
-    return Tensor11(space, [
-        [const_field(space, 1.0 if a == b else 0.0) for b in range(d)]
-        for a in range(d)])
+    return Tensor11(space, _table(space.dim, 2, lambda a, b:
+                                  const_field(space, 1.0 if a == b else 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +270,14 @@ def identity_tensor(space: Space) -> Tensor11:
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     _require_same_space(X, Y)
     space = X.space
-    out = []
-    for a, name_a in enumerate(space.coords):
+
+    def comp(a):
         acc = zero(space)
-        for b, name_b in enumerate(space.coords):
-            acc = acc + X.comps[b] * Y.comps[a].diff(name_b)
-            acc = acc - Y.comps[b] * X.comps[a].diff(name_b)
-        out.append(acc)
-    return VectorField(space, out)
+        for b, name in enumerate(space.coords):
+            acc = acc + X.comps[b] * Y.comps[a].diff(name)
+            acc = acc - Y.comps[b] * X.comps[a].diff(name)
+        return acc
+    return VectorField(space, [comp(a) for a in range(space.dim)])
 
 
 def lie_derivative(X: VectorField, T):
@@ -409,24 +333,16 @@ def differential(f: ScalarField) -> OneForm:
 
 
 def exterior_derivative(alpha: OneForm) -> TwoForm:
-    space = alpha.space
-    coords = space.coords
-    d = space.dim
-    return TwoForm(space, [
-        [alpha.comps[b].diff(coords[a]) - alpha.comps[a].diff(coords[b])
-         for b in range(d)] for a in range(d)])
+    A, coords = alpha.comps, alpha.space.coords
+    return TwoForm(alpha.space, _table(alpha.space.dim, 2, lambda a, b:
+                                       A[b].diff(coords[a]) - A[a].diff(coords[b])))
 
 
 def interior_product(X: VectorField, omega: TwoForm) -> OneForm:
     _require_same_space(X, omega)
-    d = X.space.dim
-    out = []
-    for b in range(d):
-        acc = zero(X.space)
-        for a in range(d):
-            acc = acc + X.comps[a] * omega.entries[a][b]
-        out.append(acc)
-    return OneForm(X.space, out)
+    r = range(X.space.dim)
+    return OneForm(X.space, [sum_fields(X.space, [
+        X.comps[a] * omega.entries[a][b] for a in r]) for b in r])
 
 
 def hook2(R: Tensor11, omega) -> list:
@@ -434,9 +350,8 @@ def hook2(R: Tensor11, omega) -> list:
     fields (it is not antisymmetric in general)."""
     _require_same_space(R, omega)
     d = R.space.dim
-    return [[sum_fields(R.space,
-                        [R.entries[c][a] * omega.entries[c][b] for c in range(d)])
-             for b in range(d)] for a in range(d)]
+    return _table(d, 2, lambda a, b: sum_fields(
+        R.space, [R.entries[c][a] * omega.entries[c][b] for c in range(d)]))
 
 
 def sum_fields(space: Space, fields_list) -> ScalarField:
@@ -449,48 +364,34 @@ def sum_fields(space: Space, fields_list) -> ScalarField:
 def nijenhuis_torsion(R: Tensor11) -> Tensor12:
     """N_R(X, Y) = [RX, RY] + R^2[X, Y] - R[RX, Y] - R[X, RY], stored by
     its values on coordinate fields (torsion is tensorial)."""
-    space = R.space
+    space, E = R.space, R.entries
     coords = space.coords
     d = space.dim
-    comps = []
-    for a in range(d):
-        plane = []
-        for b in range(d):
-            row = []
-            for c in range(d):
-                acc = zero(space)
-                for e in range(d):
-                    acc = acc + R.entries[e][b] * R.entries[a][c].diff(coords[e])
-                    acc = acc - R.entries[e][c] * R.entries[a][b].diff(coords[e])
-                    acc = acc + R.entries[a][e] * R.entries[e][b].diff(coords[c])
-                    acc = acc - R.entries[a][e] * R.entries[e][c].diff(coords[b])
-                row.append(acc)
-            plane.append(row)
-        comps.append(plane)
-    return Tensor12(space, comps)
+
+    def comp(a, b, c):
+        acc = zero(space)
+        for e in range(d):
+            acc = acc + E[e][b] * E[a][c].diff(coords[e])
+            acc = acc - E[e][c] * E[a][b].diff(coords[e])
+            acc = acc + E[a][e] * E[e][b].diff(coords[c])
+            acc = acc - E[a][e] * E[e][c].diff(coords[b])
+        return acc
+    return Tensor12(space, _table(d, 3, comp))
 
 
 def haantjes_tensor(R: Tensor11) -> Tensor12:
     """H_R(X,Y) = R^2 N(X,Y) + N(RX,RY) - R N(RX,Y) - R N(X,RY)."""
     space = R.space
-    d = space.dim
-    N = nijenhuis_torsion(R)
-    Rm = R.entries
-    Nc = N.comps
-    comps = []
-    for a in range(d):
-        plane = []
-        for b in range(d):
-            row = []
-            for c in range(d):
-                acc = zero(space)
-                for e in range(d):
-                    for f in range(d):
-                        acc = acc + Rm[a][e] * Rm[e][f] * Nc[f][b][c]
-                        acc = acc + Rm[e][b] * Rm[f][c] * Nc[a][e][f]
-                        acc = acc - Rm[a][e] * Rm[f][b] * Nc[e][f][c]
-                        acc = acc - Rm[a][e] * Rm[f][c] * Nc[e][b][f]
-                row.append(acc)
-            plane.append(row)
-        comps.append(plane)
-    return Tensor12(space, comps)
+    r = range(space.dim)
+    Rm, Nc = R.entries, nijenhuis_torsion(R).comps
+
+    def comp(a, b, c):
+        acc = zero(space)
+        for e in r:
+            for f in r:
+                acc = acc + Rm[a][e] * Rm[e][f] * Nc[f][b][c]
+                acc = acc + Rm[e][b] * Rm[f][c] * Nc[a][e][f]
+                acc = acc - Rm[a][e] * Rm[f][b] * Nc[e][f][c]
+                acc = acc - Rm[a][e] * Rm[f][c] * Nc[e][b][f]
+        return acc
+    return Tensor12(space, _table(space.dim, 3, comp))

@@ -162,7 +162,8 @@ class TestNonFinite:
         assert parsed["pass"] is False
 
     def test_nan_value_is_rejected_per_point(self):
-        nan_field = ProceduralField(base_e(1), lambda pt: math.nan)
+        nan_field = ProceduralField(base_e(1),
+                                    lambda X: np.full(len(X), math.nan))
         with pytest.raises(SamplingError):
             Checker(points=4).vanish("x", "", nan_field)
 

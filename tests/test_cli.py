@@ -90,6 +90,34 @@ class TestVerify:
         assert all(c["pass"] for c in payload["checks"])
 
 
+class TestSingularModel:
+    """R = sqrt(q1) d/dq1 (x) dq1 cannot be evaluated where q1 < 0: every
+    command redraws those points instead of stopping at the first one."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        path = tmp_path / "sqrt.json"
+        path.write_text(json.dumps({"n": 1, "objects": {"R_sqrt": {
+            "kind": "tensor11_E", "components": {"q1,q1": "sqrt(q1)"}}}}))
+        return str(path)
+
+    @pytest.mark.parametrize("suite", ["theorem2", "theorem3"])
+    def test_suites_redraw(self, capsys, model, suite):
+        code, out, err = run(capsys, "verify", "--model", model,
+                             "--suite", suite)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"[PASS] {suite}")
+
+    def test_darboux_redraws(self, capsys, model):
+        code, out, err = run(capsys, "darboux", "--model", model,
+                             "--object", "R_sqrt", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["pn"]["verdict"] == "pn-structure"
+        assert payload["checks"]["pass"] is True
+        assert all(s["point"][1] >= 0.0 for s in payload["eigenvalue_samples"])
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         args = ("verify", "--model", N1, "--suite", "brackets",

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from jetlift import (
@@ -148,9 +149,10 @@ class TestProcedural:
         sym = parse_field("sin(q1*t) + q1^3", space)
         proc = ProceduralField(
             space,
-            lambda pt: math.sin(pt[1] * pt[0]) + pt[1]**3,
-            lambda pt: (pt[1] * math.cos(pt[1] * pt[0]),
-                        pt[0] * math.cos(pt[1] * pt[0]) + 3 * pt[1]**2))
+            lambda X: np.sin(X[:, 1] * X[:, 0]) + X[:, 1]**3,
+            lambda X: np.column_stack([
+                X[:, 1] * np.cos(X[:, 1] * X[:, 0]),
+                X[:, 0] * np.cos(X[:, 1] * X[:, 0]) + 3 * X[:, 1]**2]))
         return sym, proc
 
     def test_first_derivatives_exact(self):

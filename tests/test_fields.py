@@ -1,4 +1,3 @@
-import math
 import operator
 import random
 
@@ -81,7 +80,8 @@ class TestCoercion:
     def test_two_spaces_raise(self, op):
         f = parse_field("t + 1", base_e(1))
         g = parse_field("t + 2", base_e(2))
-        proc = ProceduralField(base_e(2), lambda pt: 1.0, lambda pt: (0.0,) * 3)
+        proc = ProceduralField(base_e(2), lambda X: np.ones(len(X)),
+                               lambda X: np.zeros(X.shape))
         for other in (g, proc):
             with pytest.raises(SpaceMismatchError,
                                match="cannot combine fields on"):
@@ -97,8 +97,9 @@ class TestCoercion:
     def test_symbolic_with_procedural_is_procedural(self):
         be = base_e(1)
         s = parse_field("t*q1 + 2", be)
-        p = ProceduralField(be, lambda pt: pt[0] ** 2,
-                            lambda pt: (2.0 * pt[0], 0.0))
+        p = ProceduralField(be, lambda X: X[:, 0] ** 2,
+                            lambda X: np.column_stack(
+                                [2.0 * X[:, 0], np.zeros(len(X))]))
         ref_s = lambda t, q: t * q + 2
         ref_p = lambda t, q: t * t
         cases = [
@@ -129,8 +130,8 @@ class TestInject:
     def test_procedural_inject(self):
         be = base_e(1)
         proc = ProceduralField(be,
-                               lambda pt: pt[0] * pt[1],
-                               lambda pt: (pt[1], pt[0]))
+                               lambda X: X[:, 0] * X[:, 1],
+                               lambda X: X[:, ::-1])
         g = inject(proc, phase_j(1))
         assert g.eval((2.0, 3.0, 99.0)) == pytest.approx(6.0)
         assert g.diff("q1").eval((2.0, 3.0, 99.0)) == pytest.approx(2.0)
@@ -149,8 +150,9 @@ class TestCompose:
     def test_procedural_chain_rule(self):
         be = base_e(1)
         f = ProceduralField(be,
-                            lambda pt: math.sin(pt[1]),
-                            lambda pt: (0.0, math.cos(pt[1])))
+                            lambda X: np.sin(X[:, 1]),
+                            lambda X: np.column_stack(
+                                [np.zeros(len(X)), np.cos(X[:, 1])]))
         maps = [coord_field(be, "t"), parse_field("t*q1", be)]
         g = compose(f, maps, be)
         ref = parse_field("sin(t*q1)", be)

@@ -30,11 +30,22 @@ GOLDEN = [
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "0"],
      "5f6ed23afd30f3f0e5f21b9a5a2221112ab8cacc75c784df90a0f58e147f1396"),
+    (["darboux", "--model", os.path.join(MODELS, "n2.json"),
+      "--object", "R_dn", "--json", "--seed", "1"],
+     "67a15bba1a0f21d6a3dd26798a2378233f31c95d85a315cb02265756e95409e0"),
+    (["darboux", "--model", os.path.join(MODELS, "n2.json"),
+      "--object", "R_dn", "--json", "--seed", "2"],
+     "24eb7b89c402b19bd8c99a820ea457e419b18bfa41af889ab76d00143aeea270"),
+    (["darboux", "--model", os.path.join(MODELS, "n2.json"),
+      "--object", "R_dn", "--json", "--seed", "3"],
+     "d8ec70b79f412024410645f1464e7d6b35fedbee1d04cc1df5e61f07a87e4d80"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN,
-                         ids=["verify-n1", "verify-n2", "darboux-n2"])
+                         ids=["verify-n1", "verify-n2", "darboux-n2",
+                              "darboux-n2-seed1", "darboux-n2-seed2",
+                              "darboux-n2-seed3"])
 def test_seeded_report_digest(capsys, argv, digest):
     code = main(argv)
     out = capsys.readouterr().out
