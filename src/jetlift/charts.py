@@ -10,29 +10,23 @@ and induces the momentum-space map P_j = p_i dq^i/dQ^j.
 """
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
+from operator import mul
+
 import numpy as np
 
 from .errors import TransformError
 from .fields import (
     Batch,
     ProceduralField,
-    ScalarField,
     compose,
     const_field,
     coord_field,
     inject,
 )
 from .spaces import Space, base_e, phase_j
-from .tensors import (
-    Bivector,
-    OneForm,
-    Tensor11,
-    Tensor12,
-    TwoForm,
-    VectorField,
-    _table,
-    sum_fields,
-)
+from .tensors import TwoForm, _table, sum_fields
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -97,90 +91,49 @@ class ChartMap:
         return [[inv[b].diff(name) for name in self.dst.coords]
                 for b in range(self.src.dim)]
 
-    def push_scalar(self, f: ScalarField) -> ScalarField:
-        return compose(f, self._require_inv(), self.dst)
-
-    def push_vector(self, X: VectorField) -> VectorField:
-        J = self._jac_fwd_at_inv()
-        Xc = [self.push_scalar(c) for c in X.comps]
-        return VectorField(self.dst, [
-            sum_fields(self.dst, [J[a][b] * Xc[b] for b in range(self.src.dim)])
-            for a in range(self.dst.dim)])
-
-    def push_oneform(self, alpha: OneForm) -> OneForm:
-        K = self._jac_inv()
-        ac = [self.push_scalar(c) for c in alpha.comps]
-        return OneForm(self.dst, [
-            sum_fields(self.dst, [ac[b] * K[b][a] for b in range(self.src.dim)])
-            for a in range(self.dst.dim)])
-
-    def push_tensor11(self, T: Tensor11) -> Tensor11:
-        J = self._jac_fwd_at_inv()
-        K = self._jac_inv()
-        Tc = [[self.push_scalar(v) for v in row] for row in T.entries]
-        s = range(self.src.dim)
-        return Tensor11(self.dst, _table(self.dst.dim, 2, lambda a, b: sum_fields(
-            self.dst, [J[a][c] * Tc[c][e] * K[e][b] for c in s for e in s])))
-
-    def push_twoform(self, w: TwoForm) -> TwoForm:
-        K = self._jac_inv()
-        wc = [[self.push_scalar(v) for v in row] for row in w.entries]
-        d_src, d_dst = self.src.dim, self.dst.dim
-        return TwoForm(self.dst, [
-            [sum_fields(self.dst, [K[c][a] * K[e][b] * wc[c][e]
-                                   for c in range(d_src) for e in range(d_src)])
-             for b in range(d_dst)] for a in range(d_dst)])
-
-    def push_bivector(self, L: Bivector) -> Bivector:
-        J = self._jac_fwd_at_inv()
-        Lc = [[self.push_scalar(v) for v in row] for row in L.entries]
-        d_src, d_dst = self.src.dim, self.dst.dim
-        return Bivector(self.dst, [
-            [sum_fields(self.dst, [J[a][c] * J[b][e] * Lc[c][e]
-                                   for c in range(d_src) for e in range(d_src)])
-             for b in range(d_dst)] for a in range(d_dst)])
-
-    def push_tensor12(self, N: Tensor12) -> Tensor12:
-        J = self._jac_fwd_at_inv()
-        K = self._jac_inv()
-        s = range(self.src.dim)
-        Nc = _table(self.src.dim, 3,
-                    lambda a, b, c: self.push_scalar(N.comps[a][b][c]))
-        return Tensor12(self.dst, _table(self.dst.dim, 3, lambda a, b, c: sum_fields(
-            self.dst, [J[a][x] * Nc[x][y][z] * K[y][b] * K[z][c]
-                       for x in s for y in s for z in s])))
-
     def push(self, obj):
-        if isinstance(obj, ScalarField):
-            return self.push_scalar(obj)
-        if isinstance(obj, VectorField):
-            return self.push_vector(obj)
-        if isinstance(obj, OneForm):
-            return self.push_oneform(obj)
-        if isinstance(obj, Tensor11):
-            return self.push_tensor11(obj)
-        if isinstance(obj, TwoForm):
-            return self.push_twoform(obj)
-        if isinstance(obj, Bivector):
-            return self.push_bivector(obj)
-        if isinstance(obj, Tensor12):
-            return self.push_tensor12(obj)
-        raise TypeError(f"cannot transform a {type(obj).__name__}")
+        """obj, a scalar field or a tensor of any variance, written in the
+        target chart: one Jacobian factor for each upper index, one factor
+        of the inverse's Jacobian for each lower one."""
+        variance = getattr(obj, "variance", None)
+        if variance is None:
+            raise TypeError(f"cannot transform a {type(obj).__name__}")
+        J = self._jac_fwd_at_inv() if "u" in variance else None
+        K = self._jac_inv() if "d" in variance else None
+        return _transport(obj, self._require_inv(), self.dst, J, K)
+
+    # the per-kind names callers use; bench/tracer.py wraps each of them
+    push_scalar = push_vector = push_oneform = push_tensor11 = push
+    push_twoform = push_bivector = push_tensor12 = push
+
+
+def _transport(obj, maps, dst: Space, J, K):
+    """obj written on dst, where maps are the coordinates of obj's space as
+    fields on dst: each component composed with maps, then, for each target
+    multi-index A, the sum over the source multi-indices C in lexicographic
+    order of prod_{upper k} J[A_k][C_k] * T_C * prod_{lower k} K[C_k][A_k],
+    multiplied left to right (a variance lists its upper indices first)."""
+    comps = [compose(f, maps, dst) for f in obj.components()]
+    variance = obj.variance
+    if not variance:
+        return comps[0]
+    n_up = variance.count("u")
+    Kt = list(zip(*K)) if K else None  # Kt[a][c] = K[c][a]
+    out = []
+    for A in product(range(dst.dim), repeat=len(variance)):
+        # per index, its factor for every source value C_k
+        rows = [J[a] if v == "u" else Kt[a] for a, v in zip(A, variance)]
+        out.append(sum_fields(dst, [reduce(mul, f[:n_up] + (t,) + f[n_up:])
+                                    for f, t in zip(product(*rows), comps)]))
+    return obj._rebuild(out, dst)
 
 
 def pullback_twoform(maps, src: Space, w: TwoForm) -> TwoForm:
     """Pull a two-form back along an arbitrary map given by component
     fields on src (no inverse needed); used e.g. for sections of the
-    momentum bundle."""
-    d_dst = w.space.dim
-    d_src = src.dim
-    jac = [[maps[c].diff(name) for name in src.coords] for c in range(d_dst)]
-    wc = [[compose(w.entries[c][e], maps, src) for e in range(d_dst)]
-          for c in range(d_dst)]
-    return TwoForm(src, [
-        [sum_fields(src, [jac[c][a] * jac[e][b] * wc[c][e]
-                          for c in range(d_dst) for e in range(d_dst)])
-         for b in range(d_src)] for a in range(d_src)])
+    momentum bundle. This is the transport with the map's Jacobian as K."""
+    jac = [[m.diff(name) for name in src.coords] for m in maps]
+    return _transport(w, maps, src, None, jac)
 
 
 class FibredTransform:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 
 from .errors import JetliftError, ModelError
 from .lifts import (
@@ -53,18 +54,13 @@ def _parse_domain(text: str):
 
 
 def _component_dict(obj) -> dict:
-    """Flatten any of our geometric containers to name -> expression string."""
-    space = obj.space
-    if hasattr(obj, "entries"):
-        return {f"{a},{b}": str(obj.entries[i][j])
-                for i, a in enumerate(space.coords)
-                for j, b in enumerate(space.coords)
-                if str(obj.entries[i][j]) != "0"}
-    if hasattr(obj, "comps"):
-        return {a: str(obj.comps[i])
-                for i, a in enumerate(space.coords)
-                if str(obj.comps[i]) != "0"}
-    return {"value": str(obj)}
+    """A scalar field as {"value": expression string}, a tensor as its
+    nonzero components keyed by their coordinate names joined with ','."""
+    if not obj.variance:
+        return {"value": str(obj)}
+    keys = product(obj.space.coords, repeat=len(obj.variance))
+    return {",".join(key): text for key, text in
+            zip(keys, map(str, obj.components())) if text != "0"}
 
 
 def _emit_object(obj, label: str, as_json: bool):

@@ -149,6 +149,7 @@ class ScalarField:
     """Common interface; concrete backends below."""
 
     space: Space
+    variance = ""  # rank 0: no index, one component
 
     def _value(self, b: Batch) -> np.ndarray:
         """The (m,) values over batch b, computed once per batch; rows that

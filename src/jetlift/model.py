@@ -27,13 +27,15 @@ import json
 
 from .catalog import SuiteInputs
 from .charts import FibredTransform
-from .errors import ExprError, ModelError
+from .errors import ExprError, ModelError, SpaceMismatchError
 from .fields import parse_field
 from .spaces import Space, base_e, phase_j
 from .tensors import OneForm, Tensor11, TwoForm, VectorField
 
 KINDS = ("scalar_E", "scalar_J", "vector_E", "oneform_E", "tensor11_E",
          "twoform_E", "transform")
+TENSOR_KINDS = {"vector_E": VectorField, "oneform_E": OneForm,
+                "tensor11_E": Tensor11, "twoform_E": TwoForm}
 
 
 def _parse_components(space: Space, comps: dict, name: str) -> dict:
@@ -46,26 +48,6 @@ def _parse_components(space: Space, comps: dict, name: str) -> dict:
             out[key] = parse_field(src, space)
         except ExprError as exc:
             raise ModelError(f"object {name!r}, component {key!r}: {exc}")
-    return out
-
-
-def _comp_list(space: Space, fields: dict, name: str) -> list:
-    comps = [0.0] * space.dim
-    for key, f in fields.items():
-        if key not in space.coords:
-            raise ModelError(f"object {name!r}: {key!r} is not a coordinate "
-                             f"of {space.kind}")
-        comps[space.index(key)] = f
-    return comps
-
-
-def _entry_dict(space: Space, comps: dict, name: str) -> dict:
-    out = {}
-    for key, src in comps.items():
-        parts = [p.strip() for p in key.split(",")]
-        if len(parts) != 2 or any(p not in space.coords for p in parts):
-            raise ModelError(f"object {name!r}: bad matrix key {key!r}")
-        out[key] = src
     return out
 
 
@@ -87,20 +69,16 @@ def _build_object(name: str, spec: dict, n: int):
             raise ModelError(f"object {name!r}: scalar needs a single "
                              "'value' component")
         return kind, parse_field(comps["value"], be if kind == "scalar_E" else pj)
-    if kind in ("vector_E", "oneform_E"):
-        fields = _parse_components(be, comps, name)
-        cls = VectorField if kind == "vector_E" else OneForm
-        return kind, cls(be, _comp_list(be, fields, name))
-    if kind == "tensor11_E":
-        _entry_dict(be, comps, name)
-        T = Tensor11.from_dict(be, comps)
-        if not T.annihilates_dt:
+    cls = TENSOR_KINDS.get(kind)
+    if cls is not None:
+        try:
+            obj = cls.from_dict(be, _parse_components(be, comps, name))
+        except SpaceMismatchError as exc:
+            raise ModelError(f"object {name!r}: {exc}")
+        if kind == "tensor11_E" and not obj.annihilates_dt:
             raise ModelError(f"object {name!r}: (1,1) tensors must satisfy "
                              "R(dt) = 0 (no nonzero 't' row)")
-        return kind, T
-    if kind == "twoform_E":
-        _entry_dict(be, comps, name)
-        return kind, TwoForm.from_dict(be, comps)
+        return kind, obj
     # transform
     q_fwd = []
     q_inv = []

@@ -22,9 +22,10 @@ from .errors import (
     NonFiniteError,
     SamplingError,
     SingularPointError,
+    SpaceMismatchError,
     TransformError,
 )
-from .fields import Batch, ScalarField, SymbolicField
+from .fields import Batch, SymbolicField
 
 DEFAULT_POINTS = 64
 DEFAULT_SEED = 0
@@ -132,12 +133,12 @@ def _point_residual(a, b, point) -> float:
 
 
 def _leaves(a):
-    """The scalar components of an object or a list of objects, in order;
-    None when some object does not expose its components."""
+    """The scalar components of an object or a list of objects, in order."""
     leaves = []
     for obj in _objects(a):
         if not hasattr(obj, "components"):
-            return None
+            raise TypeError(f"cannot check a {type(obj).__name__}: it has "
+                            "no components")
         leaves.extend(obj.components())
     return leaves
 
@@ -147,21 +148,21 @@ def _compiled_residuals(a, b=None, sizes=None):
     component of a (and b) over all points at once: the symbolic ones in one
     program, compiled here once, the procedural ones in one shared Batch.
     With sizes, one residual per point for each run of that many
-    consecutive components. None when some object does not expose its
-    components."""
+    consecutive components. SpaceMismatchError when a and b have different
+    numbers of components or the components lie on different spaces."""
     lhs = _leaves(a)
     rhs = [] if b is None else _leaves(b)
-    if lhs is None or rhs is None:
-        return None
     fields = lhs + rhs
-    if (not fields or (b is not None and len(rhs) != len(lhs))
-            or not all(isinstance(f, ScalarField) for f in fields)
-            or any(f.space != fields[0].space for f in fields)):
-        return None
+    if b is not None and len(rhs) != len(lhs):
+        raise SpaceMismatchError(f"cannot compare {len(lhs)} components "
+                                 f"with {len(rhs)}")
+    space = fields[0].space
+    if any(f.space is not space and f.space != space for f in fields):
+        raise SpaceMismatchError("components on mixed spaces: "
+                                 f"{sorted({str(f.space) for f in fields})}")
     symbolic = [i for i, f in enumerate(fields) if isinstance(f, SymbolicField)]
     procedural = sorted(set(range(len(fields))) - set(symbolic))
-    run = ex.compile_batch([fields[i].expr for i in symbolic],
-                           fields[0].space.coords)
+    run = ex.compile_batch([fields[i].expr for i in symbolic], space.coords)
     k = len(lhs)
 
     def residuals(points):
@@ -187,9 +188,8 @@ def max_residual(a, points, b=None) -> float:
     """Largest residual of a (or of a - b) over the given points, where a
     and b are objects or lists of objects. An evaluation error at a point
     is raised as evaluating that point alone raises it."""
-    residuals = _compiled_residuals(a, b)
-    if residuals is not None and points:
-        res, rejected = residuals(points)
+    if points:
+        res, rejected = _compiled_residuals(a, b)(points)
         if not rejected.any():
             return float(np.max(res))
     return max((_point_residual(a, b, pt) for pt in points), default=0.0)
@@ -340,10 +340,8 @@ class Checker:
         def fn(pt):
             return _point_residual(a, b, pt)
 
-        batch = _compiled_residuals(a, b)
-        if batch is None:
-            return self.residual(check_id, identity, dim, fn, tol=tol)
-        return self._record(check_id, identity, dim, batch, fn, tol)
+        return self._record(check_id, identity, dim,
+                            _compiled_residuals(a, b), fn, tol)
 
     def compare(self, check_id, identity, a, b, tol=None, dim=None):
         """a = b, for two objects or two lists of objects."""

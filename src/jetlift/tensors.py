@@ -1,10 +1,18 @@
 """Tensor field containers and the coordinate calculus on a single chart.
 
-Components are stored in full index form over every coordinate of the
-space, even when only some blocks are nonzero; block structure is checked
-through predicates (is_vertical, annihilates_dt) rather than by type.
+Every container declares its variance once: one letter per index, "u" for
+an upper (contravariant) index and "d" for a lower (covariant) one, upper
+indices first. Its components are stored in full index form over every
+coordinate of the space, as a table nested to that rank, even when only
+some blocks are nonzero; block structure is checked through predicates
+(is_vertical, annihilates_dt) rather than by type. The Lie derivative
+here and the chart transport in `charts` are one formula each, read off
+the variance.
 """
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -12,6 +20,7 @@ from .errors import SpaceMismatchError
 from .fields import (
     ScalarField,
     const_field,
+    evaluate_batch,
     is_symbolically_one,
     is_symbolically_zero,
     parse_field,
@@ -34,13 +43,76 @@ def _as_field(space: Space, v) -> ScalarField:
     return const_field(space, v)
 
 
-class _Indexed:
-    """Shared plumbing for component containers: arithmetic acts on the
-    scalar components one by one. A container gives `components()`, its
-    scalar components flattened in eval_at order, and `_rebuild(flat)`, the
-    same kind of object with the given flattened components."""
+def _fields(space: Space, table, rank):
+    """table, a d x ... x d table nested to the given rank, with every entry
+    made a field on space."""
+    if len(table) != space.dim:
+        raise SpaceMismatchError(f"need {space.dim} components per index on "
+                                 f"{space}, got {len(table)}")
+    if rank == 1:
+        return [_as_field(space, v) for v in table]
+    return [_fields(space, row, rank - 1) for row in table]
 
+
+def _nest(flat, d, rank):
+    """A flat list of d ** rank components in lexicographic index order, as
+    a table nested to the given rank."""
+    for _ in range(rank - 1):
+        flat = [flat[i:i + d] for i in range(0, len(flat), d)]
+    return flat
+
+
+class _Indexed:
+    """A tensor field by its components in one chart, stored in `comps` as
+    a table nested index by index. Arithmetic acts on the scalar components
+    one by one. `components()` lists them flat in lexicographic index order,
+    the eval_at order, and `_rebuild(flat)` is the same kind of object with
+    the given flat components."""
+
+    variance: str
     space: Space
+
+    def __init__(self, space: Space, comps):
+        self.space = space
+        self.comps = _fields(space, comps, len(self.variance))
+
+    @classmethod
+    def zero(cls, space: Space):
+        return cls.from_dict(space, {})
+
+    @classmethod
+    def from_dict(cls, space: Space, named: dict):
+        """Components keyed by their coordinate names joined with ',' ("q1",
+        "q1,t"); missing ones are 0."""
+        rank = len(cls.variance)
+        flat = [0.0] * space.dim ** rank
+        for key, v in named.items():
+            flat[_flat_index(space, key, rank)] = v
+        return cls(space, _nest(flat, space.dim, rank))
+
+    def components(self) -> list:
+        flat = self.comps
+        for _ in range(len(self.variance) - 1):
+            flat = [v for row in flat for v in row]
+        return list(flat)
+
+    def _rebuild(self, flat, space=None):
+        """This kind of object on space (by default this one's) with the
+        given flat components, which are fields on that space already."""
+        new = object.__new__(type(self))
+        new.space = self.space if space is None else space
+        new.comps = _nest(flat, new.space.dim, len(self.variance))
+        return new
+
+    def eval_at(self, point) -> np.ndarray:
+        """The components at one point, shaped (dim,) * rank, evaluated in
+        one shared one-row batch, so that a node the components share (a
+        Newton solve, an eigen-analysis) runs once; raises the error that
+        rejects the point."""
+        values, b = evaluate_batch(self.components(), [point])
+        if b.rejected[0]:
+            raise b.errors[0]
+        return values[:, 0].reshape((self.space.dim,) * len(self.variance))
 
     def __add__(self, other):
         _require_same_space(self, other)
@@ -60,34 +132,24 @@ class _Indexed:
         return self._rebuild([f * c for c in self.components()])
 
 
-class _Vector(_Indexed):
-    """One component per coordinate; base of VectorField / OneForm."""
-
-    def __init__(self, space: Space, comps):
-        if len(comps) != space.dim:
-            raise SpaceMismatchError(
-                f"need {space.dim} components on {space}, got {len(comps)}")
-        self.space = space
-        self.comps = [_as_field(space, c) for c in comps]
-
-    @classmethod
-    def zero(cls, space: Space):
-        return cls(space, [zero(space)] * space.dim)
-
-    @classmethod
-    def from_dict(cls, space: Space, named: dict):
-        return cls(space, [named.get(c, 0.0) for c in space.coords])
-
-    def components(self) -> list:
-        return list(self.comps)
-
-    def _rebuild(self, flat):
-        return type(self)(self.space, flat)
+def _flat_index(space: Space, key: str, rank: int) -> int:
+    """The position in components() of the component keyed 'a,b,...'."""
+    names = [name.strip() for name in key.split(",")]
+    if len(names) != rank or not set(names) <= set(space.coords):
+        raise SpaceMismatchError(f"{key!r} does not name a component with "
+                                 f"{rank} indices on {space}")
+    i = 0
+    for name in names:
+        i = i * space.dim + space.index(name)
+    return i
 
 
-class VectorField(_Vector):
-    def eval_at(self, point) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.comps])
+# Each container has its own eval_at entry: bench/tracer.py counts the
+# calls through VectorField, OneForm, _Matrix and Tensor12.eval_at.
+
+class VectorField(_Indexed):
+    variance = "u"
+    eval_at = _Indexed.eval_at
 
     @property
     def is_vertical(self) -> bool:
@@ -100,53 +162,28 @@ class VectorField(_Vector):
 
     def __call__(self, f: ScalarField) -> ScalarField:
         """Directional derivative X(f)."""
-        return sum_fields(self.space, [c * f.diff(name) for c, name
-                                       in zip(self.comps, self.space.coords)])
+        return lie_derivative(self, f)
 
 
-class OneForm(_Vector):
-    def eval_at(self, point) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.comps])
+class OneForm(_Indexed):
+    variance = "d"
+    eval_at = _Indexed.eval_at
 
 
 class _Matrix(_Indexed):
     """Square matrix of fields; base of Tensor11 / TwoForm / Bivector."""
 
-    def __init__(self, space: Space, entries):
-        d = space.dim
-        if len(entries) != d or any(len(row) != d for row in entries):
-            raise SpaceMismatchError(f"need a {d}x{d} matrix on {space}")
-        self.space = space
-        self.entries = [[_as_field(space, v) for v in row] for row in entries]
+    eval_at = _Indexed.eval_at
 
-    @classmethod
-    def zero(cls, space: Space):
-        return cls(space, [[zero(space)] * space.dim for _ in range(space.dim)])
-
-    @classmethod
-    def from_dict(cls, space: Space, named: dict):
-        """Entries keyed 'a,b' by coordinate names; missing entries are 0."""
-        d = space.dim
-        entries = [[0.0] * d for _ in range(d)]
-        for key, v in named.items():
-            a, b = (s.strip() for s in key.split(","))
-            entries[space.index(a)][space.index(b)] = v
-        return cls(space, entries)
-
-    def eval_at(self, point) -> np.ndarray:
-        return np.array([[v.eval(point) for v in row] for row in self.entries])
-
-    def components(self) -> list:
-        return [v for row in self.entries for v in row]
-
-    def _rebuild(self, flat):
-        d = self.space.dim
-        return type(self)(self.space, [flat[a * d:(a + 1) * d]
-                                       for a in range(d)])
+    @property
+    def entries(self):
+        return self.comps
 
 
 class Tensor11(_Matrix):
     """Entry (a, b) is the coefficient of d/dx^a (x) dx^b."""
+
+    variance = "ud"
 
     @property
     def annihilates_dt(self) -> bool:
@@ -156,42 +193,29 @@ class Tensor11(_Matrix):
 class TwoForm(_Matrix):
     """Antisymmetric covariant matrix; omega(X, Y) = omega_ab X^a Y^b."""
 
+    variance = "dd"
+
     @classmethod
     def from_dict(cls, space: Space, named: dict):
         """Entries keyed 'a,b' for the dx^a ^ dx^b term; the mirrored entry
         is filled with the opposite sign."""
-        d = space.dim
-        entries = [[zero(space)] * d for _ in range(d)]
-        for key, v in named.items():
-            a, b = (s.strip() for s in key.split(","))
-            ia, ib = space.index(a), space.index(b)
-            f = _as_field(space, v)
-            entries[ia][ib] = entries[ia][ib] + f
-            entries[ib][ia] = entries[ib][ia] - f
-        return cls(space, entries)
+        M = super().from_dict(space, named).entries
+        return cls(space, _table(space.dim, 2,
+                                 lambda a, b: M[a][b] - M[b][a]))
 
 
 class Bivector(_Matrix):
     """Antisymmetric contravariant matrix; L(s, b) = L^ab s_a b_b."""
+
+    variance = "uu"
 
 
 class Tensor12(_Indexed):
     """comps[a][b][c] is the coefficient of d/dx^a (x) dx^b (x) dx^c,
     antisymmetric in (b, c)."""
 
-    def __init__(self, space: Space, comps):
-        self.space = space
-        self.comps = comps
-
-    def eval_at(self, point) -> np.ndarray:
-        d = self.space.dim
-        return np.array(_table(d, 3, lambda a, b, c:
-                               self.comps[a][b][c].eval(point)))
-
-    def components(self) -> list:
-        d = self.space.dim
-        return [self.comps[a][b][c]
-                for a in range(d) for b in range(d) for c in range(d)]
+    variance = "udd"
+    eval_at = _Indexed.eval_at
 
     def apply(self, X: VectorField, Y: VectorField) -> VectorField:
         _require_same_space(self, X, Y)
@@ -268,64 +292,54 @@ def identity_tensor(space: Space) -> Tensor11:
 # derivatives
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    _require_same_space(X, Y)
-    space = X.space
+    return lie_derivative(X, Y)
 
-    def comp(a):
-        acc = zero(space)
-        for b, name in enumerate(space.coords):
-            acc = acc + X.comps[b] * Y.comps[a].diff(name)
-            acc = acc - Y.comps[b] * X.comps[a].diff(name)
-        return acc
-    return VectorField(space, [comp(a) for a in range(space.dim)])
+
+@lru_cache(maxsize=None)
+def _lie_moves(variance: str, d: int) -> tuple:
+    """The index terms of the Lie derivative of a tensor of this variance in
+    dimension d: for each component I in lexicographic order and each
+    coordinate c, the triples (j, q, upper) of the terms T_j dX_q in index
+    order, where j is the position of I with its k-th index set to c, and
+    dX_q is d_c X^{I_k} for an upper index k or d_{I_k} X^c for a lower one
+    (dX_q = d_b X^a at q = a * d + b)."""
+    position = {I: j for j, I in
+                enumerate(product(range(d), repeat=len(variance)))}
+    kinds = list(enumerate(variance))
+    return tuple([tuple([tuple([
+        (position[I[:k] + (c,) + I[k + 1:]],
+         I[k] * d + c if kind == "u" else c * d + I[k], kind == "u")
+        for k, kind in kinds]) for c in range(d)]) for I in position])
 
 
 def lie_derivative(X: VectorField, T):
-    """L_X T for scalars, vectors, one-forms, (1,1) tensors and two-forms."""
-    if isinstance(T, ScalarField):
-        return X(T)
+    """L_X T of a scalar field or of a tensor of any variance. Component I
+    is summed over the coordinates c in order: + X^c d_c T_I, then for each
+    index k of T in order - T_{I_k->c} d_c X^{I_k} if it is upper or
+    + T_{I_k->c} d_{I_k} X^c if it is lower. On a scalar this is X(f), on a
+    vector field the bracket [X, T]."""
+    variance = getattr(T, "variance", None)
+    if variance is None:
+        raise TypeError(f"cannot Lie-derive a {type(T).__name__}")
     _require_same_space(X, T)
     space = X.space
     coords = space.coords
     d = space.dim
-    if isinstance(T, VectorField):
-        return lie_bracket(X, T)
-    if isinstance(T, OneForm):
-        out = []
-        for b in range(d):
-            acc = zero(space)
-            for a in range(d):
-                acc = acc + X.comps[a] * T.comps[b].diff(coords[a])
-                acc = acc + T.comps[a] * X.comps[a].diff(coords[b])
-            out.append(acc)
-        return OneForm(space, out)
-    if isinstance(T, Tensor11):
-        entries = []
-        for a in range(d):
-            row = []
-            for b in range(d):
-                acc = zero(space)
-                for c in range(d):
-                    acc = acc + X.comps[c] * T.entries[a][b].diff(coords[c])
-                    acc = acc - T.entries[c][b] * X.comps[a].diff(coords[c])
-                    acc = acc + T.entries[a][c] * X.comps[c].diff(coords[b])
-                row.append(acc)
-            entries.append(row)
-        return Tensor11(space, entries)
-    if isinstance(T, TwoForm):
-        entries = []
-        for a in range(d):
-            row = []
-            for b in range(d):
-                acc = zero(space)
-                for c in range(d):
-                    acc = acc + X.comps[c] * T.entries[a][b].diff(coords[c])
-                    acc = acc + T.entries[c][b] * X.comps[c].diff(coords[a])
-                    acc = acc + T.entries[a][c] * X.comps[c].diff(coords[b])
-                row.append(acc)
-            entries.append(row)
-        return TwoForm(space, entries)
-    raise TypeError(f"cannot Lie-derive a {type(T).__name__}")
+    Xc = X.comps
+    comps = T.components()
+    dX = [x.diff(name) for x in Xc for name in coords] if variance else None
+    out = []
+    for f, moves in zip(comps, _lie_moves(variance, d)):
+        acc = zero(space)
+        for c, terms in enumerate(moves):
+            acc = acc + Xc[c] * f.diff(coords[c])
+            for j, q, upper in terms:
+                if upper:
+                    acc = acc - comps[j] * dX[q]
+                else:
+                    acc = acc + comps[j] * dX[q]
+        out.append(acc)
+    return T._rebuild(out) if variance else out[0]
 
 
 def differential(f: ScalarField) -> OneForm:

@@ -5,18 +5,21 @@ every `jetlift.*` namespace that binds the original (the modules import
 each other with `from .x import name`), runs the suites that exercise it
 on `models/n1.json`, and asserts that the checks named for it fail. A
 mutant that every suite still passed would show a formula the suites do
-not actually check.
+not actually check. The sign of the Poisson map is one: no suite check
+sees it, so a test here holds it to the canonical bivector instead.
 """
 import os
+import random
 import sys
 
 import pytest
 
-from jetlift import pn, tensors
-from jetlift.fields import zero
+from jetlift import charts, pn, tensors
+from jetlift.fields import const_field, zero
 from jetlift.model import load_model
+from jetlift.report import max_residual
 from jetlift.suites import run_suite
-from jetlift.tensors import Tensor12
+from jetlift.tensors import Tensor12, sum_fields
 
 N1 = os.path.join(os.path.dirname(__file__), "..", "models", "n1.json")
 
@@ -91,3 +94,77 @@ def test_torsion_terms_are_checked(monkeypatch, check):
     patch_everywhere(monkeypatch, tensors.nijenhuis_torsion,
                      torsion_without_last_term)
     assert check in failed_checks(suite)
+
+
+def lie_derivative_flipped(kind):
+    """The Lie derivative with the sign of its upper-index ("u") or its
+    lower-index ("d") terms flipped, on the shipped index plan."""
+    plus = {True: kind == "u", False: kind != "d"}  # keyed by upper?
+
+    def mutant(X, T):
+        space, coords = X.space, X.space.coords
+        comps = T.components()
+        dX = [x.diff(name) for x in X.comps for name in coords]
+        out = []
+        for f, moves in zip(comps, tensors._lie_moves(T.variance, space.dim)):
+            acc = zero(space)
+            for c, terms in enumerate(moves):
+                acc = acc + X.comps[c] * f.diff(coords[c])
+                for j, q, upper in terms:
+                    t = comps[j] * dX[q]
+                    acc = acc + t if plus[upper] else acc - t
+            out.append(acc)
+        return T._rebuild(out) if T.variance else out[0]
+    return mutant
+
+
+@pytest.mark.parametrize("kind", ["u", "d"])
+@pytest.mark.parametrize("check", ["brackets.2", "prop4.1"])
+def test_lie_derivative_index_signs_are_checked(monkeypatch, kind, check):
+    suite = check.split(".")[0]
+    assert check not in failed_checks(suite)
+    patch_everywhere(monkeypatch, tensors.lie_derivative,
+                     lie_derivative_flipped(kind))
+    assert check in failed_checks(suite)
+
+
+def test_transport_jacobian_is_checked(monkeypatch):
+    # push with the Kronecker delta for J: the upper-index factors dropped
+    transport = charts._transport
+
+    def without_jacobian(obj, maps, dst, J, K):
+        if J is not None:
+            J = tensors._table(len(J), 2, lambda a, c: const_field(
+                dst, float(a == c)))
+        return transport(obj, maps, dst, J, K)
+
+    assert not failed_checks("naturality")
+    patch_everywhere(monkeypatch, transport, without_jacobian)
+    assert {"naturality.complete_vec", "naturality.vlift_form",
+            "naturality.complete_tensor"} <= failed_checks("naturality")
+
+
+def poisson_defect(n):
+    """max over the lifted basis one-forms sigma, the coordinates k and 64
+    points of |sum_a sigma_a Lambda^{ak} - P(sigma)^k|."""
+    Lam = pn.canonical_bivector(n).entries
+    pj = Lam[0][0].space
+    sigmas, _ = pn._basis_pairs(n)
+    lhs = [sum_fields(pj, [s.comps[a] * Lam[a][k] for a in range(pj.dim)])
+           for s in sigmas for k in range(pj.dim)]
+    rhs = [f for s in sigmas for f in pn.poisson_apply(s).comps]
+    rng = random.Random(0)
+    points = [tuple(rng.uniform(-2, 2) for _ in range(pj.dim))
+              for _ in range(64)]
+    return max_residual(lhs, points, rhs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_poisson_map_is_the_bivector(n):
+    assert poisson_defect(n) == 0.0
+
+
+def test_poisson_sign_is_checked(monkeypatch):
+    apply = pn.poisson_apply
+    patch_everywhere(monkeypatch, apply, lambda sigma: -apply(sigma))
+    assert poisson_defect(1) > 0.0

@@ -28,6 +28,7 @@ from jetlift import (
 )
 from jetlift.fields import FD_STEP, ProceduralField, evaluate_batch
 from jetlift.model import load_model
+from jetlift.report import _REJECTABLE
 
 N2 = os.path.join(os.path.dirname(__file__), "..", "models", "n2.json")
 
@@ -247,3 +248,36 @@ def test_phase_points_are_rejected_per_row():
     assert not batch.rejected.any()  # nan is a value, not an error
     assert np.isnan(values[0]).sum() == sum(
         1 for pt in rand_points(3, n=16) if not pt[2] > 0)
+
+
+def test_eval_at_evaluates_the_entries_in_one_batch(monkeypatch):
+    # R_dn's pushed Poisson tensor: every entry goes through the Newton
+    # inverse, which eval_at must run once for all 25 entries
+    _, R = load_model(N2).get("R_dn")
+    L = build_dn_transform(R).phase_map().push_bivector(canonical_bivector(2))
+    comps = L.components()
+    rejected = []
+    for pt in rand_points(5, n=16):
+        try:
+            want = np.array([f.eval(pt) for f in comps])
+        except _REJECTABLE as exc:
+            with pytest.raises(type(exc)) as got:
+                L.eval_at(pt)
+            assert str(got.value) == str(exc)
+            rejected.append(pt)
+            continue
+        got = L.eval_at(pt)
+        assert got.shape == (5, 5)
+        assert got.ravel().tobytes() == want.tobytes()
+    assert 0 < len(rejected) < 16
+
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args: solves.append(1) or solve(*args))
+    pt = next(p for p in rand_points(5, n=16) if p not in rejected)
+    comps[1 * 5 + 3].eval(pt)
+    one_entry = len(solves)
+    assert one_entry > 0
+    L.eval_at(pt)
+    assert len(solves) - one_entry <= one_entry

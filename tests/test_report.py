@@ -1,0 +1,53 @@
+"""What Checker.compare and Checker.vanish accept: objects whose components
+pair up one to one on a single space."""
+import os
+
+import pytest
+
+from jetlift import (
+    SpaceMismatchError,
+    VectorField,
+    base_e,
+    parse_field,
+    phase_j,
+)
+from jetlift.cli import main
+from jetlift.report import Checker
+
+BE = base_e(1)
+
+
+def test_extra_objects_are_not_dropped():
+    # zipping [X] with [X, Y] would compare X with X and pass at 0.0
+    X = VectorField(BE, ["q1", "t"])
+    Y = VectorField(BE, ["1", "t*q1"])
+    with pytest.raises(SpaceMismatchError, match="2 components with 4"):
+        Checker(points=4).compare("c", "", [X], [X, Y])
+
+
+def test_mixed_spaces_are_a_space_mismatch():
+    f = parse_field("q1", BE)
+    g = parse_field("p1 + q1", phase_j(1))
+    with pytest.raises(SpaceMismatchError, match="mixed spaces"):
+        Checker(points=4).compare("c", "", f, g)
+    with pytest.raises(SpaceMismatchError, match="mixed spaces"):
+        Checker(points=4).vanish("c", "", [f, g], dim=2)
+
+
+def test_object_without_components_is_a_type_error():
+    with pytest.raises(TypeError, match="no components"):
+        Checker(points=4).vanish("c", "", [object()], dim=2)
+
+
+def test_space_mismatch_is_exit_2(tmp_path, capsys, monkeypatch):
+    # a suite comparing objects on two spaces: the CLI maps it to exit 2
+    from jetlift import suites
+
+    def bad_suite(inp, ch):
+        ch.compare("bad", "", parse_field("q1", BE),
+                   parse_field("p1", phase_j(1)))
+
+    monkeypatch.setitem(suites.SUITES, "bad", bad_suite)
+    model = os.path.join(os.path.dirname(__file__), "..", "models", "n1.json")
+    assert main(["verify", "--model", model, "--suite", "bad"]) == 2
+    assert "mixed spaces" in capsys.readouterr().err

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from jetlift import (
+    Bivector,
     OneForm,
     Tensor11,
+    Tensor12,
     TwoForm,
     VectorField,
     apply_tensor11,
@@ -225,3 +227,31 @@ class TestHaantjes:
     def test_constant(self):
         R = Tensor11.from_dict(BE, {"q1,q1": "3"})
         assert max_abs(haantjes_tensor(R), rand_points(2)) == 0.0
+
+
+class TestVariance:
+    def test_tensor12_arithmetic(self):
+        N = nijenhuis_torsion(R_TORSION)
+        for pt in rand_points(2, n=8):
+            v = N.eval_at(pt)
+            assert np.any(v != 0.0)
+            assert np.array_equal((N + N).eval_at(pt), v + v)
+            assert np.array_equal((N - N).eval_at(pt), np.zeros_like(v))
+            assert np.array_equal((-N).eval_at(pt), -v)
+            assert np.array_equal(N.scaled(2.0).eval_at(pt), 2.0 * v)
+        for out in (N + N, N - N, -N, N.scaled(2.0)):
+            assert type(out) is Tensor12 and out.space == N.space
+
+    @pytest.mark.parametrize("cls, key", [
+        (VectorField, "q1"), (OneForm, "t"), (Tensor11, "q1,t"),
+        (TwoForm, "t,q1"), (Bivector, "q1,t"), (Tensor12, "q1,t,q1")])
+    def test_one_component(self, cls, key):
+        obj = cls.from_dict(BE, {key: "t*q1"})
+        rank = len(cls.variance)
+        values = obj.eval_at((2.0, 3.0))
+        assert values.shape == (2,) * rank
+        index = tuple(BE.index(name) for name in key.split(","))
+        assert values[index] == 6.0
+        others = np.count_nonzero(values) - 1
+        assert others == (1 if cls is TwoForm else 0)  # the mirrored entry
+        assert not np.any(cls.zero(BE).eval_at((2.0, 3.0)))
