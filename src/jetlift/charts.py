@@ -10,9 +10,7 @@ and induces the momentum-space map P_j = p_i dq^i/dQ^j.
 """
 from __future__ import annotations
 
-from functools import reduce
 from itertools import product
-from operator import mul
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .fields import (
     inject,
 )
 from .spaces import Space, base_e, phase_j
-from .tensors import TwoForm, _table, sum_fields
+from .tensors import TwoForm, _table, sum_products
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -37,10 +35,11 @@ def _determinant(space, M):
     d = len(M)
     if d == 1:
         return M[0][0]
-    terms = [M[0][j] * _determinant(space, [[M[i][k] for k in range(d) if k != j]
-                                            for i in range(1, d)])
-             for j in range(d)]
-    return sum_fields(space, [t if j % 2 == 0 else -t for j, t in enumerate(terms)])
+    return sum_products(space, [
+        ("+" if j % 2 == 0 else "+-",
+         [M[0][j], _determinant(space, [[M[i][k] for k in range(d) if k != j]
+                                        for i in range(1, d)])])
+        for j in range(d)])
 
 
 def invert_field_matrix(space, M):
@@ -123,8 +122,8 @@ def _transport(obj, maps, dst: Space, J, K):
     for A in product(range(dst.dim), repeat=len(variance)):
         # per index, its factor for every source value C_k
         rows = [J[a] if v == "u" else Kt[a] for a, v in zip(A, variance)]
-        out.append(sum_fields(dst, [reduce(mul, f[:n_up] + (t,) + f[n_up:])
-                                    for f, t in zip(product(*rows), comps)]))
+        out.append(sum_products(dst, [("+", f[:n_up] + (t,) + f[n_up:])
+                                      for f, t in zip(product(*rows), comps)]))
     return obj._rebuild(out, dst)
 
 
@@ -262,16 +261,17 @@ class FibredTransform:
         # forward q-block Jacobian and its inverse, as fields on the base
         Jq = [[self.q_fwd[i].diff(f"q{j + 1}") for j in range(n)] for i in range(n)]
         A = invert_field_matrix(base, Jq)  # A^i_j = dq^i/dQ^j o (t, Q(t, q))
+        P = [coord_field(pj, f"p{i + 1}") for i in range(n)]
         fwd = [coord_field(pj, "t")]
         fwd += [inject(f, pj) for f in self.q_fwd]
-        fwd += [sum_fields(pj, [coord_field(pj, f"p{i + 1}") * inject(A[i][j], pj)
-                                for i in range(n)]) for j in range(n)]
+        fwd += [sum_products(pj, [("+", [P[i], inject(A[i][j], pj)]) for i in range(n)])
+                for j in range(n)]
         # inverse: q = q(t, Q); p_i = P_j dQ^j/dq^i o (t, q(t, Q))
         inv = [coord_field(pj, "t")]
         inv += [inject(g, pj) for g in self.q_inv]
         back = [coord_field(base, "t")] + self.q_inv
         B = [[compose(Jq[j][i], back, base)
               for j in range(n)] for i in range(n)]  # B^j_i = dQ^j/dq^i o inv
-        inv += [sum_fields(pj, [coord_field(pj, f"p{j + 1}") * inject(B[i][j], pj)
-                                for j in range(n)]) for i in range(n)]
+        inv += [sum_products(pj, [("+", [P[j], inject(B[i][j], pj)]) for j in range(n)])
+                for i in range(n)]
         return ChartMap(pj, pj, fwd, inv)

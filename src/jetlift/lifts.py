@@ -16,7 +16,7 @@ from .tensors import (
     TwoForm,
     VectorField,
     adjoint_tensor11,
-    sum_fields,
+    sum_products,
 )
 
 
@@ -41,10 +41,13 @@ def momentum_function(X: VectorField) -> ScalarField:
     n = _require_base(X)
     if not X.is_vertical:
         raise LiftError("momentum function requires a vertical vector field")
-    pj = phase_j(n)
-    terms = [coord_field(pj, f"p{i}") * inject(X.comps[i], pj)
-             for i in range(1, n + 1)]
-    return sum_fields(pj, terms)
+    return _p_sum(phase_j(n), X.comps[1:])
+
+
+def _p_sum(space: Space, fields, sign="+") -> ScalarField:
+    """The sum of sign p_i f_i over the base fields f_1, f_2, ..., on space."""
+    return sum_products(space, [(sign, [coord_field(space, f"p{i}"), inject(f, space)])
+                                for i, f in enumerate(fields, 1)])
 
 
 def vlift_oneform(alpha: OneForm) -> VectorField:
@@ -65,9 +68,8 @@ def complete_lift_vector(X: VectorField) -> VectorField:
     pj = phase_j(n)
     comps = [inject(X.comps[0], pj)]
     comps += [inject(X.comps[i], pj) for i in range(1, n + 1)]
-    comps += [sum_fields(pj, [
-        -(coord_field(pj, f"p{j}") * inject(X.comps[j].diff(f"q{i}"), pj))
-        for j in range(1, n + 1)]) for i in range(1, n + 1)]
+    comps += [_p_sum(pj, [X.comps[j].diff(f"q{i}") for j in range(1, n + 1)], "+-")
+              for i in range(1, n + 1)]
     return VectorField(pj, comps)
 
 
@@ -91,8 +93,7 @@ def hlift_tensor11(R: Tensor11) -> OneForm:
 def _p_contracted(R: Tensor11, pj: Space, first=1) -> list:
     """p_i R^i_j for the columns j = first..n of R, as fields on pj."""
     n = R.space.n
-    return [sum_fields(pj, [coord_field(pj, f"p{i}") * inject(R.entries[i][j], pj)
-                            for i in range(1, n + 1)])
+    return [_p_sum(pj, [R.entries[i][j] for i in range(1, n + 1)])
             for j in range(first, n + 1)]
 
 
@@ -109,17 +110,13 @@ def _lift_blocks(R: Tensor11, space: Space, qi, pi):
             entries[pi(j)][pi(i)] = inject(R.entries[i][j], space)
     for j in range(1, n + 1):
         for k in range(1, n + 1):
-            terms = [coord_field(space, f"p{i}")
-                     * inject(R.entries[i][j].diff(f"q{k}")
-                              - R.entries[i][k].diff(f"q{j}"), space)
-                     for i in range(1, n + 1)]
-            entries[pi(j)][qi(k)] = sum_fields(space, terms)
+            entries[pi(j)][qi(k)] = _p_sum(space, [
+                R.entries[i][j].diff(f"q{k}") - R.entries[i][k].diff(f"q{j}")
+                for i in range(1, n + 1)])
     for k in range(1, n + 1):
-        terms = [coord_field(space, f"p{i}")
-                 * inject(R.entries[i][k].diff("t")
-                          - R.entries[i][0].diff(f"q{k}"), space)
-                 for i in range(1, n + 1)]
-        entries[pi(k)][0] = sum_fields(space, terms)
+        entries[pi(k)][0] = _p_sum(space, [
+            R.entries[i][k].diff("t") - R.entries[i][0].diff(f"q{k}")
+            for i in range(1, n + 1)])
     return entries
 
 
@@ -144,11 +141,9 @@ def complete_lift_cotangent(R: Tensor11) -> Tensor11:
     for i in range(1, n + 1):
         entries[p0][n + 1 + i] = inject(R.entries[i][0], et)
     for k in range(1, n + 1):
-        terms = [coord_field(et, f"p{i}")
-                 * inject(R.entries[i][0].diff(f"q{k}")
-                          - R.entries[i][k].diff("t"), et)
-                 for i in range(1, n + 1)]
-        entries[p0][k] = sum_fields(et, terms)
+        entries[p0][k] = _p_sum(et, [
+            R.entries[i][0].diff(f"q{k}") - R.entries[i][k].diff("t")
+            for i in range(1, n + 1)])
     return Tensor11(et, entries)
 
 

@@ -44,7 +44,7 @@ from .tensors import (
     differential,
     lie_derivative,
     nijenhuis_torsion,
-    sum_fields,
+    sum_products,
 )
 
 EIGEN_DISTINCT_THRESHOLD = 1e-8
@@ -79,9 +79,9 @@ def poisson_bracket(F: ScalarField, G: ScalarField) -> ScalarField:
         raise SpaceMismatchError("Poisson bracket needs two phase-space fields")
     pj = F.space
     n = pj.n
-    return sum_fields(pj, [t for i in range(1, n + 1) for t in (
-        F.diff(f"q{i}") * G.diff(f"p{i}"),
-        -(F.diff(f"p{i}") * G.diff(f"q{i}")))])
+    return sum_products(pj, [t for i in range(1, n + 1) for t in (
+        ("+", [F.diff(f"q{i}"), G.diff(f"p{i}")]),
+        ("+-", [F.diff(f"p{i}"), G.diff(f"q{i}")]))])
 
 
 def fiber_hamiltonian_field(F: ScalarField) -> VectorField:
@@ -115,9 +115,9 @@ def commutation_defect(Rt: Tensor11) -> list:
     n = pj.n
     d = pj.dim
     Lam, E = canonical_bivector(n).entries, Rt.entries
-    return _table(d, 2, lambda c, b: sum_fields(
-        pj, [E[c][a] * Lam[a][b] for a in range(d)]
-        + [-(Lam[c][a] * E[b][a]) for a in range(d)]))
+    return _table(d, 2, lambda c, b: sum_products(
+        pj, [("+", [E[c][a], Lam[a][b]]) for a in range(d)]
+        + [("+-", [Lam[c][a], E[b][a]]) for a in range(d)]))
 
 
 def commutation_residual(Rt: Tensor11, points) -> float:

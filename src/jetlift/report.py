@@ -153,6 +153,8 @@ def _compiled_residuals(a, b=None, sizes=None):
     lhs = _leaves(a)
     rhs = [] if b is None else _leaves(b)
     fields = lhs + rhs
+    if not fields:
+        raise SpaceMismatchError("nothing to check")
     if b is not None and len(rhs) != len(lhs):
         raise SpaceMismatchError(f"cannot compare {len(lhs)} components "
                                  f"with {len(rhs)}")
@@ -334,14 +336,14 @@ class Checker:
         return self._record(check_id, identity, dim, _each_point(fn), fn, tol)
 
     def _check(self, check_id, identity, a, b, tol, dim):
+        batch = _compiled_residuals(a, b)
         if dim is None:
             dim = _objects(a)[0].space.dim
 
         def fn(pt):
             return _point_residual(a, b, pt)
 
-        return self._record(check_id, identity, dim,
-                            _compiled_residuals(a, b), fn, tol)
+        return self._record(check_id, identity, dim, batch, fn, tol)
 
     def compare(self, check_id, identity, a, b, tol=None, dim=None):
         """a = b, for two objects or two lists of objects."""

@@ -6,6 +6,7 @@ phase space, (t, q, p0, p) on the extended space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 BASE_E = "BaseE"
 PHASE_J = "PhaseJ"
@@ -48,13 +49,16 @@ class Space:
         return f"{self.kind}({self.n})"
 
 
+@lru_cache(maxsize=None)
 def base_e(n: int) -> Space:
     return Space(BASE_E, n)
 
 
+@lru_cache(maxsize=None)
 def phase_j(n: int) -> Space:
     return Space(PHASE_J, n)
 
 
+@lru_cache(maxsize=None)
 def extended_t(n: int) -> Space:
     return Space(EXTENDED_T, n)

@@ -11,16 +11,19 @@ the variance.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import add, mul, sub
 
 import numpy as np
 
+from . import expr as ex
 from .errors import SpaceMismatchError
 from .fields import (
     ScalarField,
+    SymbolicField,
+    at_point,
     const_field,
-    evaluate_batch,
     is_symbolically_one,
     is_symbolically_zero,
     parse_field,
@@ -105,14 +108,20 @@ class _Indexed:
         return new
 
     def eval_at(self, point) -> np.ndarray:
-        """The components at one point, shaped (dim,) * rank, evaluated in
-        one shared one-row batch, so that a node the components share (a
-        Newton solve, an eigen-analysis) runs once; raises the error that
-        rejects the point."""
-        values, b = evaluate_batch(self.components(), [point])
-        if b.rejected[0]:
-            raise b.errors[0]
-        return values[:, 0].reshape((self.space.dim,) * len(self.variance))
+        """The components at one point, shaped (dim,) * rank: the symbolic
+        ones by `eval`, the others in one shared one-row batch, so that a
+        node they share (a Newton solve, an eigen-analysis) runs once.
+        Raises the first error in component order that rejects the point."""
+        def values(b):
+            pt, out = b.point(0), []
+            for f in self.components():
+                if b.rejected[0]:
+                    raise b.errors[0]
+                out.append(f.eval(pt) if isinstance(f, SymbolicField)
+                           else f._value(b)[0])
+            return out
+        return np.array(at_point(point, values)).reshape(
+            (self.space.dim,) * len(self.variance))
 
     def __add__(self, other):
         _require_same_space(self, other)
@@ -220,16 +229,16 @@ class Tensor12(_Indexed):
     def apply(self, X: VectorField, Y: VectorField) -> VectorField:
         _require_same_space(self, X, Y)
         r = range(self.space.dim)
-        return VectorField(self.space, [sum_fields(self.space, [
-            self.comps[a][b][c] * X.comps[b] * Y.comps[c]
+        return VectorField(self.space, [sum_products(self.space, [
+            ("+", [self.comps[a][b][c], X.comps[b], Y.comps[c]])
             for b in r for c in r]) for a in r])
 
     def hook(self, X: VectorField) -> Tensor11:
         """(i_X N)(Y) = N(X, Y), as a (1,1) tensor."""
         _require_same_space(self, X)
         d = self.space.dim
-        return Tensor11(self.space, _table(d, 2, lambda a, c: sum_fields(
-            self.space, [self.comps[a][b][c] * X.comps[b] for b in range(d)])))
+        return Tensor11(self.space, _table(d, 2, lambda a, c: sum_products(
+            self.space, [("+", [self.comps[a][b][c], X.comps[b]]) for b in range(d)])))
 
 
 def _table(d, rank, fn, *index):
@@ -246,29 +255,29 @@ def _table(d, rank, fn, *index):
 def apply_tensor11(T: Tensor11, X: VectorField) -> VectorField:
     _require_same_space(T, X)
     r = range(T.space.dim)
-    return VectorField(T.space, [sum_fields(T.space, [
-        T.entries[a][b] * X.comps[b] for b in r]) for a in r])
+    return VectorField(T.space, [sum_products(T.space, [
+        ("+", [T.entries[a][b], X.comps[b]]) for b in r]) for a in r])
 
 
 def adjoint_tensor11(T: Tensor11, alpha: OneForm) -> OneForm:
     """(T(alpha))_b = T^a_b alpha_a, so that <T(X), alpha> = <X, T(alpha)>."""
     _require_same_space(T, alpha)
     r = range(T.space.dim)
-    return OneForm(T.space, [sum_fields(T.space, [
-        T.entries[a][b] * alpha.comps[a] for a in r]) for b in r])
+    return OneForm(T.space, [sum_products(T.space, [
+        ("+", [T.entries[a][b], alpha.comps[a]]) for a in r]) for b in r])
 
 
 def pair(X: VectorField, alpha: OneForm) -> ScalarField:
     _require_same_space(X, alpha)
-    return sum_fields(X.space, [x * a for x, a in zip(X.comps, alpha.comps)])
+    return sum_products(X.space, [("+", [x, a]) for x, a in zip(X.comps, alpha.comps)])
 
 
 def compose_tensor11(A: Tensor11, B: Tensor11) -> Tensor11:
     """Matrix product: (A o B)(X) = A(B(X))."""
     _require_same_space(A, B)
     d = A.space.dim
-    return Tensor11(A.space, _table(d, 2, lambda a, b: sum_fields(
-        A.space, [A.entries[a][c] * B.entries[c][b] for c in range(d)])))
+    return Tensor11(A.space, _table(d, 2, lambda a, b: sum_products(
+        A.space, [("+", [A.entries[a][c], B.entries[c][b]]) for c in range(d)])))
 
 
 def tensor_product(X: VectorField, alpha: OneForm) -> Tensor11:
@@ -330,15 +339,12 @@ def lie_derivative(X: VectorField, T):
     dX = [x.diff(name) for x in Xc for name in coords] if variance else None
     out = []
     for f, moves in zip(comps, _lie_moves(variance, d)):
-        acc = zero(space)
-        for c, terms in enumerate(moves):
-            acc = acc + Xc[c] * f.diff(coords[c])
-            for j, q, upper in terms:
-                if upper:
-                    acc = acc - comps[j] * dX[q]
-                else:
-                    acc = acc + comps[j] * dX[q]
-        out.append(acc)
+        terms = []
+        for c, index_terms in enumerate(moves):
+            terms.append(("+", [Xc[c], f.diff(coords[c])]))
+            terms += [("-" if upper else "+", [comps[j], dX[q]])
+                      for j, q, upper in index_terms]
+        out.append(sum_products(space, terms))
     return T._rebuild(out) if variance else out[0]
 
 
@@ -355,8 +361,8 @@ def exterior_derivative(alpha: OneForm) -> TwoForm:
 def interior_product(X: VectorField, omega: TwoForm) -> OneForm:
     _require_same_space(X, omega)
     r = range(X.space.dim)
-    return OneForm(X.space, [sum_fields(X.space, [
-        X.comps[a] * omega.entries[a][b] for a in r]) for b in r])
+    return OneForm(X.space, [sum_products(X.space, [
+        ("+", [X.comps[a], omega.entries[a][b]]) for a in r]) for b in r])
 
 
 def hook2(R: Tensor11, omega) -> list:
@@ -364,15 +370,43 @@ def hook2(R: Tensor11, omega) -> list:
     fields (it is not antisymmetric in general)."""
     _require_same_space(R, omega)
     d = R.space.dim
-    return _table(d, 2, lambda a, b: sum_fields(
-        R.space, [R.entries[c][a] * omega.entries[c][b] for c in range(d)]))
+    return _table(d, 2, lambda a, b: sum_products(
+        R.space, [("+", [R.entries[c][a], omega.entries[c][b]]) for c in range(d)]))
+
+
+# How a term joins the sum, by its sign. "+-" adds the negated product,
+# add(acc, neg(p)): another tree than sub(acc, p), which is 0 when acc == p.
+_EXPR_FOLD = {"+": ex.add, "-": ex.sub, "+-": lambda acc, p: ex.add(acc, ex.neg(p))}
+_FIELD_FOLD = {"+": add, "-": sub, "+-": lambda acc, p: acc + -p}
+
+
+def sum_products(space: Space, terms) -> ScalarField:
+    """The sum of a list of terms (sign, [f1, f2, ...]) with sign "+", "-" or
+    "+-": the products, each multiplied left to right, folded left to right
+    into a sum that starts at 0. When every factor is a symbolic field on
+    space the fold runs on the expression trees and wraps the result once;
+    otherwise it runs on the fields, as `acc = acc + f1 * f2` would."""
+    acc = ex.ZERO
+    for sign, factors in terms:
+        p = None
+        for f in factors:
+            if not isinstance(f, SymbolicField) or (f.space is not space
+                                                    and f.space != space):
+                return _fold_fields(space, terms)
+            p = f.expr if p is None else ex.mul(p, f.expr)
+        acc = _EXPR_FOLD[sign](acc, p)
+    return SymbolicField(space, acc, True)
+
+
+def _fold_fields(space: Space, terms) -> ScalarField:
+    acc = zero(space)
+    for sign, factors in terms:
+        acc = _FIELD_FOLD[sign](acc, reduce(mul, factors))
+    return acc
 
 
 def sum_fields(space: Space, fields_list) -> ScalarField:
-    acc = zero(space)
-    for f in fields_list:
-        acc = acc + f
-    return acc
+    return sum_products(space, [("+", [f]) for f in fields_list])
 
 
 def nijenhuis_torsion(R: Tensor11) -> Tensor12:
@@ -383,13 +417,11 @@ def nijenhuis_torsion(R: Tensor11) -> Tensor12:
     d = space.dim
 
     def comp(a, b, c):
-        acc = zero(space)
-        for e in range(d):
-            acc = acc + E[e][b] * E[a][c].diff(coords[e])
-            acc = acc - E[e][c] * E[a][b].diff(coords[e])
-            acc = acc + E[a][e] * E[e][b].diff(coords[c])
-            acc = acc - E[a][e] * E[e][c].diff(coords[b])
-        return acc
+        return sum_products(space, [t for e in range(d) for t in (
+            ("+", [E[e][b], E[a][c].diff(coords[e])]),
+            ("-", [E[e][c], E[a][b].diff(coords[e])]),
+            ("+", [E[a][e], E[e][b].diff(coords[c])]),
+            ("-", [E[a][e], E[e][c].diff(coords[b])]))])
     return Tensor12(space, _table(d, 3, comp))
 
 
@@ -400,12 +432,9 @@ def haantjes_tensor(R: Tensor11) -> Tensor12:
     Rm, Nc = R.entries, nijenhuis_torsion(R).comps
 
     def comp(a, b, c):
-        acc = zero(space)
-        for e in r:
-            for f in r:
-                acc = acc + Rm[a][e] * Rm[e][f] * Nc[f][b][c]
-                acc = acc + Rm[e][b] * Rm[f][c] * Nc[a][e][f]
-                acc = acc - Rm[a][e] * Rm[f][b] * Nc[e][f][c]
-                acc = acc - Rm[a][e] * Rm[f][c] * Nc[e][b][f]
-        return acc
+        return sum_products(space, [t for e in r for f in r for t in (
+            ("+", [Rm[a][e], Rm[e][f], Nc[f][b][c]]),
+            ("+", [Rm[e][b], Rm[f][c], Nc[a][e][f]]),
+            ("-", [Rm[a][e], Rm[f][b], Nc[e][f][c]]),
+            ("-", [Rm[a][e], Rm[f][c], Nc[e][b][f]]))])
     return Tensor12(space, _table(space.dim, 3, comp))

@@ -6,7 +6,9 @@ each other with `from .x import name`), runs the suites that exercise it
 on `models/n1.json`, and asserts that the checks named for it fail. A
 mutant that every suite still passed would show a formula the suites do
 not actually check. The sign of the Poisson map is one: no suite check
-sees it, so a test here holds it to the canonical bivector instead.
+sees it, so a test here holds it to the canonical bivector instead. The
+sum_products mutant replaces an entry of its fold table instead of a
+function.
 """
 import os
 import random
@@ -15,6 +17,7 @@ import sys
 import pytest
 
 from jetlift import charts, pn, tensors
+from jetlift import expr as ex
 from jetlift.fields import const_field, zero
 from jetlift.model import load_model
 from jetlift.report import max_residual
@@ -168,3 +171,12 @@ def test_poisson_sign_is_checked(monkeypatch):
     apply = pn.poisson_apply
     patch_everywhere(monkeypatch, apply, lambda sigma: -apply(sigma))
     assert poisson_defect(1) > 0.0
+
+
+@pytest.mark.parametrize("check", ["brackets.2", "prop4.1"])
+def test_sum_products_subtraction_is_checked(monkeypatch, check):
+    # the tree fold of sum_products adding the terms it should subtract
+    suite = check.split(".")[0]
+    assert check not in failed_checks(suite)
+    monkeypatch.setitem(tensors._EXPR_FOLD, "-", ex.add)
+    assert check in failed_checks(suite)

@@ -17,6 +17,7 @@ from jetlift import (
     FibredTransform,
     SamplingError,
     Tensor11,
+    VectorField,
     base_e,
     build_dn_transform,
     canonical_bivector,
@@ -281,3 +282,54 @@ def test_eval_at_evaluates_the_entries_in_one_batch(monkeypatch):
     assert one_entry > 0
     L.eval_at(pt)
     assert len(solves) - one_entry <= one_entry
+
+
+def shared_batch_eval_at(T, point):
+    """eval_at as one shared one-row batch of all the components: the
+    reference for the values and for the error at a rejected point."""
+    values, b = evaluate_batch(T.components(), [point])
+    if b.rejected[0]:
+        raise b.errors[0]
+    return values[:, 0].reshape((T.space.dim,) * len(T.variance))
+
+
+def outcome(fn, point):
+    try:
+        return "value", fn(point).tobytes()
+    except _REJECTABLE as exc:
+        return type(exc), str(exc)
+
+
+def test_eval_at_raises_the_first_error_in_component_order():
+    _, R = load_model(N2).get("R_dn")
+    L = build_dn_transform(R).phase_map().push_bivector(canonical_bivector(2))
+    base = base_e(1)
+    sym = parse_field("1/q1", base)  # its guard message differs from proc's
+    proc = 1.0 / ProceduralField(base, lambda X: X[:, 1], lambda X: np.column_stack(
+        [np.zeros(len(X)), np.ones(len(X))]))
+    singular = [(0.5, 0.0), (0.5, -1.0), (0.5, 1e-9), (0.5, 2.0)]
+    cases = [(L, rand_points(5, n=16))]
+    for comps in ([proc, sym], [sym, proc], ["log(q1)", "1/q1"], ["t", "sqrt(q1)"]):
+        cases.append((VectorField(base, comps), singular))
+    kinds = set()
+    for T, points in cases:
+        for pt in points:
+            got = outcome(T.eval_at, pt)
+            assert got == outcome(functools.partial(shared_batch_eval_at, T), pt)
+            kinds.add(got if got[0] != "value" else "value")
+    assert "value" in kinds and len(kinds) > 4
+
+
+def test_symbolic_eval_at_compiles_nothing(monkeypatch):
+    from jetlift import expr
+
+    compiled = []
+    compile_batch = expr.compile_batch
+    monkeypatch.setattr(expr, "compile_batch",
+                        lambda *a: compiled.append(1) or compile_batch(*a))
+    base = base_e(2)
+    T = Tensor11.from_dict(base, {"q1,q2": "t*q1", "q2,t": "sin(q2)"})
+    got = T.eval_at((0.5, 1.0, 2.0))
+    assert not compiled
+    assert got.tobytes() == shared_batch_eval_at(T, (0.5, 1.0, 2.0)).tobytes()
+    assert compiled

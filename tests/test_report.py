@@ -51,3 +51,24 @@ def test_space_mismatch_is_exit_2(tmp_path, capsys, monkeypatch):
     model = os.path.join(os.path.dirname(__file__), "..", "models", "n1.json")
     assert main(["verify", "--model", model, "--suite", "bad"]) == 2
     assert "mixed spaces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", [
+    lambda ch: ch.vanish("x", "", [], dim=2),
+    lambda ch: ch.compare("x", "", [], [], dim=2),
+    lambda ch: ch.vanish("x", "", []),
+])
+def test_an_empty_check_is_a_space_mismatch(check):
+    # not an IndexError, and not a vacuous pass at residual 0
+    with pytest.raises(SpaceMismatchError, match="nothing to check"):
+        check(Checker(points=4))
+
+
+def test_an_empty_check_is_exit_2(capsys, monkeypatch):
+    from jetlift import suites
+
+    monkeypatch.setitem(suites.SUITES, "empty",
+                        lambda inp, ch: ch.vanish("empty", "", [], dim=2))
+    model = os.path.join(os.path.dirname(__file__), "..", "models", "n1.json")
+    assert main(["verify", "--model", model, "--suite", "empty"]) == 2
+    assert "nothing to check" in capsys.readouterr().err

@@ -1,0 +1,487 @@
+"""sum_products against the field folds it replaced.
+
+Every component sum of the library (the Lie derivative, both torsions, the
+contractions, the chart transport and determinant, the phase-space lifts,
+the Poisson bracket and the commutation defect) goes through
+`tensors.sum_products`. The reference functions below are the formulas
+those sites ran before: `acc = acc + ...` over fields, one operator at a
+time. On symbolic inputs the helper must build the same expression trees,
+so that every report keeps its bits; on procedural and mixed inputs it
+must build the same fields, value and gradient bit for bit. The work-count
+tests hold it to building one field per component.
+"""
+import os
+import random
+from functools import reduce
+from itertools import product
+from operator import mul
+
+import numpy as np
+import pytest
+
+from jetlift import (
+    OneForm,
+    Tensor11,
+    Tensor12,
+    VectorField,
+    adjoint_tensor11,
+    apply_tensor11,
+    build_dn_transform,
+    canonical_bivector,
+    canonical_theta,
+    commutation_defect,
+    complete_lift_cotangent,
+    complete_lift_tensor11,
+    complete_lift_vector,
+    compose_tensor11,
+    haantjes_tensor,
+    hlift_tensor11,
+    hook2,
+    interior_product,
+    lie_derivative,
+    momentum_function,
+    nijenhuis_torsion,
+    pair,
+    poisson_bracket,
+    vlift_tensor11,
+)
+from jetlift import charts, fields
+from jetlift.charts import _determinant
+from jetlift.fields import (
+    ProceduralField,
+    SymbolicField,
+    coord_field,
+    inject,
+    parse_field,
+    zero,
+)
+from jetlift.model import load_model
+from jetlift.spaces import PHASE_J, Space, base_e, extended_t, phase_j
+from jetlift.tensors import _lie_moves, _table, sum_fields, sum_products
+
+MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
+
+
+# ---------------------------------------------------------------------------
+# reference formulas: each site's sum, folded over fields
+
+def fold(space, terms):
+    """acc = 0, then acc = acc + t for each field t, as sum_fields did."""
+    acc = zero(space)
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def ref_lie_derivative(X, T):
+    space, coords = X.space, X.space.coords
+    Xc, comps = X.comps, T.components()
+    dX = [x.diff(name) for x in Xc for name in coords]
+    out = []
+    for f, moves in zip(comps, _lie_moves(T.variance, space.dim)):
+        acc = zero(space)
+        for c, terms in enumerate(moves):
+            acc = acc + Xc[c] * f.diff(coords[c])
+            for j, q, upper in terms:
+                if upper:
+                    acc = acc - comps[j] * dX[q]
+                else:
+                    acc = acc + comps[j] * dX[q]
+        out.append(acc)
+    return T._rebuild(out) if T.variance else out[0]
+
+
+def ref_nijenhuis(R):
+    space, E, coords, d = R.space, R.entries, R.space.coords, R.space.dim
+
+    def comp(a, b, c):
+        acc = zero(space)
+        for e in range(d):
+            acc = acc + E[e][b] * E[a][c].diff(coords[e])
+            acc = acc - E[e][c] * E[a][b].diff(coords[e])
+            acc = acc + E[a][e] * E[e][b].diff(coords[c])
+            acc = acc - E[a][e] * E[e][c].diff(coords[b])
+        return acc
+    return Tensor12(space, _table(d, 3, comp))
+
+
+def ref_haantjes(R):
+    space, r = R.space, range(R.space.dim)
+    Rm, Nc = R.entries, ref_nijenhuis(R).comps
+
+    def comp(a, b, c):
+        acc = zero(space)
+        for e in r:
+            for f in r:
+                acc = acc + Rm[a][e] * Rm[e][f] * Nc[f][b][c]
+                acc = acc + Rm[e][b] * Rm[f][c] * Nc[a][e][f]
+                acc = acc - Rm[a][e] * Rm[f][b] * Nc[e][f][c]
+                acc = acc - Rm[a][e] * Rm[f][c] * Nc[e][b][f]
+        return acc
+    return Tensor12(space, _table(space.dim, 3, comp))
+
+
+def ref_contractions(R, X, Y, alpha, omega):
+    """Tensor12.apply/hook, apply, adjoint, pair, compose, interior
+    product and hook2, in that order."""
+    s, r, d = R.space, range(R.space.dim), R.space.dim
+    N, E = ref_nijenhuis(R).comps, R.entries
+    return [
+        VectorField(s, [fold(s, [N[a][b][c] * X.comps[b] * Y.comps[c]
+                                 for b in r for c in r]) for a in r]),
+        Tensor11(s, _table(d, 2, lambda a, c: fold(
+            s, [N[a][b][c] * X.comps[b] for b in r]))),
+        VectorField(s, [fold(s, [E[a][b] * X.comps[b] for b in r]) for a in r]),
+        OneForm(s, [fold(s, [E[a][b] * alpha.comps[a] for a in r]) for b in r]),
+        fold(s, [x * a for x, a in zip(X.comps, alpha.comps)]),
+        Tensor11(s, _table(d, 2, lambda a, b: fold(
+            s, [E[a][c] * E[c][b] for c in r]))),
+        OneForm(s, [fold(s, [X.comps[a] * omega.entries[a][b] for a in r])
+                    for b in r]),
+        _table(d, 2, lambda a, b: fold(
+            s, [E[c][a] * omega.entries[c][b] for c in r])),
+    ]
+
+
+def contractions(R, X, Y, alpha, omega):
+    N = nijenhuis_torsion(R)
+    return [N.apply(X, Y), N.hook(X), apply_tensor11(R, X),
+            adjoint_tensor11(R, alpha), pair(X, alpha), compose_tensor11(R, R),
+            interior_product(X, omega), hook2(R, omega)]
+
+
+def ref_determinant(space, M):
+    d = len(M)
+    if d == 1:
+        return M[0][0]
+    terms = [M[0][j] * ref_determinant(space, [[M[i][k] for k in range(d) if k != j]
+                                               for i in range(1, d)])
+             for j in range(d)]
+    return fold(space, [t if j % 2 == 0 else -t for j, t in enumerate(terms)])
+
+
+def ref_push(m, obj):
+    """ChartMap.push by the transport formula, its sums folded over fields."""
+    variance, dst = obj.variance, m.dst
+    J = m._jac_fwd_at_inv() if "u" in variance else None
+    K = m._jac_inv() if "d" in variance else None
+    comps = [fields.compose(f, m.inv, dst) for f in obj.components()]
+    if not variance:
+        return comps[0]
+    n_up = variance.count("u")
+    Kt = list(zip(*K)) if K else None
+    out = []
+    for A in product(range(dst.dim), repeat=len(variance)):
+        rows = [J[a] if v == "u" else Kt[a] for a, v in zip(A, variance)]
+        out.append(fold(dst, [reduce(mul, f[:n_up] + (t,) + f[n_up:])
+                              for f, t in zip(product(*rows), comps)]))
+    return obj._rebuild(out, dst)
+
+
+def ref_phase_map_sums(T):
+    """The P_j and p_i components of FibredTransform.phase_map."""
+    n, base, pj = T.n, T.base, phase_j(T.n)
+    Jq = [[T.q_fwd[i].diff(f"q{j + 1}") for j in range(n)] for i in range(n)]
+    A = charts.invert_field_matrix(base, Jq)
+    back = [coord_field(base, "t")] + T.q_inv
+    B = [[fields.compose(Jq[j][i], back, base) for j in range(n)]
+         for i in range(n)]
+    fwd = [fold(pj, [coord_field(pj, f"p{i + 1}") * inject(A[i][j], pj)
+                     for i in range(n)]) for j in range(n)]
+    inv = [fold(pj, [coord_field(pj, f"p{j + 1}") * inject(B[i][j], pj)
+                     for j in range(n)]) for i in range(n)]
+    return fwd, inv
+
+
+def ref_p_sum(space, fs, negate=False):
+    terms = [coord_field(space, f"p{i}") * inject(f, space)
+             for i, f in enumerate(fs, 1)]
+    return fold(space, [-t for t in terms] if negate else terms)
+
+
+def ref_lifts(R, X, Xv):
+    """momentum_function(Xv), the p-rows of complete_lift_vector(X),
+    vlift_tensor11(R), hlift_tensor11(R), and the p-rows of both complete
+    lifts of R, by the formulas folded over fields."""
+    n = R.space.n
+    pj, et = phase_j(n), extended_t(n)
+    E = R.entries
+    ns = range(1, n + 1)
+
+    def col(j):
+        return [E[i][j] for i in ns]
+
+    def blocks(space, pi):
+        rows = {}
+        for j, k in product(ns, ns):
+            rows[pi(j), k] = ref_p_sum(space, [E[i][j].diff(f"q{k}")
+                                               - E[i][k].diff(f"q{j}") for i in ns])
+        for k in ns:
+            rows[pi(k), 0] = ref_p_sum(space, [E[i][k].diff("t")
+                                               - E[i][0].diff(f"q{k}") for i in ns])
+        return rows
+
+    cot = blocks(et, lambda i: n + 1 + i)
+    for k in ns:
+        cot[n + 1, k] = ref_p_sum(et, [E[i][0].diff(f"q{k}") - E[i][k].diff("t")
+                                       for i in ns])
+    return {
+        "momentum": [ref_p_sum(pj, Xv.comps[1:])],
+        "complete_vector": [ref_p_sum(pj, [X.comps[j].diff(f"q{i}") for j in ns],
+                                      negate=True) for i in ns],
+        "vlift": [ref_p_sum(pj, col(j)) for j in ns],
+        "hlift": [ref_p_sum(pj, col(j)) for j in range(n + 1)],
+        "complete_tensor": blocks(pj, lambda i: n + i),
+        "cotangent": cot,
+    }
+
+
+def lifts(R, X, Xv):
+    n = R.space.n
+    Cv, Ct, Cc = (complete_lift_vector(X), complete_lift_tensor11(R),
+                  complete_lift_cotangent(R))
+    ref = ref_lifts(R, X, Xv)
+    return {
+        "momentum": [momentum_function(Xv)],
+        "complete_vector": Cv.comps[n + 1:],
+        "vlift": vlift_tensor11(R).comps[n + 1:],
+        "hlift": hlift_tensor11(R).comps[:n + 1],
+        "complete_tensor": {key: Ct.entries[key[0]][key[1]]
+                            for key in ref["complete_tensor"]},
+        "cotangent": {key: Cc.entries[key[0]][key[1]] for key in ref["cotangent"]},
+    }, ref
+
+
+def ref_poisson_bracket(F, G):
+    n = F.space.n
+    return fold(F.space, [t for i in range(1, n + 1) for t in (
+        F.diff(f"q{i}") * G.diff(f"p{i}"),
+        -(F.diff(f"p{i}") * G.diff(f"q{i}")))])
+
+
+def ref_commutation_defect(Rt):
+    pj, d = Rt.space, Rt.space.dim
+    Lam, E = canonical_bivector(pj.n).entries, Rt.entries
+    return _table(d, 2, lambda c, b: fold(
+        pj, [E[c][a] * Lam[a][b] for a in range(d)]
+        + [-(Lam[c][a] * E[b][a]) for a in range(d)]))
+
+
+# ---------------------------------------------------------------------------
+
+def trees(obj):
+    """The expression of every scalar field in obj (a field, a tensor, or a
+    list or dict of them), in order; fails on a procedural one."""
+    if isinstance(obj, dict):
+        return [trees(obj[k]) for k in sorted(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [t for o in obj for t in trees(o)]
+    out = []
+    for f in obj.components():
+        assert isinstance(f, SymbolicField)
+        out.append(f.expr)
+    return out
+
+
+def same_trees(got, want):
+    assert type(got) is type(want)
+    assert trees(got) == trees(want)
+
+
+@pytest.fixture(scope="module", params=["n1", "n2"])
+def inp(request):
+    return load_model(os.path.join(MODELS, f"{request.param}.json")).suite_inputs()
+
+
+def test_tensor_sites_build_the_reference_trees(inp):
+    fields_ = inp.vert_fields + inp.tnorm_fields
+    targets = fields_ + inp.oneforms + inp.tensors + inp.twoforms + inp.scalars
+    for X in fields_:
+        for T in targets:
+            same_trees(lie_derivative(X, T), ref_lie_derivative(X, T))
+    for R, X, Y, alpha, omega in zip(inp.tensors, fields_, fields_[1:],
+                                     inp.oneforms, inp.twoforms):
+        same_trees(nijenhuis_torsion(R), ref_nijenhuis(R))
+        same_trees(haantjes_tensor(R), ref_haantjes(R))
+        for got, want in zip(contractions(R, X, Y, alpha, omega),
+                             ref_contractions(R, X, Y, alpha, omega)):
+            same_trees(got, want)
+    same_trees(sum_fields(inp.scalars[0].space, inp.scalars),
+               fold(inp.scalars[0].space, inp.scalars))
+
+
+def test_tensor_sites_on_phase_space_lifts(inp):
+    Xs = [complete_lift_vector(X) for X in inp.vert_fields + inp.tnorm_fields]
+    Rs = [complete_lift_tensor11(R) for R in inp.tensors]
+    alphas = [hlift_tensor11(R) for R in inp.tensors]
+    for T in Rs + Xs[:2]:
+        same_trees(lie_derivative(Xs[0], T), ref_lie_derivative(Xs[0], T))
+    w = canonical_theta(inp.n)
+    for R, X, Y in zip(Rs[:2], Xs, Xs[1:]):
+        same_trees(nijenhuis_torsion(R), ref_nijenhuis(R))
+        for got, want in zip(contractions(R, X, Y, alphas[0], w),
+                             ref_contractions(R, X, Y, alphas[0], w)):
+            same_trees(got, want)
+
+
+def test_chart_sites_build_the_reference_trees(inp):
+    for R in inp.tensors + [complete_lift_tensor11(inp.tensors[0])]:
+        same_trees(_determinant(R.space, R.entries),
+                   ref_determinant(R.space, R.entries))
+    n = inp.n
+    for T in inp.transforms:
+        bm, pm = T.base_map(), T.phase_map()
+        for obj in (inp.vert_fields + inp.tnorm_fields + inp.oneforms
+                    + inp.tensors + inp.twoforms + inp.scalars
+                    + [nijenhuis_torsion(inp.tensors[0])]):
+            same_trees(bm.push(obj), ref_push(bm, obj))
+        for obj in (canonical_bivector(n), complete_lift_tensor11(inp.tensors[0]),
+                    complete_lift_vector(inp.tnorm_fields[0])):
+            same_trees(pm.push(obj), ref_push(pm, obj))
+        fwd, inv = ref_phase_map_sums(T)
+        same_trees(pm.fwd[n + 1:], fwd)
+        same_trees(pm.inv[n + 1:], inv)
+
+
+def test_lift_sites_build_the_reference_trees(inp):
+    for R in inp.tensors:
+        for X, Xv in zip(inp.tnorm_fields + inp.vert_fields, inp.vert_fields * 2):
+            got, want = lifts(R, X, Xv)
+            assert trees(got) == trees(want)
+
+
+def test_pn_sites_build_the_reference_trees(inp):
+    Fs = [momentum_function(X) for X in inp.vert_fields]
+    Fs += [inject(f, phase_j(inp.n)) for f in inp.scalars]
+    for F in Fs:
+        for G in Fs:
+            same_trees(poisson_bracket(F, G), ref_poisson_bracket(F, G))
+    for R in inp.tensors:
+        Rt = complete_lift_tensor11(R)
+        assert trees(commutation_defect(Rt)) == trees(ref_commutation_defect(Rt))
+
+
+# ---------------------------------------------------------------------------
+# procedural and mixed factors: the fold over fields, bit for bit
+
+def batch_bits(fs, X):
+    """Values, first partials (where a field still has them) and rejected
+    rows of fs over one shared batch."""
+    b = fields.Batch(np.asarray(X, dtype=float))
+    with np.errstate(all="ignore"):
+        values = np.array([f._value(b) for f in fs])
+        grads = [f._grad(b) for f in fs if f.order_budget > 0]
+    live = ~b.rejected
+    assert live.any()
+    return (values[:, live].tobytes(), [g[live].tobytes() for g in grads],
+            b.rejected.tobytes())
+
+
+def rand_points(dim, n=64, seed=0):
+    rng = random.Random(seed)
+    return [tuple(rng.uniform(-2, 2) for _ in range(dim)) for _ in range(n)]
+
+
+def test_mixed_factors_fold_over_fields_bit_for_bit():
+    space = base_e(2)
+    s = [parse_field(src, space) for src in ("t*q1 + 1", "sin(q2)", "q1^2 - t")]
+    p = ProceduralField(space, lambda X: np.exp(X[:, 1]) * X[:, 2],
+                        lambda X: np.column_stack([0 * X[:, 0], np.exp(X[:, 1]) * X[:, 2],
+                                                   np.exp(X[:, 1])]))
+    q = s[0] / ProceduralField(space, lambda X: X[:, 0] - X[:, 2],
+                               lambda X: np.column_stack([1 + 0 * X[:, 0], 0 * X[:, 0],
+                                                          -1 + 0 * X[:, 0]]))
+    terms = [("+", [s[0], p]), ("-", [p, s[1], s[2]]), ("+-", [s[1], q]),
+             ("+", [s[2]]), ("-", [q, q]), ("+-", [s[0], s[1]])]
+    got = sum_products(space, terms)
+    acc = zero(space)
+    acc = acc + s[0] * p
+    acc = acc - p * s[1] * s[2]
+    acc = acc + -(s[1] * q)
+    acc = acc + s[2]
+    acc = acc - q * q
+    acc = acc + -(s[0] * s[1])
+    assert isinstance(got, ProceduralField)
+    X = rand_points(3)
+    assert batch_bits([got], X) == batch_bits([acc], X)
+
+
+def test_procedural_sites_fold_over_fields_bit_for_bit():
+    _, R = load_model(os.path.join(MODELS, "n2.json")).get("R_dn")
+    T = build_dn_transform(R)
+    bm, pm = T.base_map(), T.phase_map()
+    fwd, inv = ref_phase_map_sums(T)
+    X5 = rand_points(5, seed=3)
+    assert batch_bits(pm.fwd[3:] + pm.inv[3:], X5) == batch_bits(fwd + inv, X5)
+    for m, obj in ((bm, R), (pm, canonical_bivector(2))):
+        got, want = m.push(obj), ref_push(m, obj)
+        X = rand_points(m.dst.dim, n=16, seed=5)
+        assert batch_bits(got.components(), X) == batch_bits(want.components(), X)
+
+
+# ---------------------------------------------------------------------------
+# the fold decision
+
+def test_spaces_are_interned():
+    assert phase_j(2) is phase_j(2)
+    assert base_e(1) is base_e(1) and extended_t(3) is extended_t(3)
+
+
+def test_an_equal_space_built_directly_takes_the_tree_fold():
+    pj = phase_j(2)
+    own = Space(PHASE_J, 2)
+    assert own is not pj
+    a, b = coord_field(pj, "p1"), coord_field(pj, "q2")
+    got = sum_products(own, [("+", [a, b]), ("-", [b, a]), ("+-", [a])])
+    assert isinstance(got, SymbolicField) and got.space is own
+    assert got.expr == (fold(pj, [a * b]) - b * a + -a).expr
+
+
+def test_negated_terms_are_added_not_subtracted():
+    pj = phase_j(1)
+    a = coord_field(pj, "q1")
+    # sub folds a - a to 0; add(a, neg(a)) keeps both terms
+    assert sum_products(pj, [("+", [a]), ("-", [a])]).is_zero
+    kept = sum_products(pj, [("+", [a]), ("+-", [a])])
+    assert kept.expr == (a + -a).expr and not kept.is_zero
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of SymbolicField constructions and of symbolic derivative
+    cache misses (each of which builds one field)."""
+    counts = {"built": 0, "misses": 0}
+    init, diff = SymbolicField.__init__, SymbolicField.diff
+
+    def counted_init(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_diff(self, coord):
+        counts["misses"] += coord not in self._deriv_cache
+        return diff(self, coord)
+
+    monkeypatch.setattr(SymbolicField, "__init__", counted_init)
+    monkeypatch.setattr(SymbolicField, "diff", counted_diff)
+    return counts
+
+
+def test_lie_derivative_builds_one_field_per_component(work):
+    base = base_e(2)
+    X = VectorField.from_dict(base, {"t": 1.0, "q1": "t*q2", "q2": "sin(q1)"})
+    R = Tensor11.from_dict(base, {"q1,q1": "q1*q2", "q1,q2": "t + q1",
+                                  "q2,q1": "exp(q2)", "q2,t": "q1^2"})
+    work["built"] = work["misses"] = 0
+    L = lie_derivative(X, R)
+    assert len(L.components()) == 9
+    assert work["built"] == 9 + work["misses"]
+
+
+def test_nijenhuis_torsion_builds_one_field_per_component(work):
+    base = base_e(2)
+    R = Tensor11.from_dict(base, {"q1,q1": "q1*q2", "q1,q2": "t + q1",
+                                  "q2,q1": "exp(q2)", "q2,q2": "q1^2"})
+    work["built"] = work["misses"] = 0
+    N = nijenhuis_torsion(R)
+    assert len(N.components()) == 27
+    assert work["built"] == 27 + work["misses"]
