@@ -76,13 +76,8 @@ class ChartMap:
     def _jac_fwd_at_inv(self):
         """J^a_b = d fwd^a / dx^b, composed with the inverse: fields on dst."""
         inv = self._require_inv()
-        out = []
-        for a in range(self.dst.dim):
-            row = []
-            for b, name in enumerate(self.src.coords):
-                row.append(compose(self.fwd[a].diff(name), inv, self.dst))
-            out.append(row)
-        return out
+        return [[compose(self.fwd[a].diff(name), inv, self.dst)
+                 for name in self.src.coords] for a in range(self.dst.dim)]
 
     def _jac_inv(self):
         """K^b_a = d inv^b / dy^a: fields on dst."""
@@ -247,10 +242,9 @@ class FibredTransform:
     # -- chart maps ---------------------------------------------------------
 
     def base_map(self) -> ChartMap:
-        t_src = coord_field(self.base, "t")
-        t_dst = coord_field(self.base, "t")
         return ChartMap(self.base, self.base,
-                        [t_src] + self.q_fwd, [t_dst] + self.q_inv)
+                        [coord_field(self.base, "t")] + self.q_fwd,
+                        [coord_field(self.base, "t")] + self.q_inv)
 
     def phase_map(self) -> ChartMap:
         """Induced map on PhaseJ: P_j = p_i dq^i/dQ^j evaluated along the

@@ -479,58 +479,51 @@ class _Tokenizer:
         self.src = src
         self.pos = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
+    def _skip(self, ok) -> bool:
+        """Advance past the characters ok accepts; whether there were any."""
+        start = self.pos
+        while self.pos < len(self.src) and ok(self.src[self.pos]):
             self.pos += 1
+        return self.pos > start
+
+    def skip_ws(self):
+        self._skip(str.isspace)
 
     def peek(self):
         self.skip_ws()
-        if self.pos >= len(self.src):
-            return None
-        return self.src[self.pos]
+        return self.src[self.pos] if self.pos < len(self.src) else None
 
     def number(self) -> float:
         self.skip_ws()
         start = self.pos
         src = self.src
-        while self.pos < len(src) and src[self.pos].isdigit():
-            self.pos += 1
+        self._skip(str.isdigit)
         if self.pos < len(src) and src[self.pos] == ".":
             self.pos += 1
-            while self.pos < len(src) and src[self.pos].isdigit():
-                self.pos += 1
+            self._skip(str.isdigit)
         if self.pos < len(src) and src[self.pos] in "eE":
             mark = self.pos
             self.pos += 1
             if self.pos < len(src) and src[self.pos] in "+-":
                 self.pos += 1
-            if self.pos < len(src) and src[self.pos].isdigit():
-                while self.pos < len(src) and src[self.pos].isdigit():
-                    self.pos += 1
-            else:
+            if not self._skip(str.isdigit):
                 self.pos = mark  # not an exponent, e.g. '2*exp(t)'
         if self.pos == start:
             raise ParseError("expected a number", start)
         return float(src[start:self.pos])
 
-    def integer(self) -> int:
+    def _span(self, ok, what) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.src[start:self.pos])
+        if not self._skip(ok):
+            raise ParseError(f"expected {what}", start)
+        return self.src[start:self.pos]
+
+    def integer(self) -> int:
+        return int(self._span(str.isdigit, "an integer"))
 
     def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        src = self.src
-        while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an identifier", start)
-        return src[start:self.pos]
+        return self._span(lambda ch: ch.isalnum() or ch == "_", "an identifier")
 
 
 class _Parser:

@@ -245,9 +245,14 @@ class Checker:
         self.report = CheckReport(name, meta={
             "seed": seed, "points": points, "tol": tol, "box": list(box)})
 
-    def draw_point(self, dim: int) -> tuple:
+    def draw_points(self, n: int, dim: int) -> np.ndarray:
+        """(n, dim) points: bit for bit those n * dim rng.uniform(lo, hi) give."""
         lo, hi = self.box
-        return tuple(self.rng.uniform(lo, hi) for _ in range(dim))
+        r = np.array([self.rng.random() for _ in range(n * dim)])
+        return (lo + (hi - lo) * r).reshape(n, dim)
+
+    def draw_point(self, dim: int) -> tuple:
+        return tuple(self.draw_points(1, dim)[0].tolist())
 
     def _accept(self, dim, batch, fn, message=lambda why: (
             f"{why}; the objects are singular on most of the box")):
@@ -267,7 +272,7 @@ class Checker:
                 need = min(need * (len(accepted) + len(rejected))
                            // max(len(accepted), 1) + 1, 11 * self.points)
             state = self.rng.getstate() if rejected else None
-            pts = [self.draw_point(dim) for _ in range(need)]
+            pts = list(map(tuple, self.draw_points(need, dim).tolist()))
             values, mask = batch(pts)
             judged = 0
             for pt, value, bad in zip(pts, values, mask):
@@ -284,8 +289,7 @@ class Checker:
                         f"({_reasons(fn, rejected)})"))
             if judged < len(pts):
                 self.rng.setstate(state)
-                for _ in range(judged):
-                    self.draw_point(dim)
+                self.draw_points(judged, dim)
         return accepted
 
     def sample(self, dim: int, probe=None) -> list:

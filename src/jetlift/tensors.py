@@ -7,10 +7,12 @@ coordinate of the space, as a table nested to that rank, even when only
 some blocks are nonzero; block structure is checked through predicates
 (is_vertical, annihilates_dt) rather than by type. The Lie derivative
 here and the chart transport in `charts` are one formula each, read off
-the variance.
+the variance. Component sums skip their constant-zero terms, exactly
+(`sum_products`), so the zero blocks cost no tree operations.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache, reduce
 from itertools import product
 from operator import add, mul, sub
@@ -336,14 +338,27 @@ def lie_derivative(X: VectorField, T):
     d = space.dim
     Xc = X.comps
     comps = T.components()
-    dX = [x.diff(name) for x in Xc for name in coords] if variance else None
+    # All symbolic and finite: a constant is not differentiated (None in dX:
+    # its derivative is 0) and no term that sum_products would skip is built.
+    sparse = all(isinstance(g, SymbolicField) and (g.space is space or g.space == space)
+                 for g in Xc + comps)
+    dX = [None if sparse and x.expr.__class__ is ex.Const else x.diff(name)
+          for x in Xc for name in coords] if variance else []
+    if sparse and not all(g.expr.__class__ is not ex.Const or math.isfinite(g.expr.value)
+                          for g in Xc + comps + dX if g is not None):
+        sparse, dX = False, [x.diff(name) for x in Xc for name in coords]
+    dead = [sparse and (g is None or _vanishes([g])) for g in comps + dX]
+    n = len(comps)
     out = []
     for f, moves in zip(comps, _lie_moves(variance, d)):
         terms = []
         for c, index_terms in enumerate(moves):
-            terms.append(("+", [Xc[c], f.diff(coords[c])]))
+            if not (sparse and f.expr.__class__ is ex.Const):
+                t = [Xc[c], f.diff(coords[c])]
+                if not (sparse and _vanishes(t)):
+                    terms.append(("+", t))
             terms += [("-" if upper else "+", [comps[j], dX[q]])
-                      for j, q, upper in index_terms]
+                      for j, q, upper in index_terms if not (dead[j] or dead[n + q])]
         out.append(sum_products(space, terms))
     return T._rebuild(out) if variance else out[0]
 
@@ -385,24 +400,33 @@ def sum_products(space: Space, terms) -> ScalarField:
     "+-": the products, each multiplied left to right, folded left to right
     into a sum that starts at 0. When every factor is a symbolic field on
     space the fold runs on the expression trees and wraps the result once;
-    otherwise it runs on the fields, as `acc = acc + f1 * f2` would."""
+    otherwise it runs on the fields, as `acc = acc + f1 * f2` would. The
+    tree fold skips a term that `_vanishes`, exactly: adding or subtracting
+    ±0 returns a tree sum as it is, and a constant one, which starts at +0.0
+    and so is never -0.0 under round-to-nearest, with its value."""
     acc = ex.ZERO
     for sign, factors in terms:
-        p = None
         for f in factors:
             if not isinstance(f, SymbolicField) or (f.space is not space
                                                     and f.space != space):
-                return _fold_fields(space, terms)
-            p = f.expr if p is None else ex.mul(p, f.expr)
-        acc = _EXPR_FOLD[sign](acc, p)
+                return reduce(lambda acc, t: _FIELD_FOLD[t[0]](acc, reduce(mul, t[1])),
+                              terms, zero(space))
+        if not _vanishes(factors):
+            acc = _EXPR_FOLD[sign](acc, reduce(ex.mul, [f.expr for f in factors]))
     return SymbolicField(space, acc, True)
 
 
-def _fold_fields(space: Space, terms) -> ScalarField:
-    acc = zero(space)
-    for sign, factors in terms:
-        acc = _FIELD_FOLD[sign](acc, reduce(mul, factors))
-    return acc
+def _vanishes(factors) -> bool:
+    """Whether a product of symbolic fields folds to ±0: a factor is the
+    constant 0 and none is a non-finite constant (0 * inf is nan)."""
+    has_zero = False
+    for f in factors:
+        if f.expr.__class__ is ex.Const:
+            v = f.expr.value
+            if v - v != 0.0:  # inf or nan
+                return False
+            has_zero = has_zero or v == 0.0
+    return has_zero
 
 
 def sum_fields(space: Space, fields_list) -> ScalarField:

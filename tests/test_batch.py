@@ -240,12 +240,12 @@ def test_check_compiles_once_across_rejection_rounds(monkeypatch):
                         lambda *args: compiled.append(1) or compile_(*args))
     f = parse_field("exp(q1)", base_e(1))
     ch = Checker(points=16, box=(700.0, 720.0))
-    rounds = []
-    draw = ch.draw_point
-    monkeypatch.setattr(ch, "draw_point",
-                        lambda dim: rounds.append(1) or draw(dim))
+    drawn = []
+    draw = ch.draw_points
+    monkeypatch.setattr(ch, "draw_points",
+                        lambda n, dim: drawn.extend([1] * n) or draw(n, dim))
     ch.vanish("x", "", f)
-    assert len(rounds) > 16  # exp overflows above 709.78: points redrawn
+    assert len(drawn) > 16  # exp overflows above 709.78: points redrawn
     assert len(compiled) == 1
 
 

@@ -201,18 +201,19 @@ class TestDarboux:
         from jetlift.report import Checker
 
         drawn = []
-        real_pn_check, real_draw = cli.pn_check, Checker.draw_point
+        real_pn_check, real_draw = cli.pn_check, Checker.draw_points
 
-        def spy_draw(self, dim):
-            drawn.append(real_draw(self, dim))
-            return drawn[-1]
+        def spy_draw(self, n, dim):
+            points = real_draw(self, n, dim)
+            drawn.extend(points.tolist())
+            return points
 
         def pn_check(*args, **kwargs):
-            monkeypatch.setattr(Checker, "draw_point", spy_draw)
+            monkeypatch.setattr(Checker, "draw_points", spy_draw)
             try:
                 return real_pn_check(*args, **kwargs)
             finally:
-                monkeypatch.setattr(Checker, "draw_point", real_draw)
+                monkeypatch.setattr(Checker, "draw_points", real_draw)
 
         monkeypatch.setattr(cli, "pn_check", pn_check)
         run(capsys, "darboux", "--model", N2, "--object", "R_dn",

@@ -1,9 +1,12 @@
 """Golden digests of the seeded reports.
 
 Every performance change must leave the seeded reports byte for byte as
-they were. This test pins that: it hashes (sha256) the stdout of three
+they were. This test pins that: it hashes (sha256) the stdout of six
 seeded CLI runs and compares each digest with the value captured before
-the last change that was meant to keep them.
+the last change that was meant to keep them. One more digest covers the
+printed trees, which no report shows: the stdout and exit code of `print`
+and of every `lift --kind` of every object of n1 and n2, with and without
+`--json`.
 
 The digests also pin the numpy build and the platform libm the reports
 were computed with (numpy 2.4 on x86-64 Linux with glibc); on another
@@ -12,11 +15,12 @@ A change that alters a report on purpose updates the digest in the same
 change and says why.
 """
 import hashlib
+import json
 import os
 
 import pytest
 
-from jetlift.cli import main
+from jetlift.cli import LIFT_KINDS, main
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -51,3 +55,27 @@ def test_seeded_report_digest(capsys, argv, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+PRINT_LIFT_DIGEST = ("97315f21427fc363ec2ffb671c0c66fc"
+                     "27db1bc0133e9443ab85b1869934e41f")
+
+
+def print_lift_commands():
+    for model in ("n1.json", "n2.json"):
+        path = os.path.join(MODELS, model)
+        with open(path) as fh:
+            names = json.load(fh)["objects"]
+        for name in names:
+            for cmd in [["print"]] + [["lift", "--kind", k] for k in LIFT_KINDS]:
+                for as_json in ([], ["--json"]):
+                    yield cmd[:1] + ["--model", path, "--object", name] \
+                        + cmd[1:] + as_json
+
+
+def test_printed_trees_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in print_lift_commands():
+        code = main(argv)
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == PRINT_LIFT_DIGEST

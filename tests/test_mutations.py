@@ -7,9 +7,10 @@ on `models/n1.json`, and asserts that the checks named for it fail. A
 mutant that every suite still passed would show a formula the suites do
 not actually check. The sign of the Poisson map is one: no suite check
 sees it, so a test here holds it to the canonical bivector instead. The
-sum_products mutant replaces an entry of its fold table instead of a
-function.
+sum_products mutants replace an entry of its fold table, or its test for
+a term it may skip, instead of a function.
 """
+import math
 import os
 import random
 import sys
@@ -18,11 +19,12 @@ import pytest
 
 from jetlift import charts, pn, tensors
 from jetlift import expr as ex
-from jetlift.fields import const_field, zero
+from jetlift.fields import const_field, coord_field, zero
 from jetlift.model import load_model
 from jetlift.report import max_residual
 from jetlift.suites import run_suite
-from jetlift.tensors import Tensor12, sum_fields
+from jetlift.spaces import base_e
+from jetlift.tensors import Tensor12, sum_fields, sum_products
 
 N1 = os.path.join(os.path.dirname(__file__), "..", "models", "n1.json")
 
@@ -180,3 +182,40 @@ def test_sum_products_subtraction_is_checked(monkeypatch, check):
     assert check not in failed_checks(suite)
     monkeypatch.setitem(tensors._EXPR_FOLD, "-", ex.add)
     assert check in failed_checks(suite)
+
+
+def skips_every_constant_factor(factors):
+    return any(isinstance(f.expr, ex.Const) for f in factors)
+
+
+def skips_zero_beside_non_finite(factors):
+    return any(isinstance(f.expr, ex.Const) and f.expr.value == 0.0
+               for f in factors)
+
+
+def zero_term_folds():
+    """Whether 2.5 * q1 is kept and 0 * inf still folds to nan."""
+    space = base_e(1)
+    q, inf, c = (coord_field(space, "q1"), const_field(space, math.inf),
+                 const_field(space, 2.5))
+    kept = sum_products(space, [("+", [c, q])]).expr == ex.mul(c.expr, q.expr)
+    nan = sum_products(space, [("+", [const_field(space, 0.0), inf])]).expr
+    return kept and math.isnan(nan.value)
+
+
+@pytest.mark.parametrize("check", ["brackets.3", "prop4.1", "theta.1"])
+def test_sum_products_skips_only_zero_terms(monkeypatch, check):
+    # skipping every term with a constant factor also drops nonzero ones,
+    # such as X^t = 1 times a derivative
+    suite = check.split(".")[0]
+    assert check not in failed_checks(suite) and zero_term_folds()
+    monkeypatch.setattr(tensors, "_vanishes", skips_every_constant_factor)
+    assert check in failed_checks(suite)
+    assert not zero_term_folds()
+
+
+def test_sum_products_folds_zero_beside_non_finite(monkeypatch):
+    # no model has a non-finite constant, so no suite sees this mutant
+    assert zero_term_folds()
+    monkeypatch.setattr(tensors, "_vanishes", skips_zero_beside_non_finite)
+    assert not zero_term_folds()

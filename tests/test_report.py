@@ -1,6 +1,8 @@
 """What Checker.compare and Checker.vanish accept: objects whose components
 pair up one to one on a single space."""
 import os
+import random
+import struct
 
 import pytest
 
@@ -72,3 +74,15 @@ def test_an_empty_check_is_exit_2(capsys, monkeypatch):
     model = os.path.join(os.path.dirname(__file__), "..", "models", "n1.json")
     assert main(["verify", "--model", model, "--suite", "empty"]) == 2
     assert "nothing to check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box", [(-2.0, 2.0), (3.0, 4.0), (1e200, 1e201),
+                                 (-0.1, 1e-7)])
+def test_batched_draw_is_the_uniform_stream(box):
+    ch, rng = Checker(seed=7, box=box), random.Random(7)
+    got = ch.draw_points(9, 3).tolist() + [list(ch.draw_point(3))]
+    want = [[rng.uniform(*box) for _ in range(3)] for _ in range(10)]
+    def pack(rows):  # the IEEE bytes, so that 0.0 and -0.0 differ
+        return struct.pack("<30d", *[v for row in rows for v in row])
+    assert pack(got) == pack(want)
+    assert ch.rng.getstate() == rng.getstate()

@@ -9,15 +9,23 @@ time. On symbolic inputs the helper must build the same expression trees,
 so that every report keeps its bits; on procedural and mixed inputs it
 must build the same fields, value and gradient bit for bit. The work-count
 tests hold it to building one field per component.
+
+The tree fold skips terms with a constant-zero factor. A property test
+holds it to the fold that keeps them, bit for bit, and a work count holds
+the Lie derivative to building no such term at all.
 """
+import math
 import os
 import random
+import struct
 from functools import reduce
 from itertools import product
 from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetlift import (
     OneForm,
@@ -45,11 +53,14 @@ from jetlift import (
     poisson_bracket,
     vlift_tensor11,
 )
-from jetlift import charts, fields
+from jetlift import charts, fields, tensors
+from jetlift import expr as ex
+from jetlift.catalog import standard_corpus
 from jetlift.charts import _determinant
 from jetlift.fields import (
     ProceduralField,
     SymbolicField,
+    const_field,
     coord_field,
     inject,
     parse_field,
@@ -485,3 +496,92 @@ def test_nijenhuis_torsion_builds_one_field_per_component(work):
     N = nijenhuis_torsion(R)
     assert len(N.components()) == 27
     assert work["built"] == 27 + work["misses"]
+
+
+# ---------------------------------------------------------------------------
+# skipped zero terms
+
+def bits(e):
+    """The tree e with every constant replaced by its IEEE bytes, so that 0.0
+    and -0.0 differ and nan equals nan."""
+    if isinstance(e, ex.Const):
+        return struct.pack("<d", e.value)
+    if isinstance(e, ex.Var):
+        return e.name
+    if isinstance(e, ex.Unary):
+        return (e.op, bits(e.arg))
+    return (e.op, bits(e.left), bits(e.right))
+
+
+def unskipped_fold(terms):
+    """The tree fold of sum_products with every term kept."""
+    acc = ex.ZERO
+    for sign, factors in terms:
+        acc = tensors._EXPR_FOLD[sign](acc, reduce(ex.mul, [f.expr for f in factors]))
+    return acc
+
+
+BE1 = base_e(1)
+CONSTS = [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]
+factor = st.one_of(st.sampled_from(CONSTS).map(lambda v: const_field(BE1, v)),
+                   st.sampled_from(BE1.coords).map(lambda c: coord_field(BE1, c)))
+term_lists = st.lists(st.tuples(st.sampled_from(["+", "-", "+-"]),
+                                st.lists(factor, min_size=1, max_size=4)),
+                      max_size=8)
+
+
+@given(term_lists)
+def test_skipping_zero_terms_keeps_the_tree_bit_for_bit(terms):
+    got = sum_products(BE1, terms).expr
+    assert bits(got) == bits(unskipped_fold(terms))
+
+
+def test_zero_times_a_non_finite_constant_is_still_folded():
+    zero_, inf = const_field(BE1, 0.0), const_field(BE1, math.inf)
+    q = coord_field(BE1, "q1")
+    assert math.isnan(sum_products(BE1, [("+", [zero_, inf])]).expr.value)
+    terms = [("+", [q]), ("-", [inf, zero_])]
+    got = sum_products(BE1, terms).expr
+    assert bits(got) == bits(unskipped_fold(terms)) != bits(q.expr)
+
+
+def test_lie_derivative_builds_no_zero_term(monkeypatch):
+    """L_X R of a lifted corpus tensor on phase_j(2) hands the tree fold only
+    terms without a zero factor, differentiates no constant-zero tree, and
+    builds the reference trees."""
+    corpus = standard_corpus(2)
+    R = complete_lift_tensor11(corpus.tensors[1])
+    X = complete_lift_vector(corpus.lift_fields[4])
+    handed, differentiated = [], []
+    fold_, differentiate = tensors.sum_products, ex.differentiate
+
+    def spy_fold(space, terms):
+        handed.extend(terms)
+        return fold_(space, terms)
+
+    def spy_differentiate(e, name):
+        differentiated.append(e)
+        return differentiate(e, name)
+
+    monkeypatch.setattr(tensors, "sum_products", spy_fold)
+    monkeypatch.setattr(ex, "differentiate", spy_differentiate)
+    L = lie_derivative(X, R)
+    monkeypatch.undo()
+    assert handed and differentiated
+    assert not [t for t in handed if any(f.is_zero for f in t[1])]
+    assert not [e for e in differentiated if isinstance(e, ex.Const) and e.value == 0.0]
+    same_trees(L, ref_lie_derivative(X, R))
+
+
+def test_lie_derivative_keeps_zero_terms_beside_non_finite_constants():
+    # a non-finite constant in X, or one that a derivative of X or T folds
+    # to (1e200 * 1e200), turns a zero term into nan: the trees must match
+    # the reference that builds every term
+    inf, huge = const_field(BE1, math.inf), "1e200*(1e200*q1)"
+    cases = [(VectorField(BE1, [inf, 0.0]), Tensor11.from_dict(BE1, {"q1,q1": "q1"})),
+             (VectorField(BE1, [0.0, 0.0]), Tensor11.from_dict(BE1, {"q1,q1": huge})),
+             (VectorField(BE1, [1.0, huge]), Tensor11.from_dict(BE1, {"q1,t": "t"}))]
+    for X, T in cases:
+        got, want = trees(lie_derivative(X, T)), trees(ref_lie_derivative(X, T))
+        assert [bits(e) for e in got] == [bits(e) for e in want]
+        assert any(math.isnan(e.value) for e in got if isinstance(e, ex.Const))
