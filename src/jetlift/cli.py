@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import product
 
@@ -50,6 +51,8 @@ def _parse_domain(text: str):
         raise ModelError(f"--domain expects 'lo,hi', got {text!r}")
     if not lo < hi:
         raise ModelError(f"--domain needs lo < hi, got {text!r}")
+    if not math.isfinite(hi - lo):  # also catches an infinite bound
+        raise ModelError(f"--domain needs finite bounds and width, got {text!r}")
     return (lo, hi)
 
 

@@ -100,6 +100,20 @@ def at_point(point, fn):
     return out
 
 
+def evaluate_masked(b, exprs, coords, values, masked):
+    """Evaluate exprs alone, in order, at each row of batch b that a compiled
+    program masked and b has not rejected: the first error there rejects
+    the row, values (an unguarded inf) are kept in values[:, row]."""
+    if not masked.any():
+        return
+    for i in np.flatnonzero(masked & ~b.rejected).tolist():
+        env = dict(zip(coords, b.X[i].tolist()))
+        try:
+            values[:, i] = [ex.evaluate(e, env) for e in exprs]
+        except (JetliftError, OverflowError) as exc:
+            b.reject([i], lambda _, exc=exc: exc)
+
+
 # ---------------------------------------------------------------------------
 # procedural combinators (chain rules over values and gradients)
 
@@ -249,17 +263,11 @@ class SymbolicField(ScalarField):
 
     def _rows(self, b, key, exprs):
         """The (len(exprs), m) values of exprs over batch b, compiled once
-        per field. A row the compiled program rejects is evaluated alone:
-        an error there rejects it, a value (an unguarded inf) is kept."""
+        per field."""
         if key not in self.__dict__:
             self.__dict__[key] = _compile(exprs, self.space.coords)
         values, masked = self.__dict__[key](b.X)
-        for i in np.flatnonzero(masked & ~b.rejected).tolist():
-            env = dict(zip(self.space.coords, b.X[i].tolist()))
-            try:
-                values[:, i] = [ex.evaluate(e, env) for e in exprs]
-            except (JetliftError, OverflowError) as exc:
-                b.reject([i], lambda _, exc=exc: exc)
+        evaluate_masked(b, exprs, self.space.coords, values, masked)
         return values
 
     def _batch_value(self, b):

@@ -38,17 +38,15 @@ TENSOR_KINDS = {"vector_E": VectorField, "oneform_E": OneForm,
                 "tensor11_E": Tensor11, "twoform_E": TwoForm}
 
 
-def _parse_components(space: Space, comps: dict, name: str) -> dict:
-    out = {}
-    for key, src in comps.items():
-        if not isinstance(src, str):
-            raise ModelError(f"object {name!r}: component {key!r} "
-                             "must be a string expression")
-        try:
-            out[key] = parse_field(src, space)
-        except ExprError as exc:
-            raise ModelError(f"object {name!r}, component {key!r}: {exc}")
-    return out
+def _parse_component(space: Space, comps: dict, name: str, key: str):
+    src = comps[key]
+    if not isinstance(src, str):
+        raise ModelError(f"object {name!r}: component {key!r} "
+                         "must be a string expression")
+    try:
+        return parse_field(src, space)
+    except ExprError as exc:
+        raise ModelError(f"object {name!r}, component {key!r}: {exc}")
 
 
 def _build_object(name: str, spec: dict, n: int):
@@ -68,11 +66,13 @@ def _build_object(name: str, spec: dict, n: int):
         if list(comps) != ["value"]:
             raise ModelError(f"object {name!r}: scalar needs a single "
                              "'value' component")
-        return kind, parse_field(comps["value"], be if kind == "scalar_E" else pj)
+        return kind, _parse_component(be if kind == "scalar_E" else pj,
+                                      comps, name, "value")
     cls = TENSOR_KINDS.get(kind)
     if cls is not None:
         try:
-            obj = cls.from_dict(be, _parse_components(be, comps, name))
+            obj = cls.from_dict(be, {key: _parse_component(be, comps, name, key)
+                                     for key in comps})
         except SpaceMismatchError as exc:
             raise ModelError(f"object {name!r}: {exc}")
         if kind == "tensor11_E" and not obj.annihilates_dt:
@@ -88,13 +88,13 @@ def _build_object(name: str, spec: dict, n: int):
         if key not in comps:
             raise ModelError(f"object {name!r}: transform needs component "
                              f"{key!r}")
-        q_fwd.append(parse_field(comps[key], be))
+        q_fwd.append(_parse_component(be, comps, name, key))
         if have_inv:
             ikey = f"inv_q{i}"
             if ikey not in comps:
                 raise ModelError(f"object {name!r}: transform with a partial "
                                  f"inverse; missing {ikey!r}")
-            q_inv.append(parse_field(comps[ikey], be))
+            q_inv.append(_parse_component(be, comps, name, ikey))
     try:
         return kind, FibredTransform(n, q_fwd, q_inv if have_inv else None)
     except Exception as exc:
@@ -151,7 +151,7 @@ def load_model(path: str) -> Model:
     if not isinstance(data, dict):
         raise ModelError("model file must contain a JSON object")
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ModelError("model needs a positive integer 'n'")
     raw = data.get("objects", {})
     if not isinstance(raw, dict) or not raw:

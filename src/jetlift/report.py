@@ -25,7 +25,7 @@ from .errors import (
     SpaceMismatchError,
     TransformError,
 )
-from .fields import Batch, SymbolicField
+from .fields import Batch, SymbolicField, evaluate_masked
 
 DEFAULT_POINTS = 64
 DEFAULT_SEED = 0
@@ -123,15 +123,6 @@ def _objects(a) -> list:
     return [a]
 
 
-def _point_residual(a, b, point) -> float:
-    """The residual of a (an object or a list of objects), or of a - b, at
-    one point, evaluated object by object."""
-    if b is None:
-        return max(residual_of(x, point) for x in _objects(a))
-    return max(residual_between(x, y, point)
-               for x, y in zip(_objects(a), _objects(b)))
-
-
 def _leaves(a):
     """The scalar components of an object or a list of objects, in order."""
     leaves = []
@@ -144,10 +135,13 @@ def _leaves(a):
 
 
 def _compiled_residuals(a, b=None, sizes=None):
-    """points -> (residual per point, rejected mask), evaluating every
-    component of a (and b) over all points at once: the symbolic ones in one
-    program, compiled here once, the procedural ones in one shared Batch.
-    With sizes, one residual per point for each run of that many
+    """points -> (residual per point, rejected mask, {row: error}),
+    evaluating every component of a (and b) over all points at once: the
+    symbolic ones in one program, compiled here once, the procedural ones in
+    one shared Batch. A rejected row keeps the error of the first symbolic
+    component (a's, then b's) that raises there when evaluated alone; else
+    that of the first procedural one; else the NonFiniteError of `_values`.
+    With sizes, a row per point of one residual for each run of that many
     consecutive components. SpaceMismatchError when a and b have different
     numbers of components or the components lie on different spaces."""
     lhs = _leaves(a)
@@ -164,66 +158,60 @@ def _compiled_residuals(a, b=None, sizes=None):
                                  f"{sorted({str(f.space) for f in fields})}")
     symbolic = [i for i, f in enumerate(fields) if isinstance(f, SymbolicField)]
     procedural = sorted(set(range(len(fields))) - set(symbolic))
-    run = ex.compile_batch([fields[i].expr for i in symbolic], space.coords)
+    exprs = [fields[i].expr for i in symbolic]
+    run = ex.compile_batch(exprs, space.coords)
     k = len(lhs)
 
     def residuals(points):
         X = np.asarray(points, dtype=float)
+        batch = Batch(X)
         values = np.empty((len(fields), len(X)))
-        values[symbolic], rejected = run(X)
         with np.errstate(all="ignore"):  # rejected points may hold inf or nan
-            if procedural:
-                batch = Batch(X, rejected)
-                for i in procedural:
-                    values[i] = fields[i]._value(batch)
-                rejected = batch.rejected | ~np.isfinite(values).all(axis=0)
+            sym, masked = run(X)
+            evaluate_masked(batch, exprs, space.coords, sym, masked)
+            values[symbolic] = sym
+            for i in procedural:
+                values[i] = fields[i]._value(batch)
+            if procedural or masked.any():  # run() masks the non-finite itself
+                batch.reject(np.flatnonzero(~np.isfinite(values).all(axis=0)),
+                             lambda i: NonFiniteError(
+                                 f"non-finite value at {batch.point(i)}"))
             diff = np.abs(values if b is None else values[:k] - values[k:])
             if sizes is None:
-                return np.max(diff, axis=0), rejected
-            return np.array([part.max(axis=0, initial=0.0) for part in
-                             np.split(diff, np.cumsum(sizes)[:-1])]), rejected
+                res = np.max(diff, axis=0)
+            else:
+                res = np.array([part.max(axis=0, initial=0.0) for part in
+                                np.split(diff, np.cumsum(sizes)[:-1])]).T
+        return res, batch.rejected, batch.errors
 
     return residuals
 
 
 def max_residual(a, points, b=None) -> float:
     """Largest residual of a (or of a - b) over the given points, where a
-    and b are objects or lists of objects. An evaluation error at a point
-    is raised as evaluating that point alone raises it."""
-    if points:
-        res, rejected = _compiled_residuals(a, b)(points)
-        if not rejected.any():
-            return float(np.max(res))
-    return max((_point_residual(a, b, pt) for pt in points), default=0.0)
+    and b are objects or lists of objects. Raises the error that rejects
+    the first point that cannot be evaluated."""
+    if len(points) == 0:
+        return 0.0
+    res, rejected, errors = _compiled_residuals(a, b)(points)
+    if rejected.any():
+        raise errors[int(np.argmax(rejected))]
+    return float(np.max(res))
 
 
 def _each_point(fn):
     """Lift a per-point fn to a batch: a point where fn raises a rejectable
-    error is rejected."""
+    error is rejected with that error."""
     def batch(points):
-        values, rejected = [], []
-        for pt in points:
+        values, errors = [], {}
+        for j, pt in enumerate(points):
             try:
                 values.append(fn(pt))
-                rejected.append(False)
-            except _REJECTABLE:
+            except _REJECTABLE as exc:
                 values.append(None)
-                rejected.append(True)
-        return values, rejected
+                errors[j] = exc
+        return values, [j in errors for j in range(len(points))], errors
     return batch
-
-
-def _reasons(fn, points) -> str:
-    """How many of the points fn rejects with each error class, evaluating
-    them one at a time, e.g. "NonFiniteError: 630, OverflowError: 11"."""
-    counts = Counter()
-    for pt in points:
-        try:
-            fn(pt)
-        except _REJECTABLE as exc:
-            counts[type(exc).__name__] += 1
-    return ", ".join(f"{name}: {k}" for name, k in
-                     sorted(counts.items(), key=lambda c: (-c[1], c[0])))
 
 
 class Checker:
@@ -237,6 +225,10 @@ class Checker:
 
     def __init__(self, points=DEFAULT_POINTS, seed=DEFAULT_SEED,
                  tol=DEFAULT_TOL, box=DEFAULT_BOX, name="checks"):
+        if points < 1:
+            raise SamplingError(f"need at least 1 sample point, got {points}")
+        if not 0 < tol < math.inf:
+            raise SamplingError(f"need a finite tolerance above 0, got {tol}")
         self.points = points
         self.seed = seed
         self.tol = tol
@@ -254,18 +246,18 @@ class Checker:
     def draw_point(self, dim: int) -> tuple:
         return tuple(self.draw_points(1, dim)[0].tolist())
 
-    def _accept(self, dim, batch, fn, message=lambda why: (
+    def _accept(self, dim, batch, message=lambda why: (
             f"{why}; the objects are singular on most of the box")):
         """The first self.points points of the stream that batch does not
-        reject, with their values; abort after 10x rejections, naming the
-        errors fn raises at the rejected points.
+        reject, with their values; abort after 10x rejections, counting the
+        errors batch gave the rejected points by class.
 
         A round draws as many points as are still missing or, once some
         were rejected, that many scaled by the rejection rate so far. The
         points are judged in stream order, and those after the last one
         judged are put back."""
         accepted = []
-        rejected = []
+        rejected = []  # the error class of each rejected point
         while len(accepted) < self.points:
             need = self.points - len(accepted)
             if rejected:
@@ -273,20 +265,22 @@ class Checker:
                            // max(len(accepted), 1) + 1, 11 * self.points)
             state = self.rng.getstate() if rejected else None
             pts = list(map(tuple, self.draw_points(need, dim).tolist()))
-            values, mask = batch(pts)
+            values, mask, errors = batch(pts)
             judged = 0
-            for pt, value, bad in zip(pts, values, mask):
-                judged += 1
+            for j, (pt, value, bad) in enumerate(zip(pts, values, mask)):
+                judged = j + 1
                 if not bad:
                     accepted.append((pt, value))
                     if len(accepted) == self.points:
                         break
                     continue
-                rejected.append(pt)
+                rejected.append(type(errors[j]).__name__)
                 if len(rejected) > 10 * self.points:
+                    counts = sorted(Counter(rejected).items(),
+                                    key=lambda c: (-c[1], c[0]))
                     raise SamplingError(message(
-                        f"rejected {len(rejected)} sample points "
-                        f"({_reasons(fn, rejected)})"))
+                        f"rejected {len(rejected)} sample points (" +
+                        ", ".join(f"{name}: {k}" for name, k in counts) + ")"))
             if judged < len(pts):
                 self.rng.setstate(state)
                 self.draw_points(judged, dim)
@@ -296,7 +290,7 @@ class Checker:
         """Draw self.points points, rejecting those on which probe raises a
         guard error; abort after 10x rejections."""
         probe = probe or (lambda pt: None)
-        accepted = self._accept(dim, _each_point(probe), probe)
+        accepted = self._accept(dim, _each_point(probe))
         return [pt for pt, _ in accepted]
 
     def sample_residuals(self, dim: int, groups):
@@ -304,25 +298,16 @@ class Checker:
         of objects) evaluates, redrawing the others as a check does; return
         the points and each group's largest absolute component over them."""
         # one program for all groups, so that their shared terms run once
-        run = _compiled_residuals(list(groups),
-                                  sizes=[len(_leaves(g)) for g in groups])
-
-        def batch(points):
-            res, rejected = run(points)
-            return res.T, rejected
-
-        def fn(pt):
-            return [_point_residual(g, None, pt) for g in groups]
-
-        accepted = self._accept(dim, batch, fn)
+        accepted = self._accept(dim, _compiled_residuals(
+            list(groups), sizes=[len(_leaves(g)) for g in groups]))
         res = np.array([r for _, r in accepted]).reshape(-1, len(groups))
         return [pt for pt, _ in accepted], res.max(axis=0, initial=0.0).tolist()
 
-    def _record(self, check_id, identity, dim, batch, fn, tol):
+    def _record(self, check_id, identity, dim, batch, tol):
         tol = self.tol if tol is None else tol
         worst = 0.0
         worst_pt = ()
-        accepted = self._accept(dim, batch, fn,
+        accepted = self._accept(dim, batch,
                                 lambda why: f"check {check_id}: {why}")
         for pt, r in accepted:
             r = float(r)
@@ -337,17 +322,13 @@ class Checker:
 
     def residual(self, check_id, identity, dim, fn, tol=None):
         """fn(point) -> float residual; record the worst point."""
-        return self._record(check_id, identity, dim, _each_point(fn), fn, tol)
+        return self._record(check_id, identity, dim, _each_point(fn), tol)
 
     def _check(self, check_id, identity, a, b, tol, dim):
         batch = _compiled_residuals(a, b)
         if dim is None:
             dim = _objects(a)[0].space.dim
-
-        def fn(pt):
-            return _point_residual(a, b, pt)
-
-        return self._record(check_id, identity, dim, batch, fn, tol)
+        return self._record(check_id, identity, dim, batch, tol)
 
     def compare(self, check_id, identity, a, b, tol=None, dim=None):
         """a = b, for two objects or two lists of objects."""

@@ -234,3 +234,44 @@ class TestPrint:
                            "--object", "T_shift", "--json")
         assert code == 0
         assert json.loads(out)["forward"] == {"Q1": "q1 + t^2"}
+
+
+BAD_MODELS = {
+    "scalar-number.json": {"n": 1, "objects": {"f": {
+        "kind": "scalar_E", "components": {"value": 2}}}},
+    "transform-number.json": {"n": 1, "objects": {"f": {
+        "kind": "transform", "components": {"Q1": 5}}}},
+    "n-true.json": {"n": True, "objects": {"f": {
+        "kind": "scalar_E", "components": {"value": "q1"}}}},
+}
+LEMMA1 = ("verify", "--model", N1, "--suite", "lemma1")
+R_DN = ("darboux", "--model", N2, "--object", "R_dn")
+
+
+@pytest.mark.parametrize("argv, names", [
+    (LEMMA1 + ("--points", "0"), "sample point"),
+    (LEMMA1 + ("--points", "-3"), "sample point"),
+    (LEMMA1 + ("--tol", "0"), "tolerance"),
+    (LEMMA1 + ("--tol", "nan"), "tolerance"),
+    (LEMMA1 + ("--tol", "inf"), "tolerance"),
+    (R_DN + ("--points", "0"), "sample point"),
+    (R_DN + ("--tol", "-1"), "tolerance"),
+    (LEMMA1 + ("--domain=-1e308,1e308",), "--domain"),
+    (("print", "--model", "scalar-number.json", "--object", "f"), "'value'"),
+    (("print", "--model", "transform-number.json", "--object", "f"), "'Q1'"),
+    (("print", "--model", "n-true.json", "--object", "f"), "'n'"),
+])
+def test_bad_input_is_exit_2_without_traceback(argv, names, tmp_path, capsys):
+    # a check on no points, or at no tolerance, must not pass; a number
+    # where a model wants an expression must not end in a TypeError; the
+    # message names what is wrong
+    argv = list(argv)
+    if argv[2] in BAD_MODELS:
+        path = tmp_path / argv[2]
+        path.write_text(json.dumps(BAD_MODELS[argv[2]]))
+        argv[2] = str(path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert names in err

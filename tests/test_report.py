@@ -7,14 +7,26 @@ import struct
 import pytest
 
 from jetlift import (
+    FibredTransform,
+    SamplingError,
     SpaceMismatchError,
+    Tensor11,
     VectorField,
     base_e,
+    eigenvalue_fields,
     parse_field,
     phase_j,
 )
 from jetlift.cli import main
-from jetlift.report import Checker
+from jetlift.fields import const_field
+from jetlift.report import (
+    _REJECTABLE,
+    Checker,
+    _compiled_residuals,
+    max_residual,
+    residual_between,
+    residual_of,
+)
 
 BE = base_e(1)
 
@@ -86,3 +98,87 @@ def test_batched_draw_is_the_uniform_stream(box):
         return struct.pack("<30d", *[v for row in rows for v in row])
     assert pack(got) == pack(want)
     assert ch.rng.getstate() == rng.getstate()
+
+
+def newton_without_preimage():
+    """X = d/dt + q1 d/dq1 pushed along Q1 = q1^2 + 10, whose Newton inverse
+    finds no preimage anywhere in the default box."""
+    X = VectorField.from_dict(BE, {"t": 1.0, "q1": "q1"})
+    T = FibredTransform(1, [parse_field("q1^2 + 10", BE)])
+    return T.base_map().push(X)
+
+
+def test_abort_reasons_come_from_the_batch(monkeypatch):
+    import jetlift
+
+    calls = []
+    real = jetlift.fields.at_point
+
+    def at_point(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (jetlift.fields, jetlift.tensors, jetlift.pn):
+        monkeypatch.setattr(module, "at_point", at_point)
+    X = VectorField.from_dict(BE, {"t": 1.0, "q1": "q1"})
+    Xp = newton_without_preimage()
+    with pytest.raises(SamplingError) as info:
+        Checker(points=16).compare("x", "", Xp, X)
+    assert str(info.value) == ("check x: rejected 161 sample points "
+                               "(TransformError: 161)")
+    assert calls == []  # no rejected point is evaluated again on its own
+
+
+def _single_cause_cases():
+    """(name, object, a point it evaluates at, a point that one cause
+    rejects, that cause's class)."""
+    # eigenvalues of [[q1, q2], [1, 0]] are complex where q1^2 + 4 q2 < 0
+    companion = Tensor11.from_dict(base_e(2), {"q1,q1": "q1", "q1,q2": "q2",
+                                               "q2,q1": "1"})
+    field = lambda src: parse_field(src, BE)  # noqa: E731
+    good = (0.5, 0.25)
+    return [
+        ("guard", field("1/q1"), good, (0.5, 0.0), "SingularPointError"),
+        ("log", field("log(q1)"), good, (0.5, -1.0), "DomainError"),
+        ("pow", field("q1^3"), good, (0.5, 1e200), "OverflowError"),
+        ("exp", field("exp(q1)"), good, (0.5, 1000.0), "OverflowError"),
+        ("product", field("t*q1"), good, (1e200, 1e200), "NonFiniteError"),
+        ("newton", newton_without_preimage(), (0.5, 14.0), (0.5, 0.0),
+         "TransformError"),
+        ("eigen", eigenvalue_fields(companion)[0], (0.5, 1.0, 1.0),
+         (0.5, 0.3, -0.2), "EigenError"),
+    ]
+
+
+CASES = _single_cause_cases()
+
+
+def test_cases_cover_every_rejectable_class():
+    assert {cls for *_, cls in CASES} == {c.__name__ for c in _REJECTABLE}
+
+
+def _zero_like(a):
+    zero = const_field(a.space, 0.0)
+    return VectorField(a.space, [zero] * a.space.dim) if a.variance else zero
+
+
+@pytest.mark.parametrize("side", ["vanish", "left", "right"])
+@pytest.mark.parametrize("name, a, good, bad, cls", CASES,
+                         ids=[case[0] for case in CASES])
+def test_stored_error_is_the_per_point_error(name, a, good, bad, cls, side):
+    zero = _zero_like(a)
+    lhs, rhs = {"vanish": (a, None), "left": (a, zero),
+                "right": (zero, a)}[side]
+    with pytest.raises(_REJECTABLE) as want:
+        if rhs is None:
+            residual_of(lhs, bad)
+        else:
+            residual_between(lhs, rhs, bad)
+    assert type(want.value).__name__ == cls
+    _, rejected, errors = _compiled_residuals(lhs, rhs)([good, bad])
+    assert rejected.tolist() == [False, True]
+    assert type(errors[1]) is type(want.value)
+    assert str(errors[1]) == str(want.value)
+    with pytest.raises(type(want.value)) as got:
+        max_residual(lhs, [good, bad], rhs)
+    assert str(got.value) == str(want.value)

@@ -64,3 +64,15 @@ def test_hooked_checker_signatures():
         ("dim", empty), ("fn", empty), ("tol", None)]
     assert parameters(Checker.sample) == [
         ("self", empty), ("dim", empty), ("probe", None)]
+
+
+@pytest.mark.parametrize("module, name", [
+    ("jetlift.report", "_REJECTABLE"),
+    ("jetlift.errors", "EigenError"),
+    ("jetlift.fields", "SymbolicField"),
+] + [("jetlift.expr", node) for node in
+     ("Const", "Var", "Unary", "Binary", "Pow")])
+def test_names_install_reads_resolve(module, name):
+    # install() imports these outside its tables: the rejectable errors it
+    # counts points by, and the classes its tree walk tells apart
+    assert getattr(importlib.import_module(module), name, None) is not None
