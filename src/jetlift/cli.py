@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "time-fibred bundle and its dual jet bundle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_object=False, need_suite=False):
+    def common(p, need_object=False, need_suite=False, sampled=False):
         p.add_argument("--model", required=True, help="model JSON file")
         if need_object:
             p.add_argument("--object", required=True,
@@ -209,12 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
         if need_suite:
             p.add_argument("--suite", required=True,
                            help="suite name or 'all'")
-        p.add_argument("--points", type=int, default=DEFAULT_POINTS)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--domain", default=f"{DEFAULT_BOX[0]:g},"
-                                           f"{DEFAULT_BOX[1]:g}",
-                       help="sampling box as 'lo,hi'")
+        if sampled:  # only the commands that draw sample points
+            p.add_argument("--points", type=int, default=DEFAULT_POINTS)
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--domain", default=f"{DEFAULT_BOX[0]:g},"
+                                               f"{DEFAULT_BOX[1]:g}",
+                           help="sampling box as 'lo,hi'")
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable JSON report")
 
@@ -224,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lift)
 
     p = sub.add_parser("verify", help="run an identity suite")
-    common(p, need_suite=True)
+    common(p, need_suite=True, sampled=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("darboux",
                        help="build Darboux-Nijenhuis coordinates")
-    common(p, need_object=True)
+    common(p, need_object=True, sampled=True)
     # an omitted --points/--tol leaves each of the three calls its own default
     p.set_defaults(fn=cmd_darboux, points=None, tol=None)
 

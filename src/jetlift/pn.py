@@ -345,7 +345,9 @@ def verify_dn(R: Tensor11, T: FibredTransform, points=32, seed=0,
     """Check, in the chart defined by T: the transformed R is diagonal with
     each eigenvalue a function of its own coordinate only; the transformed
     complete lift is the doubled diagonal; the Poisson tensor keeps its
-    canonical form."""
+    canonical form. Each point x is drawn in the box of the old chart and
+    the identities are evaluated at its image y = T(x), which always has a
+    preimage; the new chart's box mostly does not (sorted eigenvalues)."""
     n = R.space.n
     checker = Checker(points=points, seed=seed, tol=tol, box=box,
                       name="darboux-nijenhuis")
@@ -364,19 +366,19 @@ def verify_dn(R: Tensor11, T: FibredTransform, points=32, seed=0,
     checker.compare(
         "dn.diagonal",
         "transformed R is diag(0, lambda_1..lambda_n)",
-        Rp, diagonal(base, diag), dim=base.dim)
+        Rp, diagonal(base, diag), via=base_map)
     checker.vanish(
         "dn.eigen_locality",
         "each diagonal eigenvalue depends only on its own coordinate",
         [diag[i].diff(name) for i in range(n) for name in base.coords
-         if name != f"q{i + 1}"], dim=base.dim)
+         if name != f"q{i + 1}"], via=base_map)
     lifted = [inject(f, pj) for f in diag]
     checker.compare(
         "dn.lift_diagonal",
         "transformed complete lift is the doubled diagonal of R",
-        Rtp, diagonal(pj, lifted + lifted), dim=pj.dim)
+        Rtp, diagonal(pj, lifted + lifted), via=phase_map)
     checker.compare(
         "dn.poisson_canonical",
         "transformed Poisson tensor keeps the canonical form",
-        Lamp, canonical_bivector(n), dim=pj.dim)
+        Lamp, canonical_bivector(n), via=phase_map)
     return checker.report

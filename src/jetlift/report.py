@@ -25,7 +25,7 @@ from .errors import (
     SpaceMismatchError,
     TransformError,
 )
-from .fields import Batch, SymbolicField, evaluate_masked
+from .fields import Batch, SymbolicField, evaluate_batch, evaluate_masked
 
 DEFAULT_POINTS = 64
 DEFAULT_SEED = 0
@@ -187,6 +187,29 @@ def _compiled_residuals(a, b=None, sizes=None):
     return residuals
 
 
+def _through(fwd, batch):
+    """batch at the images y = fwd(x) of the points x, the components of the
+    forward map fwd evaluated over all of them in one Batch; a point where
+    they cannot be evaluated, or are not finite, is rejected with that
+    Batch's error. Each accepted value is (y, batch's value at y)."""
+    def run(points):
+        Y, b = evaluate_batch(fwd, points)
+        Y = Y.T
+        b.reject(np.flatnonzero(~np.isfinite(Y).all(axis=1)), lambda i: (
+            NonFiniteError(f"non-finite value at {b.point(i)}")))
+        live = np.flatnonzero(~b.rejected)
+        values = [None] * len(Y)
+        if live.size:
+            res, mask, errors = batch(Y[live])
+            for j, i in enumerate(live.tolist()):
+                if mask[j]:
+                    b.reject([i], lambda _, e=errors[j]: e)
+                else:
+                    values[i] = (tuple(Y[i].tolist()), res[j])
+        return values, b.rejected, b.errors
+    return run
+
+
 def max_residual(a, points, b=None) -> float:
     """Largest residual of a (or of a - b) over the given points, where a
     and b are objects or lists of objects. Raises the error that rejects
@@ -303,12 +326,16 @@ class Checker:
         res = np.array([r for _, r in accepted]).reshape(-1, len(groups))
         return [pt for pt, _ in accepted], res.max(axis=0, initial=0.0).tolist()
 
-    def _record(self, check_id, identity, dim, batch, tol):
+    def _record(self, check_id, identity, dim, batch, tol, via=None):
         tol = self.tol if tol is None else tol
         worst = 0.0
         worst_pt = ()
+        if via is not None:  # draw in via's source box, judge at the images
+            dim, batch = via.src.dim, _through(via.fwd, batch)
         accepted = self._accept(dim, batch,
                                 lambda why: f"check {check_id}: {why}")
+        if via is not None:
+            accepted = [value for _, value in accepted]  # (image, residual)
         for pt, r in accepted:
             r = float(r)
             if not math.isfinite(r):
@@ -324,16 +351,18 @@ class Checker:
         """fn(point) -> float residual; record the worst point."""
         return self._record(check_id, identity, dim, _each_point(fn), tol)
 
-    def _check(self, check_id, identity, a, b, tol, dim):
+    def _check(self, check_id, identity, a, b, tol, dim, via):
         batch = _compiled_residuals(a, b)
         if dim is None:
             dim = _objects(a)[0].space.dim
-        return self._record(check_id, identity, dim, batch, tol)
+        return self._record(check_id, identity, dim, batch, tol, via)
 
-    def compare(self, check_id, identity, a, b, tol=None, dim=None):
-        """a = b, for two objects or two lists of objects."""
-        return self._check(check_id, identity, a, b, tol, dim)
+    def compare(self, check_id, identity, a, b, tol=None, dim=None, via=None):
+        """a = b, for two objects or two lists of objects. With via, a
+        ChartMap onto their chart, the points x are drawn in via's source
+        chart and a, b compared at their images y = via(x), the worst_point."""
+        return self._check(check_id, identity, a, b, tol, dim, via)
 
-    def vanish(self, check_id, identity, a, tol=None, dim=None):
-        """a = 0, for an object or a list of objects."""
-        return self._check(check_id, identity, a, None, tol, dim)
+    def vanish(self, check_id, identity, a, tol=None, dim=None, via=None):
+        """a = 0, for an object or a list of objects; via as in compare."""
+        return self._check(check_id, identity, a, None, tol, dim, via)

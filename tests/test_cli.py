@@ -236,6 +236,22 @@ class TestPrint:
         assert json.loads(out)["forward"] == {"Q1": "q1 + t^2"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("lift", "--model", N1, "--object", "R_diag", "--kind", "complete",
+     "--points", "0", "--tol", "-1", "--domain=nonsense"),
+    ("print", "--model", N1, "--object", "f", "--seed", "3"),
+])
+def test_lift_and_print_refuse_sampling_flags(argv, capsys):
+    # they draw no points, so a sampling flag there is bad input, not a
+    # value silently ignored
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
+
+
 BAD_MODELS = {
     "scalar-number.json": {"n": 1, "objects": {"f": {
         "kind": "scalar_E", "components": {"value": 2}}}},

@@ -6,7 +6,10 @@ seeded CLI runs and compares each digest with the value captured before
 the last change that was meant to keep them. One more digest covers the
 printed trees, which no report shows: the stdout and exit code of `print`
 and of every `lift --kind` of every object of n1 and n2, with and without
-`--json`.
+`--json`. A last one covers the Darboux-Nijenhuis report of the n = 3
+known-answer family (tests/dn_family.py), whose eigenvectors, unlike
+R_dn's, are not exact: it is the digest that sees a last-bit change in the
+procedural path (eigenvalue perturbation, stacked matmul, chain rule).
 
 The digests also pin the numpy build and the platform libm the reports
 were computed with (numpy 2.4 on x86-64 Linux with glibc); on another
@@ -20,6 +23,8 @@ import os
 
 import pytest
 
+from dn_family import dn_family
+from jetlift import build_dn_transform, verify_dn
 from jetlift.cli import LIFT_KINDS, main
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
@@ -33,16 +38,16 @@ GOLDEN = [
      "60ea8e6c56d0f5d25c5de52c4174f8de99b3e7999095bfb823f132994b0749a5"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "0"],
-     "5f6ed23afd30f3f0e5f21b9a5a2221112ab8cacc75c784df90a0f58e147f1396"),
+     "32200224dd57ac0a5c7791496f8b5384115768351596d65ff35d7fd81a259dee"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "1"],
-     "67a15bba1a0f21d6a3dd26798a2378233f31c95d85a315cb02265756e95409e0"),
+     "81cfd1bd8dcd131c535de5c7501bea1176fbdf39f862c1b3974d4ebc501176aa"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "2"],
-     "24eb7b89c402b19bd8c99a820ea457e419b18bfa41af889ab76d00143aeea270"),
+     "7cb35bf50f9b0e5642054e9a7d234020a73b37884b6e9dcb2ec80d2de334be42"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "3"],
-     "d8ec70b79f412024410645f1464e7d6b35fedbee1d04cc1df5e61f07a87e4d80"),
+     "e9dec4afcb7a944c3033f27deb04b024b8fb7cf342f5b475a29b69e28e45d064"),
 ]
 
 
@@ -79,3 +84,15 @@ def test_printed_trees_digest(capsys):
         code = main(argv)
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == PRINT_LIFT_DIGEST
+
+
+DN_FAMILY_N3_DIGEST = ("14c3a3da4f0e3bb4efdf2e165513a0e5"
+                       "24b45895b5e08adecf7c5a1630d81819")
+
+
+def test_dn_family_n3_report_digest():
+    R, _ = dn_family(3)
+    report = verify_dn(R, build_dn_transform(R), seed=0)
+    assert report.passed
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == DN_FAMILY_N3_DIGEST
