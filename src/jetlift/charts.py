@@ -58,31 +58,24 @@ def invert_field_matrix(space, M):
 
 
 class ChartMap:
-    def __init__(self, src: Space, dst: Space, fwd, inv=None):
+    def __init__(self, src: Space, dst: Space, fwd, inv):
         if len(fwd) != dst.dim:
             raise TransformError(f"forward map needs {dst.dim} components")
-        if inv is not None and len(inv) != src.dim:
+        if len(inv) != src.dim:
             raise TransformError(f"inverse map needs {src.dim} components")
         self.src = src
         self.dst = dst
         self.fwd = list(fwd)
-        self.inv = list(inv) if inv is not None else None
-
-    def _require_inv(self):
-        if self.inv is None:
-            raise TransformError("the chart map has no inverse")
-        return self.inv
+        self.inv = list(inv)
 
     def _jac_fwd_at_inv(self):
         """J^a_b = d fwd^a / dx^b, composed with the inverse: fields on dst."""
-        inv = self._require_inv()
-        return [[compose(self.fwd[a].diff(name), inv, self.dst)
+        return [[compose(self.fwd[a].diff(name), self.inv, self.dst)
                  for name in self.src.coords] for a in range(self.dst.dim)]
 
     def _jac_inv(self):
         """K^b_a = d inv^b / dy^a: fields on dst."""
-        inv = self._require_inv()
-        return [[inv[b].diff(name) for name in self.dst.coords]
+        return [[self.inv[b].diff(name) for name in self.dst.coords]
                 for b in range(self.src.dim)]
 
     def push(self, obj):
@@ -94,7 +87,7 @@ class ChartMap:
             raise TypeError(f"cannot transform a {type(obj).__name__}")
         J = self._jac_fwd_at_inv() if "u" in variance else None
         K = self._jac_inv() if "d" in variance else None
-        return _transport(obj, self._require_inv(), self.dst, J, K)
+        return _transport(obj, self.inv, self.dst, J, K)
 
     # the per-kind names callers use; bench/tracer.py wraps each of them
     push_scalar = push_vector = push_oneform = push_tensor11 = push

@@ -8,7 +8,8 @@ Subcommands:
 * ``print``   -- print a model object's components as parsed
 
 Exit codes: 0 all checks pass, 1 an identity or verdict check failed,
-2 bad input (unreadable model, kind mismatch, unknown name).
+2 bad input (unreadable model, kind mismatch, unknown name, a suite with
+nothing to check).
 """
 from __future__ import annotations
 
@@ -135,6 +136,9 @@ def cmd_verify(args) -> int:
                              f"{sorted(SUITES)} or 'all'")
         report = run_suite(args.suite, inp, points=args.points,
                            seed=args.seed, tol=args.tol, box=box)
+    if not report.items:
+        raise ModelError(f"suite {args.suite!r} recorded no check: the model "
+                         "has none of the objects it takes")
     if args.json:
         print(report.to_json())
     else:
@@ -162,8 +166,11 @@ def cmd_darboux(args) -> int:
         if args.json:
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:
+            high = [f"{name} {value:.3e}"
+                    for name, value in payload["pn"].items()
+                    if name.endswith("_residual") and value >= pn.tol]
             print(f"refusing {args.object}: verdict {pn.verdict} "
-                  f"(torsion residual {pn.torsion_residual:.3e})")
+                  f"({', '.join(high)}; tol {pn.tol:.0e})")
         return 1
     T = build_dn_transform(R, box=box, seed=args.seed, **sizes)
     report = verify_dn(R, T, seed=args.seed, box=box, **sizes)

@@ -211,13 +211,13 @@ def differentiate(e: Expr, name: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate(e: Expr, env: dict, guard: float = SINGULAR_GUARD) -> float:
+def evaluate(e: Expr, env: dict) -> float:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, Unary):
-        u = evaluate(e.arg, env, guard)
+        u = evaluate(e.arg, env)
         if e.op == "neg":
             return -u
         if e.op == "log":
@@ -233,23 +233,23 @@ def evaluate(e: Expr, env: dict, guard: float = SINGULAR_GUARD) -> float:
         except ValueError:  # sin or cos of an infinite value
             raise DomainError(f"{e.op} of {u}") from None
     if isinstance(e, Binary):
-        a = evaluate(e.left, env, guard)
-        b = evaluate(e.right, env, guard)
+        a = evaluate(e.left, env)
+        b = evaluate(e.right, env)
         if e.op == "add":
             return a + b
         if e.op == "sub":
             return a - b
         if e.op == "mul":
             return a * b
-        if abs(b) < guard:
-            raise SingularPointError(f"denominator {b} below guard {guard}")
+        if abs(b) < SINGULAR_GUARD:
+            raise SingularPointError(f"denominator {b} below guard {SINGULAR_GUARD}")
         return a / b
     if isinstance(e, Pow):
-        b = evaluate(e.base, env, guard)
+        b = evaluate(e.base, env)
         r = e.exponent
         if r.denominator != 1 and b < 0.0:
             raise DomainError(f"fractional power of negative base {b}")
-        if r < 0 and abs(b) < guard:
+        if r < 0 and abs(b) < SINGULAR_GUARD:
             raise SingularPointError(f"base {b} below guard for negative power")
         return b ** float(r)
     raise ExprError(f"unknown node {e!r}")

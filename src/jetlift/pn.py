@@ -198,7 +198,7 @@ def pn_check(R: Tensor11, points=64, seed=0, tol=1e-9,
     sigmas, zs = _basis_pairs(n)
     # the base torsion, read at the base part of each phase-space point
     tors_base = [inject(f, Rt.space) for f in nijenhuis_torsion(R).components()]
-    _, (comm, mm, tors, tors_lift) = checker.sample_residuals(Rt.space.dim, [
+    comm, mm, tors, tors_lift = checker.sample_residuals([
         commutation_defect(Rt), magri_morosi_table(Rt, sigmas, zs),
         tors_base, nijenhuis_torsion(Rt)])
 

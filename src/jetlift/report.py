@@ -213,9 +213,10 @@ def _through(fwd, batch):
 def max_residual(a, points, b=None) -> float:
     """Largest residual of a (or of a - b) over the given points, where a
     and b are objects or lists of objects. Raises the error that rejects
-    the first point that cannot be evaluated."""
+    the first point that cannot be evaluated, and SamplingError when there
+    are no points."""
     if len(points) == 0:
-        return 0.0
+        raise SamplingError("no sample points to take the residual at")
     res, rejected, errors = _compiled_residuals(a, b)(points)
     if rejected.any():
         raise errors[int(np.argmax(rejected))]
@@ -242,8 +243,8 @@ class Checker:
 
     Points are judged in stream order and a check consumes the stream up
     to its last accepted point, so it consumes the same random stream
-    whether its points are evaluated one at a time or all at once, and
-    however many are drawn per round.
+    whether its points are evaluated one at a time or all at once. Every
+    CheckItem of a report is built by `record`.
     """
 
     def __init__(self, points=DEFAULT_POINTS, seed=DEFAULT_SEED,
@@ -273,29 +274,17 @@ class Checker:
             f"{why}; the objects are singular on most of the box")):
         """The first self.points points of the stream that batch does not
         reject, with their values; abort after 10x rejections, counting the
-        errors batch gave the rejected points by class.
-
-        A round draws as many points as are still missing or, once some
-        were rejected, that many scaled by the rejection rate so far. The
-        points are judged in stream order, and those after the last one
-        judged are put back."""
+        errors batch gave the rejected points by class. Each round draws the
+        points still missing and judges them in stream order."""
         accepted = []
         rejected = []  # the error class of each rejected point
         while len(accepted) < self.points:
-            need = self.points - len(accepted)
-            if rejected:
-                need = min(need * (len(accepted) + len(rejected))
-                           // max(len(accepted), 1) + 1, 11 * self.points)
-            state = self.rng.getstate() if rejected else None
-            pts = list(map(tuple, self.draw_points(need, dim).tolist()))
+            pts = list(map(tuple, self.draw_points(
+                self.points - len(accepted), dim).tolist()))
             values, mask, errors = batch(pts)
-            judged = 0
             for j, (pt, value, bad) in enumerate(zip(pts, values, mask)):
-                judged = j + 1
                 if not bad:
                     accepted.append((pt, value))
-                    if len(accepted) == self.points:
-                        break
                     continue
                 rejected.append(type(errors[j]).__name__)
                 if len(rejected) > 10 * self.points:
@@ -304,9 +293,6 @@ class Checker:
                     raise SamplingError(message(
                         f"rejected {len(rejected)} sample points (" +
                         ", ".join(f"{name}: {k}" for name, k in counts) + ")"))
-            if judged < len(pts):
-                self.rng.setstate(state)
-                self.draw_points(judged, dim)
         return accepted
 
     def sample(self, dim: int, probe=None) -> list:
@@ -316,20 +302,29 @@ class Checker:
         accepted = self._accept(dim, _each_point(probe))
         return [pt for pt, _ in accepted]
 
-    def sample_residuals(self, dim: int, groups):
+    def sample_residuals(self, groups):
         """Draw self.points points at which every group (an object or a list
         of objects) evaluates, redrawing the others as a check does; return
-        the points and each group's largest absolute component over them."""
+        each group's largest absolute component over them."""
         # one program for all groups, so that their shared terms run once
-        accepted = self._accept(dim, _compiled_residuals(
-            list(groups), sizes=[len(_leaves(g)) for g in groups]))
+        batch = _compiled_residuals(
+            list(groups), sizes=[len(_leaves(g)) for g in groups])
+        accepted = self._accept(_objects(groups)[0].space.dim, batch)
         res = np.array([r for _, r in accepted]).reshape(-1, len(groups))
-        return [pt for pt, _ in accepted], res.max(axis=0, initial=0.0).tolist()
+        return res.max(axis=0, initial=0.0).tolist()
 
-    def _record(self, check_id, identity, dim, batch, tol, via=None):
+    def record(self, check_id, identity, residual, worst_point=(), tol=None,
+               passed=None):
+        """Append a CheckItem to the report and return it; it passes if
+        residual < tol (the Checker's by default), or as passed says."""
         tol = self.tol if tol is None else tol
-        worst = 0.0
-        worst_pt = ()
+        item = CheckItem(check_id, identity, residual, worst_point,
+                         residual < tol if passed is None else passed, tol)
+        self.report.items.append(item)
+        return item
+
+    def _record(self, check_id, identity, dim, batch, tol=None, via=None):
+        worst, worst_pt = 0.0, ()
         if via is not None:  # draw in via's source box, judge at the images
             dim, batch = via.src.dim, _through(via.fwd, batch)
         accepted = self._accept(dim, batch,
@@ -337,32 +332,27 @@ class Checker:
         if via is not None:
             accepted = [value for _, value in accepted]  # (image, residual)
         for pt, r in accepted:
-            r = float(r)
-            if not math.isfinite(r):
-                r = math.inf  # an unbounded residual never passes
+            # an unbounded residual never passes
+            r = float(r) if math.isfinite(r) else math.inf
             if r > worst:
-                worst = r
-                worst_pt = pt
-        item = CheckItem(check_id, identity, worst, worst_pt, worst < tol, tol)
-        self.report.items.append(item)
-        return item
+                worst, worst_pt = r, pt
+        return self.record(check_id, identity, worst, worst_pt, tol)
 
     def residual(self, check_id, identity, dim, fn, tol=None):
         """fn(point) -> float residual; record the worst point."""
         return self._record(check_id, identity, dim, _each_point(fn), tol)
 
-    def _check(self, check_id, identity, a, b, tol, dim, via):
+    def _check(self, check_id, identity, a, b, via):
         batch = _compiled_residuals(a, b)
-        if dim is None:
-            dim = _objects(a)[0].space.dim
-        return self._record(check_id, identity, dim, batch, tol, via)
+        return self._record(check_id, identity, _objects(a)[0].space.dim,
+                            batch, via=via)
 
-    def compare(self, check_id, identity, a, b, tol=None, dim=None, via=None):
+    def compare(self, check_id, identity, a, b, via=None):
         """a = b, for two objects or two lists of objects. With via, a
         ChartMap onto their chart, the points x are drawn in via's source
         chart and a, b compared at their images y = via(x), the worst_point."""
-        return self._check(check_id, identity, a, b, tol, dim, via)
+        return self._check(check_id, identity, a, b, via)
 
-    def vanish(self, check_id, identity, a, tol=None, dim=None, via=None):
+    def vanish(self, check_id, identity, a, via=None):
         """a = 0, for an object or a list of objects; via as in compare."""
-        return self._check(check_id, identity, a, None, tol, dim, via)
+        return self._check(check_id, identity, a, None, via)

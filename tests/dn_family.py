@@ -30,3 +30,21 @@ def dn_family(n):
     T = FibredTransform(n, fwd, [parse_field(e, be) for e in u])
     R = T.base_map().push(D)
     return R, [parse_field(f"{e} + {3 * i}", be) for i, e in enumerate(u)]
+
+
+def dn_dense(n):
+    """D with eigenvalues u_i + 5(i-1) pushed into the chart
+    q = (I + t^2 1 1^T) u, whose inverse u = q - t^2 (sum q)/(1 + n t^2) 1
+    rounds. Off t = 0 every column of dq/du, the inverse Jacobian of the
+    eigenvalue chart, has n nonzero terms, so the chain-rule sums of the
+    Darboux-Nijenhuis checks round in their order. Differences u_i - u_j =
+    q_i - q_j stay within 4 on the default box, so the eigenvalues never
+    cross."""
+    be = base_e(n)
+    total = " + ".join(f"q{i}" for i in range(1, n + 1))
+    fwd = [parse_field(f"q{i} + t^2*({total})", be) for i in range(1, n + 1)]
+    inv = [parse_field(f"q{i} - t^2*({total})/(1 + {n}*t^2)", be)
+           for i in range(1, n + 1)]
+    D = Tensor11.from_dict(be, {f"q{i},q{i}": f"q{i} + {5 * (i - 1)}"
+                                for i in range(1, n + 1)})
+    return FibredTransform(n, fwd, inv).base_map().push(D)

@@ -193,34 +193,34 @@ class BothWays(Checker):
         super().__init__(**kwargs)
         self.pairs = []
 
-    def _per_point(self, check_id, a, b, tol, dim):
+    def _per_point(self, check_id, a, b):
         objs_a, objs_b = _flat(a), _flat(b)
-        dim = objs_a[0].space.dim if dim is None else dim
+        dim = objs_a[0].space.dim
         if b is None:
             fn = lambda pt: max(residual_of(x, pt) for x in objs_a)
         else:
             fn = lambda pt: max(residual_between(x, y, pt)
                                 for x, y in zip(objs_a, objs_b))
-        return self.residual(check_id, "", dim, fn, tol)
+        return self.residual(check_id, "", dim, fn)
 
-    def _both(self, run, check_id, a, b, tol, dim):
+    def _both(self, run, check_id, a, b):
         state = self.rng.getstate()
         batched = run()
         after = self.rng.getstate()
         self.rng.setstate(state)
-        per_point = self._per_point(check_id, a, b, tol, dim)
+        per_point = self._per_point(check_id, a, b)
         self.report.items.pop()
         assert self.rng.getstate() == after
         self.pairs.append((batched, per_point))
         return batched
 
-    def compare(self, check_id, identity, a, b, tol=None, dim=None):
+    def compare(self, check_id, identity, a, b):
         return self._both(lambda: super(BothWays, self).compare(
-            check_id, identity, a, b, tol, dim), check_id, a, b, tol, dim)
+            check_id, identity, a, b), check_id, a, b)
 
-    def vanish(self, check_id, identity, a, tol=None, dim=None):
+    def vanish(self, check_id, identity, a):
         return self._both(lambda: super(BothWays, self).vanish(
-            check_id, identity, a, tol, dim), check_id, a, None, tol, dim)
+            check_id, identity, a), check_id, a, None)
 
 
 @pytest.mark.parametrize("suite", ["lemma1", "prop7"])

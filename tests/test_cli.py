@@ -117,6 +117,33 @@ class TestSingularModel:
         assert payload["checks"]["pass"] is True
         assert all(s["point"][1] >= 0.0 for s in payload["eigenvalue_samples"])
 
+    def test_all_suites_skip_the_empty_concomitant_table(self, capsys, model):
+        # no one-forms or vector fields: prop7 has no Magri-Morosi table to
+        # check, which is no reason to abort the other checks
+        code, out, err = run(capsys, "verify", "--model", model,
+                             "--suite", "all")
+        assert (code, err) == (0, "")
+        assert "prop7.commutation[R0]" in out
+        assert "prop7.concomitant" not in out
+
+    @pytest.mark.parametrize("suite", ["lemma1", "brackets", "naturality"])
+    def test_a_suite_with_no_inputs_is_exit_2(self, capsys, model, suite):
+        code, out, err = run(capsys, "verify", "--model", model,
+                             "--suite", suite)
+        assert (code, out) == (2, "")
+        assert err == (f"error: suite {suite!r} recorded no check: the model "
+                       "has none of the objects it takes\n")
+
+
+def test_scalar_only_model_checks_nothing(capsys, tmp_path):
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps({"n": 1, "objects": {"f": {
+        "kind": "scalar_E", "components": {"value": "q1"}}}}))
+    code, out, err = run(capsys, "verify", "--model", str(path),
+                         "--suite", "all", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: suite 'all' recorded no check")
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -141,6 +168,35 @@ class TestDarboux:
                            "--json")
         assert code == 1
         assert json.loads(out)["pn"]["verdict"] == "not-pn"
+
+    def test_refusal_names_every_residual_above_tol(self, capsys, tmp_path):
+        # the torsion vanishes; the concomitant is rounding at values near
+        # 1e9, above the absolute tolerance
+        path = tmp_path / "expexp.json"
+        path.write_text(json.dumps({"n": 2, "objects": {"R": {
+            "kind": "tensor11_E",
+            "components": {"q1,q1": "exp(exp(q1))", "q2,q2": "q2"}}}}))
+        argv = ("darboux", "--model", str(path), "--object", "R",
+                "--domain", "2,3")
+        code, out, _ = run(capsys, *argv, "--json")
+        pn = json.loads(out)["pn"]
+        assert code == 1
+        high = [name for name, value in pn.items()
+                if name.endswith("_residual") and value >= pn["tol"]]
+        assert high == ["magri_morosi_residual"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out == ("refusing R: verdict not-pn (magri_morosi_residual "
+                       f"{pn['magri_morosi_residual']:.3e}; tol 1e-09)\n")
+
+    def test_refusal_of_torsion_names_both_torsions(self, capsys):
+        code, out, _ = run(capsys, "darboux", "--model", N1,
+                           "--object", "R_torsion", "--points", "8")
+        assert code == 1
+        assert out.startswith("refusing R_torsion: verdict not-pn "
+                              "(torsion_residual ")
+        assert ", lifted_torsion_residual " in out
+        assert "commutation" not in out and "magri" not in out
 
     def test_diagonal_passes(self, capsys):
         code, out, _ = run(capsys, "darboux", "--model", N1,

@@ -74,8 +74,7 @@ def test_uniform_chart_aborts_at_n4():
     diag = Tensor11.from_dict(Rp.space, {f"q{i},q{i}": Rp.entries[i][i]
                                          for i in range(1, 5)})
     with pytest.raises(SamplingError, match=r"\(TransformError: 321\)"):
-        Checker(tol=1e-6, points=32).compare("dn.diagonal", "", Rp, diag,
-                                             dim=Rp.space.dim)
+        Checker(tol=1e-6, points=32).compare("dn.diagonal", "", Rp, diag)
 
 
 def test_no_dn_check_rejects_a_point(monkeypatch):
@@ -129,3 +128,19 @@ def test_forward_failure_is_rejected_with_the_forward_error():
     # the forward error is what the abort histogram counts
     with pytest.raises(SamplingError, match=r"\(DomainError: 41\)"):
         Checker(points=4, box=(-2.0, -1.0)).vanish("x", "", Rp, via=chart)
+
+
+def test_base_points_are_drawn_through_sample(monkeypatch):
+    # the benchmark's tracer counts darboux's accepted points by wrapping
+    # Checker.sample's probe; points drawn any other way would count as 0
+    calls = []
+    real = Checker.sample
+
+    def spy(self, dim, probe=None):
+        points = real(self, dim, probe)
+        calls.append((dim, probe is not None, len(points)))
+        return points
+
+    monkeypatch.setattr(Checker, "sample", spy)
+    build_dn_transform(r_dn(), points=16)
+    assert calls == [(3, True, 16)]

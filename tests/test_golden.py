@@ -8,8 +8,12 @@ printed trees, which no report shows: the stdout and exit code of `print`
 and of every `lift --kind` of every object of n1 and n2, with and without
 `--json`. A last one covers the Darboux-Nijenhuis report of the n = 3
 known-answer family (tests/dn_family.py), whose eigenvectors, unlike
-R_dn's, are not exact: it is the digest that sees a last-bit change in the
-procedural path (eigenvalue perturbation, stacked matmul, chain rule).
+R_dn's, are not exact: it sees a last-bit change in the eigenvalue
+perturbation. The family's chain-rule sums have at most two nonzero terms,
+which add exactly in either order, so one more digest covers a dense chart
+(tests/dn_family.py `dn_dense`) whose sums round: it sees a strided matmul
+stack in the eigenvalue perturbation and a reordered chain rule in
+`fields.compose`.
 
 The digests also pin the numpy build and the platform libm the reports
 were computed with (numpy 2.4 on x86-64 Linux with glibc); on another
@@ -23,7 +27,7 @@ import os
 
 import pytest
 
-from dn_family import dn_family
+from dn_family import dn_dense, dn_family
 from jetlift import build_dn_transform, verify_dn
 from jetlift.cli import LIFT_KINDS, main
 
@@ -96,3 +100,15 @@ def test_dn_family_n3_report_digest():
     assert report.passed
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == DN_FAMILY_N3_DIGEST
+
+
+DN_DENSE_N3_DIGEST = ("ea2ee38d7776468149ffbb95ba3b8ccc"
+                      "97a24e98b3396e62f4991511f1e4d0a8")
+
+
+def test_dn_dense_n3_report_digest():
+    R = dn_dense(3)
+    report = verify_dn(R, build_dn_transform(R), seed=0)
+    assert report.passed
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == DN_DENSE_N3_DIGEST

@@ -13,9 +13,13 @@ from jetlift import (
     Tensor11,
     VectorField,
     base_e,
+    commutation_residual,
+    complete_lift_cotangent,
+    complete_lift_tensor11,
     eigenvalue_fields,
     parse_field,
     phase_j,
+    rho_related,
 )
 from jetlift.cli import main
 from jetlift.fields import const_field
@@ -45,12 +49,12 @@ def test_mixed_spaces_are_a_space_mismatch():
     with pytest.raises(SpaceMismatchError, match="mixed spaces"):
         Checker(points=4).compare("c", "", f, g)
     with pytest.raises(SpaceMismatchError, match="mixed spaces"):
-        Checker(points=4).vanish("c", "", [f, g], dim=2)
+        Checker(points=4).vanish("c", "", [f, g])
 
 
 def test_object_without_components_is_a_type_error():
     with pytest.raises(TypeError, match="no components"):
-        Checker(points=4).vanish("c", "", [object()], dim=2)
+        Checker(points=4).vanish("c", "", [object()])
 
 
 def test_space_mismatch_is_exit_2(tmp_path, capsys, monkeypatch):
@@ -68,8 +72,8 @@ def test_space_mismatch_is_exit_2(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("check", [
-    lambda ch: ch.vanish("x", "", [], dim=2),
-    lambda ch: ch.compare("x", "", [], [], dim=2),
+    lambda ch: ch.vanish("x", "", []),
+    lambda ch: ch.compare("x", "", [], []),
     lambda ch: ch.vanish("x", "", []),
 ])
 def test_an_empty_check_is_a_space_mismatch(check):
@@ -82,7 +86,7 @@ def test_an_empty_check_is_exit_2(capsys, monkeypatch):
     from jetlift import suites
 
     monkeypatch.setitem(suites.SUITES, "empty",
-                        lambda inp, ch: ch.vanish("empty", "", [], dim=2))
+                        lambda inp, ch: ch.vanish("empty", "", []))
     model = os.path.join(os.path.dirname(__file__), "..", "models", "n1.json")
     assert main(["verify", "--model", model, "--suite", "empty"]) == 2
     assert "nothing to check" in capsys.readouterr().err
@@ -182,3 +186,14 @@ def test_stored_error_is_the_per_point_error(name, a, good, bad, cls, side):
     with pytest.raises(type(want.value)) as got:
         max_residual(lhs, [good, bad], rhs)
     assert str(got.value) == str(want.value)
+
+
+def test_no_points_is_a_sampling_error():
+    # a maximum over no points is no residual: 0.0 there would pass anything
+    R = Tensor11.from_dict(BE, {"q1,q1": "q1", "q1,t": "t"})
+    with pytest.raises(SamplingError, match="no sample points"):
+        max_residual(parse_field("q1", BE), [])
+    with pytest.raises(SamplingError, match="no sample points"):
+        rho_related(complete_lift_cotangent(R), complete_lift_tensor11(R), [])
+    with pytest.raises(SamplingError, match="no sample points"):
+        commutation_residual(complete_lift_tensor11(R), [])
