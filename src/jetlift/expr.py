@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,7 +146,10 @@ def powr(base: Expr, exponent: Fraction) -> Expr:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Const):
+    # a fractional power of a negative constant stays a node, which
+    # evaluation rejects; Python would compute it as a complex number
+    if isinstance(base, Const) and not (exponent.denominator != 1
+                                        and base.value < 0):
         try:
             return Const(base.value ** float(exponent))
         except (ValueError, OverflowError, ZeroDivisionError):
@@ -159,7 +163,7 @@ def fn(name: str, arg: Expr) -> Expr:
     if isinstance(arg, Const):
         try:
             return Const(getattr(math, name)(arg.value))
-        except ValueError:
+        except (ValueError, OverflowError):
             pass
     return Unary(name, arg)
 
@@ -420,6 +424,11 @@ def substitute(e: Expr, mapping: dict) -> Expr:
 # printing
 
 def _fmt_number(v: float) -> str:
+    # non-finite constants print as text that parses back to them
+    if math.isnan(v):
+        return "(1e309 - 1e309)"
+    if math.isinf(v):
+        return "1e309" if v > 0 else "-1e309"
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -474,144 +483,107 @@ def to_string(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-class _Tokenizer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-
-    def _skip(self, ok) -> bool:
-        """Advance past the characters ok accepts; whether there were any."""
-        start = self.pos
-        while self.pos < len(self.src) and ok(self.src[self.pos]):
-            self.pos += 1
-        return self.pos > start
-
-    def skip_ws(self):
-        self._skip(str.isspace)
-
-    def peek(self):
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else None
-
-    def number(self) -> float:
-        self.skip_ws()
-        start = self.pos
-        src = self.src
-        self._skip(str.isdigit)
-        if self.pos < len(src) and src[self.pos] == ".":
-            self.pos += 1
-            self._skip(str.isdigit)
-        if self.pos < len(src) and src[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(src) and src[self.pos] in "+-":
-                self.pos += 1
-            if not self._skip(str.isdigit):
-                self.pos = mark  # not an exponent, e.g. '2*exp(t)'
-        if self.pos == start:
-            raise ParseError("expected a number", start)
-        return float(src[start:self.pos])
-
-    def _span(self, ok, what) -> str:
-        self.skip_ws()
-        start = self.pos
-        if not self._skip(ok):
-            raise ParseError(f"expected {what}", start)
-        return self.src[start:self.pos]
-
-    def integer(self) -> int:
-        return int(self._span(str.isdigit, "an integer"))
-
-    def ident(self) -> str:
-        return self._span(lambda ch: ch.isalnum() or ch == "_", "an identifier")
+# After optional whitespace, a token is a number, a name or any other single
+# character; digits and letters are ASCII.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<name>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<char>\S))""", re.VERBOSE)
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div}
 
 
 class _Parser:
     def __init__(self, src: str, coords):
-        self.tok = _Tokenizer(src)
+        # (kind, text, position) for every token, then an end token
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                       for m in _TOKEN.finditer(src)]
+        self.tokens.append(("end", "", len(src)))
+        self.i = 0
         self.coords = set(coords)
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def take(self, *texts):
+        """The current token's text, consumed, if it is one of texts."""
+        text = self.tokens[self.i][1]
+        if text in texts:
+            self.i += 1
+            return text
+        return None
+
+    def expect(self, text, message):
+        if not self.take(text):
+            raise ParseError(message, self.tokens[self.i][2])
+
+    def closed(self) -> Expr:
+        """An expression and the ')' after it."""
+        e = self.expr()
+        self.expect(")", "expected ')'")
+        return e
 
     def parse(self) -> Expr:
         e = self.expr()
-        self.tok.skip_ws()
-        if self.tok.pos != len(self.tok.src):
-            raise ParseError(
-                f"unexpected input {self.tok.src[self.tok.pos]!r}", self.tok.pos)
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected input {text[0]!r}", pos)
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while self.tok.peek() in ("+", "-"):
-            op = self.tok.peek()
-            self.tok.pos += 1
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
+        while op := self.take("+", "-"):
+            e = _BINARY[op](e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while self.tok.peek() in ("*", "/"):
-            op = self.tok.peek()
-            self.tok.pos += 1
-            rhs = self.factor()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+        while op := self.take("*", "/"):
+            e = _BINARY[op](e, self.factor())
         return e
 
     def factor(self) -> Expr:
         e = self.base()
-        if self.tok.peek() == "^":
-            self.tok.pos += 1
+        if self.take("^"):
             e = powr(e, self.rational())
         return e
 
+    def integer(self, message: str) -> int:
+        kind, text, pos = self.next()
+        if kind != "number" or not text.isdigit():
+            raise ParseError(message, pos)
+        return int(text)
+
     def rational(self) -> Fraction:
-        sign = 1
-        if self.tok.peek() == "-":
-            self.tok.pos += 1
-            sign = -1
-        pos = self.tok.pos
-        ch = self.tok.peek()
-        if ch is None or not ch.isdigit():
-            raise ParseError("exponent must be a rational constant", pos)
-        num = self.tok.integer()
-        if self.tok.peek() == "/":
-            self.tok.pos += 1
-            den = self.tok.integer()
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+        sign = -1 if self.take("-") else 1
+        num = sign * self.integer("exponent must be a rational constant")
+        if not self.take("/"):
+            return Fraction(num)
+        den = self.integer("expected an integer")
+        if den == 0:
+            raise ParseError("exponent has denominator 0",
+                             self.tokens[self.i - 1][2])
+        return Fraction(num, den)
 
     def base(self) -> Expr:
-        ch = self.tok.peek()
-        if ch is None:
-            raise ParseError("unexpected end of input", self.tok.pos)
-        if ch == "-":
-            self.tok.pos += 1
+        kind, text, pos = self.next()
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        if kind == "number":
+            return const(float(text))
+        if kind == "name" and text in FUNCTIONS:
+            self.expect("(", f"expected '(' after {text!r}")
+            return fn(text, self.closed())
+        if kind == "name":
+            if text not in self.coords:
+                raise UnknownIdentifierError(f"unknown identifier {text!r}", pos)
+            return var(text)
+        if text == "-":
             return neg(self.base())
-        if ch == "(":
-            self.tok.pos += 1
-            e = self.expr()
-            if self.tok.peek() != ")":
-                raise ParseError("expected ')'", self.tok.pos)
-            self.tok.pos += 1
-            return e
-        if ch.isdigit() or ch == ".":
-            return const(self.tok.number())
-        if ch.isalpha():
-            pos = self.tok.pos
-            name = self.tok.ident()
-            if name in FUNCTIONS:
-                if self.tok.peek() != "(":
-                    raise ParseError(f"expected '(' after {name!r}", self.tok.pos)
-                self.tok.pos += 1
-                arg = self.expr()
-                if self.tok.peek() != ")":
-                    raise ParseError("expected ')'", self.tok.pos)
-                self.tok.pos += 1
-                return fn(name, arg)
-            if name not in self.coords:
-                raise UnknownIdentifierError(f"unknown identifier {name!r}", pos)
-            return var(name)
-        raise ParseError(f"unexpected character {ch!r}", self.tok.pos)
+        if text == "(":
+            return self.closed()
+        raise ParseError(f"unexpected character {text!r}", pos)
 
 
 def parse_expr(src: str, coords) -> Expr:

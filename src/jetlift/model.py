@@ -47,6 +47,9 @@ def _parse_component(space: Space, comps: dict, name: str, key: str):
         return parse_field(src, space)
     except ExprError as exc:
         raise ModelError(f"object {name!r}, component {key!r}: {exc}")
+    except RecursionError:
+        raise ModelError(f"object {name!r}, component {key!r}: expression "
+                         "nested too deeply") from None
 
 
 def _build_object(name: str, spec: dict, n: int):

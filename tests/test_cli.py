@@ -315,6 +315,15 @@ BAD_MODELS = {
         "kind": "transform", "components": {"Q1": 5}}}},
     "n-true.json": {"n": True, "objects": {"f": {
         "kind": "scalar_E", "components": {"value": "q1"}}}},
+    "object-number.json": {"n": 1, "objects": {"f": 5}},
+    "components-list.json": {"n": 1, "objects": {"f": {
+        "kind": "scalar_E", "components": ["q1"]}}},
+    "scalar-two-keys.json": {"n": 1, "objects": {"f": {
+        "kind": "scalar_E", "components": {"value": "q1", "other": "t"}}}},
+    "transform-no-q1.json": {"n": 1, "objects": {"f": {
+        "kind": "transform", "components": {"inv_q1": "q1"}}}},
+    "list.json": [1, 2],
+    "no-objects.json": {"n": 1, "objects": {}},
 }
 LEMMA1 = ("verify", "--model", N1, "--suite", "lemma1")
 R_DN = ("darboux", "--model", N2, "--object", "R_dn")
@@ -332,6 +341,19 @@ R_DN = ("darboux", "--model", N2, "--object", "R_dn")
     (("print", "--model", "scalar-number.json", "--object", "f"), "'value'"),
     (("print", "--model", "transform-number.json", "--object", "f"), "'Q1'"),
     (("print", "--model", "n-true.json", "--object", "f"), "'n'"),
+    (LEMMA1 + ("--domain", "nonsense"), "'lo,hi'"),
+    (LEMMA1 + ("--domain", "3,1"), "lo < hi"),
+    (("print", "--model", "object-number.json", "--object", "f"),
+     "a dict with a 'kind'"),
+    (("print", "--model", "components-list.json", "--object", "f"),
+     "'components' must be a dict"),
+    (("print", "--model", "scalar-two-keys.json", "--object", "f"),
+     "a single 'value' component"),
+    (("print", "--model", "transform-no-q1.json", "--object", "f"),
+     "needs component 'Q1'"),
+    (("print", "--model", "list.json", "--object", "f"), "a JSON object"),
+    (("print", "--model", "no-objects.json", "--object", "f"),
+     "non-empty 'objects'"),
 ])
 def test_bad_input_is_exit_2_without_traceback(argv, names, tmp_path, capsys):
     # a check on no points, or at no tolerance, must not pass; a number
@@ -347,3 +369,48 @@ def test_bad_input_is_exit_2_without_traceback(argv, names, tmp_path, capsys):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert names in err
+
+
+# model text that ended in a traceback: a token the number syntax or the
+# exponent rule rejects, a constant that folding overflowed or turned
+# complex, a non-finite constant the printer could not show, and text
+# nested deeper than the recursion limit
+EXPRESSION_TEXTS = [
+    ("q1 + .", "unexpected character '.'", None),
+    ("q1^\u00b2", "exponent must be a rational constant", None),
+    ("q1^1/0", "exponent has denominator 0", None),
+    ("exp(1000)*q1", "exp(1000)*q1", "(OverflowError: 641)"),
+    ("q1 + (-1)^1/2", "q1 + (-1)^1/2", "(DomainError: 641)"),
+    ("1e200*1e200*q1", "1e309*q1", "(NonFiniteError: 641)"),
+    ("(1e309 - 1e309)*q1", "(1e309 - 1e309)*q1", "(NonFiniteError: 641)"),
+    ("(" * 1200 + "q1" + ")" * 1200, "'f', component 'value': expression "
+     "nested too deeply", None),
+    (" + ".join(["q1"] * 1500), "'f', component 'value': expression "
+     "nested too deeply", None),
+]
+
+
+@pytest.mark.parametrize("text, printed, rejected", EXPRESSION_TEXTS,
+                         ids=range(len(EXPRESSION_TEXTS)))
+def test_no_expression_text_ends_in_a_traceback(text, printed, rejected,
+                                                tmp_path, capsys):
+    # a text that loads prints with exit 0 and every sample point of a
+    # check on it is rejected; any other text is bad input, exit 2
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "objects": {
+        "f": {"kind": "scalar_E", "components": {"value": text}},
+        "a": {"kind": "oneform_E", "components": {"q1": "1"}}}}))
+    code, out, err = run(capsys, "print", "--model", str(path),
+                         "--object", "f")
+    if rejected is None:
+        assert code == 2
+        assert err.startswith("error: object ") and printed in err
+    else:
+        assert code == 0
+        assert out == f"f on BaseE:\n  value: {printed}\n"
+    code, _, verify_err = run(capsys, "verify", "--model", str(path),
+                              "--suite", "lemma1")
+    assert code == 2
+    assert verify_err.startswith("error:")
+    assert (rejected or printed) in verify_err
+    assert "Traceback" not in err + verify_err

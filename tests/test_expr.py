@@ -1,11 +1,17 @@
 import math
 import random
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetlift import (
     DomainError,
+    EvaluationError,
+    ExprError,
     ParseError,
     SingularPointError,
     UnknownIdentifierError,
@@ -13,6 +19,7 @@ from jetlift import (
     parse_field,
     phase_j,
 )
+from jetlift import expr as ex
 from jetlift.expr import parse_expr, to_string
 from jetlift.fields import ProceduralField, SymbolicField
 
@@ -141,6 +148,68 @@ class TestRoundTrip:
         g = SymbolicField(phase_j(1), e2)
         for pt in rand_points(3):
             assert f.eval(pt) == pytest.approx(g.eval(pt), abs=1e-12)
+
+
+COORDS = ("t", "q1", "p1")
+# the grammar's tokens, with whitespace, and pieces of text it rejects
+TEXT_TOKENS = st.sampled_from(
+    ["+", "-", "*", "/", "^", "(", ")", "t", "q1", "p1", "q9", "e", "exp",
+     "sin", "sqrt", "0", "2", "12", "3.5", "5.", ".5", "1e5", "1e", "1E-3",
+     "1e309", " ", "\t", "\u00a0", ".", "\u00b2", "\u00e9", "/0"])
+
+
+@given(st.lists(TEXT_TOKENS, max_size=16).map("".join))
+def test_any_text_parses_or_raises_an_expression_error(src):
+    try:
+        parse_expr(src, COORDS)
+    except ExprError:
+        pass
+
+
+CONSTS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300,
+                          -1e300, 2.5, -1.0, -3.0, 1e-7, 1000.0])
+EXPONENTS = st.sampled_from([Fraction(2), Fraction(-1), Fraction(1, 2),
+                             Fraction(-3, 2), Fraction(2, 3), Fraction(3)])
+BINARY = st.sampled_from([ex.add, ex.sub, ex.mul, ex.div])
+
+
+def _binary(op, a, b):
+    try:
+        return op(a, b)
+    except ExprError:  # division by the constant zero
+        return a
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds(ex.neg, children),
+        st.builds(ex.fn, st.sampled_from(ex.FUNCTIONS), children),
+        st.builds(_binary, BINARY, children, children),
+        st.builds(ex.powr, children, EXPONENTS))
+
+
+TREES = st.recursive(
+    st.one_of(st.sampled_from(COORDS).map(ex.var), CONSTS.map(ex.const)),
+    _grow, max_leaves=8)
+
+
+def _outcome(e, point):
+    """The value bits of e at point (any nan alike), or the error class."""
+    try:
+        v = ex.evaluate(e, dict(zip(COORDS, point)))
+    except (EvaluationError, OverflowError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+@given(TREES, st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * len(COORDS)),
+                       min_size=1, max_size=4))
+def test_printed_tree_reads_back_to_the_same_values(e, points):
+    e2 = parse_expr(to_string(e), COORDS)
+    if e == ex.ZERO:  # a zero constant prints as 0 whatever its sign
+        e = ex.ZERO
+    for pt in points:
+        assert _outcome(e2, pt) == _outcome(e, pt)
 
 
 class TestProcedural:
