@@ -10,7 +10,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,46 +28,76 @@ SINGULAR_GUARD = 1e-6
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
 
-@dataclass(frozen=True)
 class Expr:
-    pass
+    """An expression node, interned: the same class and fields (children by
+    identity, a constant's value with its sign) give the same object, so
+    equality and hashing are identity, and nodes are immutable, as every
+    tree that uses one shares it. `names` is the frozenset of variable
+    names a node uses, `depth` the number of nodes on its longest path."""
+
+    __slots__ = ("names", "depth")
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        return _NODES.get(key) or _node(key, fields)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"expression nodes are immutable: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"{type(self).__name__}({to_string(self)!r})"
 
 
-@dataclass(frozen=True)
+_NODES = {}  # (class, fields) -> node, for the whole process
+_NAMES = {}  # the name sets of nodes, interned
+
+
+def _node(key, fields):
+    """A new node of class key[0] with these fields, entered in _NODES."""
+    cls = key[0]
+    node = _NODES[key] = object.__new__(cls)
+    names, depth = frozenset(fields if cls is Var else ()), 0
+    for slot, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, slot, value)
+        if isinstance(value, Expr):
+            names, depth = names | value.names, max(depth, value.depth)
+    object.__setattr__(node, "names", _NAMES.setdefault(names, names))
+    object.__setattr__(node, "depth", depth + 1)
+    return node
+
+
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __new__(cls, value):
+        # a zero's key carries its sign: 0.0 and -0.0 are equal floats
+        key = (cls, value) if value else (cls, value, math.copysign(1.0, value))
+        return _NODES.get(key) or _node(key, (value,))
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # neg | sin | cos | exp | log | sqrt
-    arg: Expr
+    __slots__ = ("op", "arg")  # op: neg | sin | cos | exp | log | sqrt
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # add | sub | mul | div
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op: add | sub | mul | div
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: Fraction
+    __slots__ = ("base", "exponent")  # exponent: a Fraction
 
 
 ZERO = Const(0.0)
+ZEROS = (ZERO, Const(-0.0))  # both absorb alike
 ONE = Const(1.0)
-
-
-def _is_const(e: Expr, v=None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
+_MINUS_ONE = Const(-1.0)
+var = Var  # interned already: no folding to do
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +107,12 @@ def const(v) -> Const:
     return Const(float(v))
 
 
-def var(name: str) -> Var:
-    return Var(name)
-
-
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
-    if _is_const(a, 0.0):
+    if a in ZEROS:
         return b
-    if _is_const(b, 0.0):
+    if b in ZEROS:
         return a
     return Binary("add", a, b)
 
@@ -95,11 +120,11 @@ def add(a: Expr, b: Expr) -> Expr:
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value - b.value)
-    if _is_const(b, 0.0):
+    if b in ZEROS:
         return a
-    if _is_const(a, 0.0):
+    if a in ZEROS:
         return neg(b)
-    if a == b:
+    if a is b:
         return ZERO
     return Binary("sub", a, b)
 
@@ -107,27 +132,27 @@ def sub(a: Expr, b: Expr) -> Expr:
 def mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if a in ZEROS or b in ZEROS:
         return ZERO
-    if _is_const(a, 1.0):
+    if a is ONE:
         return b
-    if _is_const(b, 1.0):
+    if b is ONE:
         return a
-    if _is_const(a, -1.0):
+    if a is _MINUS_ONE:
         return neg(b)
-    if _is_const(b, -1.0):
+    if b is _MINUS_ONE:
         return neg(a)
     return Binary("mul", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0.0):
+    if b in ZEROS:
         raise ExprError("division by the constant zero")
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value / b.value)
-    if _is_const(a, 0.0):
+    if a in ZEROS:
         return ZERO
-    if _is_const(b, 1.0):
+    if b is ONE:
         return a
     return Binary("div", a, b)
 
@@ -177,8 +202,7 @@ def differentiate(e: Expr, name: str) -> Expr:
     if isinstance(e, Var):
         return ONE if e.name == name else ZERO
     if isinstance(e, Unary):
-        du = differentiate(e.arg, name)
-        u = e.arg
+        u, du = e.arg, differentiate(e.arg, name)
         if e.op == "neg":
             return neg(du)
         if e.op == "sin":
@@ -193,9 +217,8 @@ def differentiate(e: Expr, name: str) -> Expr:
             return div(du, mul(Const(2.0), fn("sqrt", u)))
         raise ExprError(f"cannot differentiate {e.op!r}")
     if isinstance(e, Binary):
-        da = differentiate(e.left, name)
-        db = differentiate(e.right, name)
         a, b = e.left, e.right
+        da, db = differentiate(a, name), differentiate(b, name)
         if e.op == "add":
             return add(da, db)
         if e.op == "sub":
@@ -237,8 +260,7 @@ def evaluate(e: Expr, env: dict) -> float:
         except ValueError:  # sin or cos of an infinite value
             raise DomainError(f"{e.op} of {u}") from None
     if isinstance(e, Binary):
-        a = evaluate(e.left, env)
-        b = evaluate(e.right, env)
+        a, b = evaluate(e.left, env), evaluate(e.right, env)
         if e.op == "add":
             return a + b
         if e.op == "sub":
@@ -289,35 +311,29 @@ def _pointwise(fn, ufunc, u, *args):
 
 def _compile(roots, column: dict):
     """A topologically ordered program computing every root, with each node
-    shared by identity or by structure computed once. Instructions are
-    (op, payload, argument slots); returns the program and the root slots."""
+    computed once. Instructions are (op, payload, argument slots); returns
+    the program and the root slots."""
     program = []
-    slot_of = {}  # id(node) -> slot
-    by_key = {}   # structural key -> slot
+    slot_of = {}  # node -> slot
 
     def visit(e):
-        slot = slot_of.get(id(e))
+        slot = slot_of.get(e)
         if slot is not None:
             return slot
         if isinstance(e, Const):
             ins = ("const", e.value, ())
-            # the sign keeps 0.0 and -0.0 apart, which compare equal
-            key = ins + (math.copysign(1.0, e.value),)
         elif isinstance(e, Var):
-            ins = key = ("var", column[e.name], ())
+            ins = ("var", column[e.name], ())
         elif isinstance(e, Unary):
-            ins = key = (e.op, None, (visit(e.arg),))
+            ins = (e.op, None, (visit(e.arg),))
         elif isinstance(e, Binary):
-            ins = key = (e.op, None, (visit(e.left), visit(e.right)))
+            ins = (e.op, None, (visit(e.left), visit(e.right)))
         elif isinstance(e, Pow):
-            ins = key = ("pow", e.exponent, (visit(e.base),))
+            ins = ("pow", e.exponent, (visit(e.base),))
         else:
             raise ExprError(f"unknown node {e!r}")
-        slot = by_key.get(key)
-        if slot is None:
-            slot = by_key[key] = len(program)
-            program.append(ins)
-        slot_of[id(e)] = slot
+        slot = slot_of[e] = len(program)
+        program.append(ins)
         return slot
 
     return program, [visit(r) for r in roots]
@@ -390,18 +406,6 @@ def _run(program, out_slots, points):
     return values, rejected
 
 
-def variables(e: Expr) -> set:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Unary):
-        return variables(e.arg)
-    if isinstance(e, Binary):
-        return variables(e.left) | variables(e.right)
-    if isinstance(e, Pow):
-        return variables(e.base)
-    return set()
-
-
 def substitute(e: Expr, mapping: dict) -> Expr:
     """Rebuild e with every variable replaced by mapping[name] (an Expr)."""
     if isinstance(e, Const):
@@ -434,50 +438,39 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
-def _fmt_exponent(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
-
-
 # precedence levels: add/sub 1, mul/div 2, pow base 4, atom 5
-def _render(e: Expr, ctx: int) -> str:
+def to_string(e: Expr, ctx: int = 0) -> str:
+    """e as text that parses back to it, in a context of precedence ctx."""
     if isinstance(e, Const):
         s = _fmt_number(e.value)
         # a leading '-' is a legal 'base', but must be shielded from '^'
-        if e.value < 0 and ctx >= 4:
-            return f"({s})"
-        return s
+        return f"({s})" if e.value < 0 and ctx >= 4 else s
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):
         if e.op == "neg":
             inner = e.arg
             if isinstance(inner, (Binary, Pow)):
-                s = f"-({_render(inner, 0)})"
+                s = f"-({to_string(inner, 0)})"
             else:
-                s = f"-{_render(inner, 4)}"
+                s = f"-{to_string(inner, 4)}"
             return f"({s})" if ctx >= 4 else s
-        return f"{e.op}({_render(e.arg, 0)})"
+        return f"{e.op}({to_string(e.arg, 0)})"
     if isinstance(e, Binary):
         if e.op in ("add", "sub"):
             sym = "+" if e.op == "add" else "-"
-            s = f"{_render(e.left, 1)} {sym} {_render(e.right, 2)}"
+            s = f"{to_string(e.left, 1)} {sym} {to_string(e.right, 2)}"
             return f"({s})" if ctx >= 2 else s
         sym = "*" if e.op == "mul" else "/"
         # the left side of '/' needs ctx 3: a trailing '^k' there would
         # otherwise swallow the slash into a rational exponent on re-parse
         left_ctx = 3 if e.op == "div" else 2
-        s = f"{_render(e.left, left_ctx)}{sym}{_render(e.right, 3)}"
+        s = f"{to_string(e.left, left_ctx)}{sym}{to_string(e.right, 3)}"
         return f"({s})" if ctx >= 3 else s
     if isinstance(e, Pow):
-        s = f"{_render(e.base, 4)}^{_fmt_exponent(e.exponent)}"
+        s = f"{to_string(e.base, 4)}^{e.exponent}"  # a Fraction prints as 2 or 3/2
         return f"({s})" if ctx >= 3 else s
     raise ExprError(f"unknown node {e!r}")
-
-
-def to_string(e: Expr) -> str:
-    return _render(e, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ one-row case.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import expr as ex
@@ -34,6 +36,8 @@ FD_STEP = 1e-5
 
 #: order budget standing in for "any order" on the symbolic backend
 _UNLIMITED = 10 ** 9
+
+_coord_set = functools.cache(frozenset)  # of a space's coordinate names
 
 
 class Batch:
@@ -223,19 +227,15 @@ def _symbolic_op(build, procedural):
             other = ex.const(other)
         else:
             return procedural(self, other)
-        return SymbolicField(self.space, build(self.expr, other), True)
+        return SymbolicField(self.space, build(self.expr, other))
     return op
 
 
 class SymbolicField(ScalarField):
-    def __init__(self, space: Space, expression: ex.Expr, _checked=False):
-        # _checked: built from fields already validated on this space, so
-        # the expression cannot name a coordinate outside it
-        if not _checked:
-            unknown = ex.variables(expression) - set(space.coords)
-            if unknown:
-                raise SpaceMismatchError(
-                    f"expression uses {sorted(unknown)} not in {space}")
+    def __init__(self, space: Space, expression: ex.Expr):
+        if not expression.names <= _coord_set(space.coords):
+            unknown = sorted(expression.names - _coord_set(space.coords))
+            raise SpaceMismatchError(f"expression uses {unknown} not in {space}")
         self.space = space
         self.expr = expression
         self._deriv_cache: dict[str, "SymbolicField"] = {}
@@ -246,7 +246,7 @@ class SymbolicField(ScalarField):
     __truediv__ = _symbolic_op(ex.div, ScalarField.__truediv__)
 
     def __neg__(self):
-        return SymbolicField(self.space, ex.neg(self.expr), True)
+        return SymbolicField(self.space, ex.neg(self.expr))
 
     def eval(self, point) -> float:
         return ex.evaluate(self.expr, dict(zip(self.space.coords, point)))
@@ -255,7 +255,7 @@ class SymbolicField(ScalarField):
         if coord not in self._deriv_cache:
             self.space.index(coord)  # validates the name
             self._deriv_cache[coord] = SymbolicField(
-                self.space, ex.differentiate(self.expr, coord), True)
+                self.space, ex.differentiate(self.expr, coord))
         return self._deriv_cache[coord]
 
     def grad(self, point):
@@ -283,11 +283,11 @@ class SymbolicField(ScalarField):
 
     @property
     def is_zero(self) -> bool:
-        return self.expr == ex.ZERO or self.expr == ex.Const(-0.0)
+        return self.expr in ex.ZEROS
 
     @property
     def is_one(self) -> bool:
-        return self.expr == ex.ONE
+        return self.expr is ex.ONE
 
     def __str__(self):
         return ex.to_string(self.expr)
@@ -385,12 +385,12 @@ def parse_field(src: str, space: Space) -> SymbolicField:
 
 
 def const_field(space: Space, v) -> SymbolicField:
-    return SymbolicField(space, ex.const(v), True)  # names no coordinate
+    return SymbolicField(space, ex.const(v))
 
 
 def coord_field(space: Space, name: str) -> SymbolicField:
     space.index(name)  # validates the name
-    return SymbolicField(space, ex.var(name), True)
+    return SymbolicField(space, ex.var(name))
 
 
 def zero(space: Space) -> SymbolicField:
@@ -406,7 +406,7 @@ def inject(f: ScalarField, dst: Space) -> ScalarField:
     if missing:
         raise SpaceMismatchError(f"{dst} lacks coordinates {sorted(missing)}")
     if isinstance(f, SymbolicField):
-        return SymbolicField(dst, f.expr, True)  # its names are all in dst
+        return SymbolicField(dst, f.expr)
     idx = [dst.index(c) for c in f.space.coords]
     key = ("inject", tuple(idx))
 

@@ -37,6 +37,8 @@ KINDS = ("scalar_E", "scalar_J", "vector_E", "oneform_E", "tensor11_E",
 TENSOR_KINDS = {"vector_E": VectorField, "oneform_E": OneForm,
                 "tensor11_E": Tensor11, "twoform_E": TwoForm}
 
+MAX_DEPTH = 800  # the deepest expression tree a component may hold
+
 
 def _parse_component(space: Space, comps: dict, name: str, key: str):
     src = comps[key]
@@ -44,12 +46,15 @@ def _parse_component(space: Space, comps: dict, name: str, key: str):
         raise ModelError(f"object {name!r}: component {key!r} "
                          "must be a string expression")
     try:
-        return parse_field(src, space)
+        f = parse_field(src, space)
     except ExprError as exc:
         raise ModelError(f"object {name!r}, component {key!r}: {exc}")
-    except RecursionError:
+    except RecursionError:  # the parser recurses on parentheses
+        f = None
+    if f is None or f.expr.depth > MAX_DEPTH:
         raise ModelError(f"object {name!r}, component {key!r}: expression "
-                         "nested too deeply") from None
+                         "nested too deeply")
+    return f
 
 
 def _build_object(name: str, spec: dict, n: int):
@@ -83,8 +88,7 @@ def _build_object(name: str, spec: dict, n: int):
                              "R(dt) = 0 (no nonzero 't' row)")
         return kind, obj
     # transform
-    q_fwd = []
-    q_inv = []
+    q_fwd, q_inv = [], []
     have_inv = any(k.startswith("inv_") for k in comps)
     for i in range(1, n + 1):
         key = f"Q{i}"

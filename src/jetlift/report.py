@@ -108,8 +108,11 @@ def _values(a, point) -> np.ndarray:
 
 
 def residual_between(a, b, point) -> float:
-    """Max abs componentwise difference of two evaluable objects."""
-    return float(np.max(np.abs(_values(a, point) - _values(b, point))))
+    """Max abs difference of two evaluable objects, component by component."""
+    va, vb = _values(a, point).ravel(), _values(b, point).ravel()
+    if va.size != vb.size:
+        raise SpaceMismatchError(f"cannot compare {va.size} components with {vb.size}")
+    return float(np.max(np.abs(va - vb)))
 
 
 def residual_of(a, point) -> float:

@@ -413,7 +413,7 @@ def sum_products(space: Space, terms) -> ScalarField:
                               terms, zero(space))
         if not _vanishes(factors):
             acc = _EXPR_FOLD[sign](acc, reduce(ex.mul, [f.expr for f in factors]))
-    return SymbolicField(space, acc, True)
+    return SymbolicField(space, acc)
 
 
 def _vanishes(factors) -> bool:

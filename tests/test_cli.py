@@ -4,6 +4,7 @@ import os
 import pytest
 
 from jetlift.cli import main
+from jetlift.model import MAX_DEPTH
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 N1 = os.path.join(MODELS, "n1.json")
@@ -387,6 +388,9 @@ EXPRESSION_TEXTS = [
      "nested too deeply", None),
     (" + ".join(["q1"] * 1500), "'f', component 'value': expression "
      "nested too deeply", None),
+    # a sum one level deeper than MAX_DEPTH
+    (" + ".join(["q1"] * (MAX_DEPTH + 1)), "'f', component 'value': "
+     "expression nested too deeply", None),
 ]
 
 
@@ -414,3 +418,23 @@ def test_no_expression_text_ends_in_a_traceback(text, printed, rejected,
     assert verify_err.startswith("error:")
     assert (rejected or printed) in verify_err
     assert "Traceback" not in err + verify_err
+
+
+# a sum of k terms q1*t is a tree of depth k + 1: with 400 terms the checks
+# on it ended in a RecursionError from comparing trees, and MAX_DEPTH - 1
+# terms make the deepest tree a model may hold
+@pytest.mark.parametrize("terms", [400, MAX_DEPTH - 1])
+@pytest.mark.parametrize("argv, exit_code", [
+    (["print", "--object", "R"], 0),
+    (["lift", "--object", "R", "--kind", "complete"], 0),
+    (["lift", "--object", "R", "--kind", "cotangent"], 0),
+    (["verify", "--suite", "all", "--points", "4"], 0),
+    (["darboux", "--object", "R"], 1),  # refused: R has torsion (not-pn)
+])
+def test_deep_sums_run(terms, argv, exit_code, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "objects": {"R": {
+        "kind": "tensor11_E",
+        "components": {"q1,q1": " + ".join(["q1*t"] * terms), "q1,t": "t"}}}}))
+    code, _, err = run(capsys, argv[0], "--model", str(path), *argv[1:])
+    assert code == exit_code, err

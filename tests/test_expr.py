@@ -1,11 +1,12 @@
 import math
+import operator
 import random
 import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetlift import (
@@ -206,10 +207,132 @@ def _outcome(e, point):
                        min_size=1, max_size=4))
 def test_printed_tree_reads_back_to_the_same_values(e, points):
     e2 = parse_expr(to_string(e), COORDS)
-    if e == ex.ZERO:  # a zero constant prints as 0 whatever its sign
+    if isinstance(e, ex.Const) and e.value == 0.0:  # 0 prints without its sign
         e = ex.ZERO
     for pt in points:
         assert _outcome(e2, pt) == _outcome(e, pt)
+
+
+# finite constants and smooth compositions: the trees the derivative oracles
+# can check (where a tree cannot be evaluated, the example is skipped)
+SMOOTH_TREES = st.recursive(
+    st.one_of(st.sampled_from(COORDS).map(ex.var),
+              st.sampled_from([-1.5, 0.5, 2.0]).map(ex.const)),
+    _grow, max_leaves=8)
+POINTS = st.tuples(*[st.floats(-3.0, 3.0)] * len(COORDS))
+
+
+def _along(e, point, name, xs):
+    """The values of e at point with coordinate name set to each of xs."""
+    env = dict(zip(COORDS, point))
+    return [ex.evaluate(e, {**env, name: x}) for x in xs]
+
+
+@settings(max_examples=400)
+@given(SMOOTH_TREES, POINTS)
+def test_derivative_agrees_with_a_central_difference(e, point):
+    # central differences at steps h and h/2 differ by 3/4 of the
+    # truncation error of the first; where that is below the tolerance, the
+    # second is within it of the derivative (rounding adds ~1e-12 relative).
+    # The scale leaves the derivative under test out.
+    compared = 0
+    for name in sorted(e.names):
+        x = point[COORDS.index(name)]
+        h = 1e-4 * max(1.0, abs(x))
+        try:
+            exact, = _along(ex.differentiate(e, name), point, name, [x])
+            f = _along(e, point, name, [x + h, x - h, x + h / 2, x - h / 2])
+        except (ExprError, EvaluationError, OverflowError):  # ExprError: log(0)
+            continue
+        coarse, fine = (f[0] - f[1]) / (2 * h), (f[2] - f[3]) / h
+        scale = max(abs(v) for v in [1.0, fine, *f])
+        if math.isfinite(scale) and abs(coarse - fine) <= 1e-6 * scale:
+            assert abs(exact - fine) <= 1e-6 * scale
+            compared += 1
+    assume(compared)
+
+
+_SYMPY_OPS = {"add": operator.add, "sub": operator.sub,
+              "mul": operator.mul, "div": operator.truediv}
+
+
+def _to_sympy(e, sp):
+    """e as a SymPy expression, converted node by node."""
+    if isinstance(e, ex.Const):
+        return sp.Float(e.value)
+    if isinstance(e, ex.Var):
+        return sp.Symbol(e.name)
+    if isinstance(e, ex.Unary):
+        u = _to_sympy(e.arg, sp)
+        return -u if e.op == "neg" else getattr(sp, e.op)(u)
+    if isinstance(e, ex.Pow):
+        r = e.exponent
+        return _to_sympy(e.base, sp) ** sp.Rational(r.numerator, r.denominator)
+    return _SYMPY_OPS[e.op](_to_sympy(e.left, sp), _to_sympy(e.right, sp))
+
+
+@settings(max_examples=150)
+@given(SMOOTH_TREES, st.lists(POINTS, min_size=1, max_size=3))
+def test_derivative_agrees_with_sympy(e, points):
+    sp = pytest.importorskip("sympy")
+    symbols = [sp.Symbol(c) for c in COORDS]
+    compared = 0
+    for name in sorted(e.names):
+        theirs = sp.lambdify(symbols, sp.diff(_to_sympy(e, sp), sp.Symbol(name)),
+                             modules="math")
+        ours = ex.differentiate(e, name)
+        for pt in points:
+            try:
+                want = float(theirs(*pt))
+                got = ex.evaluate(ours, dict(zip(COORDS, pt)))
+            except (EvaluationError, ArithmeticError, ValueError, TypeError):
+                continue
+            if math.isfinite(want) and math.isfinite(got):
+                assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
+                compared += 1
+    assume(compared)
+
+
+class TestInterning:
+    def test_one_tree_is_one_object(self):
+        q1, t = ex.var("q1"), ex.var("t")
+        target = parse_expr("q1*t + sin(q1)", COORDS)
+        built = [
+            ex.add(ex.mul(q1, t), ex.fn("sin", q1)),
+            ex.Binary("add", ex.Binary("mul", ex.Var("q1"), ex.Var("t")),
+                      ex.Unary("sin", ex.Var("q1"))),
+            ex.substitute(parse_expr("p1*q1 + sin(p1)", COORDS),
+                          {"p1": q1, "q1": t}),
+            ex.differentiate(parse_expr("p1*(q1*t + sin(q1))", COORDS), "p1"),
+        ]
+        assert all(e is target for e in built)
+        assert target.names == {"q1", "t"} and target.depth == 3
+
+    def test_the_sign_of_zero_is_part_of_a_constant(self):
+        assert ex.Const(0.0) is not ex.Const(-0.0)
+        assert ex.Const(-0.0) is ex.const(-0.0) is ex.neg(ex.ZERO)
+        assert ex.Const(0.0) is ex.ZERO
+
+    def test_nans_from_separate_folds_stay_apart(self):
+        inf = ex.const(math.inf)
+        a, b = ex.sub(inf, inf), ex.sub(inf, inf)
+        assert math.isnan(a.value) and a is not b
+        q1 = ex.var("q1")
+        assert ex.sub(ex.mul(q1, a), ex.mul(q1, b)).op == "sub"
+        assert ex.sub(ex.mul(q1, a), ex.mul(q1, a)) is ex.ZERO
+
+    def test_nodes_are_immutable(self):
+        with pytest.raises(AttributeError):
+            ex.ONE.value = 2.0
+        with pytest.raises(AttributeError):
+            del ex.var("t").name
+
+    def test_building_does_not_recurse(self):
+        e, t = ex.var("q1"), ex.var("t")
+        for _ in range(5000):
+            e = ex.mul(ex.add(e, t), t)
+        assert e.depth == 10001 and e.names == {"q1", "t"}
+        assert SymbolicField(base_e(1), e).expr is e
 
 
 class TestProcedural:

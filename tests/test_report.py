@@ -43,6 +43,17 @@ def test_extra_objects_are_not_dropped():
         Checker(points=4).compare("c", "", [X], [X, Y])
 
 
+def test_objects_of_different_shapes_are_a_space_mismatch():
+    # broadcasting a (3, 3) tensor against a (3,) vector gave a residual
+    be = base_e(2)
+    R = Tensor11.from_dict(be, {"q1,q1": "q1"})
+    X = VectorField(be, ["1", "q1", "q2"])
+    for compare in (lambda: residual_between(R, X, (0.5, 1.0, 2.0)),
+                    lambda: max_residual(R, [(0.5, 1.0, 2.0)], X)):
+        with pytest.raises(SpaceMismatchError, match="9 components with 3"):
+            compare()
+
+
 def test_mixed_spaces_are_a_space_mismatch():
     f = parse_field("q1", BE)
     g = parse_field("p1 + q1", phase_j(1))
