@@ -24,7 +24,7 @@ from .fields import (
     inject,
 )
 from .spaces import Space, base_e, phase_j
-from .tensors import TwoForm, _table, sum_products
+from .tensors import TwoForm, _table, _zero_factors, sum_products
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -106,12 +106,15 @@ def _transport(obj, maps, dst: Space, J, K):
         return comps[0]
     n_up = variance.count("u")
     Kt = list(zip(*K)) if K else None  # Kt[a][c] = K[c][a]
+    dead = _zero_factors(dst, comps + [g for M in (J or [], K or []) for row in M
+                                       for g in row])[0]
     out = []
     for A in product(range(dst.dim), repeat=len(variance)):
         # per index, its factor for every source value C_k
         rows = [J[a] if v == "u" else Kt[a] for a, v in zip(A, variance)]
         out.append(sum_products(dst, [("+", f[:n_up] + (t,) + f[n_up:])
-                                      for f, t in zip(product(*rows), comps)]))
+                                      for f, t in zip(product(*rows), comps)
+                                      if t not in dead and dead.isdisjoint(f)]))
     return obj._rebuild(out, dst)
 
 

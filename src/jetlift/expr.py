@@ -3,6 +3,14 @@
 The grammar is deliberately small; identity checking elsewhere is done by
 random-point evaluation, so simplification here is best-effort only
 (constant folding and 0/1 absorption), never a proof of equality.
+
+Nodes are interned, so a tree is a DAG. Differentiation, evaluation,
+compilation and substitution visit it by one iterative post-order walk
+(`_postorder`), each node once and without a Python frame per level.
+Derivatives are memoised for the whole process, keyed by node and name
+beside the intern table: a node is differentiated by a name at most once,
+and the same tree always has the same derivative node. Printing still
+recurses, once per level.
 """
 from __future__ import annotations
 
@@ -194,15 +202,63 @@ def fn(name: str, arg: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# walks
+
+def _postorder(roots, done=()) -> list:
+    """Every node under the roots once, each after its children, in the
+    order a left-to-right recursive walk would first finish them; nodes in
+    done are neither listed nor entered. The walk keeps its own stack, so a
+    tree of any depth takes no Python frames."""
+    order, seen = [], set()
+    stack = list(roots)[::-1]
+    while stack:
+        e = stack.pop()
+        if e.__class__ is tuple:  # (node,): its children are finished
+            order.append(e[0])
+            continue
+        if e in seen or e in done:
+            continue
+        seen.add(e)
+        stack.append((e,))
+        cls = e.__class__
+        if cls is Binary:
+            stack += (e.right, e.left)
+        elif cls is Unary:
+            stack.append(e.arg)
+        elif cls is Pow:
+            stack.append(e.base)
+    return order
+
+
+# ---------------------------------------------------------------------------
 # differentiation
 
+_DERIVATIVES = {}  # name -> {node: its derivative by name}, for the whole process
+
+
 def differentiate(e: Expr, name: str) -> Expr:
+    """The derivative of e by the variable name. Derivatives are memoised
+    per (node, name) for the whole process: a miss walks only the nodes
+    whose derivatives are not known yet, children first, so every node is
+    differentiated once and the same tree always gives the same node."""
+    memo = _DERIVATIVES.setdefault(name, {})
+    d = memo.get(e)
+    if d is None:
+        for node in _postorder((e,), memo):
+            memo[node] = _derivative(node, name, memo)
+        d = memo[e]
+    return d
+
+
+def _derivative(e: Expr, name: str, memo: dict) -> Expr:
+    """The derivative of the node e by name, given those of its children in
+    memo."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == name else ZERO
     if isinstance(e, Unary):
-        u, du = e.arg, differentiate(e.arg, name)
+        u, du = e.arg, memo[e.arg]
         if e.op == "neg":
             return neg(du)
         if e.op == "sin":
@@ -218,7 +274,7 @@ def differentiate(e: Expr, name: str) -> Expr:
         raise ExprError(f"cannot differentiate {e.op!r}")
     if isinstance(e, Binary):
         a, b = e.left, e.right
-        da, db = differentiate(a, name), differentiate(b, name)
+        da, db = memo[a], memo[b]
         if e.op == "add":
             return add(da, db)
         if e.op == "sub":
@@ -229,7 +285,7 @@ def differentiate(e: Expr, name: str) -> Expr:
             return div(sub(mul(da, b), mul(a, db)), powr(b, Fraction(2)))
         raise ExprError(f"cannot differentiate {e.op!r}")
     if isinstance(e, Pow):
-        db = differentiate(e.base, name)
+        db = memo[e.base]
         r = e.exponent
         return mul(mul(Const(float(r)), powr(e.base, r - 1)), db)
     raise ExprError(f"unknown node {e!r}")
@@ -239,12 +295,23 @@ def differentiate(e: Expr, name: str) -> Expr:
 # evaluation
 
 def evaluate(e: Expr, env: dict) -> float:
+    """The value of e with the variables set from env, each node computed
+    once; raises the guard error a left-to-right recursive evaluation would
+    raise first."""
+    value = {}
+    for node in _postorder((e,)):
+        value[node] = _value(node, env, value)
+    return value[e]
+
+
+def _value(e: Expr, env: dict, value: dict) -> float:
+    """The value of the node e, given those of its children in value."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, Unary):
-        u = evaluate(e.arg, env)
+        u = value[e.arg]
         if e.op == "neg":
             return -u
         if e.op == "log":
@@ -260,7 +327,7 @@ def evaluate(e: Expr, env: dict) -> float:
         except ValueError:  # sin or cos of an infinite value
             raise DomainError(f"{e.op} of {u}") from None
     if isinstance(e, Binary):
-        a, b = evaluate(e.left, env), evaluate(e.right, env)
+        a, b = value[e.left], value[e.right]
         if e.op == "add":
             return a + b
         if e.op == "sub":
@@ -271,7 +338,7 @@ def evaluate(e: Expr, env: dict) -> float:
             raise SingularPointError(f"denominator {b} below guard {SINGULAR_GUARD}")
         return a / b
     if isinstance(e, Pow):
-        b = evaluate(e.base, env)
+        b = value[e.base]
         r = e.exponent
         if r.denominator != 1 and b < 0.0:
             raise DomainError(f"fractional power of negative base {b}")
@@ -315,28 +382,22 @@ def _compile(roots, column: dict):
     the program and the root slots."""
     program = []
     slot_of = {}  # node -> slot
-
-    def visit(e):
-        slot = slot_of.get(e)
-        if slot is not None:
-            return slot
+    for e in _postorder(roots):
         if isinstance(e, Const):
             ins = ("const", e.value, ())
         elif isinstance(e, Var):
             ins = ("var", column[e.name], ())
         elif isinstance(e, Unary):
-            ins = (e.op, None, (visit(e.arg),))
+            ins = (e.op, None, (slot_of[e.arg],))
         elif isinstance(e, Binary):
-            ins = (e.op, None, (visit(e.left), visit(e.right)))
+            ins = (e.op, None, (slot_of[e.left], slot_of[e.right]))
         elif isinstance(e, Pow):
-            ins = ("pow", e.exponent, (visit(e.base),))
+            ins = ("pow", e.exponent, (slot_of[e.base],))
         else:
             raise ExprError(f"unknown node {e!r}")
-        slot = slot_of[e] = len(program)
+        slot_of[e] = len(program)
         program.append(ins)
-        return slot
-
-    return program, [visit(r) for r in roots]
+    return program, [slot_of[r] for r in roots]
 
 
 def compile_batch(roots, coords):
@@ -408,20 +469,25 @@ def _run(program, out_slots, points):
 
 def substitute(e: Expr, mapping: dict) -> Expr:
     """Rebuild e with every variable replaced by mapping[name] (an Expr)."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return mapping[e.name]
-    if isinstance(e, Unary):
-        u = substitute(e.arg, mapping)
-        return neg(u) if e.op == "neg" else fn(e.op, u)
-    if isinstance(e, Binary):
-        a = substitute(e.left, mapping)
-        b = substitute(e.right, mapping)
-        return {"add": add, "sub": sub, "mul": mul, "div": div}[e.op](a, b)
-    if isinstance(e, Pow):
-        return powr(substitute(e.base, mapping), e.exponent)
-    raise ExprError(f"unknown node {e!r}")
+    new = {}
+    for node in _postorder((e,)):
+        if isinstance(node, Const):
+            new[node] = node
+        elif isinstance(node, Var):
+            new[node] = mapping[node.name]
+        elif isinstance(node, Unary):
+            u = new[node.arg]
+            new[node] = neg(u) if node.op == "neg" else fn(node.op, u)
+        elif isinstance(node, Binary):
+            new[node] = _BINARY_OPS[node.op](new[node.left], new[node.right])
+        elif isinstance(node, Pow):
+            new[node] = powr(new[node.base], node.exponent)
+        else:
+            raise ExprError(f"unknown node {node!r}")
+    return new[e]
+
+
+_BINARY_OPS = {"add": add, "sub": sub, "mul": mul, "div": div}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from .tensors import (
     Tensor11,
     TwoForm,
     VectorField,
+    _zero_factors,
     adjoint_tensor11,
     sum_products,
 )
@@ -46,8 +47,10 @@ def momentum_function(X: VectorField) -> ScalarField:
 
 def _p_sum(space: Space, fields, sign="+") -> ScalarField:
     """The sum of sign p_i f_i over the base fields f_1, f_2, ..., on space."""
-    return sum_products(space, [(sign, [coord_field(space, f"p{i}"), inject(f, space)])
-                                for i, f in enumerate(fields, 1)])
+    fields = [inject(f, space) for f in fields]
+    dead = _zero_factors(space, fields)[0]
+    return sum_products(space, [(sign, [coord_field(space, f"p{i}"), f])
+                                for i, f in enumerate(fields, 1) if f not in dead])
 
 
 def vlift_oneform(alpha: OneForm) -> VectorField:

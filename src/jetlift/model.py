@@ -54,6 +54,12 @@ def _parse_component(space: Space, comps: dict, name: str, key: str):
     if f is None or f.expr.depth > MAX_DEPTH:
         raise ModelError(f"object {name!r}, component {key!r}: expression "
                          "nested too deeply")
+    for c in space.coords:  # every lift and suite differentiates it
+        try:
+            f.diff(c)
+        except ExprError as exc:  # log(0): its derivative divides by 0
+            raise ModelError(f"object {name!r}, component {key!r}: cannot "
+                             f"differentiate by {c!r}: {exc}")
     return f
 
 

@@ -39,6 +39,7 @@ from .tensors import (
     Tensor11,
     VectorField,
     _table,
+    _zero_factors,
     adjoint_tensor11,
     apply_tensor11,
     differential,
@@ -114,10 +115,14 @@ def commutation_defect(Rt: Tensor11) -> list:
     pj = Rt.space
     n = pj.n
     d = pj.dim
-    Lam, E = canonical_bivector(n).entries, Rt.entries
+    Lam = canonical_bivector(n)
+    L, E = Lam.entries, Rt.entries
+    dead = _zero_factors(pj, Rt.components() + Lam.components())[0]
     return _table(d, 2, lambda c, b: sum_products(
-        pj, [("+", [E[c][a], Lam[a][b]]) for a in range(d)]
-        + [("+-", [Lam[c][a], E[b][a]]) for a in range(d)]))
+        pj, [("+", [E[c][a], L[a][b]]) for a in range(d)
+             if E[c][a] not in dead and L[a][b] not in dead]
+        + [("+-", [L[c][a], E[b][a]]) for a in range(d)
+           if L[c][a] not in dead and E[b][a] not in dead]))
 
 
 def commutation_residual(Rt: Tensor11, points) -> float:

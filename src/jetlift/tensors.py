@@ -7,14 +7,16 @@ coordinate of the space, as a table nested to that rank, even when only
 some blocks are nonzero; block structure is checked through predicates
 (is_vertical, annihilates_dt) rather than by type. The Lie derivative
 here and the chart transport in `charts` are one formula each, read off
-the variance. Component sums skip their constant-zero terms, exactly
-(`sum_products`), so the zero blocks cost no tree operations.
+the variance. The contractions build no term with a constant-zero factor
+(`_zero_factors` finds those factors, and the derivatives of constants are
+not taken), where `sum_products` would skip it: the zero blocks cost
+neither a term nor a tree operation, and every tree is the one the full
+fold would build.
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import chain, product
 from operator import add, mul, sub
 
 import numpy as np
@@ -230,17 +232,21 @@ class Tensor12(_Indexed):
 
     def apply(self, X: VectorField, Y: VectorField) -> VectorField:
         _require_same_space(self, X, Y)
-        r = range(self.space.dim)
+        r, N = range(self.space.dim), self.comps
+        dead = _zero_factors(self.space, self.components() + X.comps + Y.comps)[0]
         return VectorField(self.space, [sum_products(self.space, [
-            ("+", [self.comps[a][b][c], X.comps[b], Y.comps[c]])
-            for b in r for c in r]) for a in r])
+            ("+", [N[a][b][c], X.comps[b], Y.comps[c]]) for b in r
+            if X.comps[b] not in dead for c in r
+            if Y.comps[c] not in dead and N[a][b][c] not in dead]) for a in r])
 
     def hook(self, X: VectorField) -> Tensor11:
         """(i_X N)(Y) = N(X, Y), as a (1,1) tensor."""
         _require_same_space(self, X)
-        d = self.space.dim
+        d, N = self.space.dim, self.comps
+        dead = _zero_factors(self.space, self.components() + X.comps)[0]
         return Tensor11(self.space, _table(d, 2, lambda a, c: sum_products(
-            self.space, [("+", [self.comps[a][b][c], X.comps[b]]) for b in range(d)])))
+            self.space, [("+", [N[a][b][c], X.comps[b]]) for b in range(d)
+                         if X.comps[b] not in dead and N[a][b][c] not in dead])))
 
 
 def _table(d, rank, fn, *index):
@@ -256,30 +262,38 @@ def _table(d, rank, fn, *index):
 
 def apply_tensor11(T: Tensor11, X: VectorField) -> VectorField:
     _require_same_space(T, X)
-    r = range(T.space.dim)
+    r, E = range(T.space.dim), T.entries
+    dead = _zero_factors(T.space, T.components() + X.comps)[0]
     return VectorField(T.space, [sum_products(T.space, [
-        ("+", [T.entries[a][b], X.comps[b]]) for b in r]) for a in r])
+        ("+", [E[a][b], X.comps[b]]) for b in r
+        if X.comps[b] not in dead and E[a][b] not in dead]) for a in r])
 
 
 def adjoint_tensor11(T: Tensor11, alpha: OneForm) -> OneForm:
     """(T(alpha))_b = T^a_b alpha_a, so that <T(X), alpha> = <X, T(alpha)>."""
     _require_same_space(T, alpha)
-    r = range(T.space.dim)
+    r, E = range(T.space.dim), T.entries
+    dead = _zero_factors(T.space, T.components() + alpha.comps)[0]
     return OneForm(T.space, [sum_products(T.space, [
-        ("+", [T.entries[a][b], alpha.comps[a]]) for a in r]) for b in r])
+        ("+", [E[a][b], alpha.comps[a]]) for a in r
+        if alpha.comps[a] not in dead and E[a][b] not in dead]) for b in r])
 
 
 def pair(X: VectorField, alpha: OneForm) -> ScalarField:
     _require_same_space(X, alpha)
-    return sum_products(X.space, [("+", [x, a]) for x, a in zip(X.comps, alpha.comps)])
+    dead = _zero_factors(X.space, X.comps + alpha.comps)[0]
+    return sum_products(X.space, [("+", [x, a]) for x, a in zip(X.comps, alpha.comps)
+                                  if x not in dead and a not in dead])
 
 
 def compose_tensor11(A: Tensor11, B: Tensor11) -> Tensor11:
     """Matrix product: (A o B)(X) = A(B(X))."""
     _require_same_space(A, B)
-    d = A.space.dim
+    d, P, Q = A.space.dim, A.entries, B.entries
+    dead = _zero_factors(A.space, A.components() + B.components())[0]
     return Tensor11(A.space, _table(d, 2, lambda a, b: sum_products(
-        A.space, [("+", [A.entries[a][c], B.entries[c][b]]) for c in range(d)])))
+        A.space, [("+", [P[a][c], Q[c][b]]) for c in range(d)
+                  if P[a][c] not in dead and Q[c][b] not in dead])))
 
 
 def tensor_product(X: VectorField, alpha: OneForm) -> Tensor11:
@@ -334,31 +348,20 @@ def lie_derivative(X: VectorField, T):
         raise TypeError(f"cannot Lie-derive a {type(T).__name__}")
     _require_same_space(X, T)
     space = X.space
-    coords = space.coords
-    d = space.dim
     Xc = X.comps
     comps = T.components()
-    # All symbolic and finite: a constant is not differentiated (None in dX:
-    # its derivative is 0) and no term that sum_products would skip is built.
-    sparse = all(isinstance(g, SymbolicField) and (g.space is space or g.space == space)
-                 for g in Xc + comps)
-    dX = [None if sparse and x.expr.__class__ is ex.Const else x.diff(name)
-          for x in Xc for name in coords] if variance else []
-    if sparse and not all(g.expr.__class__ is not ex.Const or math.isfinite(g.expr.value)
-                          for g in Xc + comps + dX if g is not None):
-        sparse, dX = False, [x.diff(name) for x in Xc for name in coords]
-    dead = [sparse and (g is None or _vanishes([g])) for g in comps + dX]
-    n = len(comps)
+    # dX[q] = d_b X^a at q = a * d + b, dT[j][c] = d_c T_j
+    dead, derivs = _zero_factors(space, Xc + comps, (Xc if variance else []) + comps)
+    dX, dT = [g for row in derivs[:-len(comps)] for g in row], derivs[-len(comps):]
     out = []
-    for f, moves in zip(comps, _lie_moves(variance, d)):
+    for f, df, moves in zip(comps, dT, _lie_moves(variance, space.dim)):
         terms = []
         for c, index_terms in enumerate(moves):
-            if not (sparse and f.expr.__class__ is ex.Const):
-                t = [Xc[c], f.diff(coords[c])]
-                if not (sparse and _vanishes(t)):
-                    terms.append(("+", t))
+            if Xc[c] not in dead and df[c] not in dead:
+                terms.append(("+", [Xc[c], df[c]]))
             terms += [("-" if upper else "+", [comps[j], dX[q]])
-                      for j, q, upper in index_terms if not (dead[j] or dead[n + q])]
+                      for j, q, upper in index_terms
+                      if comps[j] not in dead and dX[q] not in dead]
         out.append(sum_products(space, terms))
     return T._rebuild(out) if variance else out[0]
 
@@ -375,18 +378,22 @@ def exterior_derivative(alpha: OneForm) -> TwoForm:
 
 def interior_product(X: VectorField, omega: TwoForm) -> OneForm:
     _require_same_space(X, omega)
-    r = range(X.space.dim)
+    r, W = range(X.space.dim), omega.entries
+    dead = _zero_factors(X.space, X.comps + omega.components())[0]
     return OneForm(X.space, [sum_products(X.space, [
-        ("+", [X.comps[a], omega.entries[a][b]]) for a in r]) for b in r])
+        ("+", [X.comps[a], W[a][b]]) for a in r
+        if X.comps[a] not in dead and W[a][b] not in dead]) for b in r])
 
 
 def hook2(R: Tensor11, omega) -> list:
     """The covariant 2-tensor (X, Y) -> omega(R(X), Y), as a matrix of
     fields (it is not antisymmetric in general)."""
     _require_same_space(R, omega)
-    d = R.space.dim
+    d, E, W = R.space.dim, R.entries, omega.entries
+    dead = _zero_factors(R.space, R.components() + omega.components())[0]
     return _table(d, 2, lambda a, b: sum_products(
-        R.space, [("+", [R.entries[c][a], omega.entries[c][b]]) for c in range(d)]))
+        R.space, [("+", [E[c][a], W[c][b]]) for c in range(d)
+                  if E[c][a] not in dead and W[c][b] not in dead]))
 
 
 # How a term joins the sum, by its sign. "+-" adds the negated product,
@@ -403,7 +410,9 @@ def sum_products(space: Space, terms) -> ScalarField:
     otherwise it runs on the fields, as `acc = acc + f1 * f2` would. The
     tree fold skips a term that `_vanishes`, exactly: adding or subtracting
     ±0 returns a tree sum as it is, and a constant one, which starts at +0.0
-    and so is never -0.0 under round-to-nearest, with its value."""
+    and so is never -0.0 under round-to-nearest, with its value. The
+    library's callers drop those terms before they build them
+    (`_zero_factors`); the skip here covers any caller that does not."""
     acc = ex.ZERO
     for sign, factors in terms:
         for f in factors:
@@ -414,6 +423,39 @@ def sum_products(space: Space, terms) -> ScalarField:
         if not _vanishes(factors):
             acc = _EXPR_FOLD[sign](acc, reduce(ex.mul, [f.expr for f in factors]))
     return SymbolicField(space, acc)
+
+
+def _zero_factors(space: Space, factors, diffed=()):
+    """The factors of a contraction that are the constant 0, and the
+    derivatives [[f.diff(c) for c in space.coords] for f in diffed].
+
+    The zero factors are found only where sum_products skips every term
+    that has one: when each factor and derivative is a symbolic field on
+    space and no constant among them is non-finite (0 * inf is nan). Then
+    the derivatives of a constant are None (they are 0), and the set holds
+    None and every constant-zero factor. Otherwise it is empty, and every
+    derivative is built. A caller that leaves out each term with a factor
+    in the set so folds the same tree as when it hands sum_products all of
+    them, and builds no zero term."""
+    coords, Const = space.coords, ex.Const
+    fields = [*factors, *diffed]
+    for f in fields:
+        if f.__class__ is not SymbolicField or (f.space is not space and f.space != space):
+            break
+    else:
+        derivs = [[None if f.expr.__class__ is Const else f.diff(c) for c in coords]
+                  for f in diffed]
+        dead = {None}
+        for f in chain(fields, *derivs):
+            e = f and f.expr
+            if e.__class__ is Const:
+                if e.value - e.value != 0.0:  # inf or nan
+                    break
+                if e.value == 0.0:
+                    dead.add(f)
+        else:
+            return dead, derivs
+    return set(), [[f.diff(c) for c in coords] for f in diffed]
 
 
 def _vanishes(factors) -> bool:
@@ -437,15 +479,15 @@ def nijenhuis_torsion(R: Tensor11) -> Tensor12:
     """N_R(X, Y) = [RX, RY] + R^2[X, Y] - R[RX, Y] - R[X, RY], stored by
     its values on coordinate fields (torsion is tensorial)."""
     space, E = R.space, R.entries
-    coords = space.coords
     d = space.dim
+    dead, derivs = _zero_factors(space, [], R.components())
+    D = _nest(derivs, d, 2)  # D[a][b][e] = d_e R^a_b
 
     def comp(a, b, c):
-        return sum_products(space, [t for e in range(d) for t in (
-            ("+", [E[e][b], E[a][c].diff(coords[e])]),
-            ("-", [E[e][c], E[a][b].diff(coords[e])]),
-            ("+", [E[a][e], E[e][b].diff(coords[c])]),
-            ("-", [E[a][e], E[e][c].diff(coords[b])]))])
+        return sum_products(space, [(sign, [f, g]) for e in range(d) for sign, f, g in (
+            ("+", E[e][b], D[a][c][e]), ("-", E[e][c], D[a][b][e]),
+            ("+", E[a][e], D[e][b][c]), ("-", E[a][e], D[e][c][b]))
+            if f not in dead and g not in dead])
     return Tensor12(space, _table(d, 3, comp))
 
 
@@ -453,12 +495,15 @@ def haantjes_tensor(R: Tensor11) -> Tensor12:
     """H_R(X,Y) = R^2 N(X,Y) + N(RX,RY) - R N(RX,Y) - R N(X,RY)."""
     space = R.space
     r = range(space.dim)
-    Rm, Nc = R.entries, nijenhuis_torsion(R).comps
+    N = nijenhuis_torsion(R)
+    Rm, Nc = R.entries, N.comps
+    dead = _zero_factors(space, R.components() + N.components())[0]
 
     def comp(a, b, c):
         return sum_products(space, [t for e in r for f in r for t in (
             ("+", [Rm[a][e], Rm[e][f], Nc[f][b][c]]),
             ("+", [Rm[e][b], Rm[f][c], Nc[a][e][f]]),
             ("-", [Rm[a][e], Rm[f][b], Nc[e][f][c]]),
-            ("-", [Rm[a][e], Rm[f][c], Nc[e][b][f]]))])
+            ("-", [Rm[a][e], Rm[f][c], Nc[e][b][f]]))
+            if dead.isdisjoint(t[1])])
     return Tensor12(space, _table(space.dim, 3, comp))

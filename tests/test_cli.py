@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +17,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """The CLI on argv in a new interpreter, where no expression node or
+    derivative that an earlier test built is there to spare it a walk."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "jetlift.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestLift:
@@ -325,6 +338,9 @@ BAD_MODELS = {
         "kind": "transform", "components": {"inv_q1": "q1"}}}},
     "list.json": [1, 2],
     "no-objects.json": {"n": 1, "objects": {}},
+    # log(0) loads, but its derivative divides by the constant zero
+    "log-zero.json": {"n": 1, "objects": {"R": {
+        "kind": "tensor11_E", "components": {"q1,q1": "q1 + log(0)*t"}}}},
 }
 LEMMA1 = ("verify", "--model", N1, "--suite", "lemma1")
 R_DN = ("darboux", "--model", N2, "--object", "R_dn")
@@ -355,6 +371,10 @@ R_DN = ("darboux", "--model", N2, "--object", "R_dn")
     (("print", "--model", "list.json", "--object", "f"), "a JSON object"),
     (("print", "--model", "no-objects.json", "--object", "f"),
      "non-empty 'objects'"),
+    (("lift", "--model", "log-zero.json", "--object", "R", "--kind",
+      "complete"), "object 'R', component 'q1,q1': cannot differentiate"),
+    (("verify", "--model", "log-zero.json", "--suite", "all"),
+     "object 'R', component 'q1,q1': cannot differentiate"),
 ])
 def test_bad_input_is_exit_2_without_traceback(argv, names, tmp_path, capsys):
     # a check on no points, or at no tolerance, must not pass; a number
@@ -420,6 +440,10 @@ def test_no_expression_text_ends_in_a_traceback(text, printed, rejected,
     assert "Traceback" not in err + verify_err
 
 
+# The deep rows run the CLI in a new interpreter each: in this one, a tree
+# an earlier row walked would be interned and its derivatives memoised, and
+# the row would pass without the walk whose depth it tests.
+
 # a sum of k terms q1*t is a tree of depth k + 1: with 400 terms the checks
 # on it ended in a RecursionError from comparing trees, and MAX_DEPTH - 1
 # terms make the deepest tree a model may hold
@@ -431,10 +455,31 @@ def test_no_expression_text_ends_in_a_traceback(text, printed, rejected,
     (["verify", "--suite", "all", "--points", "4"], 0),
     (["darboux", "--object", "R"], 1),  # refused: R has torsion (not-pn)
 ])
-def test_deep_sums_run(terms, argv, exit_code, tmp_path, capsys):
+def test_deep_sums_run(terms, argv, exit_code, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": 1, "objects": {"R": {
         "kind": "tensor11_E",
         "components": {"q1,q1": " + ".join(["q1*t"] * terms), "q1,t": "t"}}}}))
-    code, _, err = run(capsys, argv[0], "--model", str(path), *argv[1:])
+    code, _, err = run_fresh(argv[0], "--model", str(path), *argv[1:])
     assert code == exit_code, err
+
+
+# Components within MAX_DEPTH whose derivatives are deeper than they are: a
+# product's derivative is about twice as deep as the product, a quotient's
+# three times. The walks over such trees recursed once per level and ended
+# in a RecursionError. At these sizes the values overflow or round past the
+# absolute tolerance, so some identities fail (exit 1); none may end in a
+# traceback.
+@pytest.mark.parametrize("component", [
+    "*".join(["q1"] * 500),
+    "*".join(["(q1+t)"] * 400),
+    "/".join(["q1"] * 350),
+], ids=["product-500", "sum-product-400", "quotient-350"])
+def test_deep_derivatives_run(component, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "objects": {"R": {
+        "kind": "tensor11_E", "components": {"q1,q1": component}}}}))
+    code, out, err = run_fresh("verify", "--model", str(path), "--suite",
+                               "all", "--points", "4")
+    assert code in (0, 1), err
+    assert "Traceback" not in err and out.startswith("[")

@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -333,6 +334,70 @@ class TestInterning:
             e = ex.mul(ex.add(e, t), t)
         assert e.depth == 10001 and e.names == {"q1", "t"}
         assert SymbolicField(base_e(1), e).expr is e
+
+
+def _children(e):
+    return {ex.Unary: ("arg",), ex.Binary: ("left", "right"),
+            ex.Pow: ("base",)}.get(type(e), ())
+
+
+def _recursive_postorder(roots):
+    """Post-order by recursion, each node where it is first finished."""
+    order = []
+
+    def visit(e):
+        for slot in _children(e):
+            visit(getattr(e, slot))
+        if e not in order:
+            order.append(e)
+    for r in roots:
+        visit(r)
+    return order
+
+
+def _recursive_outcome(e, point):
+    """_outcome of the evaluation that recurses once per level, evaluating
+    a node's children left to right before the node, and each use of a
+    shared node anew."""
+    env, value = dict(zip(COORDS, point)), {}
+
+    def visit(n):
+        for slot in _children(n):
+            visit(getattr(n, slot))
+        value[n] = ex._value(n, env, value)
+    try:
+        visit(e)
+    except (EvaluationError, OverflowError) as exc:
+        return type(exc)
+    v = value[e]
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+class TestWalks:
+    @given(st.lists(TREES, min_size=1, max_size=3))
+    def test_postorder_is_the_recursive_order(self, roots):
+        assert ex._postorder(roots) == _recursive_postorder(roots)
+
+    @given(TREES, POINTS)
+    def test_evaluate_raises_what_recursion_raised_first(self, e, point):
+        assert _outcome(e, point) == _recursive_outcome(e, point)
+
+    def test_deep_trees_take_no_frame_per_level(self):
+        # 5000 factors q1: depth 5000, and a derivative twice as deep
+        q1 = ex.var("q1")
+        e = q1
+        for _ in range(4999):
+            e = ex.mul(e, q1)
+        d = ex.differentiate(e, "q1")
+        assert d.depth > 2 * sys.getrecursionlimit()
+        assert ex.evaluate(e, {"q1": 1.0}) == 1.0
+        assert ex.evaluate(d, {"q1": 1.0}) == 5000.0
+        run = ex.compile_batch([e, d], ["q1"])
+        values, rejected = run(np.array([[1.0], [-1.0]]))
+        assert values.tolist() == [[1.0, 1.0], [5000.0, -5000.0]]
+        assert not rejected.any()
+        s = ex.substitute(d, {"q1": ex.var("t")})
+        assert s.names == {"t"} and ex.evaluate(s, {"t": 1.0}) == 5000.0
 
 
 class TestProcedural:

@@ -11,14 +11,19 @@ must build the same fields, value and gradient bit for bit. The work-count
 tests hold it to building one field per component.
 
 The tree fold skips terms with a constant-zero factor. A property test
-holds it to the fold that keeps them, bit for bit, and a work count holds
-the Lie derivative to building no such term at all.
+holds it to the fold that keeps them, bit for bit. The callers build no
+such term at all: a work count holds every contraction site to handing the
+fold no zero term, and, where a non-finite constant turns a zero term into
+nan, to the trees of the fold that is handed every term. Another holds
+`expr.differentiate` to walking each (node, name) pair once per process.
 """
 import math
 import os
 import random
 import struct
-from functools import reduce
+import sys
+from collections import Counter, namedtuple
+from functools import partial, reduce
 from itertools import product
 from operator import mul
 
@@ -51,6 +56,8 @@ from jetlift import (
     nijenhuis_torsion,
     pair,
     poisson_bracket,
+    pullback_oneform_to_phase,
+    run_suite,
     vlift_tensor11,
 )
 from jetlift import charts, fields, tensors
@@ -68,7 +75,7 @@ from jetlift.fields import (
 )
 from jetlift.model import load_model
 from jetlift.spaces import PHASE_J, Space, base_e, extended_t, phase_j
-from jetlift.tensors import _lie_moves, _table, sum_fields, sum_products
+from jetlift.tensors import TwoForm, _lie_moves, _table, sum_fields, sum_products
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -510,6 +517,8 @@ def bits(e):
         return e.name
     if isinstance(e, ex.Unary):
         return (e.op, bits(e.arg))
+    if isinstance(e, ex.Pow):
+        return ("pow", e.exponent, bits(e.base))
     return (e.op, bits(e.left), bits(e.right))
 
 
@@ -585,3 +594,171 @@ def test_lie_derivative_keeps_zero_terms_beside_non_finite_constants():
         got, want = trees(lie_derivative(X, T)), trees(ref_lie_derivative(X, T))
         assert [bits(e) for e in got] == [bits(e) for e in want]
         assert any(math.isnan(e.value) for e in got if isinstance(e, ex.Const))
+
+
+# ---------------------------------------------------------------------------
+# zero terms are not built: every contraction site
+
+Group = namedtuple("Group", "Rs Xs alphas omegas maps")
+
+
+def base_group(inp):
+    return Group(inp.tensors, inp.vert_fields + inp.tnorm_fields, inp.oneforms,
+                 inp.twoforms, [T.base_map() for T in inp.transforms])
+
+
+def phase_group(inp):
+    return Group([complete_lift_tensor11(R) for R in inp.tensors],
+                 [complete_lift_vector(X) for X in inp.vert_fields + inp.tnorm_fields],
+                 [pullback_oneform_to_phase(a) for a in inp.oneforms],
+                 [canonical_theta(inp.n)], [T.phase_map() for T in inp.transforms])
+
+
+def lifts_of(g):
+    """The lifts of a base group, which take _p_sum."""
+    if g.Rs[0].space.kind == PHASE_J:
+        return []
+    return ([partial(lift, R) for R in g.Rs for lift in (
+        complete_lift_tensor11, complete_lift_cotangent, vlift_tensor11, hlift_tensor11)]
+        + [partial(complete_lift_vector, X) for X in g.Xs]
+        + [partial(momentum_function, X) for X in g.Xs if X.is_vertical])
+
+
+# each site: the calls of it on a group, built before any call is counted
+SITES = {
+    "lie_derivative": lambda g: [partial(lie_derivative, X, T) for X in g.Xs
+                                 for T in g.Rs + g.Xs + g.alphas + g.omegas],
+    "Tensor12.apply": lambda g: [partial(nijenhuis_torsion(R).apply, X, Y)
+                                 for R in g.Rs for X, Y in zip(g.Xs, g.Xs[1:])],
+    "Tensor12.hook": lambda g: [partial(nijenhuis_torsion(R).hook, X)
+                                for R in g.Rs for X in g.Xs],
+    "apply_tensor11": lambda g: [partial(apply_tensor11, R, X) for R in g.Rs for X in g.Xs],
+    "adjoint_tensor11": lambda g: [partial(adjoint_tensor11, R, a)
+                                   for R in g.Rs for a in g.alphas],
+    "compose_tensor11": lambda g: [partial(compose_tensor11, R, S)
+                                   for R in g.Rs for S in g.Rs],
+    "hook2": lambda g: [partial(hook2, R, w) for R in g.Rs for w in g.omegas],
+    "interior_product": lambda g: [partial(interior_product, X, w)
+                                   for X in g.Xs for w in g.omegas],
+    "pair": lambda g: [partial(pair, X, a) for X in g.Xs for a in g.alphas],
+    "nijenhuis_torsion": lambda g: [partial(nijenhuis_torsion, R) for R in g.Rs],
+    "haantjes_tensor": lambda g: [partial(haantjes_tensor, R) for R in g.Rs[:2]],
+    "charts._transport": lambda g: [partial(m.push, obj) for m in g.maps
+                                    for obj in g.Rs + g.Xs + g.alphas + g.omegas],
+    "lifts._p_sum": lifts_of,
+    "pn.commutation_defect": lambda g: [partial(commutation_defect, R) for R in g.Rs
+                                        if R.space.kind == PHASE_J],
+}
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Bind replacement wherever a jetlift module binds original."""
+    for name, mod in list(sys.modules.items()):
+        if name == "jetlift" or name.startswith("jetlift."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def spy_on_terms(monkeypatch):
+    """The list every term handed to sum_products, by any module, joins."""
+    handed = []
+
+    def spy(space, terms):
+        handed.extend(terms)
+        return sum_products(space, terms)
+
+    patch_everywhere(monkeypatch, sum_products, spy)
+    return handed
+
+
+def find_no_zero_factors(space, factors, diffed=()):
+    """_zero_factors as if some constant were non-finite: no factor is
+    flagged, so every term is built and handed to sum_products."""
+    return set(), [[f.diff(c) for c in space.coords] for f in diffed]
+
+
+def zero_terms(terms):
+    return [t for t in terms if any(fields.is_symbolically_zero(f) for f in t[1])]
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_sites_hand_sum_products_no_zero_term(inp, site, monkeypatch):
+    calls = [c for g in (base_group(inp), phase_group(inp)) for c in SITES[site](g)]
+    handed = spy_on_terms(monkeypatch)
+    for call in calls:
+        call()
+    assert handed and not zero_terms(handed)
+    # the inputs have zero factors: unflagged, the site hands the fold them
+    handed.clear()
+    patch_everywhere(monkeypatch, tensors._zero_factors, find_no_zero_factors)
+    for call in calls:
+        call()
+    assert zero_terms(handed)
+
+
+def non_finite_groups():
+    """Objects on base_e(1) with an infinite constant, or a derivative that
+    folds to one (1e200 * 1e200), beside constant zeros; and their lifts."""
+    be = base_e(1)
+    huge = "1e200*(1e200*q1)"
+    Rs = [Tensor11.from_dict(be, {"q1,q1": huge}),
+          Tensor11.from_dict(be, {"q1,q1": "q1", "q1,t": math.inf})]
+    Xs = [VectorField(be, [1.0, "1e309*q1"]), VectorField(be, [0.0, math.inf]),
+          VectorField(be, [0.0, huge])]
+    alphas = [OneForm(be, [math.inf, 0.0]), OneForm(be, ["q1", 0.0])]
+    omegas = [TwoForm.from_dict(be, {"q1,t": math.inf}),
+              TwoForm.from_dict(be, {"q1,t": huge})]
+    transform = load_model(os.path.join(MODELS, "n1.json")).suite_inputs().transforms[0]
+    base = Group(Rs, Xs, alphas, omegas, [transform.base_map()])
+    lifted = Group([complete_lift_tensor11(R) for R in Rs],
+                   [complete_lift_vector(X) for X in Xs],
+                   [pullback_oneform_to_phase(a) for a in alphas],
+                   [canonical_theta(1)], [transform.phase_map()])
+    return base, lifted
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_sites_keep_zero_terms_beside_non_finite_constants(site, monkeypatch):
+    # 0 * inf is nan: the trees must be those of the fold that is handed
+    # every term and skips only the products that fold to 0
+    calls = [c for g in non_finite_groups() for c in SITES[site](g)]
+    assert calls
+    got = [[bits(e) for e in trees(call())] for call in calls]
+    patch_everywhere(monkeypatch, tensors._zero_factors, find_no_zero_factors)
+    assert got == [[bits(e) for e in trees(call())] for call in calls]
+
+
+def test_nijenhuis_torsion_keeps_zero_terms_beside_an_infinite_derivative():
+    # d_q1 of 1e200*(1e200*q1) folds to inf, and R's other entries are 0
+    R = Tensor11.from_dict(base_e(1), {"q1,q1": "1e200*(1e200*q1)"})
+    got, want = trees(nijenhuis_torsion(R)), trees(ref_nijenhuis(R))
+    assert [bits(e) for e in got] == [bits(e) for e in want]
+    assert any(math.isnan(e.value) for e in got if isinstance(e, ex.Const))
+
+
+def test_differentiate_walks_each_node_once(monkeypatch):
+    walked = Counter()
+    rule = ex._derivative
+
+    def counted(e, name, memo):
+        walked[e, name] += 1
+        return rule(e, name, memo)
+
+    monkeypatch.setattr(ex, "_derivative", counted)
+    # a tree no other test builds: each node under it is walked once per
+    # name, and asking again walks nothing
+    coords = ("t", "q1", "q2")
+    e = ex.parse_expr("sin(q1*t*0.6180339887) / (q1*t*0.6180339887 + q2^2) + q2", coords)
+    first = [ex.differentiate(e, name) for name in coords]
+    assert {(e, name) for name in coords} <= set(walked)
+    assert max(walked.values()) == 1 and set(walked) <= {
+        (node, name) for node in ex._postorder([e]) for name in coords}
+    count = sum(walked.values())
+    assert [ex.differentiate(e, name) for name in coords] == first
+    assert sum(walked.values()) == count
+    # a suite run, twice: no pair is walked a second time
+    inp = load_model(os.path.join(MODELS, "n2.json")).suite_inputs()
+    for _ in range(2):
+        run_suite("prop6", inp, points=4)
+    assert max(walked.values()) == 1
