@@ -9,8 +9,9 @@ compilation and substitution visit it by one iterative post-order walk
 (`_postorder`), each node once and without a Python frame per level.
 Derivatives are memoised for the whole process, keyed by node and name
 beside the intern table: a node is differentiated by a name at most once,
-and the same tree always has the same derivative node. Printing still
-recurses, once per level.
+and the same tree always has the same derivative node. The printer and
+the parser keep their own stacks too, so no function here calls itself
+and a tree or a text may be nested to any depth.
 """
 from __future__ import annotations
 
@@ -41,9 +42,9 @@ class Expr:
     identity, a constant's value with its sign) give the same object, so
     equality and hashing are identity, and nodes are immutable, as every
     tree that uses one shares it. `names` is the frozenset of variable
-    names a node uses, `depth` the number of nodes on its longest path."""
+    names a node uses."""
 
-    __slots__ = ("names", "depth")
+    __slots__ = ("names",)
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -66,13 +67,12 @@ def _node(key, fields):
     """A new node of class key[0] with these fields, entered in _NODES."""
     cls = key[0]
     node = _NODES[key] = object.__new__(cls)
-    names, depth = frozenset(fields if cls is Var else ()), 0
+    names = frozenset(fields if cls is Var else ())
     for slot, value in zip(cls.__slots__, fields):
         object.__setattr__(node, slot, value)
         if isinstance(value, Expr):
-            names, depth = names | value.names, max(depth, value.depth)
+            names |= value.names
     object.__setattr__(node, "names", _NAMES.setdefault(names, names))
-    object.__setattr__(node, "depth", depth + 1)
     return node
 
 
@@ -504,39 +504,46 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
-# precedence levels: add/sub 1, mul/div 2, pow base 4, atom 5
+# an infix operator's level, text, and the contexts of its two sides; the
+# left side of '/' needs ctx 3: a trailing '^k' there would otherwise
+# swallow the slash into a rational exponent on re-parse
+_INFIX = {"add": (1, " + ", 1, 2), "sub": (1, " - ", 1, 2),
+          "mul": (2, "*", 2, 3), "div": (2, "/", 3, 3)}
+
+
 def to_string(e: Expr, ctx: int = 0) -> str:
-    """e as text that parses back to it, in a context of precedence ctx."""
-    if isinstance(e, Const):
-        s = _fmt_number(e.value)
-        # a leading '-' is a legal 'base', but must be shielded from '^'
-        return f"({s})" if e.value < 0 and ctx >= 4 else s
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            inner = e.arg
-            if isinstance(inner, (Binary, Pow)):
-                s = f"-({to_string(inner, 0)})"
-            else:
-                s = f"-{to_string(inner, 4)}"
-            return f"({s})" if ctx >= 4 else s
-        return f"{e.op}({to_string(e.arg, 0)})"
-    if isinstance(e, Binary):
-        if e.op in ("add", "sub"):
-            sym = "+" if e.op == "add" else "-"
-            s = f"{to_string(e.left, 1)} {sym} {to_string(e.right, 2)}"
-            return f"({s})" if ctx >= 2 else s
-        sym = "*" if e.op == "mul" else "/"
-        # the left side of '/' needs ctx 3: a trailing '^k' there would
-        # otherwise swallow the slash into a rational exponent on re-parse
-        left_ctx = 3 if e.op == "div" else 2
-        s = f"{to_string(e.left, left_ctx)}{sym}{to_string(e.right, 3)}"
-        return f"({s})" if ctx >= 3 else s
-    if isinstance(e, Pow):
-        s = f"{to_string(e.base, 4)}^{e.exponent}"  # a Fraction prints as 2 or 3/2
-        return f"({s})" if ctx >= 3 else s
-    raise ExprError(f"unknown node {e!r}")
+    """e as text that parses back to it, in a context of precedence ctx,
+    emitted piece by piece from an explicit stack. A node is parenthesised
+    when its context is above its level: add/sub 1, mul/div/pow 2, a
+    negation or negative constant 3, atoms 5."""
+    out, stack = [], [(e, ctx)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        e, ctx = item
+        cls = e.__class__
+        if cls is Const:
+            # a leading '-' is a legal 'base', but must be shielded from '^'
+            level, pieces = 3 if e.value < 0 else 5, [_fmt_number(e.value)]
+        elif cls is Var:
+            level, pieces = 5, [e.name]
+        elif cls is Unary and e.op == "neg":
+            level, pieces = 3, ["-", (e.arg, 4)]
+        elif cls is Unary:
+            level, pieces = 5, [f"{e.op}(", (e.arg, 0), ")"]
+        elif cls is Binary:
+            level, sym, left, right = _INFIX[e.op]
+            pieces = [(e.left, left), sym, (e.right, right)]
+        elif cls is Pow:  # a Fraction exponent prints as 2 or 3/2
+            level, pieces = 2, [(e.base, 4), f"^{e.exponent}"]
+        else:
+            raise ExprError(f"unknown node {cls.__name__}")
+        if ctx > level:
+            pieces = ["(", *pieces, ")"]
+        stack += pieces[::-1]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +556,7 @@ _TOKEN = re.compile(r"""\s*(?:
   | (?P<name>[A-Za-z][A-Za-z0-9_]*)
   | (?P<char>\S))""", re.VERBOSE)
 _BINARY = {"+": add, "-": sub, "*": mul, "/": div}
+_OPENERS = ("(", *FUNCTIONS)  # the tokens that open a group
 
 
 class _Parser:
@@ -559,11 +567,6 @@ class _Parser:
         self.tokens.append(("end", "", len(src)))
         self.i = 0
         self.coords = set(coords)
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
     def take(self, *texts):
         """The current token's text, consumed, if it is one of texts."""
@@ -577,39 +580,58 @@ class _Parser:
         if not self.take(text):
             raise ParseError(message, self.tokens[self.i][2])
 
-    def closed(self) -> Expr:
-        """An expression and the ')' after it."""
-        e = self.expr()
-        self.expect(")", "expected ')'")
-        return e
-
     def parse(self) -> Expr:
-        e = self.expr()
-        kind, text, pos = self.tokens[self.i]
-        if kind != "end":
-            raise ParseError(f"unexpected input {text[0]!r}", pos)
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while op := self.take("+", "-"):
-            e = _BINARY[op](e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while op := self.take("*", "/"):
-            e = _BINARY[op](e, self.factor())
-        return e
-
-    def factor(self) -> Expr:
-        e = self.base()
-        if self.take("^"):
-            e = powr(e, self.rational())
-        return e
+        """The expression, read left to right. A group, '(' or a call, puts
+        the pending sum and term around it, their operators and the unary
+        minuses before it on a stack; minuses bind tighter than '^'."""
+        groups = []
+        total = add_op = term = mul_op = None
+        while True:
+            minuses = 0
+            while self.take("-"):
+                minuses += 1
+            kind, text, pos = self.tokens[self.i]
+            self.i += 1
+            if text in _OPENERS:
+                if text != "(":
+                    self.expect("(", f"expected '(' after {text!r}")
+                groups.append((total, add_op, term, mul_op, minuses, text))
+                total = add_op = term = mul_op = None
+                continue
+            if kind == "number":
+                e = const(float(text))
+            elif kind == "name" and text in self.coords:
+                e = var(text)
+            elif kind == "name":
+                raise UnknownIdentifierError(f"unknown identifier {text!r}", pos)
+            else:
+                raise ParseError("unexpected end of input" if kind == "end"
+                                 else f"unexpected character {text!r}", pos)
+            while True:  # e is an operand: finish it and the groups it ends
+                for _ in range(minuses):
+                    e = neg(e)
+                if self.take("^"):
+                    e = powr(e, self.rational())
+                term = e if mul_op is None else _BINARY[mul_op](term, e)
+                if mul_op := self.take("*", "/"):
+                    break
+                total = term if add_op is None else _BINARY[add_op](total, term)
+                if add_op := self.take("+", "-"):
+                    break
+                if not groups:
+                    kind, text, pos = self.tokens[self.i]
+                    if kind != "end":
+                        raise ParseError(f"unexpected input {text[0]!r}", pos)
+                    return total
+                self.expect(")", "expected ')'")
+                e = total
+                total, add_op, term, mul_op, minuses, opener = groups.pop()
+                if opener != "(":
+                    e = fn(opener, e)
 
     def integer(self, message: str) -> int:
-        kind, text, pos = self.next()
+        kind, text, pos = self.tokens[self.i]
+        self.i += 1
         if kind != "number" or not text.isdigit():
             raise ParseError(message, pos)
         return int(text)
@@ -624,25 +646,6 @@ class _Parser:
             raise ParseError("exponent has denominator 0",
                              self.tokens[self.i - 1][2])
         return Fraction(num, den)
-
-    def base(self) -> Expr:
-        kind, text, pos = self.next()
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        if kind == "number":
-            return const(float(text))
-        if kind == "name" and text in FUNCTIONS:
-            self.expect("(", f"expected '(' after {text!r}")
-            return fn(text, self.closed())
-        if kind == "name":
-            if text not in self.coords:
-                raise UnknownIdentifierError(f"unknown identifier {text!r}", pos)
-            return var(text)
-        if text == "-":
-            return neg(self.base())
-        if text == "(":
-            return self.closed()
-        raise ParseError(f"unexpected character {text!r}", pos)
 
 
 def parse_expr(src: str, coords) -> Expr:

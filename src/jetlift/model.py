@@ -19,7 +19,8 @@ A model file looks like::
 
 Component keys are coordinate names ("t", "q1", ..., matrix entries "a,b");
 omitted components are zero.  Expressions use the scalar grammar of
-:mod:`jetlift.expr` in the coordinates of the object's space.
+:mod:`jetlift.expr` in the coordinates of the object's space, nested to
+any depth: no pass over an expression recurses once per level.
 """
 from __future__ import annotations
 
@@ -37,8 +38,6 @@ KINDS = ("scalar_E", "scalar_J", "vector_E", "oneform_E", "tensor11_E",
 TENSOR_KINDS = {"vector_E": VectorField, "oneform_E": OneForm,
                 "tensor11_E": Tensor11, "twoform_E": TwoForm}
 
-MAX_DEPTH = 800  # the deepest expression tree a component may hold
-
 
 def _parse_component(space: Space, comps: dict, name: str, key: str):
     src = comps[key]
@@ -49,11 +48,6 @@ def _parse_component(space: Space, comps: dict, name: str, key: str):
         f = parse_field(src, space)
     except ExprError as exc:
         raise ModelError(f"object {name!r}, component {key!r}: {exc}")
-    except RecursionError:  # the parser recurses on parentheses
-        f = None
-    if f is None or f.expr.depth > MAX_DEPTH:
-        raise ModelError(f"object {name!r}, component {key!r}: expression "
-                         "nested too deeply")
     for c in space.coords:  # every lift and suite differentiates it
         try:
             f.diff(c)

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from jetlift.cli import main
-from jetlift.model import MAX_DEPTH
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 N1 = os.path.join(MODELS, "n1.json")
@@ -395,7 +394,10 @@ def test_bad_input_is_exit_2_without_traceback(argv, names, tmp_path, capsys):
 # model text that ended in a traceback: a token the number syntax or the
 # exponent rule rejects, a constant that folding overflowed or turned
 # complex, a non-finite constant the printer could not show, and text
-# nested deeper than the recursion limit
+# nested deeper than the recursion limit, which was then refused as nested
+# too deeply. A row is (text, what print shows or the error names, the
+# rejection verify reports): None for bad input, "" for text whose checks
+# pass.
 EXPRESSION_TEXTS = [
     ("q1 + .", "unexpected character '.'", None),
     ("q1^\u00b2", "exponent must be a rational constant", None),
@@ -404,13 +406,12 @@ EXPRESSION_TEXTS = [
     ("q1 + (-1)^1/2", "q1 + (-1)^1/2", "(DomainError: 641)"),
     ("1e200*1e200*q1", "1e309*q1", "(NonFiniteError: 641)"),
     ("(1e309 - 1e309)*q1", "(1e309 - 1e309)*q1", "(NonFiniteError: 641)"),
-    ("(" * 1200 + "q1" + ")" * 1200, "'f', component 'value': expression "
-     "nested too deeply", None),
-    (" + ".join(["q1"] * 1500), "'f', component 'value': expression "
-     "nested too deeply", None),
-    # a sum one level deeper than MAX_DEPTH
-    (" + ".join(["q1"] * (MAX_DEPTH + 1)), "'f', component 'value': "
-     "expression nested too deeply", None),
+    ("(" * 1200 + "q1" + ")" * 1200, "q1", ""),
+    (" + ".join(["q1"] * 1500), " + ".join(["q1"] * 1500), ""),
+    (" + ".join(["q1"] * 801), " + ".join(["q1"] * 801), ""),
+    # shallow trees: each folds to the one node q1
+    ("(" * 300 + "q1" + ")" * 300, "q1", ""),
+    ("-" * 2000 + "q1", "q1", ""),
 ]
 
 
@@ -418,8 +419,9 @@ EXPRESSION_TEXTS = [
                          ids=range(len(EXPRESSION_TEXTS)))
 def test_no_expression_text_ends_in_a_traceback(text, printed, rejected,
                                                 tmp_path, capsys):
-    # a text that loads prints with exit 0 and every sample point of a
-    # check on it is rejected; any other text is bad input, exit 2
+    # a text that loads prints with exit 0, and a check on it either
+    # passes or rejects every sample point; any other text is bad input,
+    # exit 2
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": 1, "objects": {
         "f": {"kind": "scalar_E", "components": {"value": text}},
@@ -434,9 +436,12 @@ def test_no_expression_text_ends_in_a_traceback(text, printed, rejected,
         assert out == f"f on BaseE:\n  value: {printed}\n"
     code, _, verify_err = run(capsys, "verify", "--model", str(path),
                               "--suite", "lemma1")
-    assert code == 2
-    assert verify_err.startswith("error:")
-    assert (rejected or printed) in verify_err
+    if rejected == "":
+        assert code == 0 and verify_err == ""
+    else:
+        assert code == 2
+        assert verify_err.startswith("error:")
+        assert (rejected or printed) in verify_err
     assert "Traceback" not in err + verify_err
 
 
@@ -445,9 +450,10 @@ def test_no_expression_text_ends_in_a_traceback(text, printed, rejected,
 # the row would pass without the walk whose depth it tests.
 
 # a sum of k terms q1*t is a tree of depth k + 1: with 400 terms the checks
-# on it ended in a RecursionError from comparing trees, and MAX_DEPTH - 1
-# terms make the deepest tree a model may hold
-@pytest.mark.parametrize("terms", [400, MAX_DEPTH - 1])
+# on it ended in a RecursionError from comparing trees, 799 terms made the
+# deepest tree a model could hold while its depth was bounded at 800, and
+# 1,500 terms were refused as nested too deeply
+@pytest.mark.parametrize("terms", [400, 799, 1500])
 @pytest.mark.parametrize("argv, exit_code", [
     (["print", "--object", "R"], 0),
     (["lift", "--object", "R", "--kind", "complete"], 0),
@@ -464,10 +470,10 @@ def test_deep_sums_run(terms, argv, exit_code, tmp_path):
     assert code == exit_code, err
 
 
-# Components within MAX_DEPTH whose derivatives are deeper than they are: a
-# product's derivative is about twice as deep as the product, a quotient's
-# three times. The walks over such trees recursed once per level and ended
-# in a RecursionError. At these sizes the values overflow or round past the
+# Components whose derivatives are deeper than they are: a product's
+# derivative is about twice as deep as the product, a quotient's three
+# times. The walks over such trees recursed once per level and ended in a
+# RecursionError. At these sizes the values overflow or round past the
 # absolute tolerance, so some identities fail (exit 1); none may end in a
 # traceback.
 @pytest.mark.parametrize("component", [
@@ -483,3 +489,19 @@ def test_deep_derivatives_run(component, tmp_path):
                                "all", "--points", "4")
     assert code in (0, 1), err
     assert "Traceback" not in err and out.startswith("[")
+
+
+# The lifted blocks print the derivatives of R, about twice as deep as R,
+# and the printer recursed once per level: these lifts ended in a
+# RecursionError.
+@pytest.mark.parametrize("factors", [600, 799])
+@pytest.mark.parametrize("kind", ["complete", "cotangent"])
+def test_deep_lifts_print(kind, factors, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "objects": {"R": {
+        "kind": "tensor11_E",
+        "components": {"q1,q1": "*".join(["(q1+t)"] * factors)}}}}))
+    code, out, err = run_fresh("lift", "--model", str(path), "--object", "R",
+                               "--kind", kind)
+    assert code == 0, err
+    assert "Traceback" not in err and out.startswith(f"{kind} lift of R on ")

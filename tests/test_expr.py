@@ -24,6 +24,7 @@ from jetlift import (
 from jetlift import expr as ex
 from jetlift.expr import parse_expr, to_string
 from jetlift.fields import ProceduralField, SymbolicField
+import recursive_text
 
 
 def rand_points(dim, n=64, seed=0, lo=-2.0, hi=2.0):
@@ -307,7 +308,7 @@ class TestInterning:
             ex.differentiate(parse_expr("p1*(q1*t + sin(q1))", COORDS), "p1"),
         ]
         assert all(e is target for e in built)
-        assert target.names == {"q1", "t"} and target.depth == 3
+        assert target.names == {"q1", "t"} and _depth(target) == 3
 
     def test_the_sign_of_zero_is_part_of_a_constant(self):
         assert ex.Const(0.0) is not ex.Const(-0.0)
@@ -332,13 +333,26 @@ class TestInterning:
         e, t = ex.var("q1"), ex.var("t")
         for _ in range(5000):
             e = ex.mul(ex.add(e, t), t)
-        assert e.depth == 10001 and e.names == {"q1", "t"}
+        assert _depth(e) == 10001 and e.names == {"q1", "t"}
         assert SymbolicField(base_e(1), e).expr is e
+        # deeper than the recursion limit, it prints and reads back
+        text = to_string(e)
+        assert text.startswith("(" * 5000 + "q1 + t)*t + t)*t")
+        assert parse_expr(text, COORDS) is e
 
 
 def _children(e):
     return {ex.Unary: ("arg",), ex.Binary: ("left", "right"),
             ex.Pow: ("base",)}.get(type(e), ())
+
+
+def _depth(e):
+    """The number of nodes on the longest path down from e."""
+    depth = {}
+    for n in ex._postorder((e,)):
+        depth[n] = 1 + max((depth[getattr(n, slot)] for slot in _children(n)),
+                           default=0)
+    return depth[e]
 
 
 def _recursive_postorder(roots):
@@ -389,7 +403,7 @@ class TestWalks:
         for _ in range(4999):
             e = ex.mul(e, q1)
         d = ex.differentiate(e, "q1")
-        assert d.depth > 2 * sys.getrecursionlimit()
+        assert _depth(d) > 2 * sys.getrecursionlimit()
         assert ex.evaluate(e, {"q1": 1.0}) == 1.0
         assert ex.evaluate(d, {"q1": 1.0}) == 5000.0
         run = ex.compile_batch([e, d], ["q1"])
@@ -398,6 +412,50 @@ class TestWalks:
         assert not rejected.any()
         s = ex.substitute(d, {"q1": ex.var("t")})
         assert s.names == {"t"} and ex.evaluate(s, {"t": 1.0}) == 5000.0
+
+
+# texts the grammar mostly accepts: infix operators, unary minuses,
+# groups and exponents over coordinates and numbers
+GRAMMAR_TEXTS = st.recursive(
+    st.sampled_from(["q1", "t", "2", "0", "1e309", "q9"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", " - ", "*", "/", "-"]),
+                  inner).map("".join),
+        st.tuples(st.sampled_from(["-", "--", "", ""]),
+                  st.sampled_from(["(", "sin(", "exp("]), inner,
+                  st.sampled_from([")", ")", ")", ""])).map("".join),
+        st.tuples(st.sampled_from(["-", "--"]), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["^2", "^-3/2", "^1/0", "^t"])).map(
+            "".join)),
+    max_leaves=8)
+
+
+class TestText:
+    """The printer and the parser against the recursive ones they replaced
+    (tests/recursive_text.py), and on inputs deeper than the recursion
+    limit."""
+
+    @given(TREES, st.integers(0, 4))
+    def test_printed_text_is_the_recursive_printers(self, e, ctx):
+        assert to_string(e, ctx) == recursive_text.to_string(e, ctx)
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.lists(TEXT_TOKENS, max_size=16).map("".join),
+                     GRAMMAR_TEXTS))
+    def test_parse_is_the_recursive_parsers(self, src):
+        def outcome(parse):
+            try:
+                e = parse(src, COORDS)
+            except ExprError as exc:
+                return type(exc), str(exc)
+            # a nan folded anew is a new node: compare those by their text
+            return to_string(e) if "1e309 - 1e309" in to_string(e) else e
+        assert outcome(parse_expr) == outcome(recursive_text.parse_expr)
+
+    def test_deep_text_takes_no_frame_per_level(self):
+        src = "(" * 100_000 + "q1" + ")" * 100_000
+        assert parse_expr(src, COORDS) is ex.var("q1")
+        assert parse_expr("-" * 100_001 + "q1", COORDS) is ex.neg(ex.var("q1"))
 
 
 class TestProcedural:
