@@ -4,9 +4,13 @@ The grammar is deliberately small; identity checking elsewhere is done by
 random-point evaluation, so simplification here is best-effort only
 (constant folding and 0/1 absorption), never a proof of equality.
 
-Nodes are interned, so a tree is a DAG. Differentiation, evaluation,
-compilation and substitution visit it by one iterative post-order walk
-(`_postorder`), each node once and without a Python frame per level.
+Nodes are interned, so a tree is a DAG. Differentiation, compilation and
+substitution visit it by one iterative post-order walk (`_postorder`),
+each node once and without a Python frame per level. There is one
+evaluator: `compile_batch` turns the roots into a program run over a whole
+point array at once, and names, for each point where a guard fails, the
+error the roots evaluated alone at that point would raise first; a
+one-point evaluation is its one-row case.
 Derivatives are memoised for the whole process, keyed by node and name
 beside the intern table: a node is differentiated by a name at most once,
 and the same tree always has the same derivative node. The printer and
@@ -294,86 +298,31 @@ def _derivative(e: Expr, name: str, memo: dict) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate(e: Expr, env: dict) -> float:
-    """The value of e with the variables set from env, each node computed
-    once; raises the guard error a left-to-right recursive evaluation would
-    raise first."""
-    value = {}
-    for node in _postorder((e,)):
-        value[node] = _value(node, env, value)
-    return value[e]
-
-
-def _value(e: Expr, env: dict, value: dict) -> float:
-    """The value of the node e, given those of its children in value."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Unary):
-        u = value[e.arg]
-        if e.op == "neg":
-            return -u
-        if e.op == "log":
-            if u <= 0.0:
-                raise DomainError(f"log of non-positive value {u}")
-            return math.log(u)
-        if e.op == "sqrt":
-            if u < 0.0:
-                raise DomainError(f"sqrt of negative value {u}")
-            return math.sqrt(u)
-        try:
-            return getattr(math, e.op)(u)
-        except ValueError:  # sin or cos of an infinite value
-            raise DomainError(f"{e.op} of {u}") from None
-    if isinstance(e, Binary):
-        a, b = value[e.left], value[e.right]
-        if e.op == "add":
-            return a + b
-        if e.op == "sub":
-            return a - b
-        if e.op == "mul":
-            return a * b
-        if abs(b) < SINGULAR_GUARD:
-            raise SingularPointError(f"denominator {b} below guard {SINGULAR_GUARD}")
-        return a / b
-    if isinstance(e, Pow):
-        b = value[e.base]
-        r = e.exponent
-        if r.denominator != 1 and b < 0.0:
-            raise DomainError(f"fractional power of negative base {b}")
-        if r < 0 and abs(b) < SINGULAR_GUARD:
-            raise SingularPointError(f"base {b} below guard for negative power")
-        return b ** float(r)
-    raise ExprError(f"unknown node {e!r}")
-
-
 # Transcendental functions and powers are applied per element through the
-# scalar Python operations, so that batched values are bit-identical to
-# `evaluate` (numpy's vectorized exp, log and power can differ from them in
-# the last bit).
+# scalar Python operations, so that batched values are bit-identical to a
+# scalar evaluation (numpy's vectorized exp, log and power can differ from
+# them in the last bit).
 _MATH_UFUNCS = {name: np.frompyfunc(getattr(math, name), 1, 1)
                 for name in ("sin", "cos", "exp", "log")}
 _POW_UFUNC = np.frompyfunc(operator.pow, 2, 1)
 
 
 def _pointwise(fn, ufunc, u, *args):
-    """fn(x, *args) for every element x of u, as a float array, and the mask
-    of the elements where fn raised ValueError or OverflowError (those hold
-    nan)."""
-    raised = np.zeros(len(u), dtype=bool)
+    """fn(x, *args) for every element x of u, as a float array, and the
+    ValueError or OverflowError fn raised at each element where it raised
+    one, by index (those elements hold nan)."""
     try:
-        return ufunc(u, *args).astype(float), raised
+        return ufunc(u, *args).astype(float), {}
     except (ValueError, OverflowError):
         pass
-    out = np.empty(len(u))
+    out, caught = np.empty(len(u)), {}
     for i, x in enumerate(u.tolist()):
         try:
             out[i] = fn(x, *args)
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError) as exc:
             out[i] = math.nan
-            raised[i] = True
-    return out, raised
+            caught[i] = exc
+    return out, caught
 
 
 def _compile(roots, column: dict):
@@ -406,10 +355,14 @@ def compile_batch(roots, coords):
     point in one pass.
 
     points is an (m, len(coords)) array. run returns the (len(roots), m)
-    values and an (m,) mask of rejected points: those at which `evaluate`
-    would raise a guard error for some root, a value overflows, or some
-    root is not finite. Values are bit-identical to `evaluate` at every
-    point that is not rejected.
+    values, an (m,) mask of rejected points and, by row, the error at each
+    point where a guard fails (a denominator below SINGULAR_GUARD, a log,
+    root or power out of its domain) or a function raises (exp or a power
+    overflows, sin or cos of an infinite value).
+    That error is the one the roots, evaluated alone in order, raise first:
+    the first failing instruction of the program, in post-order. A point is
+    rejected where it has an error or some root is not finite; every value
+    of a point without an error is the one scalar evaluation gives.
     """
     program, out_slots = _compile(roots, {c: j for j, c in enumerate(coords)})
     return functools.partial(_run, program, out_slots)
@@ -418,11 +371,19 @@ def compile_batch(roots, coords):
 def _run(program, out_slots, points):
     X = np.asarray(points, dtype=float)
     m = len(X)
-    vals = []
-    rejected = np.zeros(m, dtype=bool)
+    vals, errors = [], {}  # errors: row -> the first error met there
+
+    def fail(bad, error):
+        """Give each row of the mask bad that has no error yet error(row)."""
+        if bad.any():
+            for i in np.flatnonzero(bad).tolist():
+                if i not in errors:
+                    errors[i] = error(i)
+
     with np.errstate(all="ignore"):
         for op, payload, args in program:
             u = vals[args[0]] if args else None
+            caught = {}
             if op == "const":
                 v = np.full(m, payload)
             elif op == "var":
@@ -437,34 +398,47 @@ def _run(program, out_slots, points):
                 v = u * vals[args[1]]
             elif op == "div":
                 w = vals[args[1]]
-                rejected |= np.abs(w) < SINGULAR_GUARD
+                fail(np.abs(w) < SINGULAR_GUARD, lambda i: SingularPointError(
+                    f"denominator {w.item(i)} below guard {SINGULAR_GUARD}"))
                 v = u / w
             elif op == "sqrt":
-                rejected |= u < 0.0
+                fail(u < 0.0, lambda i: DomainError(
+                    f"sqrt of negative value {u.item(i)}"))
                 v = np.sqrt(u)
+            elif op == "log":
+                bad = u <= 0.0
+                fail(bad, lambda i: DomainError(
+                    f"log of non-positive value {u.item(i)}"))
+                v, caught = _pointwise(math.log, _MATH_UFUNCS[op],
+                                       np.where(bad, 1.0, u))
             elif op == "pow":
                 bad = np.zeros(m, dtype=bool)
                 if payload.denominator != 1:
-                    bad |= u < 0.0
+                    bad = u < 0.0
+                    fail(bad, lambda i: DomainError(
+                        f"fractional power of negative base {u.item(i)}"))
                 if payload < 0:
-                    bad |= np.abs(u) < SINGULAR_GUARD
-                v, raised = _pointwise(operator.pow, _POW_UFUNC,
+                    small = np.abs(u) < SINGULAR_GUARD
+                    fail(small, lambda i: SingularPointError(
+                        f"base {u.item(i)} below guard for negative power"))
+                    bad = bad | small
+                v, caught = _pointwise(operator.pow, _POW_UFUNC,
                                        np.where(bad, 1.0, u), float(payload))
-                rejected |= bad | raised
             elif op in _MATH_UFUNCS:
-                if op == "log":
-                    bad = u <= 0.0
-                    rejected |= bad
-                    u = np.where(bad, 1.0, u)
-                v, raised = _pointwise(getattr(math, op), _MATH_UFUNCS[op], u)
-                rejected |= raised
+                v, caught = _pointwise(getattr(math, op), _MATH_UFUNCS[op], u)
             else:
                 raise ExprError(f"cannot evaluate {op!r}")
+            for i, exc in caught.items():  # sin or cos of inf: ValueError
+                if i not in errors:
+                    errors[i] = (exc if isinstance(exc, OverflowError)
+                                 else DomainError(f"{op} of {u.item(i)}"))
             vals.append(v)
         values = np.array([vals[s] for s in out_slots])
         values = values.reshape(len(out_slots), m)
-        rejected |= ~np.isfinite(values).all(axis=0)
-    return values, rejected
+        rejected = ~np.isfinite(values).all(axis=0)
+    if errors:
+        rejected[list(errors)] = True
+    return values, rejected, errors
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:

@@ -7,14 +7,15 @@ Each backend owns its arithmetic: symbolic fields and numbers combine into
 expression trees, and any procedural operand makes the result procedural
 (the chain rule over values and gradients in ScalarField).
 
-Procedural fields are evaluated over a whole (m, dim) point array at once.
+Both backends are evaluated over a whole (m, dim) point array at once.
 A `Batch` is one such evaluation: it keeps every value and gradient it
 computes, so a node that many fields share runs once per point array, and
 for each rejected row the error that evaluating that point alone raises.
-Symbolic leaves inside a procedural field run through `expr.compile_batch`;
-a second derivative evaluates the parent gradient once, on the stacked
-shifted copies of the array. `eval(point)` and `grad(point)` are the
-one-row case.
+A symbolic field runs its tree, or its gradient's trees, as one
+`expr.compile_batch` program, compiled once per field, which names the
+error of each row it rejects; a procedural second derivative evaluates the
+parent gradient once, on the stacked shifted copies of the array.
+`eval(point)` and `grad(point)` are the one-row case for every field.
 """
 from __future__ import annotations
 
@@ -23,12 +24,7 @@ import functools
 import numpy as np
 
 from . import expr as ex
-from .errors import (
-    JetliftError,
-    OrderOverflowError,
-    SingularPointError,
-    SpaceMismatchError,
-)
+from .errors import OrderOverflowError, SingularPointError, SpaceMismatchError
 from .spaces import Space
 
 #: central-difference step for procedural second derivatives
@@ -104,20 +100,6 @@ def at_point(point, fn):
     return out
 
 
-def evaluate_masked(b, exprs, coords, values, masked):
-    """Evaluate exprs alone, in order, at each row of batch b that a compiled
-    program masked and b has not rejected: the first error there rejects
-    the row, values (an unguarded inf) are kept in values[:, row]."""
-    if not masked.any():
-        return
-    for i in np.flatnonzero(masked & ~b.rejected).tolist():
-        env = dict(zip(coords, b.X[i].tolist()))
-        try:
-            values[:, i] = [ex.evaluate(e, env) for e in exprs]
-        except (JetliftError, OverflowError) as exc:
-            b.reject([i], lambda _, exc=exc: exc)
-
-
 # ---------------------------------------------------------------------------
 # procedural combinators (chain rules over values and gradients)
 
@@ -184,6 +166,13 @@ class ScalarField:
             g = b.grads[self] = self._batch_grad(b)
         return g
 
+    def eval(self, point) -> float:
+        return float(at_point(point, self._value)[0])
+
+    def grad(self, point):
+        """All first partials at a point, as a tuple."""
+        return tuple(at_point(point, self._grad)[0].tolist())
+
     def components(self) -> list:
         """The scalar components: the field itself."""
         return [self]
@@ -248,8 +237,8 @@ class SymbolicField(ScalarField):
     def __neg__(self):
         return SymbolicField(self.space, ex.neg(self.expr))
 
-    def eval(self, point) -> float:
-        return ex.evaluate(self.expr, dict(zip(self.space.coords, point)))
+    # own entries, so that each class's eval and grad can be wrapped alone
+    eval, grad = ScalarField.eval, ScalarField.grad
 
     def diff(self, coord: str) -> "SymbolicField":
         if coord not in self._deriv_cache:
@@ -258,16 +247,13 @@ class SymbolicField(ScalarField):
                 self.space, ex.differentiate(self.expr, coord))
         return self._deriv_cache[coord]
 
-    def grad(self, point):
-        return tuple(self.diff(c).eval(point) for c in self.space.coords)
-
     def _rows(self, b, key, exprs):
         """The (len(exprs), m) values of exprs over batch b, compiled once
         per field."""
         if key not in self.__dict__:
             self.__dict__[key] = _compile(exprs, self.space.coords)
-        values, masked = self.__dict__[key](b.X)
-        evaluate_masked(b, exprs, self.space.coords, values, masked)
+        values, _, errors = self.__dict__[key](b.X)
+        b.reject(list(errors), errors.get)
         return values
 
     def _batch_value(self, b):
@@ -313,12 +299,7 @@ class ProceduralField(ScalarField):
         self._grad_fn = grad_fn
         self._budget = order_budget
 
-    def eval(self, point) -> float:
-        return float(at_point(point, self._value)[0])
-
-    def grad(self, point):
-        """All first partials at a point, as a tuple."""
-        return tuple(at_point(point, self._grad)[0].tolist())
+    eval, grad = ScalarField.eval, ScalarField.grad
 
     def _batch_grad(self, b):
         if self._grad_fn is None:
@@ -360,7 +341,7 @@ def _compile(exprs, coords):
         return ex.compile_batch(exprs, coords)
     column = np.array([[e.value] for e in exprs])
     return lambda X: (column.repeat(len(X), axis=1),
-                      np.zeros(len(X), dtype=bool))
+                      np.zeros(len(X), dtype=bool), {})
 
 
 def _over_points(fn):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import JetliftError, SpaceMismatchError
 from .fields import ScalarField, coord_field, inject, zero
-from .report import max_residual
+from .report import DEFAULT_TOL, max_residual
 from .spaces import BASE_E, Space, extended_t, phase_j
 from .tensors import (
     OneForm,
@@ -219,7 +219,7 @@ def rho_pairs(U: Tensor11, V: Tensor11):
     return lhs, rhs
 
 
-def rho_related(U: Tensor11, V: Tensor11, points, tol=1e-9):
+def rho_related(U: Tensor11, V: Tensor11, points, tol=DEFAULT_TOL):
     """Check U(rho* sigma) = rho*(V(sigma)) over the coordinate co-basis of
     phase space, at the given extended-space sample points."""
     lhs, rhs = rho_pairs(U, V)

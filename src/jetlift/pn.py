@@ -9,7 +9,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .charts import FibredTransform
-from .errors import EigenError, SpaceMismatchError, TransformError
+from .errors import (EigenError, NonFiniteError, SpaceMismatchError,
+                     TransformError)
 from .fields import (
     ProceduralField,
     ScalarField,
@@ -27,6 +28,9 @@ from .lifts import (
 )
 from .report import (
     DEFAULT_BOX,
+    DEFAULT_POINTS,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
     Checker,
     CheckReport,
     PROCEDURAL_TOL,
@@ -190,8 +194,8 @@ def _basis_pairs(n: int):
     return sigmas, zs
 
 
-def pn_check(R: Tensor11, points=64, seed=0, tol=1e-9,
-             box=DEFAULT_BOX) -> PNReport:
+def pn_check(R: Tensor11, points=DEFAULT_POINTS, seed=DEFAULT_SEED,
+             tol=DEFAULT_TOL, box=DEFAULT_BOX) -> PNReport:
     """Check the Poisson-Nijenhuis conditions for the complete lift of R:
     commutation with the Poisson map, vanishing concomitant, and the torsion
     dichotomy on the base and on phase space."""
@@ -240,9 +244,12 @@ def _eigen(A, b):
     """Ascending eigenvalues w, right eigenvectors V (columns) and left ones
     U (rows, u_i . v_j = delta) of the q-blocks A at the rows of batch b.
     Rejects the rows whose eigenvalues are not real and pairwise distinct
-    or whose eigenvectors do not rebuild the block."""
+    or whose eigenvectors do not rebuild the block, and first those whose
+    block is not finite."""
     m, n = A.shape[:2]
     w, V, U = np.zeros((m, n)), np.zeros((m, n, n)), np.zeros((m, n, n))
+    b.reject(np.flatnonzero(~np.isfinite(A).all(axis=(1, 2))), lambda i: (
+        NonFiniteError(f"non-finite value at {b.point(i)}")))
     live = np.flatnonzero(~b.rejected)
     wc, Vc = np.linalg.eig(A[live])
     imag = np.max(np.abs(wc.imag), axis=1)
@@ -318,8 +325,8 @@ def eigenvalue_fields(R: Tensor11):
                             _on_batch=True) for i in range(n)]
 
 
-def build_dn_transform(R: Tensor11, box=(-2.0, 2.0), points=16, seed=0,
-                       tol=1e-9) -> FibredTransform:
+def build_dn_transform(R: Tensor11, box=DEFAULT_BOX, points=16,
+                       seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> FibredTransform:
     """Use the eigenvalues of R as new fibre coordinates. Valid when the
     torsion vanishes and the map (t, q) -> (t, lambda) has a nonsingular
     q-Jacobian on the sampled domain."""
@@ -345,8 +352,8 @@ def build_dn_transform(R: Tensor11, box=(-2.0, 2.0), points=16, seed=0,
     return FibredTransform(n, lam)
 
 
-def verify_dn(R: Tensor11, T: FibredTransform, points=32, seed=0,
-              tol=PROCEDURAL_TOL, box=(-2.0, 2.0)) -> CheckReport:
+def verify_dn(R: Tensor11, T: FibredTransform, points=32, seed=DEFAULT_SEED,
+              tol=PROCEDURAL_TOL, box=DEFAULT_BOX) -> CheckReport:
     """Check, in the chart defined by T: the transformed R is diagonal with
     each eigenvalue a function of its own coordinate only; the transformed
     complete lift is the doubled diagonal; the Poisson tensor keeps its

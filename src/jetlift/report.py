@@ -25,7 +25,7 @@ from .errors import (
     SpaceMismatchError,
     TransformError,
 )
-from .fields import Batch, SymbolicField, evaluate_batch, evaluate_masked
+from .fields import Batch, SymbolicField, evaluate_batch
 
 DEFAULT_POINTS = 64
 DEFAULT_SEED = 0
@@ -170,8 +170,8 @@ def _compiled_residuals(a, b=None, sizes=None):
         batch = Batch(X)
         values = np.empty((len(fields), len(X)))
         with np.errstate(all="ignore"):  # rejected points may hold inf or nan
-            sym, masked = run(X)
-            evaluate_masked(batch, exprs, space.coords, sym, masked)
+            sym, masked, errors = run(X)
+            batch.reject(list(errors), errors.get)
             values[symbolic] = sym
             for i in procedural:
                 values[i] = fields[i]._value(batch)

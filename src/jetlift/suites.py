@@ -31,7 +31,8 @@ from .pn import (
     pn_check,
     pullback_oneform_to_phase,
 )
-from .report import Checker, CheckReport
+from .report import (DEFAULT_BOX, DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL,
+                     Checker, CheckReport)
 from .spaces import base_e, phase_j
 from .tensors import (
     OneForm,
@@ -445,8 +446,9 @@ SUITES = {name: globals()[f"suite_{name}"] for name in (
     "prop6", "theorem2", "lemma2", "prop7", "theorem3", "naturality")}
 
 
-def run_suite(name: str, inp: SuiteInputs, points=64, seed=0, tol=1e-9,
-              box=(-2.0, 2.0)) -> CheckReport:
+def run_suite(name: str, inp: SuiteInputs, points=DEFAULT_POINTS,
+              seed=DEFAULT_SEED, tol=DEFAULT_TOL,
+              box=DEFAULT_BOX) -> CheckReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     ch = Checker(points=points, seed=seed, tol=tol, box=box, name=name)
@@ -454,8 +456,9 @@ def run_suite(name: str, inp: SuiteInputs, points=64, seed=0, tol=1e-9,
     return ch.report
 
 
-def run_all_suites(inp: SuiteInputs, points=64, seed=0, tol=1e-9,
-                   box=(-2.0, 2.0)) -> CheckReport:
+def run_all_suites(inp: SuiteInputs, points=DEFAULT_POINTS,
+                   seed=DEFAULT_SEED, tol=DEFAULT_TOL,
+                   box=DEFAULT_BOX) -> CheckReport:
     report = Checker(points=points, seed=seed, tol=tol, box=box,
                      name="all").report
     for name in SUITES:

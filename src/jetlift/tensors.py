@@ -112,17 +112,16 @@ class _Indexed:
         return new
 
     def eval_at(self, point) -> np.ndarray:
-        """The components at one point, shaped (dim,) * rank: the symbolic
-        ones by `eval`, the others in one shared one-row batch, so that a
-        node they share (a Newton solve, an eigen-analysis) runs once.
-        Raises the first error in component order that rejects the point."""
+        """The components at one point, shaped (dim,) * rank, in one shared
+        one-row batch, so that a node they share (a Newton solve, an
+        eigen-analysis) runs once. Raises the first error in component
+        order that rejects the point."""
         def values(b):
-            pt, out = b.point(0), []
+            out = []
             for f in self.components():
                 if b.rejected[0]:
                     raise b.errors[0]
-                out.append(f.eval(pt) if isinstance(f, SymbolicField)
-                           else f._value(b)[0])
+                out.append(f._value(b)[0])
             return out
         return np.array(at_point(point, values)).reshape(
             (self.space.dim,) * len(self.variance))

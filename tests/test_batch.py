@@ -25,15 +25,18 @@ from jetlift.report import (
     residual_of,
 )
 from jetlift.suites import SUITES
+import scalar_evaluate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 COORDS = ("t", "q1", "p1")
-# near-zero, negative, exp-overflowing and pow-overflowing values included
+# near-zero, negative, exp-overflowing, pow-overflowing and non-finite
+# values included (sin and cos of an infinite value raise)
 COORD_VALUES = st.one_of(
     st.floats(-3.0, 3.0),
-    st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 709.0, 710.0, -750.0, 1e200]))
+    st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 709.0, 710.0, -750.0, 1e200,
+                     math.inf, -math.inf, math.nan]))
 CONSTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-7, 700.0,
                           1e300])
 EXPONENTS = st.sampled_from([Fraction(2), Fraction(3), Fraction(-1),
@@ -61,34 +64,49 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
+def _oracle(roots, point):
+    """The values of the roots at a point by the scalar evaluator, each
+    root alone in order, or the first error it raises."""
+    env = dict(zip(COORDS, point))
+    try:
+        return [scalar_evaluate.evaluate(r, env) for r in roots]
+    except (SingularPointError, DomainError, OverflowError) as exc:
+        return exc
+
+
 def _scalar(roots, point):
     """The values of the roots at a point, or None where the point is
     rejected: a guard error, an overflow, or a non-finite value."""
-    env = dict(zip(COORDS, point))
-    try:
-        values = [ex.evaluate(r, env) for r in roots]
-    except (SingularPointError, DomainError, OverflowError):
+    values = _oracle(roots, point)
+    if isinstance(values, Exception):
         return None
     return values if all(math.isfinite(v) for v in values) else None
 
 
-@hypothesis.settings(max_examples=400)
+@hypothesis.settings(max_examples=2000)
 @hypothesis.given(st.lists(TREES, min_size=1, max_size=3), POINTS)
 def test_batch_matches_scalar_evaluate(roots, points):
-    values, rejected = ex.compile_batch(roots, COORDS)(points)
+    # the compiled program against the scalar evaluator it replaced: the
+    # first error of each failing row, the value bits of every other row
+    values, rejected, errors = ex.compile_batch(roots, COORDS)(points)
     assert values.shape == (len(roots), len(points))
     for j, pt in enumerate(points):
-        expected = _scalar(roots, pt)
-        assert rejected[j] == (expected is None)
-        if expected is not None:
+        expected = _oracle(roots, pt)
+        if isinstance(expected, Exception):
+            assert rejected[j] and j in errors
+            assert type(errors[j]) is type(expected)
+            assert str(errors[j]) == str(expected)
+        else:
+            assert j not in errors
             assert _bits(values[:, j]) == _bits(expected)
+            assert rejected[j] == (not np.isfinite(expected).all())
 
 
 @hypothesis.given(st.sampled_from(ex.FUNCTIONS),
                   st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=50))
 def test_functions_match_math(name, xs):
     e = ex.Unary(name, ex.Var("t"))
-    values, rejected = ex.compile_batch([e], ("t",))([[x] for x in xs])
+    values, rejected, _ = ex.compile_batch([e], ("t",))([[x] for x in xs])
     for j, x in enumerate(xs):
         expected = _scalar([e], (x, 0.0, 0.0))
         assert rejected[j] == (expected is None)
@@ -98,7 +116,7 @@ def test_functions_match_math(name, xs):
 
 def test_signed_zero_constants_stay_apart():
     roots = [ex.Const(0.0), ex.Const(-0.0)]
-    values, _ = ex.compile_batch(roots, ("t",))([[1.0]])
+    values, _, _ = ex.compile_batch(roots, ("t",))([[1.0]])
     assert _bits(values[:, 0]) == _bits([0.0, -0.0])
 
 
@@ -115,19 +133,23 @@ def test_shared_subtrees_compile_once():
 def test_exp_overflow_is_masked_not_raised():
     e = ex.Unary("exp", ex.Var("t"))
     with pytest.raises(OverflowError):
-        ex.evaluate(e, {"t": 800.0})
-    values, rejected = ex.compile_batch([e], ("t",))([[1.0], [800.0], [2.0]])
+        scalar_evaluate.evaluate(e, {"t": 800.0})
+    values, rejected, errors = ex.compile_batch([e], ("t",))(
+        [[1.0], [800.0], [2.0]])
     assert rejected.tolist() == [False, True, False]
+    assert list(errors) == [1] and isinstance(errors[1], OverflowError)
     assert values[0, 0] == math.exp(1.0) and values[0, 2] == math.exp(2.0)
 
 
 def test_non_finite_values_are_masked():
     t = ex.Var("t")
     square = ex.Binary("mul", t, t)  # overflows to inf without raising
-    assert ex.evaluate(square, {"t": 1e200}) == math.inf
+    assert scalar_evaluate.evaluate(square, {"t": 1e200}) == math.inf
     nan = ex.Binary("sub", square, square)
-    _, rejected = ex.compile_batch([square, nan], ("t",))([[1e200], [3.0]])
-    assert rejected.tolist() == [True, False]
+    values, rejected, errors = ex.compile_batch([square, nan], ("t",))(
+        [[1e200], [3.0]])
+    assert rejected.tolist() == [True, False] and errors == {}
+    assert values[0, 0] == math.inf  # no error: the value is kept
 
 
 def test_guards_match_evaluate():
@@ -137,7 +159,7 @@ def test_guards_match_evaluate():
              ex.Pow(t, Fraction(-2))]
     pts = [[-1.0], [0.0], [1e-7], [4.0]]
     for e in cases:
-        _, rejected = ex.compile_batch([e], ("t",))(pts)
+        _, rejected, _ = ex.compile_batch([e], ("t",))(pts)
         assert rejected.tolist() == [_scalar([e], (p[0], 0, 0)) is None
                                      for p in pts]
 

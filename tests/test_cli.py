@@ -491,6 +491,22 @@ def test_deep_derivatives_run(component, tmp_path):
     assert "Traceback" not in err and out.startswith("[")
 
 
+# exp(400*q1)^2 overflows for q1 > 0.89 and the q1-entry of R is nan there
+# (inf * 0): np.linalg.eig ended the run in a LinAlgError on that q-block
+# until the eigen-analysis rejected non-finite blocks as points to redraw.
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_darboux_redraws_non_finite_eigen_blocks(seed, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "objects": {"R": {
+        "kind": "tensor11_E", "components": {
+            "q1,q1": "q1 + exp(400*q1)*exp(400*q1)*exp(-800*q1)",
+            "q2,q2": "q2"}}}}))
+    code, out, err = run_fresh("darboux", "--model", str(path), "--object",
+                               "R", "--seed", seed)
+    assert code == 0, err
+    assert "Traceback" not in err and out.count("[PASS] dn.") == 4
+
+
 # The lifted blocks print the derivatives of R, about twice as deep as R,
 # and the printer recursed once per level: these lifts ended in a
 # RecursionError.

@@ -25,6 +25,7 @@ from jetlift import expr as ex
 from jetlift.expr import parse_expr, to_string
 from jetlift.fields import ProceduralField, SymbolicField
 import recursive_text
+import scalar_evaluate
 
 
 def rand_points(dim, n=64, seed=0, lo=-2.0, hi=2.0):
@@ -196,10 +197,19 @@ TREES = st.recursive(
     _grow, max_leaves=8)
 
 
+def _evaluate(e, point):
+    """The value of e at a point of COORDS by the one-row compiled program;
+    raises the error it names there."""
+    values, _, errors = ex.compile_batch([e], COORDS)([point])
+    if errors:
+        raise errors[0]
+    return values.item(0)
+
+
 def _outcome(e, point):
     """The value bits of e at point (any nan alike), or the error class."""
     try:
-        v = ex.evaluate(e, dict(zip(COORDS, point)))
+        v = _evaluate(e, point)
     except (EvaluationError, OverflowError) as exc:
         return type(exc)
     return "nan" if math.isnan(v) else struct.pack("<d", v)
@@ -226,8 +236,8 @@ POINTS = st.tuples(*[st.floats(-3.0, 3.0)] * len(COORDS))
 
 def _along(e, point, name, xs):
     """The values of e at point with coordinate name set to each of xs."""
-    env = dict(zip(COORDS, point))
-    return [ex.evaluate(e, {**env, name: x}) for x in xs]
+    k = COORDS.index(name)
+    return [_evaluate(e, point[:k] + (x,) + point[k + 1:]) for x in xs]
 
 
 @settings(max_examples=400)
@@ -286,7 +296,7 @@ def test_derivative_agrees_with_sympy(e, points):
         for pt in points:
             try:
                 want = float(theirs(*pt))
-                got = ex.evaluate(ours, dict(zip(COORDS, pt)))
+                got = _evaluate(ours, pt)
             except (EvaluationError, ArithmeticError, ValueError, TypeError):
                 continue
             if math.isfinite(want) and math.isfinite(got):
@@ -370,15 +380,15 @@ def _recursive_postorder(roots):
 
 
 def _recursive_outcome(e, point):
-    """_outcome of the evaluation that recurses once per level, evaluating
-    a node's children left to right before the node, and each use of a
-    shared node anew."""
+    """_outcome of the scalar evaluation that recurses once per level,
+    evaluating a node's children left to right before the node, and each
+    use of a shared node anew."""
     env, value = dict(zip(COORDS, point)), {}
 
     def visit(n):
         for slot in _children(n):
             visit(getattr(n, slot))
-        value[n] = ex._value(n, env, value)
+        value[n] = scalar_evaluate._value(n, env, value)
     try:
         visit(e)
     except (EvaluationError, OverflowError) as exc:
@@ -394,6 +404,7 @@ class TestWalks:
 
     @given(TREES, POINTS)
     def test_evaluate_raises_what_recursion_raised_first(self, e, point):
+        # the compiled program's error, or its value, at one point
         assert _outcome(e, point) == _recursive_outcome(e, point)
 
     def test_deep_trees_take_no_frame_per_level(self):
@@ -404,14 +415,14 @@ class TestWalks:
             e = ex.mul(e, q1)
         d = ex.differentiate(e, "q1")
         assert _depth(d) > 2 * sys.getrecursionlimit()
-        assert ex.evaluate(e, {"q1": 1.0}) == 1.0
-        assert ex.evaluate(d, {"q1": 1.0}) == 5000.0
+        assert scalar_evaluate.evaluate(e, {"q1": 1.0}) == 1.0
+        assert scalar_evaluate.evaluate(d, {"q1": 1.0}) == 5000.0
         run = ex.compile_batch([e, d], ["q1"])
-        values, rejected = run(np.array([[1.0], [-1.0]]))
+        values, rejected, errors = run(np.array([[1.0], [-1.0]]))
         assert values.tolist() == [[1.0, 1.0], [5000.0, -5000.0]]
-        assert not rejected.any()
+        assert not rejected.any() and errors == {}
         s = ex.substitute(d, {"q1": ex.var("t")})
-        assert s.names == {"t"} and ex.evaluate(s, {"t": 1.0}) == 5000.0
+        assert s.names == {"t"} and _evaluate(s, (1.0, 0.0, 0.0)) == 5000.0
 
 
 # texts the grammar mostly accepts: infix operators, unary minuses,

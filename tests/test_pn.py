@@ -7,6 +7,7 @@ from jetlift import pn
 from jetlift import (
     EigenError,
     FibredTransform,
+    NonFiniteError,
     OneForm,
     Tensor11,
     TransformError,
@@ -221,6 +222,17 @@ class TestEigenAnalysis:
         R = Tensor11.from_dict(be2, {"q1,q1": "q1", "q2,q2": "q1"})
         with pytest.raises(EigenError):
             eigen_analysis(R, (0.0, 1.0, 2.0))
+
+    def test_non_finite_block_rejected(self):
+        # exp(600)^2 overflows to inf and exp(-1200) to 0: the q1-entry is
+        # nan at q1 = 1.5, which np.linalg.eig refused with a LinAlgError
+        R = Tensor11.from_dict(base_e(2), {
+            "q1,q1": "q1 + exp(400*q1)*exp(400*q1)*exp(-800*q1)",
+            "q2,q2": "q2"})
+        with pytest.raises(NonFiniteError):
+            eigen_analysis(R, (0.0, 1.5, 0.0))
+        assert eigen_analysis(R, (0.0, 0.5, 0.0)).eigenvalues == \
+            pytest.approx((0.0, 1.5))  # exp(200)^2 * exp(-400) = 1
 
     def test_eigenvalue_field_derivative(self):
         # lambda_1 = q1 - t*q2, so d(lambda_1)/dq1 = 1 at (1,5,2)

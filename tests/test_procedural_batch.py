@@ -319,17 +319,3 @@ def test_eval_at_raises_the_first_error_in_component_order():
             kinds.add(got if got[0] != "value" else "value")
     assert "value" in kinds and len(kinds) > 4
 
-
-def test_symbolic_eval_at_compiles_nothing(monkeypatch):
-    from jetlift import expr
-
-    compiled = []
-    compile_batch = expr.compile_batch
-    monkeypatch.setattr(expr, "compile_batch",
-                        lambda *a: compiled.append(1) or compile_batch(*a))
-    base = base_e(2)
-    T = Tensor11.from_dict(base, {"q1,q2": "t*q1", "q2,t": "sin(q2)"})
-    got = T.eval_at((0.5, 1.0, 2.0))
-    assert not compiled
-    assert got.tobytes() == shared_batch_eval_at(T, (0.5, 1.0, 2.0)).tobytes()
-    assert compiled

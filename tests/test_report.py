@@ -1,5 +1,6 @@
 """What Checker.compare and Checker.vanish accept: objects whose components
 pair up one to one on a single space."""
+import inspect
 import os
 import random
 import struct
@@ -208,3 +209,26 @@ def test_no_points_is_a_sampling_error():
         rho_related(complete_lift_cotangent(R), complete_lift_tensor11(R), [])
     with pytest.raises(SamplingError, match="no sample points"):
         commutation_residual(complete_lift_tensor11(R), [])
+
+
+def test_sampling_defaults_are_the_report_constants():
+    # every entry point samples with report's defaults, which keep the
+    # values they had when each function spelled them out
+    from jetlift import lifts, pn, report, suites
+
+    want = {"points": 64, "seed": 0, "tol": 1e-9, "box": (-2.0, 2.0)}
+    for name, value in want.items():
+        assert getattr(report, f"DEFAULT_{name.upper()}") == value
+    for fn, names in [(suites.run_suite, "points seed tol box"),
+                      (suites.run_all_suites, "points seed tol box"),
+                      (pn.pn_check, "points seed tol box"),
+                      (pn.build_dn_transform, "seed tol box"),
+                      (pn.verify_dn, "seed box"),
+                      (lifts.rho_related, "tol")]:
+        params = inspect.signature(fn).parameters
+        for name in names.split():
+            assert params[name].default is getattr(
+                report, f"DEFAULT_{name.upper()}"), (fn.__name__, name)
+    assert inspect.signature(pn.build_dn_transform).parameters[
+        "points"].default == 16
+    assert inspect.signature(pn.verify_dn).parameters["points"].default == 32
