@@ -3,14 +3,14 @@
 A ChartMap carries the forward coordinate functions (fields on the source
 chart) and the inverse coordinate functions (fields on the target chart).
 Push-forward of contravariant indices uses the forward Jacobian composed
-with the inverse; covariant indices use the Jacobian of the inverse.
+with the inverse; covariant indices use the Jacobian of the inverse. The
+transport formula itself is `tensors._transport`, beside the Lie
+derivative.
 
 FibredTransform specializes to time-preserving maps (t, q) -> (t, Q(t, q))
 and induces the momentum-space map P_j = p_i dq^i/dQ^j.
 """
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .fields import (
     inject,
 )
 from .spaces import Space, base_e, phase_j
-from .tensors import TwoForm, _table, _zero_factors, sum_products
+from .tensors import TwoForm, _matsum, _table, _transport
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -35,11 +35,11 @@ def _determinant(space, M):
     d = len(M)
     if d == 1:
         return M[0][0]
-    return sum_products(space, [
-        ("+" if j % 2 == 0 else "+-",
-         [M[0][j], _determinant(space, [[M[i][k] for k in range(d) if k != j]
-                                        for i in range(1, d)])])
-        for j in range(d)])
+    # one 1 x 1 table per term, so that its zero terms are left out
+    terms = [("+" if j % 2 == 0 else "+-", [[M[0][j]]],
+              [[_determinant(space, [[M[i][k] for k in range(d) if k != j]
+                                     for i in range(1, d)])]]) for j in range(d)]
+    return _matsum(space, *terms[0], terms[1:])[0][0]
 
 
 def invert_field_matrix(space, M):
@@ -92,30 +92,6 @@ class ChartMap:
     # the per-kind names callers use; bench/tracer.py wraps each of them
     push_scalar = push_vector = push_oneform = push_tensor11 = push
     push_twoform = push_bivector = push_tensor12 = push
-
-
-def _transport(obj, maps, dst: Space, J, K):
-    """obj written on dst, where maps are the coordinates of obj's space as
-    fields on dst: each component composed with maps, then, for each target
-    multi-index A, the sum over the source multi-indices C in lexicographic
-    order of prod_{upper k} J[A_k][C_k] * T_C * prod_{lower k} K[C_k][A_k],
-    multiplied left to right (a variance lists its upper indices first)."""
-    comps = [compose(f, maps, dst) for f in obj.components()]
-    variance = obj.variance
-    if not variance:
-        return comps[0]
-    n_up = variance.count("u")
-    Kt = list(zip(*K)) if K else None  # Kt[a][c] = K[c][a]
-    dead = _zero_factors(dst, comps + [g for M in (J or [], K or []) for row in M
-                                       for g in row])[0]
-    out = []
-    for A in product(range(dst.dim), repeat=len(variance)):
-        # per index, its factor for every source value C_k
-        rows = [J[a] if v == "u" else Kt[a] for a, v in zip(A, variance)]
-        out.append(sum_products(dst, [("+", f[:n_up] + (t,) + f[n_up:])
-                                      for f, t in zip(product(*rows), comps)
-                                      if t not in dead and dead.isdisjoint(f)]))
-    return obj._rebuild(out, dst)
 
 
 def pullback_twoform(maps, src: Space, w: TwoForm) -> TwoForm:
@@ -254,14 +230,12 @@ class FibredTransform:
         P = [coord_field(pj, f"p{i + 1}") for i in range(n)]
         fwd = [coord_field(pj, "t")]
         fwd += [inject(f, pj) for f in self.q_fwd]
-        fwd += [sum_products(pj, [("+", [P[i], inject(A[i][j], pj)]) for i in range(n)])
-                for j in range(n)]
+        fwd += _matsum(pj, "+", [P], [[inject(g, pj) for g in col] for col in zip(*A)])[0]
         # inverse: q = q(t, Q); p_i = P_j dQ^j/dq^i o (t, q(t, Q))
         inv = [coord_field(pj, "t")]
         inv += [inject(g, pj) for g in self.q_inv]
         back = [coord_field(base, "t")] + self.q_inv
         B = [[compose(Jq[j][i], back, base)
               for j in range(n)] for i in range(n)]  # B^j_i = dQ^j/dq^i o inv
-        inv += [sum_products(pj, [("+", [P[j], inject(B[i][j], pj)]) for j in range(n)])
-                for i in range(n)]
+        inv += _matsum(pj, "+", [P], [[inject(g, pj) for g in row] for row in B])[0]
         return ChartMap(pj, pj, fwd, inv)

@@ -368,6 +368,13 @@ def compile_batch(roots, coords):
     return functools.partial(_run, program, out_slots)
 
 
+def denominator_guard(w):
+    """The mask of the denominator values w below SINGULAR_GUARD, and the
+    error of row i; symbolic and procedural division both use it."""
+    return np.abs(w) < SINGULAR_GUARD, lambda i: SingularPointError(
+        f"denominator {w.item(i)} below guard {SINGULAR_GUARD}")
+
+
 def _run(program, out_slots, points):
     X = np.asarray(points, dtype=float)
     m = len(X)
@@ -398,8 +405,7 @@ def _run(program, out_slots, points):
                 v = u * vals[args[1]]
             elif op == "div":
                 w = vals[args[1]]
-                fail(np.abs(w) < SINGULAR_GUARD, lambda i: SingularPointError(
-                    f"denominator {w.item(i)} below guard {SINGULAR_GUARD}"))
+                fail(*denominator_guard(w))
                 v = u / w
             elif op == "sqrt":
                 fail(u < 0.0, lambda i: DomainError(

@@ -24,7 +24,7 @@ import functools
 import numpy as np
 
 from . import expr as ex
-from .errors import OrderOverflowError, SingularPointError, SpaceMismatchError
+from .errors import OrderOverflowError, SpaceMismatchError
 from .spaces import Space
 
 #: central-difference step for procedural second derivatives
@@ -125,8 +125,8 @@ def _proc_mul(a, c):
 def _proc_div(a, c):
     def den(b):
         cv = c._value(b)
-        b.reject(np.flatnonzero(np.abs(cv) < ex.SINGULAR_GUARD),
-                 lambda i: SingularPointError(f"denominator {cv[i]} below guard"))
+        bad, error = ex.denominator_guard(cv)
+        b.reject(np.flatnonzero(bad), error)
         return cv
 
     def grad(b):

@@ -6,6 +6,8 @@ and verification suites rather than used for construction.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import JetliftError, SpaceMismatchError
 from .fields import ScalarField, coord_field, inject, zero
 from .report import DEFAULT_TOL, max_residual
@@ -15,9 +17,8 @@ from .tensors import (
     Tensor11,
     TwoForm,
     VectorField,
-    _zero_factors,
+    _matsum,
     adjoint_tensor11,
-    sum_products,
 )
 
 
@@ -45,12 +46,16 @@ def momentum_function(X: VectorField) -> ScalarField:
     return _p_sum(phase_j(n), X.comps[1:])
 
 
+@cache
+def _momenta(space: Space) -> tuple:
+    """The fields p_1, ..., p_n on space, built once."""
+    return tuple(coord_field(space, f"p{i}") for i in range(1, space.n + 1))
+
+
 def _p_sum(space: Space, fields, sign="+") -> ScalarField:
     """The sum of sign p_i f_i over the base fields f_1, f_2, ..., on space."""
-    fields = [inject(f, space) for f in fields]
-    dead = _zero_factors(space, fields)[0]
-    return sum_products(space, [(sign, [coord_field(space, f"p{i}"), f])
-                                for i, f in enumerate(fields, 1) if f not in dead])
+    return _matsum(space, sign, [_momenta(space)],
+                   [[inject(f, space) for f in fields]])[0][0]
 
 
 def vlift_oneform(alpha: OneForm) -> VectorField:
@@ -100,20 +105,20 @@ def _p_contracted(R: Tensor11, pj: Space, first=1) -> list:
             for j in range(first, n + 1)]
 
 
-def _lift_blocks(R: Tensor11, space: Space, qi, pi):
-    """Shared blocks of the two complete lifts; qi/pi map 1-based base
-    indices to coordinate positions in the target space."""
+def _lift_blocks(R: Tensor11, space: Space, pi):
+    """Shared blocks of the two complete lifts on a space (t, q1..qn, ...);
+    pi maps 1-based base indices to the positions of the momenta."""
     n = R.space.n
     d = space.dim
     entries = [[zero(space)] * d for _ in range(d)]
     for i in range(1, n + 1):
-        entries[qi(i)][0] = inject(R.entries[i][0], space)  # R^i_0 dq-row, dt column
+        entries[i][0] = inject(R.entries[i][0], space)  # R^i_0 dq-row, dt column
         for j in range(1, n + 1):
-            entries[qi(i)][qi(j)] = inject(R.entries[i][j], space)
+            entries[i][j] = inject(R.entries[i][j], space)
             entries[pi(j)][pi(i)] = inject(R.entries[i][j], space)
     for j in range(1, n + 1):
         for k in range(1, n + 1):
-            entries[pi(j)][qi(k)] = _p_sum(space, [
+            entries[pi(j)][k] = _p_sum(space, [
                 R.entries[i][j].diff(f"q{k}") - R.entries[i][k].diff(f"q{j}")
                 for i in range(1, n + 1)])
     for k in range(1, n + 1):
@@ -129,7 +134,7 @@ def complete_lift_tensor11(R: Tensor11) -> Tensor11:
     _require_annihilates_dt(R)
     n = R.space.n
     pj = phase_j(n)
-    entries = _lift_blocks(R, pj, lambda i: i, lambda i: n + i)
+    entries = _lift_blocks(R, pj, lambda i: n + i)
     return Tensor11(pj, entries)
 
 
@@ -140,7 +145,7 @@ def complete_lift_cotangent(R: Tensor11) -> Tensor11:
     n = R.space.n
     et = extended_t(n)
     p0 = n + 1  # index of p0 in (t, q1..qn, p0, p1..pn)
-    entries = _lift_blocks(R, et, lambda i: i, lambda i: n + 1 + i)
+    entries = _lift_blocks(R, et, lambda i: n + 1 + i)
     for i in range(1, n + 1):
         entries[p0][n + 1 + i] = inject(R.entries[i][0], et)
     for k in range(1, n + 1):

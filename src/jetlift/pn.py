@@ -20,7 +20,7 @@ from .fields import (
     zero,
 )
 from .lifts import (
-    LiftError,
+    _require_annihilates_dt,
     complete_lift_tensor11,
     complete_lift_vector,
     momentum_function,
@@ -42,8 +42,7 @@ from .tensors import (
     OneForm,
     Tensor11,
     VectorField,
-    _table,
-    _zero_factors,
+    _matsum,
     adjoint_tensor11,
     apply_tensor11,
     differential,
@@ -116,17 +115,8 @@ def pullback_oneform_to_phase(alpha: OneForm) -> OneForm:
 def commutation_defect(Rt: Tensor11) -> list:
     """Field matrix D[c][b] = (P(Rt sigma) - Rt P(sigma)) coefficients:
     sum_a Rt^c_a Lam^ab - sum_a Lam^ca Rt^b_a. Zero iff P and Rt commute."""
-    pj = Rt.space
-    n = pj.n
-    d = pj.dim
-    Lam = canonical_bivector(n)
-    L, E = Lam.entries, Rt.entries
-    dead = _zero_factors(pj, Rt.components() + Lam.components())[0]
-    return _table(d, 2, lambda c, b: sum_products(
-        pj, [("+", [E[c][a], L[a][b]]) for a in range(d)
-             if E[c][a] not in dead and L[a][b] not in dead]
-        + [("+-", [L[c][a], E[b][a]]) for a in range(d)
-           if L[c][a] not in dead and E[b][a] not in dead]))
+    L, E = canonical_bivector(Rt.space.n).entries, Rt.entries
+    return _matsum(Rt.space, "+", E, [*zip(*L)], [("+-", L, E)])
 
 
 def commutation_residual(Rt: Tensor11, points) -> float:
@@ -199,10 +189,8 @@ def pn_check(R: Tensor11, points=DEFAULT_POINTS, seed=DEFAULT_SEED,
     """Check the Poisson-Nijenhuis conditions for the complete lift of R:
     commutation with the Poisson map, vanishing concomitant, and the torsion
     dichotomy on the base and on phase space."""
-    if not R.annihilates_dt:
-        raise LiftError("the tensor does not annihilate dt (nonzero t-row)")
     n = R.space.n
-    Rt = complete_lift_tensor11(R)
+    Rt = complete_lift_tensor11(R)  # refuses a tensor with a t-row
     checker = Checker(points=points, seed=seed, tol=tol, box=box)
     sigmas, zs = _basis_pairs(n)
     # the base torsion, read at the base part of each phase-space point
@@ -283,8 +271,7 @@ def _eigen(A, b):
 def eigen_analysis(R: Tensor11, point) -> EigenData:
     """Eigen-decomposition of the q-block of R at a base point; requires
     real, pairwise distinct eigenvalues."""
-    if not R.annihilates_dt:
-        raise LiftError("the tensor does not annihilate dt (nonzero t-row)")
+    _require_annihilates_dt(R)
     A = np.array([[f.eval(point) for f in row] for row in _q_block(R)])
     w, V, U = at_point(point, lambda b: _eigen(A[None], b))
     return EigenData(tuple(point), tuple(w[0]), V[0], U[0])
@@ -294,8 +281,7 @@ def eigenvalue_fields(R: Tensor11):
     """Eigenvalues of the q-block as procedural fields on the base, in
     ascending order per point, with analytic first derivatives from
     first-order eigenvalue perturbation."""
-    if not R.annihilates_dt:
-        raise LiftError("the tensor does not annihilate dt (nonzero t-row)")
+    _require_annihilates_dt(R)
     n = R.space.n
     base = R.space
     block = _q_block(R)

@@ -6,12 +6,13 @@ indices first. Its components are stored in full index form over every
 coordinate of the space, as a table nested to that rank, even when only
 some blocks are nonzero; block structure is checked through predicates
 (is_vertical, annihilates_dt) rather than by type. The Lie derivative
-here and the chart transport in `charts` are one formula each, read off
-the variance. The contractions build no term with a constant-zero factor
-(`_zero_factors` finds those factors, and the derivatives of constants are
-not taken), where `sum_products` would skip it: the zero blocks cost
-neither a term nor a tree operation, and every tree is the one the full
-fold would build.
+and the transport of a tensor between charts (`_transport`, which
+`charts.ChartMap` calls) are one formula each, read off the variance. The
+contractions build no term with a constant-zero factor: `_zero_factors`
+finds those factors (and the derivatives of constants are not taken), and
+`_matsum`, the one helper of every matrix-shaped sum, leaves them out. The
+zero blocks cost neither a term nor a tree operation, and every tree is
+the one the fold of all the terms would build.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .fields import (
     ScalarField,
     SymbolicField,
     at_point,
+    compose,
     const_field,
     is_symbolically_one,
     is_symbolically_zero,
@@ -241,11 +243,10 @@ class Tensor12(_Indexed):
     def hook(self, X: VectorField) -> Tensor11:
         """(i_X N)(Y) = N(X, Y), as a (1,1) tensor."""
         _require_same_space(self, X)
-        d, N = self.space.dim, self.comps
-        dead = _zero_factors(self.space, self.components() + X.comps)[0]
-        return Tensor11(self.space, _table(d, 2, lambda a, c: sum_products(
-            self.space, [("+", [N[a][b][c], X.comps[b]]) for b in range(d)
-                         if X.comps[b] not in dead and N[a][b][c] not in dead])))
+        r, N = range(self.space.dim), self.comps
+        rows = [[N[a][b][c] for b in r] for a in r for c in r]
+        return Tensor11(self.space, _nest([row[0] for row in _matsum(
+            self.space, "+", rows, [X.comps])], self.space.dim, 2))
 
 
 def _table(d, rank, fn, *index):
@@ -261,38 +262,26 @@ def _table(d, rank, fn, *index):
 
 def apply_tensor11(T: Tensor11, X: VectorField) -> VectorField:
     _require_same_space(T, X)
-    r, E = range(T.space.dim), T.entries
-    dead = _zero_factors(T.space, T.components() + X.comps)[0]
-    return VectorField(T.space, [sum_products(T.space, [
-        ("+", [E[a][b], X.comps[b]]) for b in r
-        if X.comps[b] not in dead and E[a][b] not in dead]) for a in r])
+    return VectorField(T.space, [row[0] for row in
+                                 _matsum(T.space, "+", T.entries, [X.comps])])
 
 
 def adjoint_tensor11(T: Tensor11, alpha: OneForm) -> OneForm:
     """(T(alpha))_b = T^a_b alpha_a, so that <T(X), alpha> = <X, T(alpha)>."""
     _require_same_space(T, alpha)
-    r, E = range(T.space.dim), T.entries
-    dead = _zero_factors(T.space, T.components() + alpha.comps)[0]
-    return OneForm(T.space, [sum_products(T.space, [
-        ("+", [E[a][b], alpha.comps[a]]) for a in r
-        if alpha.comps[a] not in dead and E[a][b] not in dead]) for b in r])
+    return OneForm(T.space, [row[0] for row in _matsum(
+        T.space, "+", [*zip(*T.entries)], [alpha.comps])])
 
 
 def pair(X: VectorField, alpha: OneForm) -> ScalarField:
     _require_same_space(X, alpha)
-    dead = _zero_factors(X.space, X.comps + alpha.comps)[0]
-    return sum_products(X.space, [("+", [x, a]) for x, a in zip(X.comps, alpha.comps)
-                                  if x not in dead and a not in dead])
+    return _matsum(X.space, "+", [X.comps], [alpha.comps])[0][0]
 
 
 def compose_tensor11(A: Tensor11, B: Tensor11) -> Tensor11:
     """Matrix product: (A o B)(X) = A(B(X))."""
     _require_same_space(A, B)
-    d, P, Q = A.space.dim, A.entries, B.entries
-    dead = _zero_factors(A.space, A.components() + B.components())[0]
-    return Tensor11(A.space, _table(d, 2, lambda a, b: sum_products(
-        A.space, [("+", [P[a][c], Q[c][b]]) for c in range(d)
-                  if P[a][c] not in dead and Q[c][b] not in dead])))
+    return Tensor11(A.space, _matsum(A.space, "+", A.entries, [*zip(*B.entries)]))
 
 
 def tensor_product(X: VectorField, alpha: OneForm) -> Tensor11:
@@ -365,6 +354,30 @@ def lie_derivative(X: VectorField, T):
     return T._rebuild(out) if variance else out[0]
 
 
+def _transport(obj, maps, dst: Space, J, K):
+    """obj written on dst, where maps are the coordinates of obj's space as
+    fields on dst: each component composed with maps, then, for each target
+    multi-index A, the sum over the source multi-indices C in lexicographic
+    order of prod_{upper k} J[A_k][C_k] * T_C * prod_{lower k} K[C_k][A_k],
+    multiplied left to right (a variance lists its upper indices first)."""
+    comps = [compose(f, maps, dst) for f in obj.components()]
+    variance = obj.variance
+    if not variance:
+        return comps[0]
+    n_up = variance.count("u")
+    Kt = list(zip(*K)) if K else None  # Kt[a][c] = K[c][a]
+    dead = _zero_factors(dst, comps + [g for M in (J or [], K or []) for row in M
+                                       for g in row])[0]
+    out = []
+    for A in product(range(dst.dim), repeat=len(variance)):
+        # per index, its factor for every source value C_k
+        rows = [J[a] if v == "u" else Kt[a] for a, v in zip(A, variance)]
+        out.append(sum_products(dst, [("+", f[:n_up] + (t,) + f[n_up:])
+                                      for f, t in zip(product(*rows), comps)
+                                      if t not in dead and dead.isdisjoint(f)]))
+    return obj._rebuild(out, dst)
+
+
 def differential(f: ScalarField) -> OneForm:
     return OneForm(f.space, [f.diff(c) for c in f.space.coords])
 
@@ -377,22 +390,15 @@ def exterior_derivative(alpha: OneForm) -> TwoForm:
 
 def interior_product(X: VectorField, omega: TwoForm) -> OneForm:
     _require_same_space(X, omega)
-    r, W = range(X.space.dim), omega.entries
-    dead = _zero_factors(X.space, X.comps + omega.components())[0]
-    return OneForm(X.space, [sum_products(X.space, [
-        ("+", [X.comps[a], W[a][b]]) for a in r
-        if X.comps[a] not in dead and W[a][b] not in dead]) for b in r])
+    return OneForm(X.space, _matsum(X.space, "+", [X.comps],
+                                    [*zip(*omega.entries)])[0])
 
 
 def hook2(R: Tensor11, omega) -> list:
     """The covariant 2-tensor (X, Y) -> omega(R(X), Y), as a matrix of
     fields (it is not antisymmetric in general)."""
     _require_same_space(R, omega)
-    d, E, W = R.space.dim, R.entries, omega.entries
-    dead = _zero_factors(R.space, R.components() + omega.components())[0]
-    return _table(d, 2, lambda a, b: sum_products(
-        R.space, [("+", [E[c][a], W[c][b]]) for c in range(d)
-                  if E[c][a] not in dead and W[c][b] not in dead]))
+    return _matsum(R.space, "+", [*zip(*R.entries)], [*zip(*omega.entries)])
 
 
 # How a term joins the sum, by its sign. "+-" adds the negated product,
@@ -407,11 +413,11 @@ def sum_products(space: Space, terms) -> ScalarField:
     into a sum that starts at 0. When every factor is a symbolic field on
     space the fold runs on the expression trees and wraps the result once;
     otherwise it runs on the fields, as `acc = acc + f1 * f2` would. The
-    tree fold skips a term that `_vanishes`, exactly: adding or subtracting
-    ±0 returns a tree sum as it is, and a constant one, which starts at +0.0
-    and so is never -0.0 under round-to-nearest, with its value. The
-    library's callers drop those terms before they build them
-    (`_zero_factors`); the skip here covers any caller that does not."""
+    library's callers leave out the terms with a constant-zero factor
+    (`_zero_factors`); one that is handed in folds to the same tree, as its
+    product is ±0 and adding or subtracting ±0 returns a tree sum as it is
+    and a constant one, which starts at +0.0 and so is never -0.0 under
+    round-to-nearest, with its value."""
     acc = ex.ZERO
     for sign, factors in terms:
         for f in factors:
@@ -419,8 +425,7 @@ def sum_products(space: Space, terms) -> ScalarField:
                                                     and f.space != space):
                 return reduce(lambda acc, t: _FIELD_FOLD[t[0]](acc, reduce(mul, t[1])),
                               terms, zero(space))
-        if not _vanishes(factors):
-            acc = _EXPR_FOLD[sign](acc, reduce(ex.mul, [f.expr for f in factors]))
+        acc = _EXPR_FOLD[sign](acc, reduce(ex.mul, [f.expr for f in factors]))
     return SymbolicField(space, acc)
 
 
@@ -428,10 +433,10 @@ def _zero_factors(space: Space, factors, diffed=()):
     """The factors of a contraction that are the constant 0, and the
     derivatives [[f.diff(c) for c in space.coords] for f in diffed].
 
-    The zero factors are found only where sum_products skips every term
-    that has one: when each factor and derivative is a symbolic field on
-    space and no constant among them is non-finite (0 * inf is nan). Then
-    the derivatives of a constant are None (they are 0), and the set holds
+    The zero factors are found only where a product with one folds to ±0:
+    when each factor and derivative is a symbolic field on space and no
+    constant among them is non-finite (0 * inf is nan). Then the
+    derivatives of a constant are None (they are 0), and the set holds
     None and every constant-zero factor. Otherwise it is empty, and every
     derivative is built. A caller that leaves out each term with a factor
     in the set so folds the same tree as when it hands sum_products all of
@@ -457,17 +462,18 @@ def _zero_factors(space: Space, factors, diffed=()):
     return set(), [[f.diff(c) for c in coords] for f in diffed]
 
 
-def _vanishes(factors) -> bool:
-    """Whether a product of symbolic fields folds to ±0: a factor is the
-    constant 0 and none is a non-finite constant (0 * inf is nan)."""
-    has_zero = False
-    for f in factors:
-        if f.expr.__class__ is ex.Const:
-            v = f.expr.value
-            if v - v != 0.0:  # inf or nan
-                return False
-            has_zero = has_zero or v == 0.0
-    return has_zero
+def _matsum(space: Space, sign, rows, cols, more=()) -> list:
+    """The table [[sum_c sign rows[a][c] cols[b][c] for b] for a], each sum
+    followed by the terms of each further (sign, rows, cols) of more, in
+    order, with the row factor first. A term with a factor that
+    `_zero_factors` flags among all of them is left out."""
+    parts = ((sign, rows, cols), *more)
+    dead = _zero_factors(space, [f for _, R, C in parts for M in (R, C)
+                                 for row in M for f in row])[0]
+    return [[sum_products(space, [(s, [x, y]) for s, R, C in parts
+                                  for x, y in zip(R[a], C[b])
+                                  if x not in dead and y not in dead])
+             for b in range(len(cols))] for a in range(len(rows))]
 
 
 def sum_fields(space: Space, fields_list) -> ScalarField:

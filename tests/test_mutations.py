@@ -7,13 +7,14 @@ on `models/n1.json`, and asserts that the checks named for it fail. A
 mutant that every suite still passed would show a formula the suites do
 not actually check. The sign of the Poisson map is one: no suite check
 sees it, so a test here holds it to the canonical bivector instead. The
-sum_products mutants replace an entry of its fold table, or its test for
-a term it may skip, instead of a function.
+sum_products mutants replace an entry of its fold table, or the rule by
+which the contractions leave a term out (`tensors._zero_factors`).
 """
 import math
 import os
 import random
 import sys
+from itertools import chain
 
 import pytest
 
@@ -24,7 +25,7 @@ from jetlift.model import load_model
 from jetlift.report import max_residual
 from jetlift.suites import run_suite
 from jetlift.spaces import base_e
-from jetlift.tensors import Tensor12, sum_fields, sum_products
+from jetlift.tensors import Tensor12, sum_fields
 
 N1 = os.path.join(os.path.dirname(__file__), "..", "models", "n1.json")
 
@@ -184,32 +185,42 @@ def test_sum_products_subtraction_is_checked(monkeypatch, check):
     assert check in failed_checks(suite)
 
 
-def skips_every_constant_factor(factors):
-    return any(isinstance(f.expr, ex.Const) for f in factors)
+_zero_factors = tensors._zero_factors
 
 
-def skips_zero_beside_non_finite(factors):
-    return any(isinstance(f.expr, ex.Const) and f.expr.value == 0.0
-               for f in factors)
+def flags_every_constant_factor(space, factors, diffed=()):
+    """_zero_factors flagging every constant factor, not only the zeros."""
+    dead, derivs = _zero_factors(space, factors, diffed)
+    if dead:
+        dead |= {f for f in chain(factors, diffed, *derivs)
+                 if f is not None and isinstance(f.expr, ex.Const)}
+    return dead, derivs
+
+
+def flags_zero_beside_non_finite(space, factors, diffed=()):
+    """_zero_factors flagging the constant zeros whatever else is constant."""
+    derivs = [[f.diff(c) for c in space.coords] for f in diffed]
+    return {f for f in chain(factors, diffed, *derivs)
+            if isinstance(f.expr, ex.Const) and f.expr.value == 0.0}, derivs
 
 
 def zero_term_folds():
-    """Whether 2.5 * q1 is kept and 0 * inf still folds to nan."""
+    """Whether a contraction keeps 2.5 * q1 and still folds 0 * inf to nan."""
     space = base_e(1)
     q, inf, c = (coord_field(space, "q1"), const_field(space, math.inf),
                  const_field(space, 2.5))
-    kept = sum_products(space, [("+", [c, q])]).expr == ex.mul(c.expr, q.expr)
-    nan = sum_products(space, [("+", [const_field(space, 0.0), inf])]).expr
-    return kept and math.isnan(nan.value)
+    kept = tensors._matsum(space, "+", [[c]], [[q]])[0][0].expr == ex.mul(c.expr, q.expr)
+    nan = tensors._matsum(space, "+", [[const_field(space, 0.0)]], [[inf]])[0][0].expr
+    return kept and isinstance(nan, ex.Const) and math.isnan(nan.value)
 
 
 @pytest.mark.parametrize("check", ["brackets.3", "prop4.1", "theta.1"])
 def test_sum_products_skips_only_zero_terms(monkeypatch, check):
-    # skipping every term with a constant factor also drops nonzero ones,
-    # such as X^t = 1 times a derivative
+    # flagging every constant factor also drops nonzero terms, such as
+    # X^t = 1 times a derivative
     suite = check.split(".")[0]
     assert check not in failed_checks(suite) and zero_term_folds()
-    monkeypatch.setattr(tensors, "_vanishes", skips_every_constant_factor)
+    monkeypatch.setattr(tensors, "_zero_factors", flags_every_constant_factor)
     assert check in failed_checks(suite)
     assert not zero_term_folds()
 
@@ -217,5 +228,5 @@ def test_sum_products_skips_only_zero_terms(monkeypatch, check):
 def test_sum_products_folds_zero_beside_non_finite(monkeypatch):
     # no model has a non-finite constant, so no suite sees this mutant
     assert zero_term_folds()
-    monkeypatch.setattr(tensors, "_vanishes", skips_zero_beside_non_finite)
+    monkeypatch.setattr(tensors, "_zero_factors", flags_zero_beside_non_finite)
     assert not zero_term_folds()

@@ -39,6 +39,7 @@ from jetlift import (
     exterior_derivative,
     wedge,
 )
+from jetlift.lifts import LiftError
 
 
 def rand_points(dim, n=64, seed=0):
@@ -203,6 +204,14 @@ class TestPNCheck:
         far = pn_check(R, points=8, box=(10.0, 11.0))
         assert near.torsion_residual <= 2.0
         assert 10.0 <= far.torsion_residual <= 11.0
+
+
+@pytest.mark.parametrize("call", [
+    pn_check, lambda R: eigen_analysis(R, (0.0, 1.0)), eigenvalue_fields])
+def test_a_tensor_with_a_t_row_is_refused(call):
+    R = Tensor11.from_dict(BE, {"q1,q1": "q1", "t,q1": "q1"})
+    with pytest.raises(LiftError, match="does not annihilate dt"):
+        call(R)
 
 
 class TestEigenAnalysis:

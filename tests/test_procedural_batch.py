@@ -16,6 +16,7 @@ import pytest
 from jetlift import (
     FibredTransform,
     SamplingError,
+    SingularPointError,
     Tensor11,
     VectorField,
     base_e,
@@ -304,7 +305,9 @@ def test_eval_at_raises_the_first_error_in_component_order():
     _, R = load_model(N2).get("R_dn")
     L = build_dn_transform(R).phase_map().push_bivector(canonical_bivector(2))
     base = base_e(1)
-    sym = parse_field("1/q1", base)  # its guard message differs from proc's
+    # both fail near q1 = 0, by two different guards, so that the message
+    # tells which component raised first
+    sym = parse_field("q1^-1", base)
     proc = 1.0 / ProceduralField(base, lambda X: X[:, 1], lambda X: np.column_stack(
         [np.zeros(len(X)), np.ones(len(X))]))
     singular = [(0.5, 0.0), (0.5, -1.0), (0.5, 1e-9), (0.5, 2.0)]
@@ -318,4 +321,20 @@ def test_eval_at_raises_the_first_error_in_component_order():
             assert got == outcome(functools.partial(shared_batch_eval_at, T), pt)
             kinds.add(got if got[0] != "value" else "value")
     assert "value" in kinds and len(kinds) > 4
+    # the two orders of proc and sym raise two different errors
+    assert len({outcome(T.eval_at, singular[0]) for T, _ in cases[1:3]}) == 2
+
+
+def test_procedural_and_symbolic_division_raise_one_message():
+    base = base_e(1)
+    sym = parse_field("1/q1", base)
+    proc = 1.0 / ProceduralField(base, lambda X: X[:, 1], lambda X: np.column_stack(
+        [np.zeros(len(X)), np.ones(len(X))]))
+    for pt in [(0.5, 0.0), (0.5, -0.0), (0.5, 1e-9)]:
+        errors = []
+        for f in (sym, proc):
+            with pytest.raises(SingularPointError) as info:
+                f.eval(pt)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == f"denominator {pt[1]} below guard 1e-06"
 

@@ -10,11 +10,12 @@ so that every report keeps its bits; on procedural and mixed inputs it
 must build the same fields, value and gradient bit for bit. The work-count
 tests hold it to building one field per component.
 
-The tree fold skips terms with a constant-zero factor. A property test
-holds it to the fold that keeps them, bit for bit. The callers build no
-such term at all: a work count holds every contraction site to handing the
-fold no zero term, and, where a non-finite constant turns a zero term into
-nan, to the trees of the fold that is handed every term. Another holds
+The callers build no term with a constant-zero factor (`_zero_factors`
+flags them, and `_matsum` leaves them out at the bilinear sites). A
+property test holds leaving them out to the fold that keeps them, bit for
+bit; a work count holds every contraction site to handing the fold no zero
+term, and, where a non-finite constant turns a zero term into nan, to the
+trees of the fold that is handed every term. Another holds
 `expr.differentiate` to walking each (node, name) pair once per process.
 """
 import math
@@ -33,6 +34,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jetlift import (
+    FibredTransform,
     OneForm,
     Tensor11,
     Tensor12,
@@ -523,7 +525,7 @@ def bits(e):
 
 
 def unskipped_fold(terms):
-    """The tree fold of sum_products with every term kept."""
+    """The tree fold over every term, operator by operator."""
     acc = ex.ZERO
     for sign, factors in terms:
         acc = tensors._EXPR_FOLD[sign](acc, reduce(ex.mul, [f.expr for f in factors]))
@@ -541,8 +543,11 @@ term_lists = st.lists(st.tuples(st.sampled_from(["+", "-", "+-"]),
 
 @given(term_lists)
 def test_skipping_zero_terms_keeps_the_tree_bit_for_bit(terms):
-    got = sum_products(BE1, terms).expr
-    assert bits(got) == bits(unskipped_fold(terms))
+    # the terms without a factor _zero_factors flags fold to the tree of all
+    # of them, which sum_products folds without a skip
+    dead = tensors._zero_factors(BE1, [f for _, factors in terms for f in factors])[0]
+    kept = sum_products(BE1, [t for t in terms if dead.isdisjoint(t[1])]).expr
+    assert bits(kept) == bits(sum_products(BE1, terms).expr) == bits(unskipped_fold(terms))
 
 
 def test_zero_times_a_non_finite_constant_is_still_folded():
@@ -599,19 +604,28 @@ def test_lie_derivative_keeps_zero_terms_beside_non_finite_constants():
 # ---------------------------------------------------------------------------
 # zero terms are not built: every contraction site
 
-Group = namedtuple("Group", "Rs Xs alphas omegas maps")
+Group = namedtuple("Group", "Rs Xs alphas omegas maps transforms")
 
 
 def base_group(inp):
     return Group(inp.tensors, inp.vert_fields + inp.tnorm_fields, inp.oneforms,
-                 inp.twoforms, [T.base_map() for T in inp.transforms])
+                 inp.twoforms, [T.base_map() for T in inp.transforms], [])
+
+
+def diagonal_transform():
+    """Q = (q1 exp(t), q2 + t): its q-Jacobian is diagonal, so at any n of
+    the model the phase map's P rows have zero factors."""
+    be = base_e(2)
+    return FibredTransform(2, [parse_field(src, be) for src in ("q1*exp(t)", "q2 + t")],
+                           [parse_field(src, be) for src in ("q1/exp(t)", "q2 - t")])
 
 
 def phase_group(inp):
     return Group([complete_lift_tensor11(R) for R in inp.tensors],
                  [complete_lift_vector(X) for X in inp.vert_fields + inp.tnorm_fields],
                  [pullback_oneform_to_phase(a) for a in inp.oneforms],
-                 [canonical_theta(inp.n)], [T.phase_map() for T in inp.transforms])
+                 [canonical_theta(inp.n)], [T.phase_map() for T in inp.transforms],
+                 inp.transforms + [diagonal_transform()])
 
 
 def lifts_of(g):
@@ -622,6 +636,12 @@ def lifts_of(g):
         complete_lift_tensor11, complete_lift_cotangent, vlift_tensor11, hlift_tensor11)]
         + [partial(complete_lift_vector, X) for X in g.Xs]
         + [partial(momentum_function, X) for X in g.Xs if X.is_vertical])
+
+
+def phase_map_sums(T):
+    """The P_j and p_i components of T's phase map."""
+    m = T.phase_map()
+    return m.fwd[T.n + 1:] + m.inv[T.n + 1:]
 
 
 # each site: the calls of it on a group, built before any call is counted
@@ -645,6 +665,7 @@ SITES = {
     "haantjes_tensor": lambda g: [partial(haantjes_tensor, R) for R in g.Rs[:2]],
     "charts._transport": lambda g: [partial(m.push, obj) for m in g.maps
                                     for obj in g.Rs + g.Xs + g.alphas + g.omegas],
+    "charts.phase_map": lambda g: [partial(phase_map_sums, T) for T in g.transforms],
     "lifts._p_sum": lifts_of,
     "pn.commutation_defect": lambda g: [partial(commutation_defect, R) for R in g.Rs
                                         if R.space.kind == PHASE_J],
@@ -710,11 +731,11 @@ def non_finite_groups():
     omegas = [TwoForm.from_dict(be, {"q1,t": math.inf}),
               TwoForm.from_dict(be, {"q1,t": huge})]
     transform = load_model(os.path.join(MODELS, "n1.json")).suite_inputs().transforms[0]
-    base = Group(Rs, Xs, alphas, omegas, [transform.base_map()])
+    base = Group(Rs, Xs, alphas, omegas, [transform.base_map()], [])
     lifted = Group([complete_lift_tensor11(R) for R in Rs],
                    [complete_lift_vector(X) for X in Xs],
                    [pullback_oneform_to_phase(a) for a in alphas],
-                   [canonical_theta(1)], [transform.phase_map()])
+                   [canonical_theta(1)], [transform.phase_map()], [transform])
     return base, lifted
 
 
