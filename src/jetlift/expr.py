@@ -119,22 +119,25 @@ def const(v) -> Const:
     return Const(float(v))
 
 
+# most operands are not constants; a constant is ±0 iff its value is falsy
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if a in ZEROS:
-        return b
-    if b in ZEROS:
+    if a.__class__ is Const:
+        if b.__class__ is Const:
+            return Const(a.value + b.value)
+        if not a.value:
+            return b
+    elif b.__class__ is Const and not b.value:
         return a
     return Binary("add", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if b in ZEROS:
-        return a
-    if a in ZEROS:
+    if b.__class__ is Const:
+        if a.__class__ is Const:
+            return Const(a.value - b.value)
+        if not b.value:
+            return a
+    if a.__class__ is Const and not a.value:
         return neg(b)
     if a is b:
         return ZERO
@@ -142,18 +145,22 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    if a in ZEROS or b in ZEROS:
-        return ZERO
-    if a is ONE:
-        return b
-    if b is ONE:
-        return a
-    if a is _MINUS_ONE:
-        return neg(b)
-    if b is _MINUS_ONE:
-        return neg(a)
+    if a.__class__ is Const:
+        if b.__class__ is Const:
+            return Const(a.value * b.value)
+        if not a.value:
+            return ZERO
+        if a is ONE:
+            return b
+        if a is _MINUS_ONE:
+            return neg(b)
+    elif b.__class__ is Const:
+        if not b.value:
+            return ZERO
+        if b is ONE:
+            return a
+        if b is _MINUS_ONE:
+            return neg(a)
     return Binary("mul", a, b)
 
 
@@ -332,15 +339,16 @@ def _compile(roots, column: dict):
     program = []
     slot_of = {}  # node -> slot
     for e in _postorder(roots):
-        if isinstance(e, Const):
+        cls = e.__class__
+        if cls is Const:
             ins = ("const", e.value, ())
-        elif isinstance(e, Var):
+        elif cls is Var:
             ins = ("var", column[e.name], ())
-        elif isinstance(e, Unary):
+        elif cls is Unary:
             ins = (e.op, None, (slot_of[e.arg],))
-        elif isinstance(e, Binary):
+        elif cls is Binary:
             ins = (e.op, None, (slot_of[e.left], slot_of[e.right]))
-        elif isinstance(e, Pow):
+        elif cls is Pow:
             ins = ("pow", e.exponent, (slot_of[e.base],))
         else:
             raise ExprError(f"unknown node {e!r}")

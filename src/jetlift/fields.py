@@ -19,8 +19,6 @@ parent gradient once, on the stacked shifted copies of the array.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import expr as ex
@@ -32,8 +30,6 @@ FD_STEP = 1e-5
 
 #: order budget standing in for "any order" on the symbolic backend
 _UNLIMITED = 10 ** 9
-
-_coord_set = functools.cache(frozenset)  # of a space's coordinate names
 
 
 class Batch:
@@ -222,12 +218,11 @@ def _symbolic_op(build, procedural):
 
 class SymbolicField(ScalarField):
     def __init__(self, space: Space, expression: ex.Expr):
-        if not expression.names <= _coord_set(space.coords):
-            unknown = sorted(expression.names - _coord_set(space.coords))
+        if not expression.names <= space.coord_set:
+            unknown = sorted(expression.names - space.coord_set)
             raise SpaceMismatchError(f"expression uses {unknown} not in {space}")
         self.space = space
         self.expr = expression
-        self._deriv_cache: dict[str, "SymbolicField"] = {}
 
     __add__ = __radd__ = _symbolic_op(ex.add, ScalarField.__add__)
     __sub__ = _symbolic_op(ex.sub, ScalarField.__sub__)
@@ -241,11 +236,12 @@ class SymbolicField(ScalarField):
     eval, grad = ScalarField.eval, ScalarField.grad
 
     def diff(self, coord: str) -> "SymbolicField":
-        if coord not in self._deriv_cache:
+        # the cache is made on the first diff: most fields never take one
+        cache = self.__dict__.setdefault("_deriv_cache", {})
+        if coord not in cache:
             self.space.index(coord)  # validates the name
-            self._deriv_cache[coord] = SymbolicField(
-                self.space, ex.differentiate(self.expr, coord))
-        return self._deriv_cache[coord]
+            cache[coord] = SymbolicField(self.space, ex.differentiate(self.expr, coord))
+        return cache[coord]
 
     def _rows(self, b, key, exprs):
         """The (len(exprs), m) values of exprs over batch b, compiled once
@@ -383,7 +379,7 @@ def inject(f: ScalarField, dst: Space) -> ScalarField:
     superset of the field's own (pullback along the coordinate projection)."""
     if f.space == dst:
         return f
-    missing = set(f.space.coords) - set(dst.coords)
+    missing = f.space.coord_set - dst.coord_set
     if missing:
         raise SpaceMismatchError(f"{dst} lacks coordinates {sorted(missing)}")
     if isinstance(f, SymbolicField):

@@ -3,7 +3,10 @@
 Identity checking is always pointwise sampling in a box, never symbolic
 zero-testing. Points that trip the singularity guard (or any other
 evaluation error), overflow, or give a non-finite value are rejected and
-redrawn; too many rejections abort.
+redrawn; too many rejections abort. A round of points is drawn by one
+`getrandbits` call, evaluated at once (an all-symbolic check by one
+compiled program, with no `Batch`) and judged with masks; only rejected
+points and per-point probes are visited one at a time.
 """
 from __future__ import annotations
 
@@ -140,8 +143,8 @@ def _leaves(a):
 def _compiled_residuals(a, b=None, sizes=None):
     """points -> (residual per point, rejected mask, {row: error}),
     evaluating every component of a (and b) over all points at once: the
-    symbolic ones in one program, compiled here once, the procedural ones in
-    one shared Batch. A rejected row keeps the error of the first symbolic
+    symbolic ones in one program, compiled here once, any procedural ones
+    in one shared Batch. A rejected row keeps the error of the first symbolic
     component (a's, then b's) that raises there when evaluated alone; else
     that of the first procedural one; else the NonFiniteError of `_values`.
     With sizes, a row per point of one residual for each run of that many
@@ -167,25 +170,29 @@ def _compiled_residuals(a, b=None, sizes=None):
 
     def residuals(points):
         X = np.asarray(points, dtype=float)
-        batch = Batch(X)
-        values = np.empty((len(fields), len(X)))
         with np.errstate(all="ignore"):  # rejected points may hold inf or nan
-            sym, masked, errors = run(X)
-            batch.reject(list(errors), errors.get)
-            values[symbolic] = sym
-            for i in procedural:
-                values[i] = fields[i]._value(batch)
-            if procedural or masked.any():  # run() masks the non-finite itself
-                batch.reject(np.flatnonzero(~np.isfinite(values).all(axis=0)),
-                             lambda i: NonFiniteError(
-                                 f"non-finite value at {batch.point(i)}"))
+            values, rejected, errors = run(X)
+            if procedural:  # one Batch, starting from the program's errors
+                batch = Batch(X)
+                batch.reject(list(errors), errors.get)
+                sym, values = values, np.empty((len(fields), len(X)))
+                values[symbolic] = sym
+                for i in procedural:
+                    values[i] = fields[i]._value(batch)
+                rejected, errors = batch.rejected, batch.errors
+            if procedural or rejected.any():  # run() masks the non-finite itself
+                bad = ~np.isfinite(values).all(axis=0)
+                for i in np.flatnonzero(bad).tolist():
+                    errors.setdefault(i, NonFiniteError(
+                        f"non-finite value at {tuple(X[i].tolist())}"))
+                rejected |= bad
             diff = np.abs(values if b is None else values[:k] - values[k:])
             if sizes is None:
                 res = np.max(diff, axis=0)
             else:
                 res = np.array([part.max(axis=0, initial=0.0) for part in
                                 np.split(diff, np.cumsum(sizes)[:-1])]).T
-        return res, batch.rejected, batch.errors
+        return res, rejected, errors
 
     return residuals
 
@@ -194,14 +201,15 @@ def _through(fwd, batch):
     """batch at the images y = fwd(x) of the points x, the components of the
     forward map fwd evaluated over all of them in one Batch; a point where
     they cannot be evaluated, or are not finite, is rejected with that
-    Batch's error. Each accepted value is (y, batch's value at y)."""
+    Batch's error. The values are an object array holding (y, batch's value
+    at y) for each accepted point and None for each rejected one."""
     def run(points):
         Y, b = evaluate_batch(fwd, points)
         Y = Y.T
         b.reject(np.flatnonzero(~np.isfinite(Y).all(axis=1)), lambda i: (
             NonFiniteError(f"non-finite value at {b.point(i)}")))
         live = np.flatnonzero(~b.rejected)
-        values = [None] * len(Y)
+        values = np.empty(len(Y), dtype=object)
         if live.size:
             res, mask, errors = batch(Y[live])
             for j, i in enumerate(live.tolist()):
@@ -227,17 +235,17 @@ def max_residual(a, points, b=None) -> float:
 
 
 def _each_point(fn):
-    """Lift a per-point fn to a batch: a point where fn raises a rejectable
-    error is rejected with that error."""
+    """Lift a per-point fn, called with each point as a tuple, to a batch: a
+    point where fn raises a rejectable error is rejected with that error.
+    The values are an object array of fn's results (None where rejected)."""
     def batch(points):
-        values, errors = [], {}
-        for j, pt in enumerate(points):
+        values, errors = np.empty(len(points), dtype=object), {}
+        for j, pt in enumerate(map(tuple, np.asarray(points).tolist())):
             try:
-                values.append(fn(pt))
+                values[j] = fn(pt)
             except _REJECTABLE as exc:
-                values.append(None)
                 errors[j] = exc
-        return values, [j in errors for j in range(len(points))], errors
+        return values, np.isin(np.arange(len(points)), list(errors)), errors
     return batch
 
 
@@ -265,9 +273,14 @@ class Checker:
             "seed": seed, "points": points, "tol": tol, "box": list(box)})
 
     def draw_points(self, n: int, dim: int) -> np.ndarray:
-        """(n, dim) points: bit for bit those n * dim rng.uniform(lo, hi) give."""
+        """(n, dim) points: bit for bit those n * dim rng.uniform(lo, hi) give,
+        the stream advanced as far. Each 64-bit word holds the two 32-bit
+        outputs random() reads, the first in the low half."""
         lo, hi = self.box
-        r = np.array([self.rng.random() for _ in range(n * dim)])
+        k = n * dim
+        w = np.frombuffer(self.rng.getrandbits(64 * k).to_bytes(8 * k, "little"),
+                          dtype="<u8")
+        r = (((w & 0xFFFFFFFF) >> 5) * 67108864.0 + (w >> 38)) * (1.0 / 9007199254740992.0)
         return (lo + (hi - lo) * r).reshape(n, dim)
 
     def draw_point(self, dim: int) -> tuple:
@@ -276,34 +289,35 @@ class Checker:
     def _accept(self, dim, batch, message=lambda why: (
             f"{why}; the objects are singular on most of the box")):
         """The first self.points points of the stream that batch does not
-        reject, with their values; abort after 10x rejections, counting the
-        errors batch gave the rejected points by class. Each round draws the
-        points still missing and judges them in stream order."""
-        accepted = []
-        rejected = []  # the error class of each rejected point
-        while len(accepted) < self.points:
-            pts = list(map(tuple, self.draw_points(
-                self.points - len(accepted), dim).tolist()))
-            values, mask, errors = batch(pts)
-            for j, (pt, value, bad) in enumerate(zip(pts, values, mask)):
-                if not bad:
-                    accepted.append((pt, value))
-                    continue
-                rejected.append(type(errors[j]).__name__)
-                if len(rejected) > 10 * self.points:
-                    counts = sorted(Counter(rejected).items(),
-                                    key=lambda c: (-c[1], c[0]))
+        reject, as an array, and their values in the same order; abort at the
+        rejection that makes them more than 10x self.points, counting them by
+        error class. Each round draws the points still missing."""
+        points, values, rejected = [], [], Counter()  # rejected: by error class
+        spare, missing = 10 * self.points, self.points  # spare: before the abort
+        while missing:
+            X = self.draw_points(missing, dim)
+            vals, mask, errors = batch(X)
+            if mask.any():
+                bad = np.flatnonzero(mask).tolist()
+                rejected.update(type(errors[j]).__name__ for j in bad[:spare + 1])
+                if len(bad) > spare:
+                    counts = sorted(rejected.items(), key=lambda c: (-c[1], c[0]))
                     raise SamplingError(message(
-                        f"rejected {len(rejected)} sample points (" +
+                        f"rejected {rejected.total()} sample points (" +
                         ", ".join(f"{name}: {k}" for name, k in counts) + ")"))
-        return accepted
+                spare -= len(bad)
+                X, vals = X[~mask], vals[~mask]
+            points.append(X)
+            values.append(vals)
+            missing -= len(X)
+        return np.concatenate(points), np.concatenate(values)
 
     def sample(self, dim: int, probe=None) -> list:
         """Draw self.points points, rejecting those on which probe raises a
         guard error; abort after 10x rejections."""
         probe = probe or (lambda pt: None)
-        accepted = self._accept(dim, _each_point(probe))
-        return [pt for pt, _ in accepted]
+        points, _ = self._accept(dim, _each_point(probe))
+        return list(map(tuple, points.tolist()))
 
     def sample_residuals(self, groups):
         """Draw self.points points at which every group (an object or a list
@@ -312,8 +326,7 @@ class Checker:
         # one program for all groups, so that their shared terms run once
         batch = _compiled_residuals(
             list(groups), sizes=[len(_leaves(g)) for g in groups])
-        accepted = self._accept(_objects(groups)[0].space.dim, batch)
-        res = np.array([r for _, r in accepted]).reshape(-1, len(groups))
+        _, res = self._accept(_objects(groups)[0].space.dim, batch)
         return res.max(axis=0, initial=0.0).tolist()
 
     def record(self, check_id, identity, residual, worst_point=(), tol=None,
@@ -327,19 +340,19 @@ class Checker:
         return item
 
     def _record(self, check_id, identity, dim, batch, tol=None, via=None):
-        worst, worst_pt = 0.0, ()
+        """Record the first accepted point with the largest residual, a
+        non-finite one read as inf (it never passes); none if all are 0."""
         if via is not None:  # draw in via's source box, judge at the images
             dim, batch = via.src.dim, _through(via.fwd, batch)
-        accepted = self._accept(dim, batch,
-                                lambda why: f"check {check_id}: {why}")
-        if via is not None:
-            accepted = [value for _, value in accepted]  # (image, residual)
-        for pt, r in accepted:
-            # an unbounded residual never passes
-            r = float(r) if math.isfinite(r) else math.inf
-            if r > worst:
-                worst, worst_pt = r, pt
-        return self.record(check_id, identity, worst, worst_pt, tol)
+        points, res = self._accept(dim, batch, lambda why: f"check {check_id}: {why}")
+        if via is not None:  # each value is (image, residual)
+            points = np.array([image for image, _ in res])
+            res = [r for _, r in res]
+        res = np.asarray(res, dtype=float)
+        res[~np.isfinite(res)] = math.inf
+        i = int(np.argmax(res))
+        worst_pt = tuple(points[i].tolist()) if res[i] > 0 else ()
+        return self.record(check_id, identity, max(0.0, float(res[i])), worst_pt, tol)
 
     def residual(self, check_id, identity, dim, fn, tol=None):
         """fn(point) -> float residual; record the worst point."""

@@ -15,9 +15,14 @@ EXTENDED_T = "ExtendedT"
 
 @dataclass(frozen=True)
 class Space:
+    """A chart by its kind and n, which fix its coordinates: equality (the
+    same object first) and the hash go by them."""
+
     kind: str
     n: int
     coords: tuple[str, ...] = field(init=False)
+    dim: int = field(init=False, repr=False, compare=False)
+    coord_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -34,10 +39,16 @@ class Space:
         else:
             raise ValueError(f"unknown space kind {self.kind!r}")
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "dim", len(coords))
+        object.__setattr__(self, "coord_set", frozenset(coords))
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
+    def __eq__(self, other):
+        if other.__class__ is not Space:
+            return NotImplemented
+        return self is other or (self.kind, self.n) == (other.kind, other.n)
+
+    def __hash__(self):
+        return hash((self.kind, self.n))
 
     def index(self, name: str) -> int:
         try:

@@ -7,17 +7,20 @@ coordinate of the space, as a table nested to that rank, even when only
 some blocks are nonzero; block structure is checked through predicates
 (is_vertical, annihilates_dt) rather than by type. The Lie derivative
 and the transport of a tensor between charts (`_transport`, which
-`charts.ChartMap` calls) are one formula each, read off the variance. The
-contractions build no term with a constant-zero factor: `_zero_factors`
-finds those factors (and the derivatives of constants are not taken), and
-`_matsum`, the one helper of every matrix-shaped sum, leaves them out. The
-zero blocks cost neither a term nor a tree operation, and every tree is
-the one the fold of all the terms would build.
+`charts.ChartMap` calls) are one formula each, read off the variance.
+Every contraction site reads its operands once through `_operands`: the
+expression trees (and their derivatives) when all are symbolic, else the
+fields. The site writes its terms once, leaves out those with a factor
+the gate flags as a constant zero, and `_fold` sums them in the algebra
+the gate gave, wrapping each component once. The zero blocks cost neither
+a term nor a tree operation, and as nodes are interned every tree is the
+one the fold of all the terms over the fields would build. `_matsum` is
+the one helper of every matrix-shaped sum.
 """
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import chain, product
+from itertools import chain, islice, product
 from operator import add, mul, sub
 
 import numpy as np
@@ -39,6 +42,9 @@ from .spaces import Space
 
 
 def _require_same_space(*objs):
+    first = objs[0].space
+    if all(o.space is first for o in objs):
+        return
     spaces = {o.space for o in objs}
     if len(spaces) > 1:
         raise SpaceMismatchError(f"mixed spaces: {sorted(map(str, spaces))}")
@@ -233,12 +239,14 @@ class Tensor12(_Indexed):
 
     def apply(self, X: VectorField, Y: VectorField) -> VectorField:
         _require_same_space(self, X, Y)
-        r, N = range(self.space.dim), self.comps
-        dead = _zero_factors(self.space, self.components() + X.comps + Y.comps)[0]
-        return VectorField(self.space, [sum_products(self.space, [
-            ("+", [N[a][b][c], X.comps[b], Y.comps[c]]) for b in r
-            if X.comps[b] not in dead for c in r
-            if Y.comps[c] not in dead and N[a][b][c] not in dead]) for a in r])
+        d = self.space.dim
+        r = range(d)
+        ops, _, dead, alg = _operands(self.space, self.components() + X.comps + Y.comps)
+        N, Xo, Yo = _nest(ops[:-2 * d], d, 3), ops[-2 * d:-d], ops[-d:]
+        return VectorField(self.space, [_fold(alg, [
+            ("+", [N[a][b][c], Xo[b], Yo[c]]) for b in r
+            if Xo[b] not in dead for c in r
+            if Yo[c] not in dead and N[a][b][c] not in dead]) for a in r])
 
     def hook(self, X: VectorField) -> Tensor11:
         """(i_X N)(Y) = N(X, Y), as a (1,1) tensor."""
@@ -335,22 +343,23 @@ def lie_derivative(X: VectorField, T):
     if variance is None:
         raise TypeError(f"cannot Lie-derive a {type(T).__name__}")
     _require_same_space(X, T)
-    space = X.space
-    Xc = X.comps
+    space, d = X.space, X.space.dim
     comps = T.components()
+    ops, derivs, dead, alg = _operands(space, X.comps + comps,
+                                       (X.comps if variance else []) + comps)
+    Xc, Tc = ops[:d], ops[d:]
     # dX[q] = d_b X^a at q = a * d + b, dT[j][c] = d_c T_j
-    dead, derivs = _zero_factors(space, Xc + comps, (Xc if variance else []) + comps)
     dX, dT = [g for row in derivs[:-len(comps)] for g in row], derivs[-len(comps):]
     out = []
-    for f, df, moves in zip(comps, dT, _lie_moves(variance, space.dim)):
+    for df, moves in zip(dT, _lie_moves(variance, d)):
         terms = []
         for c, index_terms in enumerate(moves):
             if Xc[c] not in dead and df[c] not in dead:
                 terms.append(("+", [Xc[c], df[c]]))
-            terms += [("-" if upper else "+", [comps[j], dX[q]])
-                      for j, q, upper in index_terms
-                      if comps[j] not in dead and dX[q] not in dead]
-        out.append(sum_products(space, terms))
+            for j, q, upper in index_terms:
+                if dX[q] not in dead and Tc[j] not in dead:
+                    terms.append(("-" if upper else "+", [Tc[j], dX[q]]))
+        out.append(_fold(alg, terms))
     return T._rebuild(out) if variance else out[0]
 
 
@@ -365,16 +374,19 @@ def _transport(obj, maps, dst: Space, J, K):
     if not variance:
         return comps[0]
     n_up = variance.count("u")
-    Kt = list(zip(*K)) if K else None  # Kt[a][c] = K[c][a]
-    dead = _zero_factors(dst, comps + [g for M in (J or [], K or []) for row in M
-                                       for g in row])[0]
+    J, K = J or [], K or []
+    ops, _, dead, alg = _operands(dst, comps + [g for M in (J, K) for row in M
+                                                for g in row])
+    Tc, it = ops[:len(comps)], iter(ops[len(comps):])
+    J, K = ([list(islice(it, len(row))) for row in M] for M in (J, K))
+    Kt = list(zip(*K))  # Kt[a][c] = K[c][a]
     out = []
     for A in product(range(dst.dim), repeat=len(variance)):
         # per index, its factor for every source value C_k
         rows = [J[a] if v == "u" else Kt[a] for a, v in zip(A, variance)]
-        out.append(sum_products(dst, [("+", f[:n_up] + (t,) + f[n_up:])
-                                      for f, t in zip(product(*rows), comps)
-                                      if t not in dead and dead.isdisjoint(f)]))
+        out.append(_fold(alg, [("+", f[:n_up] + (t,) + f[n_up:])
+                               for f, t in zip(product(*rows), Tc)
+                               if t not in dead and dead.isdisjoint(f)]))
     return obj._rebuild(out, dst)
 
 
@@ -406,73 +418,73 @@ def hook2(R: Tensor11, omega) -> list:
 _EXPR_FOLD = {"+": ex.add, "-": ex.sub, "+-": lambda acc, p: ex.add(acc, ex.neg(p))}
 _FIELD_FOLD = {"+": add, "-": sub, "+-": lambda acc, p: acc + -p}
 
+_DEAD = frozenset({None, *ex.ZEROS})  # the zeros, and None for d(constant)
+
+
+def _operands(space: Space, factors, diffed=()):
+    """(ops, derivs, dead, algebra) of a contraction's list of factors and
+    the fields diffed among them; an algebra is (product, fold table, 0,
+    wrap, space), and a sum acc in it is the field wrap(space, acc).
+
+    When each factor is a symbolic field on space and no constant among
+    them or among the derivatives of diffed is non-finite (0 * inf is nan),
+    ops are the factors' trees, derivs the trees [[d_c f for c] for f in
+    diffed] (None for a constant: they are 0), dead is _DEAD and the
+    algebra folds trees. Otherwise ops are the factors, derivs the
+    derivative fields, dead is empty and the algebra folds fields. A site
+    that leaves out the terms with a factor in dead builds no zero term."""
+    coords, Const = space.coords, ex.Const
+    trees = [f.expr for f in factors if f.__class__ is SymbolicField
+             and (f.space is space or f.space == space)]
+    if len(trees) == len(factors):
+        derivs = [[None if f.expr.__class__ is Const else ex.differentiate(f.expr, c)
+                   for c in coords] for f in diffed]
+        for e in chain(trees, *derivs):
+            if e.__class__ is Const and e.value - e.value != 0.0:  # inf or nan
+                break
+        else:
+            return trees, derivs, _DEAD, (ex.mul, _EXPR_FOLD, ex.ZERO,
+                                          SymbolicField, space)
+    return (factors, [[f.diff(c) for c in coords] for f in diffed], frozenset(),
+            (mul, _FIELD_FOLD, zero(space), lambda space, f: f, space))
+
+
+def _fold(alg, terms):
+    """The sum of a list of terms (sign, [f1, f2, ...]) with sign "+", "-" or
+    "+-", in the algebra alg: the products, each multiplied left to right,
+    folded left to right into a sum that starts at 0, and wrapped once."""
+    product_, fold, acc, wrap, space = alg
+    for sign, factors in terms:
+        acc = fold[sign](acc, reduce(product_, factors))
+    return wrap(space, acc)
+
 
 def sum_products(space: Space, terms) -> ScalarField:
-    """The sum of a list of terms (sign, [f1, f2, ...]) with sign "+", "-" or
-    "+-": the products, each multiplied left to right, folded left to right
-    into a sum that starts at 0. When every factor is a symbolic field on
-    space the fold runs on the expression trees and wraps the result once;
-    otherwise it runs on the fields, as `acc = acc + f1 * f2` would. The
-    library's callers leave out the terms with a constant-zero factor
-    (`_zero_factors`); one that is handed in folds to the same tree, as its
-    product is ±0 and adding or subtracting ±0 returns a tree sum as it is
-    and a constant one, which starts at +0.0 and so is never -0.0 under
-    round-to-nearest, with its value."""
-    acc = ex.ZERO
-    for sign, factors in terms:
-        for f in factors:
-            if not isinstance(f, SymbolicField) or (f.space is not space
-                                                    and f.space != space):
-                return reduce(lambda acc, t: _FIELD_FOLD[t[0]](acc, reduce(mul, t[1])),
-                              terms, zero(space))
-        acc = _EXPR_FOLD[sign](acc, reduce(ex.mul, [f.expr for f in factors]))
-    return SymbolicField(space, acc)
-
-
-def _zero_factors(space: Space, factors, diffed=()):
-    """The factors of a contraction that are the constant 0, and the
-    derivatives [[f.diff(c) for c in space.coords] for f in diffed].
-
-    The zero factors are found only where a product with one folds to ±0:
-    when each factor and derivative is a symbolic field on space and no
-    constant among them is non-finite (0 * inf is nan). Then the
-    derivatives of a constant are None (they are 0), and the set holds
-    None and every constant-zero factor. Otherwise it is empty, and every
-    derivative is built. A caller that leaves out each term with a factor
-    in the set so folds the same tree as when it hands sum_products all of
-    them, and builds no zero term."""
-    coords, Const = space.coords, ex.Const
-    fields = [*factors, *diffed]
-    for f in fields:
-        if f.__class__ is not SymbolicField or (f.space is not space and f.space != space):
-            break
-    else:
-        derivs = [[None if f.expr.__class__ is Const else f.diff(c) for c in coords]
-                  for f in diffed]
-        dead = {None}
-        for f in chain(fields, *derivs):
-            e = f and f.expr
-            if e.__class__ is Const:
-                if e.value - e.value != 0.0:  # inf or nan
-                    break
-                if e.value == 0.0:
-                    dead.add(f)
-        else:
-            return dead, derivs
-    return set(), [[f.diff(c) for c in coords] for f in diffed]
+    """`_fold` of the terms in the algebra `_operands` gives for their
+    factors. Every term is folded: one with a constant-zero factor folds to
+    the same tree as without it, as its product is ±0 and adding or
+    subtracting ±0 returns a tree sum as it is and a constant one, which
+    starts at +0.0 and so is never -0.0 under round-to-nearest, with its
+    value."""
+    ops, _, _, alg = _operands(space, [f for _, factors in terms for f in factors])
+    it = iter(ops)
+    return _fold(alg, [(sign, [next(it) for _ in factors]) for sign, factors in terms])
 
 
 def _matsum(space: Space, sign, rows, cols, more=()) -> list:
     """The table [[sum_c sign rows[a][c] cols[b][c] for b] for a], each sum
     followed by the terms of each further (sign, rows, cols) of more, in
     order, with the row factor first. A term with a factor that
-    `_zero_factors` flags among all of them is left out."""
+    `_operands` flags among all of them is left out."""
     parts = ((sign, rows, cols), *more)
-    dead = _zero_factors(space, [f for _, R, C in parts for M in (R, C)
-                                 for row in M for f in row])[0]
-    return [[sum_products(space, [(s, [x, y]) for s, R, C in parts
-                                  for x, y in zip(R[a], C[b])
-                                  if x not in dead and y not in dead])
+    ops, _, dead, alg = _operands(space, [f for _, R, C in parts for M in (R, C)
+                                          for row in M for f in row])
+    it = iter(ops)
+    parts = [(s, [list(islice(it, len(row))) for row in R],
+              [list(islice(it, len(row))) for row in C]) for s, R, C in parts]
+    return [[_fold(alg, [(s, [x, y]) for s, R, C in parts
+                         for x, y in zip(R[a], C[b])
+                         if x not in dead and y not in dead])
              for b in range(len(cols))] for a in range(len(rows))]
 
 
@@ -483,13 +495,12 @@ def sum_fields(space: Space, fields_list) -> ScalarField:
 def nijenhuis_torsion(R: Tensor11) -> Tensor12:
     """N_R(X, Y) = [RX, RY] + R^2[X, Y] - R[RX, Y] - R[X, RY], stored by
     its values on coordinate fields (torsion is tensorial)."""
-    space, E = R.space, R.entries
-    d = space.dim
-    dead, derivs = _zero_factors(space, [], R.components())
-    D = _nest(derivs, d, 2)  # D[a][b][e] = d_e R^a_b
+    space, d = R.space, R.space.dim
+    ops, derivs, dead, alg = _operands(space, R.components(), R.components())
+    E, D = _nest(ops, d, 2), _nest(derivs, d, 2)  # D[a][b][e] = d_e R^a_b
 
     def comp(a, b, c):
-        return sum_products(space, [(sign, [f, g]) for e in range(d) for sign, f, g in (
+        return _fold(alg, [(sign, [f, g]) for e in range(d) for sign, f, g in (
             ("+", E[e][b], D[a][c][e]), ("-", E[e][c], D[a][b][e]),
             ("+", E[a][e], D[e][b][c]), ("-", E[a][e], D[e][c][b]))
             if f not in dead and g not in dead])
@@ -498,14 +509,14 @@ def nijenhuis_torsion(R: Tensor11) -> Tensor12:
 
 def haantjes_tensor(R: Tensor11) -> Tensor12:
     """H_R(X,Y) = R^2 N(X,Y) + N(RX,RY) - R N(RX,Y) - R N(X,RY)."""
-    space = R.space
-    r = range(space.dim)
-    N = nijenhuis_torsion(R)
-    Rm, Nc = R.entries, N.comps
-    dead = _zero_factors(space, R.components() + N.components())[0]
+    space, d = R.space, R.space.dim
+    r = range(d)
+    ops, _, dead, alg = _operands(space, R.components()
+                                  + nijenhuis_torsion(R).components())
+    Rm, Nc = _nest(ops[:d * d], d, 2), _nest(ops[d * d:], d, 3)
 
     def comp(a, b, c):
-        return sum_products(space, [t for e in r for f in r for t in (
+        return _fold(alg, [t for e in r for f in r for t in (
             ("+", [Rm[a][e], Rm[e][f], Nc[f][b][c]]),
             ("+", [Rm[e][b], Rm[f][c], Nc[a][e][f]]),
             ("-", [Rm[a][e], Rm[f][b], Nc[e][f][c]]),

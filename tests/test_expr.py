@@ -305,6 +305,69 @@ def test_derivative_agrees_with_sympy(e, points):
     assume(compared)
 
 
+def _isinstance_add(a, b):
+    """expr.add as it was before it tested node classes, as an oracle."""
+    if isinstance(a, ex.Const) and isinstance(b, ex.Const):
+        return ex.Const(a.value + b.value)
+    if a in ex.ZEROS:
+        return b
+    if b in ex.ZEROS:
+        return a
+    return ex.Binary("add", a, b)
+
+
+def _isinstance_sub(a, b):
+    """expr.sub as it was before it tested node classes, as an oracle."""
+    if isinstance(a, ex.Const) and isinstance(b, ex.Const):
+        return ex.Const(a.value - b.value)
+    if b in ex.ZEROS:
+        return a
+    if a in ex.ZEROS:
+        return ex.neg(b)
+    if a is b:
+        return ex.ZERO
+    return ex.Binary("sub", a, b)
+
+
+def _isinstance_mul(a, b):
+    """expr.mul as it was before it tested node classes, as an oracle."""
+    if isinstance(a, ex.Const) and isinstance(b, ex.Const):
+        return ex.Const(a.value * b.value)
+    if a in ex.ZEROS or b in ex.ZEROS:
+        return ex.ZERO
+    if a is ex.ONE:
+        return b
+    if b is ex.ONE:
+        return a
+    if a is ex.Const(-1.0):
+        return ex.neg(b)
+    if b is ex.Const(-1.0):
+        return ex.neg(a)
+    return ex.Binary("mul", a, b)
+
+
+def _node_bits(e):
+    """e as nested tuples, each constant by its IEEE bytes, so that 0.0 and
+    -0.0 differ and the nans of separate folds compare equal."""
+    if isinstance(e, ex.Const):
+        return struct.pack("<d", e.value)
+    return (type(e).__name__,) + tuple(
+        _node_bits(v) if isinstance(v, ex.Expr) else v
+        for v in (getattr(e, slot) for slot in type(e).__slots__))
+
+
+OPERANDS = st.one_of(TREES, st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]).map(ex.const))
+
+
+@given(OPERANDS, OPERANDS)
+def test_add_sub_mul_fold_as_the_isinstance_rules(a, b):
+    for new, old in ((ex.add, _isinstance_add), (ex.sub, _isinstance_sub),
+                     (ex.mul, _isinstance_mul)):
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert _node_bits(new(x, y)) == _node_bits(old(x, y))
+
+
 class TestInterning:
     def test_one_tree_is_one_object(self):
         q1, t = ex.var("q1"), ex.var("t")

@@ -7,8 +7,8 @@ on `models/n1.json`, and asserts that the checks named for it fail. A
 mutant that every suite still passed would show a formula the suites do
 not actually check. The sign of the Poisson map is one: no suite check
 sees it, so a test here holds it to the canonical bivector instead. The
-sum_products mutants replace an entry of its fold table, or the rule by
-which the contractions leave a term out (`tensors._zero_factors`).
+fold mutants replace an entry of its table, or the rule by which the
+contractions leave a term out (the zero set of `tensors._operands`).
 """
 import math
 import os
@@ -185,23 +185,24 @@ def test_sum_products_subtraction_is_checked(monkeypatch, check):
     assert check in failed_checks(suite)
 
 
-_zero_factors = tensors._zero_factors
+_operands = tensors._operands
 
 
 def flags_every_constant_factor(space, factors, diffed=()):
-    """_zero_factors flagging every constant factor, not only the zeros."""
-    dead, derivs = _zero_factors(space, factors, diffed)
-    if dead:
-        dead |= {f for f in chain(factors, diffed, *derivs)
-                 if f is not None and isinstance(f.expr, ex.Const)}
-    return dead, derivs
+    """_operands flagging every constant factor, not only the zeros."""
+    ops, derivs, dead, alg = _operands(space, factors, diffed)
+    if dead:  # the tree algebra
+        dead = dead | {e for e in chain(ops, *derivs) if isinstance(e, ex.Const)}
+    return ops, derivs, dead, alg
 
 
 def flags_zero_beside_non_finite(space, factors, diffed=()):
-    """_zero_factors flagging the constant zeros whatever else is constant."""
-    derivs = [[f.diff(c) for c in space.coords] for f in diffed]
-    return {f for f in chain(factors, diffed, *derivs)
-            if isinstance(f.expr, ex.Const) and f.expr.value == 0.0}, derivs
+    """_operands flagging the constant zeros whatever else is constant."""
+    ops, derivs, dead, alg = _operands(space, factors, diffed)
+    if not dead:  # the field algebra, handed for a non-finite constant
+        dead = {f for f in chain(ops, *derivs) if isinstance(f.expr, ex.Const)
+                and f.expr.value == 0.0}
+    return ops, derivs, dead, alg
 
 
 def zero_term_folds():
@@ -220,7 +221,7 @@ def test_sum_products_skips_only_zero_terms(monkeypatch, check):
     # X^t = 1 times a derivative
     suite = check.split(".")[0]
     assert check not in failed_checks(suite) and zero_term_folds()
-    monkeypatch.setattr(tensors, "_zero_factors", flags_every_constant_factor)
+    monkeypatch.setattr(tensors, "_operands", flags_every_constant_factor)
     assert check in failed_checks(suite)
     assert not zero_term_folds()
 
@@ -228,5 +229,5 @@ def test_sum_products_skips_only_zero_terms(monkeypatch, check):
 def test_sum_products_folds_zero_beside_non_finite(monkeypatch):
     # no model has a non-finite constant, so no suite sees this mutant
     assert zero_term_folds()
-    monkeypatch.setattr(tensors, "_zero_factors", flags_zero_beside_non_finite)
+    monkeypatch.setattr(tensors, "_operands", flags_zero_beside_non_finite)
     assert not zero_term_folds()

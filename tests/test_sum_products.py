@@ -1,22 +1,25 @@
-"""sum_products against the field folds it replaced.
+"""The tensor sums against the field folds they replaced.
 
 Every component sum of the library (the Lie derivative, both torsions, the
 contractions, the chart transport and determinant, the phase-space lifts,
-the Poisson bracket and the commutation defect) goes through
-`tensors.sum_products`. The reference functions below are the formulas
-those sites ran before: `acc = acc + ...` over fields, one operator at a
-time. On symbolic inputs the helper must build the same expression trees,
-so that every report keeps its bits; on procedural and mixed inputs it
-must build the same fields, value and gradient bit for bit. The work-count
-tests hold it to building one field per component.
+the Poisson bracket and the commutation defect) reads its operands through
+`tensors._operands` and folds its terms with `tensors._fold`, on the
+expression trees when every operand is symbolic and on the fields
+otherwise; `sum_products` is that pair for a list of terms. The reference
+functions below are the formulas those sites ran before: `acc = acc + ...`
+over fields, one operator at a time. On symbolic inputs the sites must
+build the same expression trees, so that every report keeps its bits; on
+procedural and mixed inputs they must build the same fields, value and
+gradient bit for bit. The work-count tests hold them to building one field
+per component.
 
-The callers build no term with a constant-zero factor (`_zero_factors`
-flags them, and `_matsum` leaves them out at the bilinear sites). A
-property test holds leaving them out to the fold that keeps them, bit for
-bit; a work count holds every contraction site to handing the fold no zero
-term, and, where a non-finite constant turns a zero term into nan, to the
-trees of the fold that is handed every term. Another holds
-`expr.differentiate` to walking each (node, name) pair once per process.
+The sites build no term with a constant-zero factor (`_operands` flags
+them, and each site leaves them out). A property test holds leaving them
+out to the fold that keeps them, bit for bit; a work count holds every
+contraction site to handing the fold no zero term, and, where a non-finite
+constant turns a zero term into nan, to the trees of the fold that is
+handed every term. Another holds `expr.differentiate` to walking each
+(node, name) pair once per process.
 """
 import math
 import os
@@ -468,21 +471,27 @@ def test_negated_terms_are_added_not_subtracted():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of SymbolicField constructions and of symbolic derivative
-    cache misses (each of which builds one field)."""
-    counts = {"built": 0, "misses": 0}
-    init, diff = SymbolicField.__init__, SymbolicField.diff
+    """Counts of SymbolicField constructions, of symbolic derivative cache
+    misses (each of which builds one field) and of the sums `_fold` wraps
+    in the tree algebra."""
+    counts = {"built": 0, "misses": 0, "wrapped": 0}
+    init, diff, fold = SymbolicField.__init__, SymbolicField.diff, tensors._fold
 
     def counted_init(self, *args, **kwargs):
         counts["built"] += 1
         init(self, *args, **kwargs)
 
     def counted_diff(self, coord):
-        counts["misses"] += coord not in self._deriv_cache
+        counts["misses"] += coord not in self.__dict__.get("_deriv_cache", {})
         return diff(self, coord)
+
+    def counted_fold(alg, terms):
+        counts["wrapped"] += alg[3] is SymbolicField
+        return fold(alg, terms)
 
     monkeypatch.setattr(SymbolicField, "__init__", counted_init)
     monkeypatch.setattr(SymbolicField, "diff", counted_diff)
+    monkeypatch.setattr(tensors, "_fold", counted_fold)
     return counts
 
 
@@ -491,20 +500,21 @@ def test_lie_derivative_builds_one_field_per_component(work):
     X = VectorField.from_dict(base, {"t": 1.0, "q1": "t*q2", "q2": "sin(q1)"})
     R = Tensor11.from_dict(base, {"q1,q1": "q1*q2", "q1,q2": "t + q1",
                                   "q2,q1": "exp(q2)", "q2,t": "q1^2"})
-    work["built"] = work["misses"] = 0
+    work["built"] = work["misses"] = work["wrapped"] = 0
     L = lie_derivative(X, R)
     assert len(L.components()) == 9
-    assert work["built"] == 9 + work["misses"]
+    # the derivatives are read as trees: the only fields are the sums
+    assert work["built"] == work["wrapped"] == 9 and work["misses"] == 0
 
 
 def test_nijenhuis_torsion_builds_one_field_per_component(work):
     base = base_e(2)
     R = Tensor11.from_dict(base, {"q1,q1": "q1*q2", "q1,q2": "t + q1",
                                   "q2,q1": "exp(q2)", "q2,q2": "q1^2"})
-    work["built"] = work["misses"] = 0
+    work["built"] = work["misses"] = work["wrapped"] = 0
     N = nijenhuis_torsion(R)
     assert len(N.components()) == 27
-    assert work["built"] == 27 + work["misses"]
+    assert work["built"] == work["wrapped"] == 27 and work["misses"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +553,11 @@ term_lists = st.lists(st.tuples(st.sampled_from(["+", "-", "+-"]),
 
 @given(term_lists)
 def test_skipping_zero_terms_keeps_the_tree_bit_for_bit(terms):
-    # the terms without a factor _zero_factors flags fold to the tree of all
-    # of them, which sum_products folds without a skip
-    dead = tensors._zero_factors(BE1, [f for _, factors in terms for f in factors])[0]
-    kept = sum_products(BE1, [t for t in terms if dead.isdisjoint(t[1])]).expr
+    # the terms without a factor _operands flags fold to the tree of all of
+    # them, which sum_products folds without a skip
+    dead = tensors._operands(BE1, [f for _, factors in terms for f in factors])[2]
+    kept = sum_products(BE1, [t for t in terms
+                              if dead.isdisjoint(f.expr for f in t[1])]).expr
     assert bits(kept) == bits(sum_products(BE1, terms).expr) == bits(unskipped_fold(terms))
 
 
@@ -567,22 +578,23 @@ def test_lie_derivative_builds_no_zero_term(monkeypatch):
     R = complete_lift_tensor11(corpus.tensors[1])
     X = complete_lift_vector(corpus.lift_fields[4])
     handed, differentiated = [], []
-    fold_, differentiate = tensors.sum_products, ex.differentiate
+    fold_, differentiate = tensors._fold, ex.differentiate
 
-    def spy_fold(space, terms):
+    def spy_fold(alg, terms):
+        assert alg[3] is SymbolicField  # the tree algebra
         handed.extend(terms)
-        return fold_(space, terms)
+        return fold_(alg, terms)
 
     def spy_differentiate(e, name):
         differentiated.append(e)
         return differentiate(e, name)
 
-    monkeypatch.setattr(tensors, "sum_products", spy_fold)
+    monkeypatch.setattr(tensors, "_fold", spy_fold)
     monkeypatch.setattr(ex, "differentiate", spy_differentiate)
     L = lie_derivative(X, R)
     monkeypatch.undo()
     assert handed and differentiated
-    assert not [t for t in handed if any(f.is_zero for f in t[1])]
+    assert not zero_terms(handed)
     assert not [e for e in differentiated if isinstance(e, ex.Const) and e.value == 0.0]
     same_trees(L, ref_lie_derivative(X, R))
 
@@ -681,26 +693,34 @@ def patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(mod, attr, replacement)
 
 
+_fold, _operands = tensors._fold, tensors._operands
+
+
 def spy_on_terms(monkeypatch):
-    """The list every term handed to sum_products, by any module, joins."""
+    """The list every term handed to the fold, by any site, joins."""
     handed = []
 
-    def spy(space, terms):
+    def spy(alg, terms):
         handed.extend(terms)
-        return sum_products(space, terms)
+        return _fold(alg, terms)
 
-    patch_everywhere(monkeypatch, sum_products, spy)
+    patch_everywhere(monkeypatch, _fold, spy)
     return handed
 
 
 def find_no_zero_factors(space, factors, diffed=()):
-    """_zero_factors as if some constant were non-finite: no factor is
-    flagged, so every term is built and handed to sum_products."""
-    return set(), [[f.diff(c) for c in space.coords] for f in diffed]
+    """_operands as if some constant were non-finite: it hands the field
+    algebra, which flags no factor, so every term is built and folded."""
+    ops, derivs, dead, alg = _operands(
+        space, [*factors, const_field(space, math.inf)], diffed)
+    return ops[:-1], derivs, dead, alg
 
 
 def zero_terms(terms):
-    return [t for t in terms if any(fields.is_symbolically_zero(f) for f in t[1])]
+    """The terms with a constant-zero factor, a tree or a field."""
+    return [t for t in terms if any(f in ex.ZEROS if isinstance(f, ex.Expr)
+                                    else fields.is_symbolically_zero(f)
+                                    for f in t[1])]
 
 
 @pytest.mark.parametrize("site", SITES)
@@ -712,7 +732,7 @@ def test_sites_hand_sum_products_no_zero_term(inp, site, monkeypatch):
     assert handed and not zero_terms(handed)
     # the inputs have zero factors: unflagged, the site hands the fold them
     handed.clear()
-    patch_everywhere(monkeypatch, tensors._zero_factors, find_no_zero_factors)
+    patch_everywhere(monkeypatch, _operands, find_no_zero_factors)
     for call in calls:
         call()
     assert zero_terms(handed)
@@ -746,7 +766,7 @@ def test_sites_keep_zero_terms_beside_non_finite_constants(site, monkeypatch):
     calls = [c for g in non_finite_groups() for c in SITES[site](g)]
     assert calls
     got = [[bits(e) for e in trees(call())] for call in calls]
-    patch_everywhere(monkeypatch, tensors._zero_factors, find_no_zero_factors)
+    patch_everywhere(monkeypatch, _operands, find_no_zero_factors)
     assert got == [[bits(e) for e in trees(call())] for call in calls]
 
 
