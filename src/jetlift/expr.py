@@ -12,8 +12,9 @@ point array at once, and names, for each point where a guard fails, the
 error the roots evaluated alone at that point would raise first; a
 one-point evaluation is its one-row case.
 Derivatives are memoised for the whole process, keyed by node and name
-beside the intern table: a node is differentiated by a name at most once,
-and the same tree always has the same derivative node. The printer and
+beside the intern table, and so are gradient rows, by node and coordinates:
+a node is differentiated by a name at most once, and the same tree always
+has the same derivative node. The printer and
 the parser keep their own stacks too, so no function here calls itself
 and a tree or a text may be nested to any depth.
 """
@@ -65,6 +66,7 @@ class Expr:
 
 _NODES = {}  # (class, fields) -> node, for the whole process
 _NAMES = {}  # the name sets of nodes, interned
+NON_FINITE = set()  # the constants whose value is inf or nan
 
 
 def _node(key, fields):
@@ -77,6 +79,8 @@ def _node(key, fields):
         if isinstance(value, Expr):
             names |= value.names
     object.__setattr__(node, "names", _NAMES.setdefault(names, names))
+    if cls is Const and fields[0] - fields[0] != 0.0:
+        NON_FINITE.add(node)
     return node
 
 
@@ -261,6 +265,22 @@ def differentiate(e: Expr, name: str) -> Expr:
     return d
 
 
+_GRADIENTS = {}  # coords -> {node: its gradient}, for the whole process
+
+
+def gradient(e: Expr, coords: tuple) -> tuple:
+    """(row, nonfinite): differentiate(e, c) for each c of coords (None for
+    each when e is a constant: they are 0), and whether one is an inf or nan
+    constant; memoised per node and coords beside the derivative memo."""
+    memo = _GRADIENTS.setdefault(coords, {})
+    got = memo.get(e)
+    if got is None:
+        row = ((None,) * len(coords) if e.__class__ is Const
+               else tuple([differentiate(e, c) for c in coords]))
+        got = memo[e] = (row, not NON_FINITE.isdisjoint(row))
+    return got
+
+
 def _derivative(e: Expr, name: str, memo: dict) -> Expr:
     """The derivative of the node e by name, given those of its children in
     memo."""
@@ -312,6 +332,8 @@ def _derivative(e: Expr, name: str, memo: dict) -> Expr:
 _MATH_UFUNCS = {name: np.frompyfunc(getattr(math, name), 1, 1)
                 for name in ("sin", "cos", "exp", "log")}
 _POW_UFUNC = np.frompyfunc(operator.pow, 2, 1)
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "neg": lambda u, _: -u}  # neg is given its one argument twice
 
 
 def _pointwise(fn, ufunc, u, *args):
@@ -397,20 +419,16 @@ def _run(program, out_slots, points):
 
     with np.errstate(all="ignore"):
         for op, payload, args in program:
+            f = _ARITH.get(op)
+            if f is not None:  # no guard can fail: the bulk of a program
+                vals.append(f(vals[args[0]], vals[args[-1]]))
+                continue
             u = vals[args[0]] if args else None
             caught = {}
             if op == "const":
                 v = np.full(m, payload)
             elif op == "var":
                 v = X[:, payload]
-            elif op == "neg":
-                v = -u
-            elif op == "add":
-                v = u + vals[args[1]]
-            elif op == "sub":
-                v = u - vals[args[1]]
-            elif op == "mul":
-                v = u * vals[args[1]]
             elif op == "div":
                 w = vals[args[1]]
                 fail(*denominator_guard(w))

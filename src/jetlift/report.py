@@ -1,7 +1,9 @@
 """Seeded random-point verification machinery and machine-readable reports.
 
-Identity checking is always pointwise sampling in a box, never symbolic
-zero-testing. Points that trip the singularity guard (or any other
+Identity checking is pointwise sampling in a box, never symbolic
+zero-testing, but for the checks interning decides: sides that are one
+node (or constant zeros), bounded in the box, draw their round and record
+0 unevaluated. Points that trip the singularity guard (or any other
 evaluation error), overflow, or give a non-finite value are rejected and
 redrawn; too many rejections abort. A round of points is drawn by one
 `getrandbits` call, evaluated at once (an all-symbolic check by one
@@ -15,6 +17,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -140,16 +143,9 @@ def _leaves(a):
     return leaves
 
 
-def _compiled_residuals(a, b=None, sizes=None):
-    """points -> (residual per point, rejected mask, {row: error}),
-    evaluating every component of a (and b) over all points at once: the
-    symbolic ones in one program, compiled here once, any procedural ones
-    in one shared Batch. A rejected row keeps the error of the first symbolic
-    component (a's, then b's) that raises there when evaluated alone; else
-    that of the first procedural one; else the NonFiniteError of `_values`.
-    With sizes, a row per point of one residual for each run of that many
-    consecutive components. SpaceMismatchError when a and b have different
-    numbers of components or the components lie on different spaces."""
+def _sides(a, b=None):
+    """The components of a, of b (none without b) and their space; raises
+    SpaceMismatchError for no components, unequal counts or mixed spaces."""
     lhs = _leaves(a)
     rhs = [] if b is None else _leaves(b)
     fields = lhs + rhs
@@ -162,6 +158,58 @@ def _compiled_residuals(a, b=None, sizes=None):
     if any(f.space is not space and f.space != space for f in fields):
         raise SpaceMismatchError("components on mixed spaces: "
                                  f"{sorted({str(f.space) for f in fields})}")
+    return lhs, rhs, space
+
+
+def _decided(lhs, rhs, box) -> bool:
+    """Whether lhs = rhs (lhs = 0 without rhs) holds, none rejected, at each
+    point of the box: all components symbolic, each pair one node or two
+    constant zeros, and interval bounds keep every node of lhs below 1e300
+    (div, log, sqrt and powers but positive integer ones are unbounded)."""
+    if not all(map(isinstance, lhs + rhs, repeat(SymbolicField))):
+        return False
+    trees, bound = [f.expr for f in lhs], {}
+    others = [f.expr for f in rhs] or [ex.ZERO] * len(trees)  # vanish: a = 0
+    if trees != others and not all(x is y or x in ex.ZEROS and y in ex.ZEROS
+                                    for x, y in zip(trees, others)):
+        return False
+    B = float(np.max(np.abs(box)))
+    try:
+        for e in ex._postorder(trees):
+            cls, op = e.__class__, getattr(e, "op", None)
+            if cls is ex.Const:
+                v = abs(e.value)
+            elif cls is ex.Var:
+                v = B
+            elif op in ("add", "sub", "mul"):
+                u, w = bound[e.left], bound[e.right]
+                v = u * w if op == "mul" else u + w
+            elif op in ("neg", "sin", "cos", "exp"):
+                u = bound[e.arg]
+                v = u if op == "neg" else math.exp(u) if op == "exp" else 1.0
+            elif cls is ex.Pow and e.exponent.denominator == 1 and e.exponent > 0:
+                v = bound[e.base] ** int(e.exponent)
+            else:
+                return False
+            if not v < 1e300:  # nan too
+                return False
+            bound[e] = v
+    except OverflowError:  # exp or a power past the largest float
+        return False
+    return True
+
+
+def _compiled_residuals(a, b=None, sizes=None):
+    """points -> (residual per point, rejected mask, {row: error}),
+    evaluating every component of a (and b) over all points at once: the
+    symbolic ones in one program, compiled here once, any procedural ones
+    in one shared Batch. A rejected row keeps the error of the first symbolic
+    component (a's, then b's) that raises there when evaluated alone; else
+    that of the first procedural one; else the NonFiniteError of `_values`.
+    With sizes, a row per point of one residual for each run of that many
+    consecutive components. SpaceMismatchError as `_sides` raises it."""
+    lhs, rhs, space = _sides(a, b)
+    fields = lhs + rhs
     symbolic = [i for i, f in enumerate(fields) if isinstance(f, SymbolicField)]
     procedural = sorted(set(range(len(fields))) - set(symbolic))
     exprs = [fields[i].expr for i in symbolic]
@@ -310,6 +358,8 @@ class Checker:
             points.append(X)
             values.append(vals)
             missing -= len(X)
+        if len(points) == 1:  # nothing was rejected: the round as drawn
+            return X, vals
         return np.concatenate(points), np.concatenate(values)
 
     def sample(self, dim: int, probe=None) -> list:
@@ -359,9 +409,14 @@ class Checker:
         return self._record(check_id, identity, dim, _each_point(fn), tol)
 
     def _check(self, check_id, identity, a, b, via):
-        batch = _compiled_residuals(a, b)
-        return self._record(check_id, identity, _objects(a)[0].space.dim,
-                            batch, via=via)
+        lhs, rhs, _ = _sides(a, b)
+        dim = _objects(a)[0].space.dim
+        if via is None and _decided(lhs, rhs, self.box):
+            # as sampled: one round (the stream draw_points takes), all 0
+            self.rng.getrandbits(64 * self.points * dim)
+            return self.record(check_id, identity, 0.0, ())
+        return self._record(check_id, identity, dim, _compiled_residuals(a, b),
+                            via=via)
 
     def compare(self, check_id, identity, a, b, via=None):
         """a = b, for two objects or two lists of objects. With via, a

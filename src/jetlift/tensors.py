@@ -9,8 +9,8 @@ some blocks are nonzero; block structure is checked through predicates
 and the transport of a tensor between charts (`_transport`, which
 `charts.ChartMap` calls) are one formula each, read off the variance.
 Every contraction site reads its operands once through `_operands`: the
-expression trees (and their derivatives) when all are symbolic, else the
-fields. The site writes its terms once, leaves out those with a factor
+expression trees (and their memoised gradient rows) when all are symbolic,
+else the fields. The site writes its terms once, leaves out those with a factor
 the gate flags as a constant zero, and `_fold` sums them in the algebra
 the gate gave, wrapping each component once. The zero blocks cost neither
 a term nor a tree operation, and as nodes are interned every tree is the
@@ -20,7 +20,7 @@ the one helper of every matrix-shaped sum.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import chain, islice, product
+from itertools import islice, product
 from operator import add, mul, sub
 
 import numpy as np
@@ -428,23 +428,19 @@ def _operands(space: Space, factors, diffed=()):
 
     When each factor is a symbolic field on space and no constant among
     them or among the derivatives of diffed is non-finite (0 * inf is nan),
-    ops are the factors' trees, derivs the trees [[d_c f for c] for f in
-    diffed] (None for a constant: they are 0), dead is _DEAD and the
-    algebra folds trees. Otherwise ops are the factors, derivs the
-    derivative fields, dead is empty and the algebra folds fields. A site
-    that leaves out the terms with a factor in dead builds no zero term."""
-    coords, Const = space.coords, ex.Const
+    ops are the factors' trees, derivs the rows `expr.gradient` memoises
+    (None for a constant: they are 0), dead is _DEAD and the algebra folds
+    trees. Otherwise ops are the factors, derivs the derivative fields,
+    dead is empty and the algebra folds fields. A site that leaves out the
+    terms with a factor in dead builds no zero term."""
+    coords = space.coords
     trees = [f.expr for f in factors if f.__class__ is SymbolicField
              and (f.space is space or f.space == space)]
     if len(trees) == len(factors):
-        derivs = [[None if f.expr.__class__ is Const else ex.differentiate(f.expr, c)
-                   for c in coords] for f in diffed]
-        for e in chain(trees, *derivs):
-            if e.__class__ is Const and e.value - e.value != 0.0:  # inf or nan
-                break
-        else:
-            return trees, derivs, _DEAD, (ex.mul, _EXPR_FOLD, ex.ZERO,
-                                          SymbolicField, space)
+        rows = [ex.gradient(f.expr, coords) for f in diffed]
+        if ex.NON_FINITE.isdisjoint(trees) and not any([bad for _, bad in rows]):
+            return (trees, [row for row, _ in rows], _DEAD,
+                    (ex.mul, _EXPR_FOLD, ex.ZERO, SymbolicField, space))
     return (factors, [[f.diff(c) for c in coords] for f in diffed], frozenset(),
             (mul, _FIELD_FOLD, zero(space), lambda space, f: f, space))
 

@@ -572,30 +572,33 @@ def test_zero_times_a_non_finite_constant_is_still_folded():
 
 def test_lie_derivative_builds_no_zero_term(monkeypatch):
     """L_X R of a lifted corpus tensor on phase_j(2) hands the tree fold only
-    terms without a zero factor, differentiates no constant-zero tree, and
-    builds the reference trees."""
+    terms without a zero factor, differentiates no constant-zero tree (its
+    gradient row is all None, which the sites leave out), and builds the
+    reference trees. The rows are memoised, so the spy is on the gradient."""
     corpus = standard_corpus(2)
     R = complete_lift_tensor11(corpus.tensors[1])
     X = complete_lift_vector(corpus.lift_fields[4])
-    handed, differentiated = [], []
-    fold_, differentiate = tensors._fold, ex.differentiate
+    handed, rows = [], []
+    fold_, gradient = tensors._fold, ex.gradient
 
     def spy_fold(alg, terms):
         assert alg[3] is SymbolicField  # the tree algebra
         handed.extend(terms)
         return fold_(alg, terms)
 
-    def spy_differentiate(e, name):
-        differentiated.append(e)
-        return differentiate(e, name)
+    def spy_gradient(e, coords):
+        got = gradient(e, coords)
+        rows.append((e, got[0]))
+        return got
 
     monkeypatch.setattr(tensors, "_fold", spy_fold)
-    monkeypatch.setattr(ex, "differentiate", spy_differentiate)
+    monkeypatch.setattr(ex, "gradient", spy_gradient)
     L = lie_derivative(X, R)
     monkeypatch.undo()
-    assert handed and differentiated
+    assert handed and rows
     assert not zero_terms(handed)
-    assert not [e for e in differentiated if isinstance(e, ex.Const) and e.value == 0.0]
+    assert any(e in ex.ZEROS for e, _ in rows)
+    assert all(row == (None,) * 5 for e, row in rows if e in ex.ZEROS)
     same_trees(L, ref_lie_derivative(X, R))
 
 
