@@ -5,6 +5,7 @@ of a (1,1) tensor, and the Darboux-Nijenhuis coordinate construction.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -43,6 +44,9 @@ from .tensors import (
     Tensor11,
     VectorField,
     _matsum,
+    _nest,
+    _operands,
+    _sum,
     adjoint_tensor11,
     apply_tensor11,
     differential,
@@ -126,19 +130,45 @@ def commutation_residual(Rt: Tensor11, points) -> float:
 def magri_morosi_table(Rt: Tensor11, sigmas, zs) -> list:
     """[mu(sigma, Z) for sigma in sigmas for Z in zs], where
     mu(sigma, Z) = (L_{P(sigma)} Rt)(Z) - P(L_Z(Rt(sigma)))
-    + P(L_{Rt(Z)} sigma). The Lie derivative in the middle term runs along
-    the vector argument Z. L_{P(sigma)} Rt and Rt(sigma) are built once per
-    sigma and Rt(Z) once per Z, then combined per pair."""
-    Rt_zs = [apply_tensor11(Rt, Z) for Z in zs]
+    + P(L_{Rt(Z)} sigma), the middle Lie derivative along Z. L_{P(sigma)} Rt
+    and Rt(sigma) are built once per sigma, Rt(Z) once per Z, and one
+    `_operands` call reads them all. Each pair folds, in that algebra, the
+    terms apply_tensor11, lie_derivative and poisson_apply fold, in their
+    order, but only the 2n one-form components P keeps, P(w) = (0, -w_p,
+    w_q); each component of mu is (t1 - t2) + t3, wrapped once."""
+    space, d, n = Rt.space, Rt.space.dim, Rt.space.n
+    L_Rts = [lie_derivative(poisson_apply(sigma), Rt) for sigma in sigmas]
+    objs = ([adjoint_tensor11(Rt, sigma) for sigma in sigmas] + list(sigmas)
+            + list(zs) + [apply_tensor11(Rt, Z) for Z in zs])
+    diffed = [f for obj in objs for f in obj.comps]
+    ops, derivs, dead, alg = _operands(
+        space, [f for L in L_Rts for f in L.components()] + diffed, diffed)
+    it, rows = iter(ops), iter(derivs)
+    Ls = [_nest(list(islice(it, d * d)), d, 2) for _ in sigmas]
+    # each object as (components, rows), where rows[b][c] = d_c of component b
+    Rt_ss, ss, Zs, Rt_Zs = ([(list(islice(it, d)), list(islice(rows, d)))
+                             for _ in part] for part in (sigmas, sigmas, zs, zs))
+    fold, zero_, wrap = alg[1], alg[2], alg[3]
+    r = range(d)
+
+    def poisson_lie(X, w):
+        """P(L_X w), unwrapped: (L_X w)_b sums X^c d_c w_b + w_c d_b X^c
+        over c, for the b that P keeps."""
+        (Xc, dX), (wc, dw) = X, w
+        L = [_sum(alg, [t for c in r for t in (
+            ("+", [Xc[c], dw[b][c]]), ("+", [wc[c], dX[c][b]]))
+            if dead.isdisjoint(t[1])]) for b in range(1, d)]
+        return [zero_, *map(fold["neg"], L[n:]), *L[:n]]
+
     out = []
-    for sigma in sigmas:
-        L_Rt = lie_derivative(poisson_apply(sigma), Rt)
-        Rt_sigma = adjoint_tensor11(Rt, sigma)
-        for Z, Rt_Z in zip(zs, Rt_zs):
-            t1 = apply_tensor11(L_Rt, Z)
-            t2 = poisson_apply(lie_derivative(Z, Rt_sigma))
-            t3 = poisson_apply(lie_derivative(Rt_Z, sigma))
-            out.append(t1 - t2 + t3)
+    for L, Rt_s, s in zip(Ls, Rt_ss, ss):
+        for Z, Rt_Z in zip(Zs, Rt_Zs):
+            t1 = [_sum(alg, [("+", [x, z]) for x, z in zip(row, Z[0])
+                             if x not in dead and z not in dead]) for row in L]
+            t2, t3 = poisson_lie(Z, Rt_s), poisson_lie(Rt_Z, s)
+            out.append(VectorField(space, [
+                wrap(space, fold["+"](fold["-"](a, b), c))
+                for a, b, c in zip(t1, t2, t3)]))
     return out
 
 

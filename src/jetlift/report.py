@@ -312,6 +312,12 @@ class Checker:
             raise SamplingError(f"need at least 1 sample point, got {points}")
         if not 0 < tol < math.inf:
             raise SamplingError(f"need a finite tolerance above 0, got {tol}")
+        lo, hi = box
+        if not lo < hi:  # also catches a nan bound
+            raise SamplingError(f"need a box with lo < hi, got {tuple(box)}")
+        if not math.isfinite(hi - lo):  # also catches an infinite bound
+            raise SamplingError(f"need a box of finite bounds and width, got "
+                                f"{tuple(box)}")
         self.points = points
         self.seed = seed
         self.tol = tol

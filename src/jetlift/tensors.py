@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import islice, product
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 import numpy as np
 
@@ -415,8 +415,10 @@ def hook2(R: Tensor11, omega) -> list:
 
 # How a term joins the sum, by its sign. "+-" adds the negated product,
 # add(acc, neg(p)): another tree than sub(acc, p), which is 0 when acc == p.
-_EXPR_FOLD = {"+": ex.add, "-": ex.sub, "+-": lambda acc, p: ex.add(acc, ex.neg(p))}
-_FIELD_FOLD = {"+": add, "-": sub, "+-": lambda acc, p: acc + -p}
+# "neg" negates one sum, for a site that combines sums before it wraps them.
+_EXPR_FOLD = {"+": ex.add, "-": ex.sub, "+-": lambda acc, p: ex.add(acc, ex.neg(p)),
+              "neg": ex.neg}
+_FIELD_FOLD = {"+": add, "-": sub, "+-": lambda acc, p: acc + -p, "neg": neg}
 
 _DEAD = frozenset({None, *ex.ZEROS})  # the zeros, and None for d(constant)
 
@@ -445,14 +447,19 @@ def _operands(space: Space, factors, diffed=()):
             (mul, _FIELD_FOLD, zero(space), lambda space, f: f, space))
 
 
-def _fold(alg, terms):
+def _sum(alg, terms):
     """The sum of a list of terms (sign, [f1, f2, ...]) with sign "+", "-" or
     "+-", in the algebra alg: the products, each multiplied left to right,
-    folded left to right into a sum that starts at 0, and wrapped once."""
-    product_, fold, acc, wrap, space = alg
+    folded left to right into a sum that starts at 0, not wrapped."""
+    product_, fold, acc = alg[:3]
     for sign, factors in terms:
         acc = fold[sign](acc, reduce(product_, factors))
-    return wrap(space, acc)
+    return acc
+
+
+def _fold(alg, terms):
+    """`_sum` of the terms, wrapped once."""
+    return alg[3](alg[4], _sum(alg, terms))
 
 
 def sum_products(space: Space, terms) -> ScalarField:

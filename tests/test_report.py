@@ -1,6 +1,7 @@
 """What Checker.compare and Checker.vanish accept: objects whose components
 pair up one to one on a single space."""
 import inspect
+import math
 import os
 import random
 import struct
@@ -22,7 +23,8 @@ from jetlift import (
     phase_j,
     rho_related,
 )
-from jetlift.cli import main
+from jetlift.cli import _parse_domain, main
+from jetlift.errors import ModelError
 from jetlift.fields import const_field
 from jetlift.report import (
     _REJECTABLE,
@@ -114,6 +116,17 @@ def test_batched_draw_is_the_uniform_stream(box):
         return struct.pack("<30d", *[v for row in rows for v in row])
     assert pack(got) == pack(want)
     assert ch.rng.getstate() == rng.getstate()
+
+
+@pytest.mark.parametrize("box", [(2.0, math.nan), (math.nan, 2.0),
+                                 (-math.inf, 0.0), (0.0, math.inf),
+                                 (1.0, 1.0), (2.0, -2.0), (-1e308, 1e308)])
+def test_a_box_the_domain_flag_refuses_is_refused(box):
+    # a nan or infinite bound would draw nan points and reject every one
+    with pytest.raises(SamplingError, match="need a box"):
+        Checker(box=box)
+    with pytest.raises(ModelError, match="--domain needs"):
+        _parse_domain(",".join(map(str, box)))
 
 
 def newton_without_preimage():

@@ -38,6 +38,11 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @given(seed=st.integers(0, 2 ** 64), n=st.integers(0, 70), dim=st.integers(1, 7),
        box=st.tuples(finite, finite))
 def test_draw_points_is_the_uniform_stream(seed, n, dim, box):
+    lo, hi = box
+    if not (lo < hi and math.isfinite(hi - lo)):  # a box the Checker refuses
+        with pytest.raises(SamplingError, match="need a box"):
+            Checker(seed=seed, box=box)
+        return
     ch, rng = Checker(seed=seed, box=box), random.Random(seed)
     got = ch.draw_points(n, dim)
     assert got.shape == (n, dim)

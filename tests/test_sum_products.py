@@ -48,6 +48,7 @@ from jetlift import (
     canonical_bivector,
     canonical_theta,
     commutation_defect,
+    magri_morosi_table,
     complete_lift_cotangent,
     complete_lift_tensor11,
     complete_lift_vector,
@@ -684,6 +685,8 @@ SITES = {
     "lifts._p_sum": lifts_of,
     "pn.commutation_defect": lambda g: [partial(commutation_defect, R) for R in g.Rs
                                         if R.space.kind == PHASE_J],
+    "pn.magri_morosi_table": lambda g: [partial(magri_morosi_table, R, g.alphas, g.Xs)
+                                        for R in g.Rs if R.space.kind == PHASE_J],
 }
 
 
@@ -696,18 +699,19 @@ def patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(mod, attr, replacement)
 
 
-_fold, _operands = tensors._fold, tensors._operands
+_sum, _operands = tensors._sum, tensors._operands
 
 
 def spy_on_terms(monkeypatch):
-    """The list every term handed to the fold, by any site, joins."""
+    """The list every term handed to a sum, by any site, joins: `_fold`
+    sums through `_sum`, and the concomitant table calls it directly."""
     handed = []
 
     def spy(alg, terms):
         handed.extend(terms)
-        return _fold(alg, terms)
+        return _sum(alg, terms)
 
-    patch_everywhere(monkeypatch, _fold, spy)
+    patch_everywhere(monkeypatch, _sum, spy)
     return handed
 
 
