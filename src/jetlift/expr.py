@@ -24,6 +24,7 @@ import functools
 import math
 import operator
 import re
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -44,10 +45,10 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
 class Expr:
     """An expression node, interned: the same class and fields (children by
-    identity, a constant's value with its sign) give the same object, so
-    equality and hashing are identity, and nodes are immutable, as every
-    tree that uses one shares it. `names` is the frozenset of variable
-    names a node uses."""
+    identity, a constant's value with its sign, a nan by its bits) give the
+    same object, so equality and hashing are identity, and nodes are
+    immutable, as every tree that uses one shares it. `names` is the
+    frozenset of variable names a node uses."""
 
     __slots__ = ("names",)
 
@@ -67,6 +68,7 @@ class Expr:
 _NODES = {}  # (class, fields) -> node, for the whole process
 _NAMES = {}  # the name sets of nodes, interned
 NON_FINITE = set()  # the constants whose value is inf or nan
+HOLDS_NON_FINITE = set()  # the nodes with such a constant in their tree
 
 
 def _node(key, fields):
@@ -74,13 +76,18 @@ def _node(key, fields):
     cls = key[0]
     node = _NODES[key] = object.__new__(cls)
     names = frozenset(fields if cls is Var else ())
+    holds = False
     for slot, value in zip(cls.__slots__, fields):
         object.__setattr__(node, slot, value)
         if isinstance(value, Expr):
             names |= value.names
+            holds = holds or value in HOLDS_NON_FINITE
     object.__setattr__(node, "names", _NAMES.setdefault(names, names))
     if cls is Const and fields[0] - fields[0] != 0.0:
         NON_FINITE.add(node)
+        holds = True
+    if holds:
+        HOLDS_NON_FINITE.add(node)
     return node
 
 
@@ -88,8 +95,12 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value):
-        # a zero's key carries its sign: 0.0 and -0.0 are equal floats
-        key = (cls, value) if value else (cls, value, math.copysign(1.0, value))
+        # a zero's key carries its sign, as 0.0 and -0.0 are equal floats,
+        # and a nan's key is its IEEE bytes, as a nan equals nothing
+        if value != value:
+            key = (cls, struct.pack("<d", value))
+        else:
+            key = (cls, value) if value else (cls, value, math.copysign(1.0, value))
         return _NODES.get(key) or _node(key, (value,))
 
 
@@ -143,7 +154,7 @@ def sub(a: Expr, b: Expr) -> Expr:
             return a
     if a.__class__ is Const and not a.value:
         return neg(b)
-    if a is b:
+    if a is b and a not in HOLDS_NON_FINITE:  # inf - inf is nan
         return ZERO
     return Binary("sub", a, b)
 

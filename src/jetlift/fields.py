@@ -5,7 +5,12 @@ and procedural fields (a value function plus analytic first partials;
 second derivatives fall back to central differences of the gradient).
 Each backend owns its arithmetic: symbolic fields and numbers combine into
 expression trees, and any procedural operand makes the result procedural
-(the chain rule over values and gradients in ScalarField).
+(the chain rule over values and gradients in ScalarField, one procedural
+field per operator). A sum of products, which is how the tensor calculus
+combines fields, is one procedural field (`_proc_sum`): past its
+all-symbolic prefix it pushes values and gradients through every term in
+one forward-mode step, with the bits, rejected rows and errors of the
+chain of operators that would fold it.
 
 Both backends are evaluated over a whole (m, dim) point array at once.
 A `Batch` is one such evaluation: it keeps every value and gradient it
@@ -100,7 +105,7 @@ def at_point(point, fn):
 # procedural combinators (chain rules over values and gradients)
 
 def _min_budget(a, c) -> int:
-    return min(a.order_budget, c.order_budget, 2)
+    return min(a._budget, c._budget, 2)
 
 
 def _proc_add(a, c):
@@ -131,6 +136,64 @@ def _proc_div(a, c):
 
     return ProceduralField(a.space, lambda b: a._value(b) / den(b), grad,
                            _min_budget(a, c), _on_batch=True)
+
+
+def _proc_sum(acc, terms):
+    """acc folded with the terms (sign, [f1, f2, ...]) bit for bit as the
+    operators fold `acc = acc ± ((f1 * f2) * ...)`, but as one
+    ProceduralField past the all-symbolic prefix, which the operators build
+    as a tree, as they do each product's. From there a term is its fields
+    (the product's prefix, then each further factor), added negated for
+    "-" and "+-", and each field is first evaluated in the operators'
+    order, so that each rejected row keeps its first error."""
+    parts = []  # (negated, fields) per term of the procedural part
+    for sign, factors in terms:
+        it = iter(factors)
+        p, fs = next(it), None
+        for f in it:
+            if not (isinstance(p, SymbolicField) and isinstance(f, SymbolicField)):
+                fs = [p, f, *it]
+                break
+            p = p * f
+        if fs is None and isinstance(p, SymbolicField):
+            if not parts:
+                acc = acc - p if sign == "-" else acc + (-p if sign == "+-" else p)
+                continue
+            p, sign = (p if sign == "+" else -p), "+"
+        parts.append((sign != "+", fs or [p]))
+    if not parts:
+        return acc
+    fields = [f for _, fs in parts for f in fs]
+    for f in fields:
+        if f.space is not acc.space:
+            acc._coerce(f)  # raises SpaceMismatchError unless the spaces are equal
+
+    def value(b):
+        v = acc._value(b)
+        for negated, fs in parts:
+            p = fs[0]._value(b)
+            for f in fs[1:]:
+                p = p * f._value(b)
+            v = v + (-p if negated else p)
+        return v
+
+    def grad(b):
+        g = acc._grad(b)
+        for negated, fs in parts:
+            if len(fs) == 1:
+                pg = fs[0]._grad(b)
+            else:
+                vs = [f._value(b) for f in fs]
+                pv, pg = vs[0], fs[0]._grad(b)
+                for f, fv in zip(fs[1:], vs[1:]):
+                    pg = pg * fv[:, None] + pv[:, None] * f._grad(b)
+                    pv = pv * fv
+            g = g + (-pg if negated else pg)
+        return g
+
+    return ProceduralField(acc.space, value, grad,
+                           min([acc._budget, 2] + [f._budget for f in fields]),
+                           _on_batch=True)
 
 
 def _chain(combine):
@@ -177,7 +240,7 @@ class ScalarField:
 
     def _coerce(self, other):
         if isinstance(other, ScalarField):
-            if other.space != self.space:
+            if other.space is not self.space and other.space != self.space:
                 raise SpaceMismatchError(
                     f"cannot combine fields on {self.space} and {other.space}")
             return other
@@ -258,6 +321,8 @@ class SymbolicField(ScalarField):
     def _batch_grad(self, b):
         exprs = [self.diff(c).expr for c in self.space.coords]
         return self._rows(b, "_grad_run", exprs).T
+
+    _budget = _UNLIMITED
 
     @property
     def order_budget(self) -> int:

@@ -13,6 +13,7 @@ from .charts import FibredTransform
 from .errors import (EigenError, NonFiniteError, SpaceMismatchError,
                      TransformError)
 from .fields import (
+    Batch,
     ProceduralField,
     ScalarField,
     at_point,
@@ -274,8 +275,9 @@ def _eigen(A, b):
     b.reject(live[imag > EIGEN_DISTINCT_THRESHOLD], lambda i: EigenError(
         f"complex eigenvalues {wc[np.searchsorted(live, i)]} at {b.point(i)}"))
     order = np.argsort(wc.real, axis=1)
-    w[live] = np.take_along_axis(wc.real, order, 1)
-    V[live] = np.take_along_axis(Vc.real, order[:, None, :], 2)
+    k = np.arange(len(live))[:, None]
+    w[live] = wc.real[k, order]
+    V[live] = Vc.real[k[:, :, None], np.arange(n)[:, None], order[:, None, :]]
     if n > 1:
         gaps = np.diff(w, axis=1).min(axis=1)
         b.reject(np.flatnonzero(gaps < EIGEN_DISTINCT_THRESHOLD), lambda i: (
@@ -341,6 +343,20 @@ def eigenvalue_fields(R: Tensor11):
                             _on_batch=True) for i in range(n)]
 
 
+def _eigen_probe(R: Tensor11):
+    """A `Checker._accept` batch that rejects each point eigen_analysis(R, .)
+    refuses, with the error it raises, judging the whole array in one
+    `_eigen`."""
+    block = _q_block(R)
+
+    def probe(X):
+        b = Batch(X)
+        with np.errstate(all="ignore"):
+            _eigen(_stacked(block, b), b)
+        return np.zeros(len(X)), b.rejected, b.errors
+    return probe
+
+
 def build_dn_transform(R: Tensor11, box=DEFAULT_BOX, points=16,
                        seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> FibredTransform:
     """Use the eigenvalues of R as new fibre coordinates. Valid when the
@@ -349,7 +365,8 @@ def build_dn_transform(R: Tensor11, box=DEFAULT_BOX, points=16,
     n = R.space.n
     checker = Checker(points=points, seed=seed, tol=tol, box=box)
     lam = eigenvalue_fields(R)
-    base_pts = checker.sample(R.space.dim, lambda pt: eigen_analysis(R, pt))
+    drawn, _ = checker._accept(R.space.dim, _eigen_probe(R))
+    base_pts = list(map(tuple, drawn.tolist()))
     tors = max_residual(nijenhuis_torsion(R), base_pts)
     if tors >= tol:
         raise TransformError(

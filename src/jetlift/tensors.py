@@ -12,7 +12,8 @@ Every contraction site reads its operands once through `_operands`: the
 expression trees (and their memoised gradient rows) when all are symbolic,
 else the fields. The site writes its terms once, leaves out those with a factor
 the gate flags as a constant zero, and `_fold` sums them in the algebra
-the gate gave, wrapping each component once. The zero blocks cost neither
+the gate gave, wrapping each component once (the field algebra makes each
+sum one procedural field, `fields._proc_sum`). The zero blocks cost neither
 a term nor a tree operation, and as nodes are interned every tree is the
 one the fold of all the terms over the fields would build. `_matsum` is
 the one helper of every matrix-shaped sum.
@@ -30,6 +31,7 @@ from .errors import SpaceMismatchError
 from .fields import (
     ScalarField,
     SymbolicField,
+    _proc_sum,
     at_point,
     compose,
     const_field,
@@ -416,9 +418,11 @@ def hook2(R: Tensor11, omega) -> list:
 # How a term joins the sum, by its sign. "+-" adds the negated product,
 # add(acc, neg(p)): another tree than sub(acc, p), which is 0 when acc == p.
 # "neg" negates one sum, for a site that combines sums before it wraps them.
+# The field algebra's terms join in `fields._proc_sum`; its table combines
+# sums only.
 _EXPR_FOLD = {"+": ex.add, "-": ex.sub, "+-": lambda acc, p: ex.add(acc, ex.neg(p)),
               "neg": ex.neg}
-_FIELD_FOLD = {"+": add, "-": sub, "+-": lambda acc, p: acc + -p, "neg": neg}
+_FIELD_FOLD = {"+": add, "-": sub, "neg": neg}
 
 _DEAD = frozenset({None, *ex.ZEROS})  # the zeros, and None for d(constant)
 
@@ -450,8 +454,12 @@ def _operands(space: Space, factors, diffed=()):
 def _sum(alg, terms):
     """The sum of a list of terms (sign, [f1, f2, ...]) with sign "+", "-" or
     "+-", in the algebra alg: the products, each multiplied left to right,
-    folded left to right into a sum that starts at 0, not wrapped."""
+    folded left to right into a sum that starts at 0, not wrapped. The
+    field algebra builds it as `fields._proc_sum` does: one procedural
+    field past the all-symbolic prefix."""
     product_, fold, acc = alg[:3]
+    if fold is _FIELD_FOLD:
+        return _proc_sum(acc, terms)
     for sign, factors in terms:
         acc = fold[sign](acc, reduce(product_, factors))
     return acc

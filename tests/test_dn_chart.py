@@ -18,6 +18,7 @@ from jetlift import (
     Tensor11,
     base_e,
     build_dn_transform,
+    eigen_analysis,
     pn_check,
     verify_dn,
 )
@@ -130,17 +131,19 @@ def test_forward_failure_is_rejected_with_the_forward_error():
         Checker(points=4, box=(-2.0, -1.0)).vanish("x", "", Rp, via=chart)
 
 
-def test_base_points_are_drawn_through_sample(monkeypatch):
-    # the benchmark's tracer counts darboux's accepted points by wrapping
-    # Checker.sample's probe; points drawn any other way would count as 0
-    calls = []
-    real = Checker.sample
+def test_base_points_are_the_points_sample_draws(monkeypatch):
+    # each round is judged in one eigen-analysis of all its points, not
+    # point by point through Checker.sample, and accepts the same points
+    R, calls, accept = r_dn(), [], Checker._accept
 
-    def spy(self, dim, probe=None):
-        points = real(self, dim, probe)
-        calls.append((dim, probe is not None, len(points)))
-        return points
+    def spy(self, dim, batch, *message):
+        points, values = accept(self, dim, batch, *message)
+        calls.append((dim, points.tolist()))
+        return points, values
 
-    monkeypatch.setattr(Checker, "sample", spy)
-    build_dn_transform(r_dn(), points=16)
-    assert calls == [(3, True, 16)]
+    monkeypatch.setattr(Checker, "_accept", spy)
+    monkeypatch.delattr(Checker, "sample")
+    build_dn_transform(R, points=16)
+    monkeypatch.undo()
+    want = Checker(points=16).sample(3, lambda pt: eigen_analysis(R, pt))
+    assert calls == [(3, [list(pt) for pt in want])]

@@ -28,9 +28,10 @@ from jetlift import (
     phase_j,
     verify_dn,
 )
+from jetlift import pn
 from jetlift.fields import FD_STEP, ProceduralField, evaluate_batch
 from jetlift.model import load_model
-from jetlift.report import _REJECTABLE
+from jetlift.report import _REJECTABLE, Checker
 
 N2 = os.path.join(os.path.dirname(__file__), "..", "models", "n2.json")
 
@@ -338,3 +339,49 @@ def test_procedural_and_symbolic_division_raise_one_message():
             errors.append(str(info.value))
         assert errors[0] == errors[1] == f"denominator {pt[1]} below guard 1e-06"
 
+
+
+# q-blocks whose eigen-analysis refuses part of the box: complex eigenvalues
+# where (q1 - q2)^2 < 4 t^2, and a logarithm's domain with an overflow
+EIGEN_REFUSED = {
+    "complex": Tensor11.from_dict(base_e(2), {
+        "q1,q1": "q1", "q1,q2": "-t", "q2,q1": "t", "q2,q2": "q2"}),
+    "domain": Tensor11.from_dict(base_e(2), {
+        "q1,q1": "log(q1)", "q1,q2": "exp(exp(exp(3*t)))", "q2,q2": "q2"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EIGEN_REFUSED))
+def test_the_eigen_probe_judges_each_row_as_eigen_analysis(name):
+    R = EIGEN_REFUSED[name]
+    X = np.array(rand_points(3, n=64, seed=7))
+    one = []
+    for pt in map(tuple, X.tolist()):
+        try:
+            eigen_analysis(R, pt)
+            one.append(None)
+        except _REJECTABLE as exc:
+            one.append((type(exc), str(exc)))
+    _, rejected, errors = pn._eigen_probe(R)(X)
+    assert [(type(errors[i]), str(errors[i])) if rejected[i] else None
+            for i in range(len(X))] == one
+    assert one.count(None) not in (0, len(X))
+    if name == "complex":
+        assert any("complex eigenvalues" in error for _, error in filter(None, one))
+
+
+def test_the_eigen_probe_draws_the_points_sample_draws():
+    R = EIGEN_REFUSED["complex"]
+    want = Checker(points=16).sample(3, lambda pt: eigen_analysis(R, pt))
+    got, _ = Checker(points=16)._accept(3, pn._eigen_probe(R))
+    assert list(map(tuple, got.tolist())) == want
+
+
+def test_a_box_of_complex_eigenvalues_aborts_as_sample_does():
+    R = Tensor11.from_dict(base_e(2), {"q1,q2": "-1 - t*t", "q2,q1": "1"})
+    with pytest.raises(SamplingError) as batched:
+        build_dn_transform(R, points=16)
+    with pytest.raises(SamplingError) as one:
+        Checker(points=16).sample(3, lambda pt: eigen_analysis(R, pt))
+    assert str(batched.value) == str(one.value)
+    assert "EigenError" in str(one.value)
