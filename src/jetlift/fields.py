@@ -5,12 +5,13 @@ and procedural fields (a value function plus analytic first partials;
 second derivatives fall back to central differences of the gradient).
 Each backend owns its arithmetic: symbolic fields and numbers combine into
 expression trees, and any procedural operand makes the result procedural
-(the chain rule over values and gradients in ScalarField, one procedural
-field per operator). A sum of products, which is how the tensor calculus
-combines fields, is one procedural field (`_proc_sum`): past its
-all-symbolic prefix it pushes values and gradients through every term in
-one forward-mode step, with the bits, rejected rows and errors of the
-chain of operators that would fold it.
+(the chain rule over values and gradients in ScalarField). A sum of
+products, which is how the tensor calculus combines fields, is one
+procedural field (`_proc_sum`): past its all-symbolic prefix it pushes
+values and gradients through every term in one forward-mode step, with
+the bits, rejected rows and errors of the chain of binary operators that
+would fold it. Each procedural +, -, * and negation is such a node too,
+and / a guarded quotient node.
 
 Both backends are evaluated over a whole (m, dim) point array at once.
 A `Batch` is one such evaluation: it keeps every value and gradient it
@@ -104,25 +105,6 @@ def at_point(point, fn):
 # ---------------------------------------------------------------------------
 # procedural combinators (chain rules over values and gradients)
 
-def _min_budget(a, c) -> int:
-    return min(a._budget, c._budget, 2)
-
-
-def _proc_add(a, c):
-    return ProceduralField(a.space, lambda b: a._value(b) + c._value(b),
-                           lambda b: a._grad(b) + c._grad(b),
-                           _min_budget(a, c), _on_batch=True)
-
-
-def _proc_mul(a, c):
-    def grad(b):
-        av, cv = a._value(b)[:, None], c._value(b)[:, None]
-        return a._grad(b) * cv + av * c._grad(b)
-
-    return ProceduralField(a.space, lambda b: a._value(b) * c._value(b),
-                           grad, _min_budget(a, c), _on_batch=True)
-
-
 def _proc_div(a, c):
     def den(b):
         cv = c._value(b)
@@ -135,17 +117,21 @@ def _proc_div(a, c):
         return (a._grad(b) * cv - av * c._grad(b)) / (cv * cv)
 
     return ProceduralField(a.space, lambda b: a._value(b) / den(b), grad,
-                           _min_budget(a, c), _on_batch=True)
+                           min(a.order_budget, c.order_budget, 2),
+                           _on_batch=True)
 
 
 def _proc_sum(acc, terms):
     """acc folded with the terms (sign, [f1, f2, ...]) bit for bit as the
-    operators fold `acc = acc ± ((f1 * f2) * ...)`, but as one
-    ProceduralField past the all-symbolic prefix, which the operators build
-    as a tree, as they do each product's. From there a term is its fields
-    (the product's prefix, then each further factor), added negated for
-    "-" and "+-", and each field is first evaluated in the operators'
-    order, so that each rejected row keeps its first error."""
+    binary operators fold `acc = acc ± ((f1 * f2) * ...)`, but as one
+    ProceduralField past the all-symbolic prefix, which is built as a tree
+    (as each all-symbolic product is) while acc is symbolic. With acc None
+    the sum has no start: it is its first term, p or -p, not 0 + p, so that
+    signed zeros keep their bits. Past the prefix a term is its fields (the
+    product's prefix, then each further factor), added negated for "-" and
+    "+-", and each field is first evaluated in the operators' order, so
+    that each rejected row keeps its first error. Every procedural +, -, *
+    and negation is one such node."""
     parts = []  # (negated, fields) per term of the procedural part
     for sign, factors in terms:
         it = iter(factors)
@@ -156,7 +142,7 @@ def _proc_sum(acc, terms):
                 break
             p = p * f
         if fs is None and isinstance(p, SymbolicField):
-            if not parts:
+            if not parts and isinstance(acc, SymbolicField):
                 acc = acc - p if sign == "-" else acc + (-p if sign == "+-" else p)
                 continue
             p, sign = (p if sign == "+" else -p), "+"
@@ -164,21 +150,22 @@ def _proc_sum(acc, terms):
     if not parts:
         return acc
     fields = [f for _, fs in parts for f in fs]
+    start = fields[0] if acc is None else acc
     for f in fields:
-        if f.space is not acc.space:
-            acc._coerce(f)  # raises SpaceMismatchError unless the spaces are equal
+        start._coerce(f)  # raises SpaceMismatchError on another space
 
     def value(b):
-        v = acc._value(b)
+        v = None if acc is None else acc._value(b)
         for negated, fs in parts:
             p = fs[0]._value(b)
             for f in fs[1:]:
                 p = p * f._value(b)
-            v = v + (-p if negated else p)
+            p = -p if negated else p
+            v = p if v is None else v + p
         return v
 
     def grad(b):
-        g = acc._grad(b)
+        g = None if acc is None else acc._grad(b)
         for negated, fs in parts:
             if len(fs) == 1:
                 pg = fs[0]._grad(b)
@@ -188,11 +175,12 @@ def _proc_sum(acc, terms):
                 for f, fv in zip(fs[1:], vs[1:]):
                     pg = pg * fv[:, None] + pv[:, None] * f._grad(b)
                     pv = pv * fv
-            g = g + (-pg if negated else pg)
+            pg = -pg if negated else pg
+            g = pg if g is None else g + pg
         return g
 
-    return ProceduralField(acc.space, value, grad,
-                           min([acc._budget, 2] + [f._budget for f in fields]),
+    return ProceduralField(start.space, value, grad,
+                           min([2] + [f.order_budget for f in [start, *fields]]),
                            _on_batch=True)
 
 
@@ -240,7 +228,7 @@ class ScalarField:
 
     def _coerce(self, other):
         if isinstance(other, ScalarField):
-            if other.space is not self.space and other.space != self.space:
+            if other.space is not self.space:
                 raise SpaceMismatchError(
                     f"cannot combine fields on {self.space} and {other.space}")
             return other
@@ -248,9 +236,9 @@ class ScalarField:
             return SymbolicField(self.space, ex.const(other))
         return NotImplemented
 
-    __add__ = __radd__ = _chain(_proc_add)
-    __sub__ = _chain(lambda a, c: _proc_add(a, -c))
-    __mul__ = __rmul__ = _chain(_proc_mul)
+    __add__ = __radd__ = _chain(lambda a, c: _proc_sum(a, [("+", [c])]))
+    __sub__ = _chain(lambda a, c: _proc_sum(a, [("-", [c])]))
+    __mul__ = __rmul__ = _chain(lambda a, c: _proc_sum(None, [("+", [a, c])]))
     __truediv__ = _chain(_proc_div)
     __rtruediv__ = _chain(lambda a, c: c / a)
 
@@ -258,9 +246,7 @@ class ScalarField:
         return (-self) + other
 
     def __neg__(self):
-        return ProceduralField(self.space, lambda b: -self._value(b),
-                               lambda b: -self._grad(b), self.order_budget,
-                               _on_batch=True)
+        return _proc_sum(None, [("-", [self])])
 
 
 def _symbolic_op(build, procedural):
@@ -268,8 +254,7 @@ def _symbolic_op(build, procedural):
     a number it builds the tree directly; anything else (a procedural
     field, another space, a foreign type) takes ScalarField's path."""
     def op(self, other):
-        if isinstance(other, SymbolicField) and (
-                other.space is self.space or other.space == self.space):
+        if isinstance(other, SymbolicField) and other.space is self.space:
             other = other.expr
         elif isinstance(other, (int, float)):
             other = ex.const(other)
@@ -322,11 +307,7 @@ class SymbolicField(ScalarField):
         exprs = [self.diff(c).expr for c in self.space.coords]
         return self._rows(b, "_grad_run", exprs).T
 
-    _budget = _UNLIMITED
-
-    @property
-    def order_budget(self) -> int:
-        return _UNLIMITED
+    order_budget = _UNLIMITED
 
     @property
     def is_zero(self) -> bool:
@@ -358,7 +339,7 @@ class ProceduralField(ScalarField):
             grad_fn = None if grad_fn is None else _over_points(grad_fn)
         self._batch_value = value_fn
         self._grad_fn = grad_fn
-        self._budget = order_budget
+        self.order_budget = order_budget
 
     eval, grad = ScalarField.eval, ScalarField.grad
 
@@ -368,17 +349,13 @@ class ProceduralField(ScalarField):
                 "procedural field has no derivative information left")
         return self._grad_fn(b)
 
-    @property
-    def order_budget(self) -> int:
-        return self._budget
-
     def diff(self, coord: str) -> "ProceduralField":
-        if self._budget <= 0 or self._grad_fn is None:
+        if self.order_budget <= 0 or self._grad_fn is None:
             raise OrderOverflowError(
                 "procedural fields support derivatives up to order 2")
         k = self.space.index(coord)
         grad_fn = None
-        if self._budget >= 2:
+        if self.order_budget >= 2:
             def grad_fn(b):
                 # the parent gradient at x + h e_j and x - h e_j for every j,
                 # stacked in that order, in one child batch shared by every
@@ -389,10 +366,10 @@ class ProceduralField(ScalarField):
                 G = G[:, k].reshape(2 * dim, m)
                 return ((G[0::2] - G[1::2]) / (2.0 * FD_STEP)).T
         return ProceduralField(self.space, lambda b: self._grad(b)[:, k],
-                               grad_fn, self._budget - 1, _on_batch=True)
+                               grad_fn, self.order_budget - 1, _on_batch=True)
 
     def __repr__(self):
-        return f"ProceduralField({self.space}, budget={self._budget})"
+        return f"ProceduralField({self.space}, budget={self.order_budget})"
 
 
 def _compile(exprs, coords):
@@ -442,7 +419,7 @@ def zero(space: Space) -> SymbolicField:
 def inject(f: ScalarField, dst: Space) -> ScalarField:
     """Reinterpret a field on a different space whose coordinate names are a
     superset of the field's own (pullback along the coordinate projection)."""
-    if f.space == dst:
+    if f.space is dst:
         return f
     missing = f.space.coord_set - dst.coord_set
     if missing:
@@ -474,7 +451,7 @@ def compose(f: ScalarField, maps: list, src: Space) -> ScalarField:
         raise SpaceMismatchError(
             f"map has {len(maps)} components, {dst} needs {dst.dim}")
     for m in maps:
-        if m.space != src:
+        if m.space is not src:
             raise SpaceMismatchError("map components must live on the source space")
     if isinstance(f, SymbolicField) and all(isinstance(m, SymbolicField) for m in maps):
         mapping = {c: m.expr for c, m in zip(dst.coords, maps)}

@@ -84,7 +84,7 @@ def poisson_apply(sigma: OneForm) -> VectorField:
 
 
 def poisson_bracket(F: ScalarField, G: ScalarField) -> ScalarField:
-    if F.space != G.space or F.space.kind != PHASE_J:
+    if F.space is not G.space or F.space.kind != PHASE_J:
         raise SpaceMismatchError("Poisson bracket needs two phase-space fields")
     pj = F.space
     n = pj.n

@@ -155,7 +155,7 @@ def _sides(a, b=None):
         raise SpaceMismatchError(f"cannot compare {len(lhs)} components "
                                  f"with {len(rhs)}")
     space = fields[0].space
-    if any(f.space is not space and f.space != space for f in fields):
+    if any(f.space is not space for f in fields):
         raise SpaceMismatchError("components on mixed spaces: "
                                  f"{sorted({str(f.space) for f in fields})}")
     return lhs, rhs, space

@@ -45,11 +45,9 @@ from .spaces import Space
 
 def _require_same_space(*objs):
     first = objs[0].space
-    if all(o.space is first for o in objs):
-        return
-    spaces = {o.space for o in objs}
-    if len(spaces) > 1:
-        raise SpaceMismatchError(f"mixed spaces: {sorted(map(str, spaces))}")
+    if any(o.space is not first for o in objs):
+        raise SpaceMismatchError(
+            f"mixed spaces: {sorted({str(o.space) for o in objs})}")
 
 
 def _as_field(space: Space, v) -> ScalarField:
@@ -136,15 +134,22 @@ class _Indexed:
         return np.array(at_point(point, values)).reshape(
             (self.space.dim,) * len(self.variance))
 
-    def __add__(self, other):
+    def _pairs(self, other):
+        """The components of this tensor and other side by side; other must
+        be a tensor of the same variance on the same space."""
+        if not (isinstance(other, _Indexed) and other.variance == self.variance):
+            kind = (f"variance {other.variance!r}" if hasattr(other, "variance")
+                    else type(other).__name__)
+            raise TypeError(f"cannot add or subtract variance "
+                            f"{self.variance!r} and {kind}")
         _require_same_space(self, other)
-        return self._rebuild([a + b for a, b in
-                              zip(self.components(), other.components())])
+        return zip(self.components(), other.components())
+
+    def __add__(self, other):
+        return self._rebuild([a + b for a, b in self._pairs(other)])
 
     def __sub__(self, other):
-        _require_same_space(self, other)
-        return self._rebuild([a - b for a, b in
-                              zip(self.components(), other.components())])
+        return self._rebuild([a - b for a, b in self._pairs(other)])
 
     def __neg__(self):
         return self._rebuild([-c for c in self.components()])
@@ -441,7 +446,7 @@ def _operands(space: Space, factors, diffed=()):
     terms with a factor in dead builds no zero term."""
     coords = space.coords
     trees = [f.expr for f in factors if f.__class__ is SymbolicField
-             and (f.space is space or f.space == space)]
+             and f.space is space]
     if len(trees) == len(factors):
         rows = [ex.gradient(f.expr, coords) for f in diffed]
         if ex.NON_FINITE.isdisjoint(trees) and not any([bad for _, bad in rows]):

@@ -5,7 +5,9 @@ symbolic, and otherwise the same values, gradients and second derivatives,
 bit for bit, the same rejected rows with the same first error each, the
 same order budget and the same SpaceMismatchError, on sums that mix
 symbolic, procedural, constant-zero and non-finite factors under all three
-signs. A chart push of the Darboux-Nijenhuis example builds one procedural
+signs. Each operator (+, -, * and negation, with a field or a number on
+either side) is such a node, and is held to its binary closure the same
+way. A chart push of the Darboux-Nijenhuis example builds one procedural
 field per component sum.
 """
 import math
@@ -15,6 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import binary_field_sum as binary
 from binary_field_sum import binary_sum
 from jetlift import build_dn_transform, complete_lift_tensor11
 from jetlift import fields, tensors
@@ -127,6 +130,57 @@ def test_the_node_is_the_binary_chain_bit_for_bit(named, data):
         return
     assert type(got) is ProceduralField and got.space is want.space
     assert got.order_budget == want.order_budget
+    for ask in ASKS.values():
+        assert outcome(got, ask) == outcome(want, ask)
+
+
+NUMBERS = [0.0, -0.0, 3, -1.5, 1e308, math.inf, -math.inf, math.nan]
+
+# each operator beside its binary closure, on fields a and c, or on a field
+# a and a number c
+OPERATORS = {
+    "a + c": (lambda a, c: a + c, binary.add),
+    "a - c": (lambda a, c: a - c, binary.sub),
+    "a * c": (lambda a, c: a * c, binary.mul),
+    "-a": (lambda a, c: -a, lambda a, c: binary.neg(a)),
+}
+REFLECTED = {
+    "a + x": (lambda a, x: a + x, binary.add),
+    "x + a": (lambda a, x: x + a, binary.add),
+    "a - x": (lambda a, x: a - x, binary.sub),
+    "x - a": (lambda a, x: x - a, binary.rsub),
+    "a * x": (lambda a, x: a * x, binary.mul),
+    "x * a": (lambda a, x: x * a, binary.mul),
+}
+
+
+# 1,648 cases in all; Hypothesis never draws one twice, so it runs each
+@settings(max_examples=2000)
+@given(st.data())
+def test_each_operator_is_its_binary_closure_bit_for_bit(data):
+    name = data.draw(st.sampled_from(sorted(OPERATORS) + sorted(REFLECTED)))
+    key = data.draw(st.sampled_from(sorted(FACTORS)))
+    c = None
+    if name in REFLECTED:
+        c = data.draw(st.sampled_from(NUMBERS))
+    elif name != "-a":
+        c = data.draw(st.sampled_from([FACTORS[k] for k in sorted(FACTORS)]
+                                      + FOREIGN))
+    def apply(op):
+        try:
+            return op(FACTORS[key], c)
+        except SpaceMismatchError:
+            return SpaceMismatchError
+
+    got, want = map(apply, {**OPERATORS, **REFLECTED}[name])
+    if want is SpaceMismatchError or isinstance(want, SymbolicField):
+        assert got is want or got.expr is want.expr
+        return
+    assert type(got) is ProceduralField and got.space is want.space
+    # the one change: a negation's budget is capped at 2, as every other
+    # operator's is
+    assert got.order_budget == (min(want.order_budget, 2) if name == "-a"
+                                else want.order_budget)
     for ask in ASKS.values():
         assert outcome(got, ask) == outcome(want, ask)
 

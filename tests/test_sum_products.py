@@ -21,8 +21,10 @@ constant turns a zero term into nan, to the trees of the fold that is
 handed every term. Another holds `expr.differentiate` to walking each
 (node, name) pair once per process.
 """
+import copy
 import math
 import os
+import pickle
 import random
 import struct
 import sys
@@ -36,6 +38,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import binary_field_sum as binary
 from jetlift import (
     FibredTransform,
     OneForm,
@@ -80,7 +83,15 @@ from jetlift.fields import (
     zero,
 )
 from jetlift.model import load_model
-from jetlift.spaces import PHASE_J, Space, base_e, extended_t, phase_j
+from jetlift.spaces import (
+    BASE_E,
+    EXTENDED_T,
+    PHASE_J,
+    Space,
+    base_e,
+    extended_t,
+    phase_j,
+)
 from jetlift.tensors import TwoForm, _lie_moves, _table, sum_fields, sum_products
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
@@ -418,13 +429,13 @@ def test_mixed_factors_fold_over_fields_bit_for_bit():
     terms = [("+", [s[0], p]), ("-", [p, s[1], s[2]]), ("+-", [s[1], q]),
              ("+", [s[2]]), ("-", [q, q]), ("+-", [s[0], s[1]])]
     got = sum_products(space, terms)
-    acc = zero(space)
-    acc = acc + s[0] * p
-    acc = acc - p * s[1] * s[2]
-    acc = acc + -(s[1] * q)
-    acc = acc + s[2]
-    acc = acc - q * q
-    acc = acc + -(s[0] * s[1])
+    acc = zero(space)  # the binary operators as they were
+    acc = binary.add(acc, binary.mul(s[0], p))
+    acc = binary.sub(acc, binary.mul(binary.mul(p, s[1]), s[2]))
+    acc = binary.add(acc, binary.neg(binary.mul(s[1], q)))
+    acc = binary.add(acc, s[2])
+    acc = binary.sub(acc, binary.mul(q, q))
+    acc = binary.add(acc, binary.neg(binary.mul(s[0], s[1])))
     assert isinstance(got, ProceduralField)
     X = rand_points(3)
     assert batch_bits([got], X) == batch_bits([acc], X)
@@ -447,14 +458,29 @@ def test_procedural_sites_fold_over_fields_bit_for_bit():
 # the fold decision
 
 def test_spaces_are_interned():
-    assert phase_j(2) is phase_j(2)
-    assert base_e(1) is base_e(1) and extended_t(3) is extended_t(3)
+    for n, (kind, make) in product(range(1, 5), ((BASE_E, base_e),
+                                                  (PHASE_J, phase_j),
+                                                  (EXTENDED_T, extended_t))):
+        assert make(n) is make(n) and Space(kind, n) is make(n)
+        assert copy.deepcopy(make(n)) is make(n)
+        assert pickle.loads(pickle.dumps(make(n))) is make(n)
+
+
+def test_a_space_is_immutable_and_checks_its_arguments():
+    with pytest.raises(AttributeError):
+        phase_j(2).n = 3
+    with pytest.raises(AttributeError):
+        Space(BASE_E, 1).coords = ("t",)
+    assert phase_j(2).n == 2 and base_e(1).coords == ("t", "q1")
+    for kind, n in (("Base", 1), (PHASE_J, 0), (BASE_E, -1)):
+        with pytest.raises(ValueError):
+            Space(kind, n)
 
 
 def test_an_equal_space_built_directly_takes_the_tree_fold():
     pj = phase_j(2)
     own = Space(PHASE_J, 2)
-    assert own is not pj
+    assert own is pj
     a, b = coord_field(pj, "p1"), coord_field(pj, "q2")
     got = sum_products(own, [("+", [a, b]), ("-", [b, a]), ("+-", [a])])
     assert isinstance(got, SymbolicField) and got.space is own

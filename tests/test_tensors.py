@@ -255,3 +255,25 @@ class TestVariance:
         others = np.count_nonzero(values) - 1
         assert others == (1 if cls is TwoForm else 0)  # the mirrored entry
         assert not np.any(cls.zero(BE).eval_at((2.0, 3.0)))
+
+    def test_sums_refuse_another_variance(self):
+        # zip once truncated the longer operand: VectorField + Tensor11 was a
+        # VectorField, Tensor11 + VectorField a Tensor11 with one row
+        X = VectorField.from_dict(BE, {"q1": "t"})
+        tensors = [X, OneForm.from_dict(BE, {"t": "q1"}),
+                   Tensor11.from_dict(BE, {"q1,t": "1"}),
+                   TwoForm.from_dict(BE, {"t,q1": "q1"}),
+                   Bivector.from_dict(BE, {"q1,t": "t"}),
+                   nijenhuis_torsion(R_TORSION)]
+        others = tensors + [parse_field("t", BE), 2.0, 0]
+        for a in tensors:
+            for b in others:
+                if b is a:
+                    assert type(a + b) is type(a) and type(a - b) is type(a)
+                    continue
+                for op in (lambda: a + b, lambda: a - b):
+                    with pytest.raises(TypeError) as err:
+                        op()
+                    assert repr(a.variance) in str(err.value)
+                    assert (repr(b.variance) if hasattr(b, "variance")
+                            else type(b).__name__) in str(err.value)
