@@ -29,6 +29,11 @@ from .tensors import TwoForm, _matsum, _table, _transport
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 
+#: the Newton inverse of each forward map, by n and its trees: its call
+#: nodes are interned for the whole process, so equal maps must give the
+#: same kernels, not a new set of nodes each
+_NEWTON_INVERSES = {}
+
 
 def _determinant(space, M):
     """Determinant of a small matrix of fields, by cofactor expansion."""
@@ -44,7 +49,7 @@ def _determinant(space, M):
 
 def invert_field_matrix(space, M):
     """Inverse of a matrix of fields via the adjugate; entries become
-    rational expressions (symbolic inputs stay symbolic)."""
+    rational expression trees."""
     d = len(M)
     det = _determinant(space, M)
     if d == 1:
@@ -114,7 +119,12 @@ class FibredTransform:
         self.q_fwd = list(q_fwd)
         if q_inv is not None and len(q_inv) != n:
             raise TransformError(f"need {n} inverse components")
-        self.q_inv = list(q_inv) if q_inv is not None else self._newton_inverse()
+        if q_inv is None:
+            key = (n, tuple([f.expr for f in self.q_fwd]))
+            if key not in _NEWTON_INVERSES:
+                _NEWTON_INVERSES[key] = self._newton_inverse()
+            q_inv = _NEWTON_INVERSES[key]
+        self.q_inv = list(q_inv)
 
     # -- numeric inverse ----------------------------------------------------
 

@@ -4,6 +4,13 @@ The grammar is deliberately small; identity checking elsewhere is done by
 random-point evaluation, so simplification here is best-effort only
 (constant folding and 0/1 absorption), never a proof of equality.
 
+Besides the grammar's nodes, a `Call` applies a procedural kernel (an
+eigenvalue, a Newton inverse) to argument trees: an elemental function
+with a supplied gradient, differentiated by the chain rule over its
+arguments and evaluated by its kernel over a whole `Batch`. Every scalar
+field is a tree, procedural or not. A call prints, but its text does not
+parse back: the printer's parse-back rule covers trees without calls.
+
 Nodes are interned, so a tree is a DAG. Differentiation, compilation and
 substitution visit it by one iterative post-order walk (`_postorder`),
 each node once and without a Python frame per level. There is one
@@ -82,6 +89,9 @@ def _node(key, fields):
         if isinstance(value, Expr):
             names |= value.names
             holds = holds or value in HOLDS_NON_FINITE
+    for arg in fields[1] if cls is Call else ():
+        names |= arg.names
+        holds = holds or arg in HOLDS_NON_FINITE
     object.__setattr__(node, "names", _NAMES.setdefault(names, names))
     if cls is Const and fields[0] - fields[0] != 0.0:
         NON_FINITE.add(node)
@@ -118,6 +128,15 @@ class Binary(Expr):
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")  # exponent: a Fraction
+
+
+class Call(Expr):
+    """kernel applied to the tuple of trees args. A kernel has value(b), its
+    (m,) values over a Batch b of argument points, rejecting in b the rows
+    it cannot evaluate, and partial(a), the kernel of its partial by
+    argument a (OrderOverflowError past its order budget)."""
+
+    __slots__ = ("kernel", "args")
 
 
 ZERO = Const(0.0)
@@ -253,6 +272,8 @@ def _postorder(roots, done=()) -> list:
             stack.append(e.arg)
         elif cls is Pow:
             stack.append(e.base)
+        elif cls is Call:
+            stack += e.args[::-1]
     return order
 
 
@@ -330,6 +351,13 @@ def _derivative(e: Expr, name: str, memo: dict) -> Expr:
         db = memo[e.base]
         r = e.exponent
         return mul(mul(Const(float(r)), powr(e.base, r - 1)), db)
+    if isinstance(e, Call):  # the chain rule, argument by argument
+        d = None
+        for a, arg in enumerate(e.args):
+            if memo[arg] not in ZEROS:
+                term = mul(Call(e.kernel.partial(a), e.args), memo[arg])
+                d = term if d is None else add(d, term)
+        return ZERO if d is None else d
     raise ExprError(f"unknown node {e!r}")
 
 
@@ -365,10 +393,64 @@ def _pointwise(fn, ufunc, u, *args):
     return out, caught
 
 
+class Batch:
+    """One evaluation over an (m, dim) point array X: what its kernels and
+    fields computed so far, the rows rejected so far and, for each row
+    rejected here, the error that evaluating that point alone raises (the
+    first one met, in the order the one-point evaluation meets them).
+
+    A child batch evaluates points derived from these (projected, mapped,
+    shifted); its row r belongs to row rows[r] of its parent (row r when
+    rows is None), and `absorb` passes its rejections up."""
+
+    def __init__(self, X, rejected=None, rows=None):
+        self.X = X
+        self.values, self.grads, self.memo, self.errors = {}, {}, {}, {}
+        self.rejected = (np.zeros(len(X), dtype=bool) if rejected is None
+                         else rejected.copy())
+        self.rows = rows
+
+    def once(self, key, compute):
+        """compute(), run once per key in this evaluation."""
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def point(self, i) -> tuple:
+        return tuple(self.X[i].tolist())
+
+    def reject(self, rows, error):
+        """Reject the rows (indices) not rejected yet, row i with error(i)."""
+        for i in np.asarray(rows, dtype=int).tolist():
+            if not self.rejected[i]:
+                self.rejected[i] = True
+                self.errors[i] = error(i)
+
+    def absorb(self, child):
+        """Reject each row whose points in child were rejected, with the
+        error of the first of them."""
+        for r in sorted(child.errors):
+            i = r if child.rows is None else int(child.rows[r])
+            if not self.rejected[i]:
+                self.rejected[i] = True
+                self.errors[i] = child.errors[r]
+
+    def on(self, key, points, fn, rows=None):
+        """fn of the child batch over points() (made once per key; rows
+        rejected here start rejected there), its rejections absorbed."""
+        child = self.once(key, lambda: Batch(
+            points(), self.rejected[slice(None) if rows is None else rows],
+            rows))
+        out = fn(child)
+        self.absorb(child)
+        return out
+
+
 def _compile(roots, column: dict):
     """A topologically ordered program computing every root, with each node
     computed once. Instructions are (op, payload, argument slots); returns
-    the program and the root slots."""
+    the program and the root slots. A call's payload is its kernel and its
+    arguments, or None for them when they are the columns in order."""
     program = []
     slot_of = {}  # node -> slot
     for e in _postorder(roots):
@@ -383,6 +465,10 @@ def _compile(roots, column: dict):
             ins = (e.op, None, (slot_of[e.left], slot_of[e.right]))
         elif cls is Pow:
             ins = ("pow", e.exponent, (slot_of[e.base],))
+        elif cls is Call:
+            own = [column.get(getattr(a, "name", None)) for a in e.args]
+            ins = ("call", (e.kernel, None if own == [*range(len(column))]
+                            else e.args), [slot_of[a] for a in e.args])
         else:
             raise ExprError(f"unknown node {e!r}")
         slot_of[e] = len(program)
@@ -392,31 +478,32 @@ def _compile(roots, column: dict):
 
 def compile_batch(roots, coords):
     """Compile the root expressions, over the coordinates coords, into one
-    program, and return run(points) that evaluates every root at every
-    point in one pass.
+    program, and return run(points, batch=None) that evaluates every root
+    at every point in one pass.
 
     points is an (m, len(coords)) array. run returns the (len(roots), m)
     values, an (m,) mask of rejected points and, by row, the error at each
     point where a guard fails (a denominator below SINGULAR_GUARD, a log,
-    root or power out of its domain) or a function raises (exp or a power
-    overflows, sin or cos of an infinite value).
-    That error is the one the roots, evaluated alone in order, raise first:
-    the first failing instruction of the program, in post-order. A point is
-    rejected where it has an error or some root is not finite; every value
-    of a point without an error is the one scalar evaluation gives.
+    root or power out of its domain), a function raises (exp or a power
+    overflows, sin or cos of an infinite value) or a call's kernel rejects
+    the point. That error is the one the roots, evaluated alone in order,
+    raise first: the first failing instruction of the program, in
+    post-order. A point is rejected where it has an error or some root is
+    not finite; every value of a point without an error is the one scalar
+    evaluation gives.
+
+    Calls run in batch, a Batch of the points (a new one if None): a kernel
+    on the columns in order runs on batch itself, any other on the child
+    batch of its argument values, one per argument tuple, so that each
+    kernel runs once per batch however many programs call it. The rows the
+    program has rejected start rejected there, and the rows the kernel
+    rejects join the program's errors.
     """
     program, out_slots = _compile(roots, {c: j for j, c in enumerate(coords)})
     return functools.partial(_run, program, out_slots)
 
 
-def denominator_guard(w):
-    """The mask of the denominator values w below SINGULAR_GUARD, and the
-    error of row i; symbolic and procedural division both use it."""
-    return np.abs(w) < SINGULAR_GUARD, lambda i: SingularPointError(
-        f"denominator {w.item(i)} below guard {SINGULAR_GUARD}")
-
-
-def _run(program, out_slots, points):
+def _run(program, out_slots, points, batch=None):
     X = np.asarray(points, dtype=float)
     m = len(X)
     vals, errors = [], {}  # errors: row -> the first error met there
@@ -442,7 +529,8 @@ def _run(program, out_slots, points):
                 v = X[:, payload]
             elif op == "div":
                 w = vals[args[1]]
-                fail(*denominator_guard(w))
+                fail(np.abs(w) < SINGULAR_GUARD, lambda i: SingularPointError(
+                    f"denominator {w.item(i)} below guard {SINGULAR_GUARD}"))
                 v = u / w
             elif op == "sqrt":
                 fail(u < 0.0, lambda i: DomainError(
@@ -469,6 +557,15 @@ def _run(program, out_slots, points):
                                        np.where(bad, 1.0, u), float(payload))
             elif op in _MATH_UFUNCS:
                 v, caught = _pointwise(getattr(math, op), _MATH_UFUNCS[op], u)
+            elif op == "call":
+                kernel, own = payload
+                batch = Batch(X) if batch is None else batch
+                batch.reject(list(errors), errors.get)
+                v = kernel.value(batch) if own is None else batch.on(
+                    ("call", own), lambda: np.column_stack([vals[s] for s in args]),
+                    kernel.value)
+                for i, exc in batch.errors.items():
+                    errors.setdefault(i, exc)
             else:
                 raise ExprError(f"cannot evaluate {op!r}")
             for i, exc in caught.items():  # sin or cos of inf: ValueError
@@ -499,6 +596,8 @@ def substitute(e: Expr, mapping: dict) -> Expr:
             new[node] = _BINARY_OPS[node.op](new[node.left], new[node.right])
         elif isinstance(node, Pow):
             new[node] = powr(new[node.base], node.exponent)
+        elif isinstance(node, Call):
+            new[node] = Call(node.kernel, tuple([new[a] for a in node.args]))
         else:
             raise ExprError(f"unknown node {node!r}")
     return new[e]
@@ -529,10 +628,11 @@ _INFIX = {"add": (1, " + ", 1, 2), "sub": (1, " - ", 1, 2),
 
 
 def to_string(e: Expr, ctx: int = 0) -> str:
-    """e as text that parses back to it, in a context of precedence ctx,
-    emitted piece by piece from an explicit stack. A node is parenthesised
-    when its context is above its level: add/sub 1, mul/div/pow 2, a
-    negation or negative constant 3, atoms 5."""
+    """e as text that parses back to it, unless it holds a call, in a context
+    of precedence ctx, emitted piece by piece from an explicit stack. A node
+    is parenthesised when its context is above its level: add/sub 1,
+    mul/div/pow 2, a negation or negative constant 3, atoms 5. A call
+    prints as its kernel applied to its arguments."""
     out, stack = [], [(e, ctx)]
     while stack:
         item = stack.pop()
@@ -555,6 +655,11 @@ def to_string(e: Expr, ctx: int = 0) -> str:
             pieces = [(e.left, left), sym, (e.right, right)]
         elif cls is Pow:  # a Fraction exponent prints as 2 or 3/2
             level, pieces = 2, [(e.base, 4), f"^{e.exponent}"]
+        elif cls is Call:
+            level, pieces = 5, [f"{e.kernel!r}("]
+            for j, a in enumerate(e.args):
+                pieces += [", "] * (j > 0) + [(a, 0)]
+            pieces.append(")")
         else:
             raise ExprError(f"unknown node {cls.__name__}")
         if ctx > level:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import JetliftError, SpaceMismatchError
-from .fields import ScalarField, SymbolicField, coord_field, inject, zero
+from .fields import ScalarField, coord_field, inject, zero
 from .report import DEFAULT_TOL, max_residual
 from .spaces import BASE_E, Space, extended_t, phase_j
 from .tensors import (
@@ -54,9 +54,8 @@ def _momenta(space: Space) -> tuple:
 
 def _p_sum(space: Space, fields, sign="+") -> ScalarField:
     """The sum of sign p_i f_i over the base fields f_1, f_2, ..., on space."""
-    return _matsum(space, sign, [_momenta(space)], [[
-        SymbolicField(space, f.expr) if f.__class__ is SymbolicField
-        else inject(f, space) for f in fields]])[0][0]
+    return _matsum(space, sign, [_momenta(space)],
+                   [[inject(f, space) for f in fields]])[0][0]
 
 
 def vlift_oneform(alpha: OneForm) -> VectorField:

@@ -9,6 +9,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import expr as ex
 from .charts import FibredTransform
 from .errors import (EigenError, NonFiniteError, SpaceMismatchError,
                      TransformError)
@@ -16,6 +17,7 @@ from .fields import (
     Batch,
     ProceduralField,
     ScalarField,
+    SymbolicField,
     at_point,
     evaluate_batch,
     inject,
@@ -44,6 +46,7 @@ from .tensors import (
     OneForm,
     Tensor11,
     VectorField,
+    _EXPR_FOLD,
     _matsum,
     _nest,
     _operands,
@@ -133,42 +136,41 @@ def magri_morosi_table(Rt: Tensor11, sigmas, zs) -> list:
     mu(sigma, Z) = (L_{P(sigma)} Rt)(Z) - P(L_Z(Rt(sigma)))
     + P(L_{Rt(Z)} sigma), the middle Lie derivative along Z. L_{P(sigma)} Rt
     and Rt(sigma) are built once per sigma, Rt(Z) once per Z, and one
-    `_operands` call reads them all. Each pair folds, in that algebra, the
-    terms apply_tensor11, lie_derivative and poisson_apply fold, in their
-    order, but only the 2n one-form components P keeps, P(w) = (0, -w_p,
-    w_q); each component of mu is (t1 - t2) + t3, wrapped once."""
+    `_operands` call reads them all. Each pair folds the trees of the terms
+    apply_tensor11, lie_derivative and poisson_apply fold, in their order,
+    but only the 2n one-form components P keeps, P(w) = (0, -w_p, w_q);
+    each component of mu is (t1 - t2) + t3, wrapped once."""
     space, d, n = Rt.space, Rt.space.dim, Rt.space.n
     L_Rts = [lie_derivative(poisson_apply(sigma), Rt) for sigma in sigmas]
     objs = ([adjoint_tensor11(Rt, sigma) for sigma in sigmas] + list(sigmas)
             + list(zs) + [apply_tensor11(Rt, Z) for Z in zs])
     diffed = [f for obj in objs for f in obj.comps]
-    ops, derivs, dead, alg = _operands(
+    ops, derivs, dead = _operands(
         space, [f for L in L_Rts for f in L.components()] + diffed, diffed)
     it, rows = iter(ops), iter(derivs)
     Ls = [_nest(list(islice(it, d * d)), d, 2) for _ in sigmas]
     # each object as (components, rows), where rows[b][c] = d_c of component b
     Rt_ss, ss, Zs, Rt_Zs = ([(list(islice(it, d)), list(islice(rows, d)))
                              for _ in part] for part in (sigmas, sigmas, zs, zs))
-    fold, zero_, wrap = alg[1], alg[2], alg[3]
-    r = range(d)
+    r, fold = range(d), _EXPR_FOLD
 
     def poisson_lie(X, w):
-        """P(L_X w), unwrapped: (L_X w)_b sums X^c d_c w_b + w_c d_b X^c
+        """P(L_X w), as trees: (L_X w)_b sums X^c d_c w_b + w_c d_b X^c
         over c, for the b that P keeps."""
         (Xc, dX), (wc, dw) = X, w
-        L = [_sum(alg, [t for c in r for t in (
+        L = [_sum([t for c in r for t in (
             ("+", [Xc[c], dw[b][c]]), ("+", [wc[c], dX[c][b]]))
             if dead.isdisjoint(t[1])]) for b in range(1, d)]
-        return [zero_, *map(fold["neg"], L[n:]), *L[:n]]
+        return [ex.ZERO, *map(fold["neg"], L[n:]), *L[:n]]
 
     out = []
     for L, Rt_s, s in zip(Ls, Rt_ss, ss):
         for Z, Rt_Z in zip(Zs, Rt_Zs):
-            t1 = [_sum(alg, [("+", [x, z]) for x, z in zip(row, Z[0])
-                             if x not in dead and z not in dead]) for row in L]
+            t1 = [_sum([("+", [x, z]) for x, z in zip(row, Z[0])
+                        if x not in dead and z not in dead]) for row in L]
             t2, t3 = poisson_lie(Z, Rt_s), poisson_lie(Rt_Z, s)
             out.append(VectorField(space, [
-                wrap(space, fold["+"](fold["-"](a, b), c))
+                SymbolicField(space, fold["+"](fold["-"](a, b), c))
                 for a, b, c in zip(t1, t2, t3)]))
     return out
 
@@ -309,14 +311,26 @@ def eigen_analysis(R: Tensor11, point) -> EigenData:
     return EigenData(tuple(point), tuple(w[0]), V[0], U[0])
 
 
+#: the eigenvalue fields of each q-block, by its base and its trees: their
+#: call nodes are interned for the whole process, so equal blocks must give
+#: the same kernels, not a new set of nodes each
+_EIGENVALUE_FIELDS = {}
+
+
 def eigenvalue_fields(R: Tensor11):
     """Eigenvalues of the q-block as procedural fields on the base, in
     ascending order per point, with analytic first derivatives from
-    first-order eigenvalue perturbation."""
+    first-order eigenvalue perturbation; made once per q-block."""
     _require_annihilates_dt(R)
-    n = R.space.n
-    base = R.space
     block = _q_block(R)
+    key = (R.space, tuple([f.expr for row in block for f in row]))
+    if key not in _EIGENVALUE_FIELDS:
+        _EIGENVALUE_FIELDS[key] = _eigenvalue_fields(R.space, block)
+    return list(_EIGENVALUE_FIELDS[key])
+
+
+def _eigenvalue_fields(base, block):
+    n = base.n
     dblock = {name: [[f.diff(name) for f in row] for row in block]
               for name in base.coords}
 

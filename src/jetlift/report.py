@@ -6,9 +6,9 @@ node (or constant zeros), bounded in the box, draw their round and record
 0 unevaluated. Points that trip the singularity guard (or any other
 evaluation error), overflow, or give a non-finite value are rejected and
 redrawn; too many rejections abort. A round of points is drawn by one
-`getrandbits` call, evaluated at once (an all-symbolic check by one
-compiled program, with no `Batch`) and judged with masks; only rejected
-points and per-point probes are visited one at a time.
+`getrandbits` call, evaluated at once (a check by one compiled program)
+and judged with masks; only rejected points and per-point probes are
+visited one at a time.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import (
     SpaceMismatchError,
     TransformError,
 )
-from .fields import Batch, SymbolicField, evaluate_batch
+from .fields import evaluate_batch
 
 DEFAULT_POINTS = 64
 DEFAULT_SEED = 0
@@ -163,11 +162,9 @@ def _sides(a, b=None):
 
 def _decided(lhs, rhs, box) -> bool:
     """Whether lhs = rhs (lhs = 0 without rhs) holds, none rejected, at each
-    point of the box: all components symbolic, each pair one node or two
-    constant zeros, and interval bounds keep every node of lhs below 1e300
-    (div, log, sqrt and powers but positive integer ones are unbounded)."""
-    if not all(map(isinstance, lhs + rhs, repeat(SymbolicField))):
-        return False
+    point of the box: each pair one node or two constant zeros, and
+    interval bounds keep every node of lhs below 1e300 (div, log, sqrt,
+    calls and powers but positive integer ones are unbounded)."""
     trees, bound = [f.expr for f in lhs], {}
     others = [f.expr for f in rhs] or [ex.ZERO] * len(trees)  # vanish: a = 0
     if trees != others and not all(x is y or x in ex.ZEROS and y in ex.ZEROS
@@ -201,39 +198,24 @@ def _decided(lhs, rhs, box) -> bool:
 
 def _compiled_residuals(a, b=None, sizes=None):
     """points -> (residual per point, rejected mask, {row: error}),
-    evaluating every component of a (and b) over all points at once: the
-    symbolic ones in one program, compiled here once, any procedural ones
-    in one shared Batch. A rejected row keeps the error of the first symbolic
-    component (a's, then b's) that raises there when evaluated alone; else
-    that of the first procedural one; else the NonFiniteError of `_values`.
-    With sizes, a row per point of one residual for each run of that many
-    consecutive components. SpaceMismatchError as `_sides` raises it."""
+    evaluating every component of a (and b) over all points at once, in
+    one program compiled here once. A rejected row keeps the error of the
+    first instruction of the program that fails there (the components of
+    a, then of b, each after the nodes it shares with those before), else
+    the NonFiniteError of `_values`. With sizes, a row per point of one
+    residual for each run of that many consecutive components.
+    SpaceMismatchError as `_sides` raises it."""
     lhs, rhs, space = _sides(a, b)
-    fields = lhs + rhs
-    symbolic = [i for i, f in enumerate(fields) if isinstance(f, SymbolicField)]
-    procedural = sorted(set(range(len(fields))) - set(symbolic))
-    exprs = [fields[i].expr for i in symbolic]
-    run = ex.compile_batch(exprs, space.coords)
+    run = ex.compile_batch([f.expr for f in lhs + rhs], space.coords)
     k = len(lhs)
 
     def residuals(points):
         X = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):  # rejected points may hold inf or nan
             values, rejected, errors = run(X)
-            if procedural:  # one Batch, starting from the program's errors
-                batch = Batch(X)
-                batch.reject(list(errors), errors.get)
-                sym, values = values, np.empty((len(fields), len(X)))
-                values[symbolic] = sym
-                for i in procedural:
-                    values[i] = fields[i]._value(batch)
-                rejected, errors = batch.rejected, batch.errors
-            if procedural or rejected.any():  # run() masks the non-finite itself
-                bad = ~np.isfinite(values).all(axis=0)
-                for i in np.flatnonzero(bad).tolist():
-                    errors.setdefault(i, NonFiniteError(
-                        f"non-finite value at {tuple(X[i].tolist())}"))
-                rejected |= bad
+            for i in np.flatnonzero(rejected).tolist():
+                errors.setdefault(i, NonFiniteError(
+                    f"non-finite value at {tuple(X[i].tolist())}"))
             diff = np.abs(values if b is None else values[:k] - values[k:])
             if sizes is None:
                 res = np.max(diff, axis=0)

@@ -19,6 +19,8 @@ class Space:
     _made: dict = {}
 
     def __new__(cls, kind: str, n: int):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"n must be an int, got {n!r}")
         space = cls._made.get((kind, n))
         if space is not None:
             return space

@@ -9,20 +9,18 @@ some blocks are nonzero; block structure is checked through predicates
 and the transport of a tensor between charts (`_transport`, which
 `charts.ChartMap` calls) are one formula each, read off the variance.
 Every contraction site reads its operands once through `_operands`: the
-expression trees (and their memoised gradient rows) when all are symbolic,
-else the fields. The site writes its terms once, leaves out those with a factor
-the gate flags as a constant zero, and `_fold` sums them in the algebra
-the gate gave, wrapping each component once (the field algebra makes each
-sum one procedural field, `fields._proc_sum`). The zero blocks cost neither
-a term nor a tree operation, and as nodes are interned every tree is the
-one the fold of all the terms over the fields would build. `_matsum` is
-the one helper of every matrix-shaped sum.
+expression trees, procedural ones included, and their memoised gradient
+rows. The site writes its terms once, leaves out those with a factor the
+gate flags as a constant zero, and `_fold` sums their trees, wrapping each
+component once. The zero blocks cost neither a term nor a tree operation,
+and as nodes are interned every tree is the one the fold of all the terms
+over the fields would build. `_matsum` is the one helper of every
+matrix-shaped sum.
 """
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import islice, product
-from operator import add, mul, neg, sub
 
 import numpy as np
 
@@ -31,14 +29,10 @@ from .errors import SpaceMismatchError
 from .fields import (
     ScalarField,
     SymbolicField,
-    _proc_sum,
     at_point,
     compose,
     const_field,
-    is_symbolically_one,
-    is_symbolically_zero,
     parse_field,
-    zero,
 )
 from .spaces import Space
 
@@ -181,11 +175,11 @@ class VectorField(_Indexed):
     @property
     def is_vertical(self) -> bool:
         """Zero dt-pairing, by exact symbolic equality after folding."""
-        return is_symbolically_zero(self.comps[0])
+        return self.comps[0].is_zero
 
     @property
     def is_t_normalized(self) -> bool:
-        return is_symbolically_one(self.comps[0])
+        return self.comps[0].is_one
 
     def __call__(self, f: ScalarField) -> ScalarField:
         """Directional derivative X(f)."""
@@ -214,7 +208,7 @@ class Tensor11(_Matrix):
 
     @property
     def annihilates_dt(self) -> bool:
-        return all(is_symbolically_zero(v) for v in self.entries[0])
+        return all(v.is_zero for v in self.entries[0])
 
 
 class TwoForm(_Matrix):
@@ -248,9 +242,9 @@ class Tensor12(_Indexed):
         _require_same_space(self, X, Y)
         d = self.space.dim
         r = range(d)
-        ops, _, dead, alg = _operands(self.space, self.components() + X.comps + Y.comps)
+        ops, _, dead = _operands(self.space, self.components() + X.comps + Y.comps)
         N, Xo, Yo = _nest(ops[:-2 * d], d, 3), ops[-2 * d:-d], ops[-d:]
-        return VectorField(self.space, [_fold(alg, [
+        return VectorField(self.space, [_fold(self.space, [
             ("+", [N[a][b][c], Xo[b], Yo[c]]) for b in r
             if Xo[b] not in dead for c in r
             if Yo[c] not in dead and N[a][b][c] not in dead]) for a in r])
@@ -352,8 +346,8 @@ def lie_derivative(X: VectorField, T):
     _require_same_space(X, T)
     space, d = X.space, X.space.dim
     comps = T.components()
-    ops, derivs, dead, alg = _operands(space, X.comps + comps,
-                                       (X.comps if variance else []) + comps)
+    ops, derivs, dead = _operands(space, X.comps + comps,
+                                  (X.comps if variance else []) + comps)
     Xc, Tc = ops[:d], ops[d:]
     # dX[q] = d_b X^a at q = a * d + b, dT[j][c] = d_c T_j
     dX, dT = [g for row in derivs[:-len(comps)] for g in row], derivs[-len(comps):]
@@ -366,7 +360,7 @@ def lie_derivative(X: VectorField, T):
             for j, q, upper in index_terms:
                 if dX[q] not in dead and Tc[j] not in dead:
                     terms.append(("-" if upper else "+", [Tc[j], dX[q]]))
-        out.append(_fold(alg, terms))
+        out.append(_fold(space, terms))
     return T._rebuild(out) if variance else out[0]
 
 
@@ -382,8 +376,8 @@ def _transport(obj, maps, dst: Space, J, K):
         return comps[0]
     n_up = variance.count("u")
     J, K = J or [], K or []
-    ops, _, dead, alg = _operands(dst, comps + [g for M in (J, K) for row in M
-                                                for g in row])
+    ops, _, dead = _operands(dst, comps + [g for M in (J, K) for row in M
+                                           for g in row])
     Tc, it = ops[:len(comps)], iter(ops[len(comps):])
     J, K = ([list(islice(it, len(row))) for row in M] for M in (J, K))
     Kt = list(zip(*K))  # Kt[a][c] = K[c][a]
@@ -391,7 +385,7 @@ def _transport(obj, maps, dst: Space, J, K):
     for A in product(range(dst.dim), repeat=len(variance)):
         # per index, its factor for every source value C_k
         rows = [J[a] if v == "u" else Kt[a] for a, v in zip(A, variance)]
-        out.append(_fold(alg, [("+", f[:n_up] + (t,) + f[n_up:])
+        out.append(_fold(dst, [("+", f[:n_up] + (t,) + f[n_up:])
                                for f, t in zip(product(*rows), Tc)
                                if t not in dead and dead.isdisjoint(f)]))
     return obj._rebuild(out, dst)
@@ -423,68 +417,57 @@ def hook2(R: Tensor11, omega) -> list:
 # How a term joins the sum, by its sign. "+-" adds the negated product,
 # add(acc, neg(p)): another tree than sub(acc, p), which is 0 when acc == p.
 # "neg" negates one sum, for a site that combines sums before it wraps them.
-# The field algebra's terms join in `fields._proc_sum`; its table combines
-# sums only.
 _EXPR_FOLD = {"+": ex.add, "-": ex.sub, "+-": lambda acc, p: ex.add(acc, ex.neg(p)),
               "neg": ex.neg}
-_FIELD_FOLD = {"+": add, "-": sub, "neg": neg}
 
 _DEAD = frozenset({None, *ex.ZEROS})  # the zeros, and None for d(constant)
 
 
 def _operands(space: Space, factors, diffed=()):
-    """(ops, derivs, dead, algebra) of a contraction's list of factors and
-    the fields diffed among them; an algebra is (product, fold table, 0,
-    wrap, space), and a sum acc in it is the field wrap(space, acc).
-
-    When each factor is a symbolic field on space and no constant among
-    them or among the derivatives of diffed is non-finite (0 * inf is nan),
-    ops are the factors' trees, derivs the rows `expr.gradient` memoises
-    (None for a constant: they are 0), dead is _DEAD and the algebra folds
-    trees. Otherwise ops are the factors, derivs the derivative fields,
-    dead is empty and the algebra folds fields. A site that leaves out the
-    terms with a factor in dead builds no zero term."""
-    coords = space.coords
-    trees = [f.expr for f in factors if f.__class__ is SymbolicField
-             and f.space is space]
-    if len(trees) == len(factors):
-        rows = [ex.gradient(f.expr, coords) for f in diffed]
-        if ex.NON_FINITE.isdisjoint(trees) and not any([bad for _, bad in rows]):
-            return (trees, [row for row, _ in rows], _DEAD,
-                    (ex.mul, _EXPR_FOLD, ex.ZERO, SymbolicField, space))
-    return (factors, [[f.diff(c) for c in coords] for f in diffed], frozenset(),
-            (mul, _FIELD_FOLD, zero(space), lambda space, f: f, space))
+    """(ops, derivs, dead) of a contraction's list of factors and the fields
+    diffed among them: ops are the factors' trees, derivs the rows
+    `expr.gradient` memoises, and dead is _DEAD, where a row holds None for
+    each derivative of a constant (they are 0); unless a constant among the
+    factors or their derivatives is non-finite (0 * inf is nan): then dead
+    is empty and every derivative a tree. A site that leaves out the terms
+    with a factor in dead builds no zero term. SpaceMismatchError for a
+    factor on another space."""
+    for f in factors:
+        if f.space is not space:
+            raise SpaceMismatchError(f"cannot combine fields on {space} and {f.space}")
+    coords, trees = space.coords, [f.expr for f in factors]
+    rows = [ex.gradient(f.expr, coords) for f in diffed]
+    if ex.NON_FINITE.isdisjoint(trees) and not any([bad for _, bad in rows]):
+        return trees, [row for row, _ in rows], _DEAD
+    return (trees, [[ex.ZERO if d is None else d for d in row] for row, _ in rows],
+            frozenset())
 
 
-def _sum(alg, terms):
-    """The sum of a list of terms (sign, [f1, f2, ...]) with sign "+", "-" or
-    "+-", in the algebra alg: the products, each multiplied left to right,
-    folded left to right into a sum that starts at 0, not wrapped. The
-    field algebra builds it as `fields._proc_sum` does: one procedural
-    field past the all-symbolic prefix."""
-    product_, fold, acc = alg[:3]
-    if fold is _FIELD_FOLD:
-        return _proc_sum(acc, terms)
+def _sum(terms):
+    """The tree of the sum of a list of terms (sign, [f1, f2, ...]) of trees
+    with sign "+", "-" or "+-": the products, each multiplied left to
+    right, folded left to right into a sum that starts at 0."""
+    acc = ex.ZERO
     for sign, factors in terms:
-        acc = fold[sign](acc, reduce(product_, factors))
+        acc = _EXPR_FOLD[sign](acc, reduce(ex.mul, factors))
     return acc
 
 
-def _fold(alg, terms):
-    """`_sum` of the terms, wrapped once."""
-    return alg[3](alg[4], _sum(alg, terms))
+def _fold(space: Space, terms):
+    """`_sum` of the terms, as a field on space."""
+    return SymbolicField(space, _sum(terms))
 
 
 def sum_products(space: Space, terms) -> ScalarField:
-    """`_fold` of the terms in the algebra `_operands` gives for their
+    """`_fold` of the terms over the trees `_operands` gives for their
     factors. Every term is folded: one with a constant-zero factor folds to
     the same tree as without it, as its product is ±0 and adding or
     subtracting ±0 returns a tree sum as it is and a constant one, which
     starts at +0.0 and so is never -0.0 under round-to-nearest, with its
     value."""
-    ops, _, _, alg = _operands(space, [f for _, factors in terms for f in factors])
+    ops = _operands(space, [f for _, factors in terms for f in factors])[0]
     it = iter(ops)
-    return _fold(alg, [(sign, [next(it) for _ in factors]) for sign, factors in terms])
+    return _fold(space, [(sign, [next(it) for _ in factors]) for sign, factors in terms])
 
 
 def _matsum(space: Space, sign, rows, cols, more=()) -> list:
@@ -493,14 +476,14 @@ def _matsum(space: Space, sign, rows, cols, more=()) -> list:
     order, with the row factor first. A term with a factor that
     `_operands` flags among all of them is left out."""
     parts = ((sign, rows, cols), *more)
-    ops, _, dead, alg = _operands(space, [f for _, R, C in parts for M in (R, C)
-                                          for row in M for f in row])
+    ops, _, dead = _operands(space, [f for _, R, C in parts for M in (R, C)
+                                     for row in M for f in row])
     it = iter(ops)
     parts = [(s, [list(islice(it, len(row))) for row in R],
               [list(islice(it, len(row))) for row in C]) for s, R, C in parts]
-    return [[_fold(alg, [(s, [x, y]) for s, R, C in parts
-                         for x, y in zip(R[a], C[b])
-                         if x not in dead and y not in dead])
+    return [[_fold(space, [(s, [x, y]) for s, R, C in parts
+                           for x, y in zip(R[a], C[b])
+                           if x not in dead and y not in dead])
              for b in range(len(cols))] for a in range(len(rows))]
 
 
@@ -512,11 +495,11 @@ def nijenhuis_torsion(R: Tensor11) -> Tensor12:
     """N_R(X, Y) = [RX, RY] + R^2[X, Y] - R[RX, Y] - R[X, RY], stored by
     its values on coordinate fields (torsion is tensorial)."""
     space, d = R.space, R.space.dim
-    ops, derivs, dead, alg = _operands(space, R.components(), R.components())
+    ops, derivs, dead = _operands(space, R.components(), R.components())
     E, D = _nest(ops, d, 2), _nest(derivs, d, 2)  # D[a][b][e] = d_e R^a_b
 
     def comp(a, b, c):
-        return _fold(alg, [(sign, [f, g]) for e in range(d) for sign, f, g in (
+        return _fold(space, [(sign, [f, g]) for e in range(d) for sign, f, g in (
             ("+", E[e][b], D[a][c][e]), ("-", E[e][c], D[a][b][e]),
             ("+", E[a][e], D[e][b][c]), ("-", E[a][e], D[e][c][b]))
             if f not in dead and g not in dead])
@@ -527,12 +510,12 @@ def haantjes_tensor(R: Tensor11) -> Tensor12:
     """H_R(X,Y) = R^2 N(X,Y) + N(RX,RY) - R N(RX,Y) - R N(X,RY)."""
     space, d = R.space, R.space.dim
     r = range(d)
-    ops, _, dead, alg = _operands(space, R.components()
-                                  + nijenhuis_torsion(R).components())
+    ops, _, dead = _operands(space, R.components()
+                             + nijenhuis_torsion(R).components())
     Rm, Nc = _nest(ops[:d * d], d, 2), _nest(ops[d * d:], d, 3)
 
     def comp(a, b, c):
-        return _fold(alg, [t for e in r for f in r for t in (
+        return _fold(space, [t for e in r for f in r for t in (
             ("+", [Rm[a][e], Rm[e][f], Nc[f][b][c]]),
             ("+", [Rm[e][b], Rm[f][c], Nc[a][e][f]]),
             ("-", [Rm[a][e], Rm[f][b], Nc[e][f][c]]),

@@ -21,7 +21,7 @@ import pytest
 from jetlift import report
 from jetlift import expr as ex
 from jetlift.errors import SamplingError
-from jetlift.fields import SymbolicField
+from jetlift.fields import ProceduralField, SymbolicField
 from jetlift.model import load_model
 from jetlift.charts import ChartMap
 from jetlift.report import DEFAULT_BOX, Checker
@@ -76,6 +76,8 @@ def field(e):
     return SymbolicField(BE1, e if isinstance(e, ex.Expr) else ex.parse_expr(e, BE1.coords))
 
 
+PROC = ProceduralField(BE1, lambda X: X[:, 0] * X[:, 1], lambda X: X[:, ::-1])
+
 # (lhs, rhs or None for vanish, box, decided)
 EDGES = [
     # overflows in half the box: sampled, and redrawn
@@ -96,6 +98,11 @@ EDGES = [
     ("1", None, (-2.0, 2.0), False),
     (ex.Const(math.nan), ex.Const(math.nan), (-2.0, 2.0), False),  # rejects all
     (ex.Const(math.inf), ex.Const(math.inf), (-2.0, 2.0), False),
+    # a call has no bound: sampled, though each side is one node
+    (PROC.expr, PROC.expr, (-2.0, 2.0), False),
+    # p - p and 0 * p fold to the constant 0 for a tree that holds a call
+    (ex.sub(PROC.expr, PROC.expr), None, (-2.0, 2.0), True),
+    (ex.mul(ex.ZERO, PROC.expr), None, (-2.0, 2.0), True),
 ]
 
 

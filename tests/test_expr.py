@@ -14,6 +14,7 @@ from jetlift import (
     DomainError,
     EvaluationError,
     ExprError,
+    OrderOverflowError,
     ParseError,
     SingularPointError,
     UnknownIdentifierError,
@@ -23,7 +24,7 @@ from jetlift import (
 )
 from jetlift import expr as ex
 from jetlift.expr import parse_expr, to_string
-from jetlift.fields import ProceduralField, SymbolicField
+from jetlift.fields import Kernel, ProceduralField, SymbolicField
 import recursive_text
 import scalar_evaluate
 
@@ -595,3 +596,94 @@ class TestProcedural:
         dq_expect = expect.diff("q1")
         for pt in rand_points(2):
             assert dq.eval(pt) == pytest.approx(dq_expect.eval(pt), abs=1e-9)
+
+
+CALL_COORDS = ("t", "q1", "q2")
+
+
+def product_kernel(runs=None):
+    """A kernel giving the product of its first two arguments, with their
+    swapped values as its partials; runs lists the X of each batch it
+    evaluates."""
+    def value(b):
+        if runs is not None:
+            runs.append(b.X)
+        return b.X[:, 0] * b.X[:, 1]
+    return Kernel(value, lambda b: b.X[:, [1, 0]], 2)
+
+
+class TestCall:
+    def test_interned_with_its_arguments_names(self):
+        k = product_kernel()
+        args = (parse_expr("t*q1", CALL_COORDS), ex.var("q2"))
+        call = ex.Call(k, args)
+        assert call is ex.Call(k, args) and call is not ex.Call(k, args[::-1])
+        assert call.names == {"t", "q1", "q2"}
+        assert call not in ex.HOLDS_NON_FINITE
+        assert ex.Call(k, (ex.const(math.inf), ex.var("t"))) in ex.HOLDS_NON_FINITE
+        # the walk enters the arguments left to right
+        assert ex._postorder([call]) == [ex.var("t"), ex.var("q1"), args[0],
+                                         ex.var("q2"), call]
+
+    def test_derivative_is_the_chain_rule_over_the_arguments_in_order(self):
+        k = product_kernel()
+        u, v = parse_expr("t*q1", CALL_COORDS), parse_expr("q1^2 + q2", CALL_COORDS)
+        call = ex.Call(k, (u, v))
+        assert ex.differentiate(call, "q1") is ex.add(
+            ex.mul(ex.Call(k.partial(0), (u, v)), ex.differentiate(u, "q1")),
+            ex.mul(ex.Call(k.partial(1), (u, v)), ex.differentiate(v, "q1")))
+        # an argument whose derivative is the constant zero adds no term
+        assert ex.differentiate(call, "q2") is ex.Call(k.partial(1), (u, v))
+        assert ex.differentiate(call, "p1") is ex.ZERO
+        assert k.partial(0) is k.partial(0) and k.partial(0).budget == 1
+        with pytest.raises(OrderOverflowError):
+            k.partial(0).partial(1).partial(0)
+
+    def test_substitute_and_print(self):
+        k = product_kernel()
+        call = ex.Call(k, (ex.var("t"), ex.var("q1")))
+        got = ex.substitute(call, {"t": ex.var("q2"), "q1": parse_expr("2*t", CALL_COORDS)})
+        assert got is ex.Call(k, (ex.var("q2"), parse_expr("2*t", CALL_COORDS)))
+        assert to_string(ex.neg(got)) == "-procedural(q2, 2*t)"
+        assert to_string(ex.differentiate(got, "t")) == "procedural.d1(q2, 2*t)*2"
+
+    def test_a_kernel_runs_once_per_argument_tuple_and_batch(self):
+        runs = []
+        k = product_kernel(runs)
+        u, v = parse_expr("t*q1", CALL_COORDS), ex.var("q2")
+        X = np.array(rand_points(3, n=5))
+        b = ex.Batch(X)
+        f, g = ex.Call(k, (u, v)), ex.Call(k, (v, u))
+        values, _, _ = ex.compile_batch([f, ex.add(f, g)], CALL_COORDS)(X, b)
+        ex.compile_batch([ex.mul(g, ex.var("t"))], CALL_COORDS)(X, b)
+        # each argument tuple has its own child batch of its columns, which
+        # every program run in the batch shares
+        uv = X[:, 0] * X[:, 1]
+        assert [x.tobytes() for x in runs] == [
+            np.column_stack([uv, X[:, 2]]).tobytes(),
+            np.column_stack([X[:, 2], uv]).tobytes()]
+        assert values[1].tobytes() == (uv * X[:, 2] + X[:, 2] * uv).tobytes()
+        # on the coordinates in order, the kernel runs on the batch itself
+        ex.compile_batch([ex.Call(k, tuple(map(ex.var, CALL_COORDS)))], CALL_COORDS)(X, b)
+        assert len(runs) == 3 and runs[2] is X
+
+    def test_kernel_rejections_join_the_program_errors(self):
+        seen = []
+
+        def value(b):
+            seen.append(b.rejected.tolist())
+            b.reject(np.flatnonzero(b.X[:, 1] < 0), lambda i: DomainError(
+                f"negative q1 at {b.point(i)}"))
+            return b.X[:, 1].copy()
+
+        call = ex.Call(Kernel(value, None, 2), (ex.var("t"), ex.var("q1")))
+        e = ex.add(ex.div(ex.ONE, ex.var("t")), call)
+        X = np.array([[1.0, -1.0], [0.0, -1.0], [1.0, 2.0], [0.0, 1.0]])
+        values, rejected, errors = ex.compile_batch([e], ("t", "q1"))(X)
+        # the rows the division rejected first start rejected in the batch
+        assert seen == [[False, True, False, True]]
+        assert rejected.tolist() == [True, True, False, True]
+        assert [type(errors[i]) for i in (0, 1, 3)] == [
+            DomainError, SingularPointError, SingularPointError]
+        assert str(errors[0]) == "negative q1 at (1.0, -1.0)"
+        assert values[0, 2] == 3.0

@@ -15,13 +15,9 @@ from jetlift import (
     phase_j,
     zero,
 )
+from call_nodes import holds_call
 from jetlift import expr as ex
-from jetlift.fields import (
-    ProceduralField,
-    SymbolicField,
-    is_symbolically_one,
-    is_symbolically_zero,
-)
+from jetlift.fields import ProceduralField, SymbolicField
 
 
 def rand_points(dim, n=32, seed=1):
@@ -52,10 +48,10 @@ class TestArithmetic:
 
     def test_symbolic_predicates(self):
         be = base_e(1)
-        assert is_symbolically_zero(zero(be))
-        assert is_symbolically_zero(parse_field("q1", be) - parse_field("q1", be))
-        assert is_symbolically_one(const_field(be, 1.0))
-        assert not is_symbolically_zero(parse_field("q1", be))
+        assert zero(be).is_zero
+        assert (parse_field("q1", be) - parse_field("q1", be)).is_zero
+        assert const_field(be, 1.0).is_one
+        assert not parse_field("q1", be).is_zero
 
 
 class TestCoercion:
@@ -95,6 +91,7 @@ class TestCoercion:
             [1.0] * f
 
     def test_symbolic_with_procedural_is_procedural(self):
+        # a procedural field is a call node: the result's tree holds it
         be = base_e(1)
         s = parse_field("t*q1 + 2", be)
         p = ProceduralField(be, lambda X: X[:, 0] ** 2,
@@ -113,7 +110,7 @@ class TestCoercion:
              lambda t, q: (q * t * t + ref_s(t, q) * 2 * t, t * t * t)),
         ]
         for field, value, grad in cases:
-            assert isinstance(field, ProceduralField)
+            assert holds_call(field)
             for pt in rand_points(2, n=4):
                 assert field.eval(pt) == pytest.approx(value(*pt), abs=1e-12)
                 assert field.grad(pt) == pytest.approx(grad(*pt), abs=1e-12)

@@ -4,43 +4,41 @@
 row, `expr.gradient`, memoised per node and coordinates, and scans only the
 factor trees for an inf or nan constant: the row records whether it holds
 one. `per_coordinate_operands` below is the gate as it was, one
-`expr.differentiate` per coordinate and a scan of every derivative. On
-trees with ±0, ±inf and nan constants the two must give the same operands,
-derivatives, dead set and algebra, and raise the same error where a
-derivative cannot be formed.
+`expr.differentiate` per coordinate and a scan of every derivative, but
+with trees in both of its cases. On trees with ±0, ±inf and nan constants
+the two must give the same operands, derivatives and dead set, and raise
+the same error where a derivative cannot be formed.
 """
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import mul
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pytest
+
 from jetlift import expr as ex
 from jetlift import tensors
-from jetlift.errors import ExprError
-from jetlift.fields import SymbolicField, coord_field, zero
+from jetlift.errors import ExprError, SpaceMismatchError
+from jetlift.fields import SymbolicField, coord_field
 from jetlift.spaces import base_e, phase_j
 
 
 def per_coordinate_operands(space, factors, diffed=()):
-    """`tensors._operands` as it was before gradient rows, verbatim but for
-    the names it reads from tensors."""
+    """`tensors._operands` as it was before gradient rows, but with trees
+    where it handed the fields: then it flags nothing, and a derivative of a
+    constant is its tree, 0, not None."""
     coords, Const = space.coords, ex.Const
-    trees = [f.expr for f in factors if f.__class__ is SymbolicField
-             and (f.space is space or f.space == space)]
-    if len(trees) == len(factors):
-        derivs = [[None if f.expr.__class__ is Const else ex.differentiate(f.expr, c)
-                   for c in coords] for f in diffed]
-        for e in chain(trees, *derivs):
-            if e.__class__ is Const and e.value - e.value != 0.0:  # inf or nan
-                break
-        else:
-            return trees, derivs, tensors._DEAD, (ex.mul, tensors._EXPR_FOLD, ex.ZERO,
-                                                  SymbolicField, space)
-    return (factors, [[f.diff(c) for c in coords] for f in diffed], frozenset(),
-            (mul, tensors._FIELD_FOLD, zero(space), lambda space, f: f, space))
+    trees = [f.expr for f in factors if f.space is space]
+    if len(trees) != len(factors):
+        raise SpaceMismatchError("a factor on another space")
+    derivs = [[ex.differentiate(f.expr, c) for c in coords] for f in diffed]
+    for e in chain(trees, *derivs):
+        if e.__class__ is Const and e.value - e.value != 0.0:  # inf or nan
+            return trees, derivs, frozenset()
+    return trees, [[None if f.expr.__class__ is Const else d for d in row]
+                   for f, row in zip(diffed, derivs)], tensors._DEAD
 
 
 BE1 = base_e(1)
@@ -68,15 +66,13 @@ TREES = st.recursive(
 
 
 def outcome(gate, space, factors, diffed):
-    """What the gate gives, with each row as a list and the algebra by its
-    parts (a field algebra's 0 by its tree), or the error it raises."""
+    """What the gate gives, with each row as a list, or the error it
+    raises."""
     try:
-        ops, derivs, dead, alg = gate(space, factors, diffed)
+        ops, derivs, dead = gate(space, factors, diffed)
     except ExprError as exc:
         return type(exc), str(exc)
-    product_, fold, acc, wrap, alg_space = alg
-    return (ops, [list(row) for row in derivs], dead, product_, fold,
-            getattr(acc, "expr", acc), wrap is SymbolicField, alg_space)
+    return ops, [list(row) for row in derivs], dead
 
 
 @given(st.lists(TREES, min_size=1, max_size=5), st.data())
@@ -89,13 +85,12 @@ def test_gradient_rows_give_the_per_coordinate_operands(trees, data):
     assert outcome(tensors._operands, BE1, factors, diffed) == want
 
 
-def test_a_field_on_another_space_takes_the_field_algebra():
+def test_a_field_on_another_space_raises():
     q = coord_field(BE1, "q1")
     other = SymbolicField(phase_j(1), ex.var("q1"))
     for factors in ([q, other], [other, q]):
-        want = outcome(per_coordinate_operands, BE1, factors, [q])
-        got = outcome(tensors._operands, BE1, factors, [q])
-        assert got == want and not got[2]
+        with pytest.raises(SpaceMismatchError, match="cannot combine fields on"):
+            tensors._operands(BE1, factors, [q])
 
 
 def test_a_row_records_a_non_finite_derivative():

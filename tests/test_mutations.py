@@ -190,19 +190,18 @@ _operands = tensors._operands
 
 def flags_every_constant_factor(space, factors, diffed=()):
     """_operands flagging every constant factor, not only the zeros."""
-    ops, derivs, dead, alg = _operands(space, factors, diffed)
-    if dead:  # the tree algebra
+    ops, derivs, dead = _operands(space, factors, diffed)
+    if dead:  # flagged, for no non-finite constant
         dead = dead | {e for e in chain(ops, *derivs) if isinstance(e, ex.Const)}
-    return ops, derivs, dead, alg
+    return ops, derivs, dead
 
 
 def flags_zero_beside_non_finite(space, factors, diffed=()):
     """_operands flagging the constant zeros whatever else is constant."""
-    ops, derivs, dead, alg = _operands(space, factors, diffed)
-    if not dead:  # the field algebra, handed for a non-finite constant
-        dead = {f for f in chain(ops, *derivs) if isinstance(f.expr, ex.Const)
-                and f.expr.value == 0.0}
-    return ops, derivs, dead, alg
+    ops, derivs, dead = _operands(space, factors, diffed)
+    if not dead:  # none flagged, for a non-finite constant
+        dead = {e for e in chain(ops, *derivs) if e in ex.ZEROS}
+    return ops, derivs, dead
 
 
 def zero_term_folds():

@@ -29,7 +29,7 @@ from jetlift import (
     verify_dn,
 )
 from jetlift import pn
-from jetlift.fields import FD_STEP, ProceduralField, evaluate_batch
+from jetlift.fields import FD_STEP, Kernel, ProceduralField, evaluate_batch
 from jetlift.model import load_model
 from jetlift.report import _REJECTABLE, Checker
 
@@ -144,8 +144,9 @@ def test_eigenvalue_gradient_is_the_per_point_perturbation():
 
 
 def test_composed_gradient_is_the_chain_rule_summed_in_order():
-    # the gradient of f(t, q_inv(t, Q)) as sum(df/dy^a * dy^a/dx^j) over a,
-    # added left to right from one-point gradients of f and of the maps
+    # the gradient of f(t, q_inv(t, Q)) is the chain rule through f's tree,
+    # each node's rule applied in the order differentiation builds it, from
+    # one-point gradients of the maps
     be = base_e(2)
     T = FibredTransform(2, [parse_field("q1 + sin(t)*q2/3", be),
                             parse_field("q2 + exp(q1/5)/4", be)])
@@ -163,9 +164,14 @@ def test_composed_gradient_is_the_chain_rule_summed_in_order():
         dt = -jinv @ np.array([f.diff("t").eval(y) for f in T.q_fwd])
         mg = [(1.0, 0.0, 0.0)] + [(dt[i],) + tuple(jinv[i]) for i in (0, 1)]
         assert [m.grad(pt) for m in maps] == mg
-        fg = f.grad(y)
+        t, y1, y2 = y
         for j in range(3):
-            want = sum(fg[a] * mg[a][j] for a in range(3))
+            d1, d2 = mg[1][j], mg[2][j]
+            # q1*q2 + sin(t) + q2*q2/3, its sums folded left to right; the
+            # derivative of sin(t) is the constant 0 but by t
+            d = d1 * y2 + y1 * d2
+            d = d + math.cos(t) if j == 0 else d
+            want = d + (d2 * y2 + y2 * d2) * 3.0 / 9.0
             assert bits(values[j, k]) == bits(want), (pt, j)
 
 
@@ -202,8 +208,8 @@ def test_one_row_error_message_names_the_point(dn):
 
 def test_verify_dn_work(monkeypatch):
     """build_dn_transform and verify_dn at seed 0 build no lru_cache, and
-    verify_dn evaluates each procedural node once per batch, not once per
-    point."""
+    verify_dn runs each kernel (a procedural field's functions, and each of
+    its partials) once per batch, not once per point."""
     wrappers = []
     real = functools.update_wrapper
 
@@ -215,22 +221,24 @@ def test_verify_dn_work(monkeypatch):
     _, R = load_model(N2).get("R_dn")
     T = build_dn_transform(R)
     calls = []
-    real_value, real_grad = ProceduralField._value, ProceduralField._grad
+    real_value, real_grad = Kernel.value, Kernel.grad
 
     def value(self, b):
-        calls.append(1)
+        calls.append((self, "value") not in b.memo)
         return real_value(self, b)
 
     def grad(self, b):
-        calls.append(1)
+        calls.append((self, "grad") not in b.memo)
         return real_grad(self, b)
 
-    monkeypatch.setattr(ProceduralField, "_value", value)
-    monkeypatch.setattr(ProceduralField, "_grad", grad)
+    monkeypatch.setattr(Kernel, "value", value)
+    monkeypatch.setattr(Kernel, "grad", grad)
     report = verify_dn(R, T, seed=0)
     assert report.passed
     assert wrappers == []
-    assert len(calls) < 25_000
+    # its 32 points a check, and more for the rejected ones: evaluated one
+    # point at a time, each kernel would run at least 32 times as often
+    assert 0 < sum(calls) < 2_000
 
 
 def test_nan_component_is_rejected_not_passed():

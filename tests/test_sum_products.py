@@ -4,14 +4,13 @@ Every component sum of the library (the Lie derivative, both torsions, the
 contractions, the chart transport and determinant, the phase-space lifts,
 the Poisson bracket and the commutation defect) reads its operands through
 `tensors._operands` and folds its terms with `tensors._fold`, on the
-expression trees when every operand is symbolic and on the fields
-otherwise; `sum_products` is that pair for a list of terms. The reference
-functions below are the formulas those sites ran before: `acc = acc + ...`
-over fields, one operator at a time. On symbolic inputs the sites must
-build the same expression trees, so that every report keeps its bits; on
-procedural and mixed inputs they must build the same fields, value and
-gradient bit for bit. The work-count tests hold them to building one field
-per component.
+expression trees, procedural ones (call nodes) included; `sum_products` is
+that pair for a list of terms. The reference functions below are the
+formulas those sites ran before: `acc = acc + ...` over fields, one
+operator at a time. The sites must build the same expression trees, so
+that every report keeps its bits, and on procedural and mixed inputs the
+same values and gradients bit for bit. The work-count tests hold them to
+building one field per component.
 
 The sites build no term with a constant-zero factor (`_operands` flags
 them, and each site leaves them out). A property test holds leaving them
@@ -38,7 +37,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import binary_field_sum as binary
+from call_nodes import holds_call
 from jetlift import (
     FibredTransform,
     OneForm,
@@ -70,6 +69,7 @@ from jetlift import (
     vlift_tensor11,
 )
 from jetlift import charts, fields, tensors
+from jetlift.errors import OrderOverflowError
 from jetlift import expr as ex
 from jetlift.catalog import standard_corpus
 from jetlift.charts import _determinant
@@ -405,10 +405,16 @@ def batch_bits(fs, X):
     b = fields.Batch(np.asarray(X, dtype=float))
     with np.errstate(all="ignore"):
         values = np.array([f._value(b) for f in fs])
-        grads = [f._grad(b) for f in fs if f.order_budget > 0]
+        grads = []
+        for f in fs:
+            try:
+                grads.append(f._grad(b))
+            except OrderOverflowError:  # a call past its order budget
+                grads.append(None)
     live = ~b.rejected
     assert live.any()
-    return (values[:, live].tobytes(), [g[live].tobytes() for g in grads],
+    return (values[:, live].tobytes(), [g if g is None else g[live].tobytes()
+                                        for g in grads],
             b.rejected.tobytes())
 
 
@@ -429,14 +435,14 @@ def test_mixed_factors_fold_over_fields_bit_for_bit():
     terms = [("+", [s[0], p]), ("-", [p, s[1], s[2]]), ("+-", [s[1], q]),
              ("+", [s[2]]), ("-", [q, q]), ("+-", [s[0], s[1]])]
     got = sum_products(space, terms)
-    acc = zero(space)  # the binary operators as they were
-    acc = binary.add(acc, binary.mul(s[0], p))
-    acc = binary.sub(acc, binary.mul(binary.mul(p, s[1]), s[2]))
-    acc = binary.add(acc, binary.neg(binary.mul(s[1], q)))
-    acc = binary.add(acc, s[2])
-    acc = binary.sub(acc, binary.mul(q, q))
-    acc = binary.add(acc, binary.neg(binary.mul(s[0], s[1])))
-    assert isinstance(got, ProceduralField)
+    acc = zero(space)  # the field operators, one at a time
+    acc = acc + s[0] * p
+    acc = acc - p * s[1] * s[2]
+    acc = acc + -(s[1] * q)
+    acc = acc + s[2]
+    acc = acc - q * q
+    acc = acc + -(s[0] * s[1])
+    assert holds_call(got) and got.expr is acc.expr
     X = rand_points(3)
     assert batch_bits([got], X) == batch_bits([acc], X)
 
@@ -475,6 +481,12 @@ def test_a_space_is_immutable_and_checks_its_arguments():
     for kind, n in (("Base", 1), (PHASE_J, 0), (BASE_E, -1)):
         with pytest.raises(ValueError):
             Space(kind, n)
+    # a bool or a float n is refused, even where an equal int's space exists
+    assert base_e(2) is Space(BASE_E, 2)
+    for kind, n in ((BASE_E, True), (BASE_E, 2.0), (PHASE_J, 3.0), (EXTENDED_T, "1")):
+        with pytest.raises(TypeError):
+            Space(kind, n)
+    assert str(base_e(1)) == "BaseE(1)"
 
 
 def test_an_equal_space_built_directly_takes_the_tree_fold():
@@ -499,8 +511,7 @@ def test_negated_terms_are_added_not_subtracted():
 @pytest.fixture
 def work(monkeypatch):
     """Counts of SymbolicField constructions, of symbolic derivative cache
-    misses (each of which builds one field) and of the sums `_fold` wraps
-    in the tree algebra."""
+    misses (each of which builds one field) and of the sums `_fold` wraps."""
     counts = {"built": 0, "misses": 0, "wrapped": 0}
     init, diff, fold = SymbolicField.__init__, SymbolicField.diff, tensors._fold
 
@@ -512,9 +523,9 @@ def work(monkeypatch):
         counts["misses"] += coord not in self.__dict__.get("_deriv_cache", {})
         return diff(self, coord)
 
-    def counted_fold(alg, terms):
-        counts["wrapped"] += alg[3] is SymbolicField
-        return fold(alg, terms)
+    def counted_fold(space, terms):
+        counts["wrapped"] += 1
+        return fold(space, terms)
 
     monkeypatch.setattr(SymbolicField, "__init__", counted_init)
     monkeypatch.setattr(SymbolicField, "diff", counted_diff)
@@ -608,10 +619,9 @@ def test_lie_derivative_builds_no_zero_term(monkeypatch):
     handed, rows = [], []
     fold_, gradient = tensors._fold, ex.gradient
 
-    def spy_fold(alg, terms):
-        assert alg[3] is SymbolicField  # the tree algebra
+    def spy_fold(space, terms):
         handed.extend(terms)
-        return fold_(alg, terms)
+        return fold_(space, terms)
 
     def spy_gradient(e, coords):
         got = gradient(e, coords)
@@ -733,27 +743,25 @@ def spy_on_terms(monkeypatch):
     sums through `_sum`, and the concomitant table calls it directly."""
     handed = []
 
-    def spy(alg, terms):
+    def spy(terms):
         handed.extend(terms)
-        return _sum(alg, terms)
+        return _sum(terms)
 
     patch_everywhere(monkeypatch, _sum, spy)
     return handed
 
 
 def find_no_zero_factors(space, factors, diffed=()):
-    """_operands as if some constant were non-finite: it hands the field
-    algebra, which flags no factor, so every term is built and folded."""
-    ops, derivs, dead, alg = _operands(
+    """_operands as if some constant were non-finite: it flags no factor,
+    so every term is built and folded."""
+    ops, derivs, dead = _operands(
         space, [*factors, const_field(space, math.inf)], diffed)
-    return ops[:-1], derivs, dead, alg
+    return ops[:-1], derivs, dead
 
 
 def zero_terms(terms):
-    """The terms with a constant-zero factor, a tree or a field."""
-    return [t for t in terms if any(f in ex.ZEROS if isinstance(f, ex.Expr)
-                                    else fields.is_symbolically_zero(f)
-                                    for f in t[1])]
+    """The terms with a constant-zero factor."""
+    return [t for t in terms if any(f in ex.ZEROS for f in t[1])]
 
 
 @pytest.mark.parametrize("site", SITES)

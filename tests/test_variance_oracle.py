@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+from call_nodes import holds_call
 from jetlift import (
     Bivector,
     OneForm,
@@ -31,7 +32,7 @@ from jetlift import (
     pullback_twoform,
     vlift_oneform,
 )
-from jetlift.fields import SymbolicField, compose, evaluate_batch, zero
+from jetlift.fields import compose, evaluate_batch, zero
 from jetlift.model import load_model
 from jetlift.tensors import _table, sum_fields
 
@@ -205,7 +206,10 @@ def test_procedural_pushes_are_bit_identical():
     for m, obj in ((bm, R), (pm, complete_lift_tensor11(R)),
                    (pm, canonical_bivector(2))):
         new, ref = m.push(obj), ref_push(m, obj)
-        assert not any(isinstance(f, SymbolicField) for f in new.components())
+        # each component holds a call, or is a zero term left out
+        comps = new.components()
+        assert all(holds_call(f) or f.is_zero for f in comps)
+        assert any(holds_call(f) for f in comps)
         pts = rand_points(m.dst.dim, seed=5)
         got, b_new = evaluate_batch(new.components(), pts)
         want, b_ref = evaluate_batch(ref.components(), pts)
