@@ -138,8 +138,9 @@ def magri_morosi_table(Rt: Tensor11, sigmas, zs) -> list:
     and Rt(sigma) are built once per sigma, Rt(Z) once per Z, and one
     `_operands` call reads them all. Each pair folds the trees of the terms
     apply_tensor11, lie_derivative and poisson_apply fold, in their order,
-    but only the 2n one-form components P keeps, P(w) = (0, -w_p, w_q);
-    each component of mu is (t1 - t2) + t3, wrapped once."""
+    but only the 2n one-form components P keeps, P(w) = (0, -w_p, w_q),
+    and no term with a factor `_operands` flags; each component of mu is
+    (t1 - t2) + t3, wrapped once."""
     space, d, n = Rt.space, Rt.space.dim, Rt.space.n
     L_Rts = [lie_derivative(poisson_apply(sigma), Rt) for sigma in sigmas]
     objs = ([adjoint_tensor11(Rt, sigma) for sigma in sigmas] + list(sigmas)
@@ -158,9 +159,9 @@ def magri_morosi_table(Rt: Tensor11, sigmas, zs) -> list:
         """P(L_X w), as trees: (L_X w)_b sums X^c d_c w_b + w_c d_b X^c
         over c, for the b that P keeps."""
         (Xc, dX), (wc, dw) = X, w
-        L = [_sum([t for c in r for t in (
-            ("+", [Xc[c], dw[b][c]]), ("+", [wc[c], dX[c][b]]))
-            if dead.isdisjoint(t[1])]) for b in range(1, d)]
+        L = [_sum([("+", [x, y]) for c in r for x, y in (
+            (Xc[c], dw[b][c]), (wc[c], dX[c][b]))
+            if x not in dead and y not in dead]) for b in range(1, d)]
         return [ex.ZERO, *map(fold["neg"], L[n:]), *L[:n]]
 
     out = []
@@ -197,8 +198,17 @@ class PNReport:
         return asdict(self)
 
 
+def _coordinate_basis(space):
+    """The coordinate one-forms dx^b and fields d_c of space, in order: the
+    concomitant is a tensor, so its table on them fixes it on every pair."""
+    unit = [[float(a == b) for a in range(space.dim)] for b in range(space.dim)]
+    return ([OneForm(space, row) for row in unit],
+            [VectorField(space, row) for row in unit])
+
+
 def _basis_pairs(n: int):
-    """Lifted basis pairs (sigma, Z) used to probe the concomitant."""
+    """Lifted basis pairs (sigma, Z), the probe `prop7` takes on a model's
+    objects; `pn_check` judges the coordinate basis instead."""
     base = base_e(n)
     sigmas = []
     zs = []
@@ -221,11 +231,11 @@ def pn_check(R: Tensor11, points=DEFAULT_POINTS, seed=DEFAULT_SEED,
              tol=DEFAULT_TOL, box=DEFAULT_BOX) -> PNReport:
     """Check the Poisson-Nijenhuis conditions for the complete lift of R:
     commutation with the Poisson map, vanishing concomitant, and the torsion
-    dichotomy on the base and on phase space."""
-    n = R.space.n
+    dichotomy on the base and on phase space. The concomitant is judged on
+    every pair of the coordinate basis of phase space."""
     Rt = complete_lift_tensor11(R)  # refuses a tensor with a t-row
     checker = Checker(points=points, seed=seed, tol=tol, box=box)
-    sigmas, zs = _basis_pairs(n)
+    sigmas, zs = _coordinate_basis(Rt.space)
     # the base torsion, read at the base part of each phase-space point
     tors_base = [inject(f, Rt.space) for f in nijenhuis_torsion(R).components()]
     comm, mm, tors, tors_lift = checker.sample_residuals([

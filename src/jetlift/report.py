@@ -170,7 +170,8 @@ def _decided(lhs, rhs, box) -> bool:
     if trees != others and not all(x is y or x in ex.ZEROS and y in ex.ZEROS
                                     for x, y in zip(trees, others)):
         return False
-    B = float(np.max(np.abs(box)))
+    lo, hi = box  # a box the Checker refuses (a nan bound) bounds nothing
+    B = max(abs(lo), abs(hi)) if lo < hi else math.nan
     try:
         for e in ex._postorder(trees):
             cls, op = e.__class__, getattr(e, "op", None)
@@ -205,7 +206,12 @@ def _compiled_residuals(a, b=None, sizes=None):
     the NonFiniteError of `_values`. With sizes, a row per point of one
     residual for each run of that many consecutive components.
     SpaceMismatchError as `_sides` raises it."""
-    lhs, rhs, space = _sides(a, b)
+    return _residual_program(*_sides(a, b), sizes)
+
+
+def _residual_program(lhs, rhs, space, sizes=None):
+    """`_compiled_residuals` of the sides `_sides` gives (rhs empty for a
+    vanishing check)."""
     run = ex.compile_batch([f.expr for f in lhs + rhs], space.coords)
     k = len(lhs)
 
@@ -216,7 +222,7 @@ def _compiled_residuals(a, b=None, sizes=None):
             for i in np.flatnonzero(rejected).tolist():
                 errors.setdefault(i, NonFiniteError(
                     f"non-finite value at {tuple(X[i].tolist())}"))
-            diff = np.abs(values if b is None else values[:k] - values[k:])
+            diff = np.abs(values[:k] - values[k:] if rhs else values)
             if sizes is None:
                 res = np.max(diff, axis=0)
             else:
@@ -397,14 +403,13 @@ class Checker:
         return self._record(check_id, identity, dim, _each_point(fn), tol)
 
     def _check(self, check_id, identity, a, b, via):
-        lhs, rhs, _ = _sides(a, b)
-        dim = _objects(a)[0].space.dim
+        lhs, rhs, space = _sides(a, b)
         if via is None and _decided(lhs, rhs, self.box):
             # as sampled: one round (the stream draw_points takes), all 0
-            self.rng.getrandbits(64 * self.points * dim)
+            self.rng.getrandbits(64 * self.points * space.dim)
             return self.record(check_id, identity, 0.0, ())
-        return self._record(check_id, identity, dim, _compiled_residuals(a, b),
-                            via=via)
+        return self._record(check_id, identity, space.dim,
+                            _residual_program(lhs, rhs, space), via=via)
 
     def compare(self, check_id, identity, a, b, via=None):
         """a = b, for two objects or two lists of objects. With via, a

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+import jetlift.pn
 from jetlift.cli import main
+from test_mutations import flipped_middle_term, patch_everywhere
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 N1 = os.path.join(MODELS, "n1.json")
@@ -182,15 +184,12 @@ class TestDarboux:
         assert code == 1
         assert json.loads(out)["pn"]["verdict"] == "not-pn"
 
-    def test_refusal_names_every_residual_above_tol(self, capsys, tmp_path):
-        # the torsion vanishes; the concomitant is rounding at values near
-        # 1e9, above the absolute tolerance
-        path = tmp_path / "expexp.json"
-        path.write_text(json.dumps({"n": 2, "objects": {"R": {
-            "kind": "tensor11_E",
-            "components": {"q1,q1": "exp(exp(q1))", "q2,q2": "q2"}}}}))
-        argv = ("darboux", "--model", str(path), "--object", "R",
-                "--domain", "2,3")
+    def test_refusal_names_every_residual_above_tol(self, capsys, monkeypatch):
+        # the concomitant with the sign of its middle term flipped: the
+        # torsions and the commutation vanish, the concomitant does not
+        patch_everywhere(monkeypatch, jetlift.pn.magri_morosi_table,
+                         flipped_middle_term)
+        argv = ("darboux", "--model", N2, "--object", "R_dn")
         code, out, _ = run(capsys, *argv, "--json")
         pn = json.loads(out)["pn"]
         assert code == 1
@@ -199,8 +198,24 @@ class TestDarboux:
         assert high == ["magri_morosi_residual"]
         code, out, _ = run(capsys, *argv)
         assert code == 1
-        assert out == ("refusing R: verdict not-pn (magri_morosi_residual "
+        assert out == ("refusing R_dn: verdict not-pn (magri_morosi_residual "
                        f"{pn['magri_morosi_residual']:.3e}; tol 1e-09)\n")
+
+    def test_large_entries_are_pn(self, capsys, tmp_path):
+        # judged on the lifted probe basis, the concomitant of this tensor
+        # was rounding at values near 1e9, above the absolute tolerance; on
+        # the coordinate basis it folds to the constant zero
+        path = tmp_path / "expexp.json"
+        path.write_text(json.dumps({"n": 2, "objects": {"R": {
+            "kind": "tensor11_E",
+            "components": {"q1,q1": "exp(exp(q1))", "q2,q2": "q2"}}}}))
+        code, out, _ = run(capsys, "darboux", "--model", str(path),
+                           "--object", "R", "--domain", "2,3", "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["pn"]["verdict"] == "pn-structure"
+        assert payload["pn"]["magri_morosi_residual"] == 0.0
+        assert payload["checks"]["pass"] is True
 
     def test_refusal_of_torsion_names_both_torsions(self, capsys):
         code, out, _ = run(capsys, "darboux", "--model", N1,

@@ -16,7 +16,13 @@ stack in the eigenvalue perturbation and a reordered chain rule in
 `fields.compose`. It moved once, when a composed gradient became the chain
 rule through the composed field's tree (procedural fields as call nodes):
 the dn.eigen_locality residual changed by 4.4e-16, every check id, pass
-flag and worst point stayed.
+flag and worst point stayed. The verify-n2 and the four darboux-n2 digests
+moved once, when `pn_check` came to judge the Magri-Morosi concomitant on
+the coordinate basis of phase space rather than on the lifted probe basis:
+only the concomitant residuals changed (n2 theorem3.concomitant[R0]
+7.1e-15 -> 4.4e-16 and [R1] 8.9e-16 -> 0 at seed 0, darboux
+pn.magri_morosi_residual 7.1e-15 -> 4.4e-16), every verdict, check id,
+pass flag and worst point stayed.
 
 The digests also pin the numpy build and the platform libm the reports
 were computed with (numpy 2.4 on x86-64 Linux with glibc); on another
@@ -42,19 +48,19 @@ GOLDEN = [
      "4d66f4adba49f3ebb0af586cbecaae77a15530f24b6779ff76d224fe0c04bf90"),
     (["verify", "--model", os.path.join(MODELS, "n2.json"),
       "--suite", "all", "--json", "--seed", "0"],
-     "60ea8e6c56d0f5d25c5de52c4174f8de99b3e7999095bfb823f132994b0749a5"),
+     "dce6d4708c034544146f7032481ae316723d6ce750cb804a1dfb1dbfa79be1db"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "0"],
-     "32200224dd57ac0a5c7791496f8b5384115768351596d65ff35d7fd81a259dee"),
+     "57ddbeb721745498604c1dc82c56f7c6afb59774d524d85bb2ef378a1a607658"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "1"],
-     "81cfd1bd8dcd131c535de5c7501bea1176fbdf39f862c1b3974d4ebc501176aa"),
+     "8cc1155802d96614f0924d4dc45727fd94d34acbb8f396665f2b9c8e79811c8c"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "2"],
-     "7cb35bf50f9b0e5642054e9a7d234020a73b37884b6e9dcb2ec80d2de334be42"),
+     "3a33d795f76d2a04cf2448627dab97cf3a9bad7228a7140360a3a1d7844afdfb"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "3"],
-     "e9dec4afcb7a944c3033f27deb04b024b8fb7cf342f5b475a29b69e28e45d064"),
+     "503958e0dc5db96744563ef00fdc716c81727994f6e6f56416ccd53aab5b068c"),
 ]
 
 

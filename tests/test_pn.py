@@ -162,7 +162,8 @@ class TestConcomitantTable:
             assert [c.expr for c in got.comps] == [c.expr for c in want.comps]
 
     def test_one_tensor_lie_derivative_per_sigma(self, monkeypatch):
-        # L_{P(sigma)} Rt depends on sigma alone: 2n of them, not 2n(3n+1)
+        # L_{P(sigma)} Rt depends on sigma alone: one per coordinate
+        # one-form dx^b of phase space, d = 2n + 1 of them, not d * d
         targets = []
         original = pn.lie_derivative
 
@@ -173,7 +174,7 @@ class TestConcomitantTable:
 
         monkeypatch.setattr(pn, "lie_derivative", counting)
         pn_check(dn_example_tensor(), points=4)
-        assert len(targets) == 4
+        assert len(targets) == 5
 
 
 class TestPNCheck:
