@@ -18,10 +18,12 @@ from .errors import TransformError
 from .fields import (
     Batch,
     ProceduralField,
+    by_point,
     compose,
     const_field,
     coord_field,
     inject,
+    program,
 )
 from .spaces import Space, base_e, phase_j
 from .tensors import TwoForm, _matsum, _table, _transport
@@ -137,15 +139,12 @@ class FibredTransform:
         never converge), or after NEWTON_MAX_ITER steps; the rows that do
         not converge are rejected."""
         n = self.n
-        # the derivative fields, built once for every solve and gradient
-        dQdq = [[f.diff(f"q{j + 1}") for j in range(n)] for f in self.q_fwd]
-        dQdt = [f.diff("t") for f in self.q_fwd]
-
-        def values(fields, b):
-            return np.column_stack([f._value(b) for f in fields])
-
-        def q_jacobian(b):
-            return np.stack([values(row, b) for row in dQdq], axis=1)
+        # the forward map and its derivatives, compiled once for every solve
+        # and gradient: Q, the flattened dQ/dq and dQ/dt
+        fwd = program(self.q_fwd)
+        dQdq = program([f.diff(f"q{j + 1}") for f in self.q_fwd
+                        for j in range(n)])
+        dQdt = program([f.diff("t") for f in self.q_fwd])
 
         def solve(b):
             X = b.X
@@ -162,10 +161,10 @@ class FibredTransform:
                 if not active.size:
                     break
                 it = Batch(np.hstack([X[active, :1], q[active]]), rows=active)
-                res = values(self.q_fwd, it) - target[active]
+                res = by_point(fwd(it), n) - target[active]
                 # a converged row is done: it takes no further step
                 it.rejected |= np.max(np.abs(res), axis=1) < NEWTON_TOL
-                jac = q_jacobian(it)
+                jac = by_point(dQdq(it), n, n)
                 b.absorb(it)
                 go = np.flatnonzero(~it.rejected)
                 rows = active[go]
@@ -208,11 +207,11 @@ class FibredTransform:
                     return b.on(key + ("at",),
                                 lambda: np.column_stack([b.X[:, 0], q]), fn)
 
-                jac = at(q_jacobian)
+                jac = at(lambda c: by_point(dQdq(c), n, n))
                 live = np.flatnonzero(~b.rejected)
                 jinv = np.zeros_like(jac)
                 jinv[live] = np.linalg.inv(jac[live])
-                dt = at(lambda c: values(dQdt, c))
+                dt = at(lambda c: by_point(dQdt(c), n))
                 dt_part = (-jinv @ dt[..., None])[..., 0]
                 return np.concatenate([dt_part[..., None], jinv], axis=2)
             return b.once(key + ("grad",), compute)

@@ -247,9 +247,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_domain(argv) -> list:
+    """argv with each '--domain lo,hi' written '--domain=lo,hi': argparse
+    takes a word that starts with '-' and is not a number, as '-2,2' is,
+    for an option, not for the value of the one before it."""
+    out = []
+    for word in argv:
+        if out and out[-1] == "--domain" and not word.startswith("--"):
+            out[-1] = f"--domain={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_domain(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except JetliftError as exc:

@@ -14,9 +14,9 @@ parse back: the printer's parse-back rule covers trees without calls.
 Nodes are interned, so a tree is a DAG. Differentiation, compilation and
 substitution visit it by one iterative post-order walk (`_postorder`),
 each node once and without a Python frame per level. There is one
-evaluator: `compile_batch` turns the roots into a program run over a whole
-point array at once, and names, for each point where a guard fails, the
-error the roots evaluated alone at that point would raise first; a
+evaluator: `compile_batch` turns the roots into a program run in a `Batch`
+of points, all at once, which rejects each point where a guard fails with
+the error the roots evaluated alone at that point would raise first; a
 one-point evaluation is its one-row case.
 Derivatives are memoised for the whole process, keyed by node and name
 beside the intern table, and so are gradient rows, by node and coordinates:
@@ -394,10 +394,10 @@ def _pointwise(fn, ufunc, u, *args):
 
 
 class Batch:
-    """One evaluation over an (m, dim) point array X: what its kernels and
-    fields computed so far, the rows rejected so far and, for each row
-    rejected here, the error that evaluating that point alone raises (the
-    first one met, in the order the one-point evaluation meets them).
+    """One evaluation over an (m, dim) point array X: what its kernels
+    computed so far, the rows rejected so far and, for each row rejected
+    here, the error that evaluating that point alone raises (the first one
+    met, in the order the one-point evaluation meets them).
 
     A child batch evaluates points derived from these (projected, mapped,
     shifted); its row r belongs to row rows[r] of its parent (row r when
@@ -405,7 +405,7 @@ class Batch:
 
     def __init__(self, X, rejected=None, rows=None):
         self.X = X
-        self.values, self.grads, self.memo, self.errors = {}, {}, {}, {}
+        self.memo, self.errors = {}, {}
         self.rejected = (np.zeros(len(X), dtype=bool) if rejected is None
                          else rejected.copy())
         self.rows = rows
@@ -478,42 +478,38 @@ def _compile(roots, column: dict):
 
 def compile_batch(roots, coords):
     """Compile the root expressions, over the coordinates coords, into one
-    program, and return run(points, batch=None) that evaluates every root
-    at every point in one pass.
+    program, and return run(batch) that evaluates every root at every point
+    of a Batch in one pass.
 
-    points is an (m, len(coords)) array. run returns the (len(roots), m)
-    values, an (m,) mask of rejected points and, by row, the error at each
-    point where a guard fails (a denominator below SINGULAR_GUARD, a log,
-    root or power out of its domain), a function raises (exp or a power
-    overflows, sin or cos of an infinite value) or a call's kernel rejects
-    the point. That error is the one the roots, evaluated alone in order,
-    raise first: the first failing instruction of the program, in
-    post-order. A point is rejected where it has an error or some root is
-    not finite; every value of a point without an error is the one scalar
+    batch.X is an (m, len(coords)) array. run returns the (len(roots), m)
+    values and rejects in batch each row where a guard fails (a denominator
+    below SINGULAR_GUARD, a log, root or power out of its domain), a
+    function raises (exp or a power overflows, sin or cos of an infinite
+    value) or a call's kernel rejects the point. Its error is the one the
+    roots, evaluated alone in order, raise first: the first failing
+    instruction of the program, in post-order; a row rejected before keeps
+    its error. A non-finite value is not an error: the caller judges those
+    rows. Every value of a row without an error is the one scalar
     evaluation gives.
 
-    Calls run in batch, a Batch of the points (a new one if None): a kernel
-    on the columns in order runs on batch itself, any other on the child
-    batch of its argument values, one per argument tuple, so that each
-    kernel runs once per batch however many programs call it. The rows the
-    program has rejected start rejected there, and the rows the kernel
-    rejects join the program's errors.
+    A kernel on the columns in order runs on batch itself, any other on the
+    child batch of its argument values, one per argument tuple, so that
+    each kernel runs once per batch however many programs call it; it sees
+    the rows rejected so far as rejected.
     """
     program, out_slots = _compile(roots, {c: j for j, c in enumerate(coords)})
     return functools.partial(_run, program, out_slots)
 
 
-def _run(program, out_slots, points, batch=None):
-    X = np.asarray(points, dtype=float)
+def _run(program, out_slots, batch):
+    X = batch.X
     m = len(X)
-    vals, errors = [], {}  # errors: row -> the first error met there
+    vals = []
 
     def fail(bad, error):
-        """Give each row of the mask bad that has no error yet error(row)."""
+        """Reject each row of the mask bad with error(row)."""
         if bad.any():
-            for i in np.flatnonzero(bad).tolist():
-                if i not in errors:
-                    errors[i] = error(i)
+            batch.reject(np.flatnonzero(bad), error)
 
     with np.errstate(all="ignore"):
         for op, payload, args in program:
@@ -559,26 +555,17 @@ def _run(program, out_slots, points, batch=None):
                 v, caught = _pointwise(getattr(math, op), _MATH_UFUNCS[op], u)
             elif op == "call":
                 kernel, own = payload
-                batch = Batch(X) if batch is None else batch
-                batch.reject(list(errors), errors.get)
                 v = kernel.value(batch) if own is None else batch.on(
                     ("call", own), lambda: np.column_stack([vals[s] for s in args]),
                     kernel.value)
-                for i, exc in batch.errors.items():
-                    errors.setdefault(i, exc)
             else:
                 raise ExprError(f"cannot evaluate {op!r}")
-            for i, exc in caught.items():  # sin or cos of inf: ValueError
-                if i not in errors:
-                    errors[i] = (exc if isinstance(exc, OverflowError)
-                                 else DomainError(f"{op} of {u.item(i)}"))
+            if caught:  # sin or cos of inf: ValueError
+                batch.reject(list(caught), lambda i: (
+                    caught[i] if isinstance(caught[i], OverflowError)
+                    else DomainError(f"{op} of {u.item(i)}")))
             vals.append(v)
-        values = np.array([vals[s] for s in out_slots])
-        values = values.reshape(len(out_slots), m)
-        rejected = ~np.isfinite(values).all(axis=0)
-    if errors:
-        rejected[list(errors)] = True
-    return values, rejected, errors
+    return np.array([vals[s] for s in out_slots]).reshape(len(out_slots), m)
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:

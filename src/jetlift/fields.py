@@ -8,15 +8,16 @@ its `Kernel` holds the functions and the order budget. Sums, products,
 quotients, `compose` and `inject` of procedural fields are tree operations
 like any other, and a derivative applies the chain rule through the tree.
 
-Fields are evaluated over a whole (m, dim) point array at once. A `Batch`
-is one such evaluation: it keeps every value and gradient it computes, so
-a kernel that many fields share runs once per point array, and for each
-rejected row the error that evaluating that point alone raises. A field
-runs its tree, or its gradient's trees, as one `expr.compile_batch`
-program, compiled once per field, in its caller's batch; a procedural
-second derivative evaluates the parent gradient once, on the stacked
-shifted copies of the array. `eval(point)` and `grad(point)` are the
-one-row case for every field.
+Fields are evaluated over a whole (m, dim) point array at once, in a
+`Batch`: it keeps what each kernel computes, so a kernel that many fields
+share runs once per point array, and for each rejected row the error that
+evaluating that point alone raises. The unit of evaluation is a list of
+fields on one space: `program(fields)` compiles their trees into one
+`expr.compile_batch` program, built once where the list is, whose run(b)
+gives their values over a Batch b. A procedural second derivative
+evaluates the parent gradient once, on the stacked shifted copies of the
+array. `eval(point)` and `grad(point)` are the one-row case for every
+field, compiled per call.
 """
 from __future__ import annotations
 
@@ -84,28 +85,13 @@ class SymbolicField:
         """The scalar components: the field itself."""
         return [self]
 
-    def _value(self, b: Batch) -> np.ndarray:
-        """The (m,) values over batch b, computed once per batch; rows that
-        cannot be evaluated are rejected in b."""
-        v = b.values.get(self)
-        if v is None:
-            v = b.values[self] = self._rows(b, "_run", [self.expr])[0]
-        return v
-
-    def _grad(self, b: Batch) -> np.ndarray:
-        """The (m, dim) first partials over batch b, computed once."""
-        g = b.grads.get(self)
-        if g is None:
-            exprs = [self.diff(c).expr for c in self.space.coords]
-            g = b.grads[self] = self._rows(b, "_grad_run", exprs).T
-        return g
-
     def eval(self, point) -> float:
-        return float(at_point(point, self._value)[0])
+        return float(at_point(point, program([self]))[0, 0])
 
     def grad(self, point):
         """All first partials at a point, as a tuple."""
-        return tuple(at_point(point, self._grad)[0].tolist())
+        return tuple(at_point(point, program(
+            [self.diff(c) for c in self.space.coords]))[:, 0].tolist())
 
     def diff(self, coord: str) -> "SymbolicField":
         # the cache is made on the first diff: most fields never take one
@@ -114,15 +100,6 @@ class SymbolicField:
             self.space.index(coord)  # validates the name
             cache[coord] = SymbolicField(self.space, ex.differentiate(self.expr, coord))
         return cache[coord]
-
-    def _rows(self, b, key, exprs):
-        """The (len(exprs), m) values of exprs over batch b, compiled once
-        per field."""
-        if key not in self.__dict__:
-            self.__dict__[key] = _compile(exprs, self.space.coords)
-        values, _, errors = self.__dict__[key](b.X, b)
-        b.reject(list(errors), errors.get)
-        return values
 
     @property
     def is_zero(self) -> bool:
@@ -209,16 +186,6 @@ class ProceduralField(SymbolicField):
         return f"ProceduralField({self.space}, budget={self.expr.kernel.budget})"
 
 
-def _compile(exprs, coords):
-    """expr.compile_batch, with the run of constants (the zero blocks most
-    tensors have, and their derivatives) done without it."""
-    if not all(isinstance(e, ex.Const) for e in exprs):
-        return ex.compile_batch(exprs, coords)
-    column = np.array([[e.value] for e in exprs])
-    return lambda X, b=None: (column.repeat(len(X), axis=1),
-                              np.zeros(len(X), dtype=bool), {})
-
-
 def _over_points(fn):
     return lambda b: np.asarray(fn(b.X), dtype=float)
 
@@ -279,11 +246,30 @@ def compose(f: ScalarField, maps: list, src: Space) -> ScalarField:
     return SymbolicField(src, ex.substitute(f.expr, mapping))
 
 
+def program(fields):
+    """run(b): the (len(fields), m) values of the fields over a Batch b, one
+    `expr.compile_batch` program on their space's coordinates, compiled
+    here once; run rejects in b the rows it cannot evaluate. Raises
+    SpaceMismatchError for fields on more than one space."""
+    spaces = {f.space for f in fields}
+    if len(spaces) > 1:
+        raise SpaceMismatchError(
+            f"fields on mixed spaces: {sorted(map(str, spaces))}")
+    coords = spaces.pop().coords if spaces else ()
+    return ex.compile_batch([f.expr for f in fields], coords)
+
+
+def by_point(values, *shape):
+    """The (k, m) values of a program as the C-contiguous (m, *shape) array
+    of each point's values: matmul and solve give one point's bits only on
+    a contiguous stack."""
+    return np.ascontiguousarray(values.T).reshape(-1, *shape)
+
+
 def evaluate_batch(fields, points):
     """The (len(fields), m) values of the fields at an (m, dim) point array,
-    evaluated in one shared Batch, and that Batch: its rejected rows, and
-    the error evaluating each of them alone raises."""
+    evaluated in one Batch, and that Batch: its rejected rows, and the
+    error evaluating each of them alone raises."""
     b = Batch(np.asarray(points, dtype=float))
     with np.errstate(all="ignore"):
-        values = np.array([f._value(b) for f in fields]).reshape(len(fields), -1)
-    return values, b
+        return program(fields)(b), b

@@ -19,8 +19,10 @@ from .fields import (
     ScalarField,
     SymbolicField,
     at_point,
+    by_point,
     evaluate_batch,
     inject,
+    program,
     zero,
 )
 from .lifts import (
@@ -264,11 +266,11 @@ def _q_block(R: Tensor11):
     return [[R.entries[i][j] for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def _stacked(rows, b):
-    """The (m, n, n) stack of a matrix of fields over batch b, contiguous, so
-    that matmul gives the bits it gives one matrix (a strided stack does not)."""
-    return np.ascontiguousarray(
-        np.array([[f._value(b) for f in row] for row in rows]).transpose(2, 0, 1))
+def _stacked(rows):
+    """run(b): the (m, n, n) stack of a matrix of fields over a Batch b, by
+    one program compiled here."""
+    run = program([f for row in rows for f in row])
+    return lambda b: by_point(run(b), len(rows), len(rows))
 
 
 def _eigen(A, b):
@@ -316,8 +318,8 @@ def eigen_analysis(R: Tensor11, point) -> EigenData:
     """Eigen-decomposition of the q-block of R at a base point; requires
     real, pairwise distinct eigenvalues."""
     _require_annihilates_dt(R)
-    A = np.array([[f.eval(point) for f in row] for row in _q_block(R)])
-    w, V, U = at_point(point, lambda b: _eigen(A[None], b))
+    block = _stacked(_q_block(R))
+    w, V, U = at_point(point, lambda b: _eigen(block(b), b))
     return EigenData(tuple(point), tuple(w[0]), V[0], U[0])
 
 
@@ -341,12 +343,12 @@ def eigenvalue_fields(R: Tensor11):
 
 def _eigenvalue_fields(base, block):
     n = base.n
-    dblock = {name: [[f.diff(name) for f in row] for row in block]
-              for name in base.coords}
+    stacked = _stacked(block)
+    dstacked = [_stacked([[f.diff(name) for f in row] for row in block])
+                for name in base.coords]
 
     def eigen(b):
-        return b.once(("eigen", id(block)),
-                      lambda: _eigen(_stacked(block, b), b))
+        return b.once(("eigen", id(block)), lambda: _eigen(stacked(b), b))
 
     def perturbation(b):
         # (m, n, dim): u_i . dA/dx^c . v_i for every eigenvalue i and
@@ -354,8 +356,8 @@ def _eigenvalue_fields(base, block):
         def compute():
             _, V, U = eigen(b)
             out = np.empty((len(b.X), n, base.dim))
-            for c, name in enumerate(base.coords):
-                dA = _stacked(dblock[name], b)
+            for c, partial in enumerate(dstacked):
+                dA = partial(b)
                 for i in range(n):
                     out[:, i, c] = (U[:, i:i + 1, :] @ dA
                                     @ V[:, :, i:i + 1])[:, 0, 0]
@@ -371,12 +373,12 @@ def _eigen_probe(R: Tensor11):
     """A `Checker._accept` batch that rejects each point eigen_analysis(R, .)
     refuses, with the error it raises, judging the whole array in one
     `_eigen`."""
-    block = _q_block(R)
+    block = _stacked(_q_block(R))
 
     def probe(X):
         b = Batch(X)
         with np.errstate(all="ignore"):
-            _eigen(_stacked(block, b), b)
+            _eigen(block(b), b)
         return np.zeros(len(X)), b.rejected, b.errors
     return probe
 

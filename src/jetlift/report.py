@@ -30,7 +30,8 @@ from .errors import (
     SpaceMismatchError,
     TransformError,
 )
-from .fields import evaluate_batch
+from .expr import Batch
+from .fields import program
 
 DEFAULT_POINTS = 64
 DEFAULT_SEED = 0
@@ -216,21 +217,28 @@ def _residual_program(lhs, rhs, space, sizes=None):
     k = len(lhs)
 
     def residuals(points):
-        X = np.asarray(points, dtype=float)
+        values, b = _judged(run, points)
         with np.errstate(all="ignore"):  # rejected points may hold inf or nan
-            values, rejected, errors = run(X)
-            for i in np.flatnonzero(rejected).tolist():
-                errors.setdefault(i, NonFiniteError(
-                    f"non-finite value at {tuple(X[i].tolist())}"))
             diff = np.abs(values[:k] - values[k:] if rhs else values)
             if sizes is None:
                 res = np.max(diff, axis=0)
             else:
                 res = np.array([part.max(axis=0, initial=0.0) for part in
                                 np.split(diff, np.cumsum(sizes)[:-1])]).T
-        return res, rejected, errors
+        return res, b.rejected, b.errors
 
     return residuals
+
+
+def _judged(run, points):
+    """The (k, m) values run gives over a new Batch of the points, and that
+    Batch, with each row whose values are not all finite rejected too."""
+    b = Batch(np.asarray(points, dtype=float))
+    with np.errstate(all="ignore"):
+        values = run(b)
+    b.reject(np.flatnonzero(~np.isfinite(values).all(axis=0)), lambda i: (
+        NonFiniteError(f"non-finite value at {b.point(i)}")))
+    return values, b
 
 
 def _through(fwd, batch):
@@ -239,11 +247,11 @@ def _through(fwd, batch):
     they cannot be evaluated, or are not finite, is rejected with that
     Batch's error. The values are an object array holding (y, batch's value
     at y) for each accepted point and None for each rejected one."""
+    images = program(fwd)
+
     def run(points):
-        Y, b = evaluate_batch(fwd, points)
+        Y, b = _judged(images, points)
         Y = Y.T
-        b.reject(np.flatnonzero(~np.isfinite(Y).all(axis=1)), lambda i: (
-            NonFiniteError(f"non-finite value at {b.point(i)}")))
         live = np.flatnonzero(~b.rejected)
         values = np.empty(len(Y), dtype=object)
         if live.size:

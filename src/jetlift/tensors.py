@@ -33,6 +33,7 @@ from .fields import (
     compose,
     const_field,
     parse_field,
+    program,
 )
 from .spaces import Space
 
@@ -46,6 +47,9 @@ def _require_same_space(*objs):
 
 def _as_field(space: Space, v) -> ScalarField:
     if isinstance(v, ScalarField):
+        if v.space is not space:
+            raise SpaceMismatchError(f"a component on {v.space} in a tensor "
+                                     f"on {space}")
         return v
     if isinstance(v, str):
         return parse_field(v, space)
@@ -114,18 +118,11 @@ class _Indexed:
         return new
 
     def eval_at(self, point) -> np.ndarray:
-        """The components at one point, shaped (dim,) * rank, in one shared
-        one-row batch, so that a node they share (a Newton solve, an
+        """The components at one point, shaped (dim,) * rank, in one one-row
+        program, so that a node they share (a Newton solve, an
         eigen-analysis) runs once. Raises the first error in component
         order that rejects the point."""
-        def values(b):
-            out = []
-            for f in self.components():
-                if b.rejected[0]:
-                    raise b.errors[0]
-                out.append(f._value(b)[0])
-            return out
-        return np.array(at_point(point, values)).reshape(
+        return at_point(point, program(self.components())).reshape(
             (self.space.dim,) * len(self.variance))
 
     def _pairs(self, other):

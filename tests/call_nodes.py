@@ -2,7 +2,7 @@
 expression DAG: whether a field's tree holds one, and the procedural twin
 of a symbolic field."""
 from jetlift import expr as ex
-from jetlift.fields import ProceduralField
+from jetlift.fields import ProceduralField, program
 
 
 def holds_call(f) -> bool:
@@ -14,4 +14,7 @@ def twin(f) -> ProceduralField:
     """The procedural twin of the symbolic field f: a ProceduralField whose
     value and gradient run f's own compiled program and gradient rows in
     the caller's batch, rejecting there the rows f rejects."""
-    return ProceduralField(f.space, f._value, f._grad, _on_batch=True)
+    value = program([f])
+    grad = program([f.diff(c) for c in f.space.coords])
+    return ProceduralField(f.space, lambda b: value(b)[0],
+                           lambda b: grad(b).T, _on_batch=True)

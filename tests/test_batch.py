@@ -64,6 +64,13 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
+def _run(roots, coords, points):
+    """The compiled program of the roots run in a new Batch of the points:
+    its values and that Batch."""
+    b = ex.Batch(np.asarray(points, dtype=float))
+    return ex.compile_batch(roots, coords)(b), b
+
+
 def _oracle(roots, point):
     """The values of the roots at a point by the scalar evaluator, each
     root alone in order, or the first error it raises."""
@@ -88,25 +95,26 @@ def _scalar(roots, point):
 def test_batch_matches_scalar_evaluate(roots, points):
     # the compiled program against the scalar evaluator it replaced: the
     # first error of each failing row, the value bits of every other row
-    values, rejected, errors = ex.compile_batch(roots, COORDS)(points)
+    # (a non-finite value is no error: the row is left for the caller)
+    values, b = _run(roots, COORDS, points)
     assert values.shape == (len(roots), len(points))
     for j, pt in enumerate(points):
         expected = _oracle(roots, pt)
         if isinstance(expected, Exception):
-            assert rejected[j] and j in errors
-            assert type(errors[j]) is type(expected)
-            assert str(errors[j]) == str(expected)
+            assert b.rejected[j] and j in b.errors
+            assert type(b.errors[j]) is type(expected)
+            assert str(b.errors[j]) == str(expected)
         else:
-            assert j not in errors
+            assert j not in b.errors and not b.rejected[j]
             assert _bits(values[:, j]) == _bits(expected)
-            assert rejected[j] == (not np.isfinite(expected).all())
 
 
 @hypothesis.given(st.sampled_from(ex.FUNCTIONS),
                   st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=50))
 def test_functions_match_math(name, xs):
     e = ex.Unary(name, ex.Var("t"))
-    values, rejected, _ = ex.compile_batch([e], ("t",))([[x] for x in xs])
+    values, b = _run([e], ("t",), [[x] for x in xs])
+    rejected = b.rejected | ~np.isfinite(values[0])
     for j, x in enumerate(xs):
         expected = _scalar([e], (x, 0.0, 0.0))
         assert rejected[j] == (expected is None)
@@ -116,7 +124,7 @@ def test_functions_match_math(name, xs):
 
 def test_signed_zero_constants_stay_apart():
     roots = [ex.Const(0.0), ex.Const(-0.0)]
-    values, _, _ = ex.compile_batch(roots, ("t",))([[1.0]])
+    values, _ = _run(roots, ("t",), [[1.0]])
     assert _bits(values[:, 0]) == _bits([0.0, -0.0])
 
 
@@ -134,10 +142,9 @@ def test_exp_overflow_is_masked_not_raised():
     e = ex.Unary("exp", ex.Var("t"))
     with pytest.raises(OverflowError):
         scalar_evaluate.evaluate(e, {"t": 800.0})
-    values, rejected, errors = ex.compile_batch([e], ("t",))(
-        [[1.0], [800.0], [2.0]])
-    assert rejected.tolist() == [False, True, False]
-    assert list(errors) == [1] and isinstance(errors[1], OverflowError)
+    values, b = _run([e], ("t",), [[1.0], [800.0], [2.0]])
+    assert b.rejected.tolist() == [False, True, False]
+    assert list(b.errors) == [1] and isinstance(b.errors[1], OverflowError)
     assert values[0, 0] == math.exp(1.0) and values[0, 2] == math.exp(2.0)
 
 
@@ -146,10 +153,11 @@ def test_non_finite_values_are_masked():
     square = ex.Binary("mul", t, t)  # overflows to inf without raising
     assert scalar_evaluate.evaluate(square, {"t": 1e200}) == math.inf
     nan = ex.Binary("sub", square, square)
-    values, rejected, errors = ex.compile_batch([square, nan], ("t",))(
-        [[1e200], [3.0]])
-    assert rejected.tolist() == [True, False] and errors == {}
-    assert values[0, 0] == math.inf  # no error: the value is kept
+    values, b = _run([square, nan], ("t",), [[1e200], [3.0]])
+    # no error: the value is kept, and the caller judges the row
+    assert not b.rejected.any() and b.errors == {}
+    assert (~np.isfinite(values).all(axis=0)).tolist() == [True, False]
+    assert values[0, 0] == math.inf
 
 
 def test_guards_match_evaluate():
@@ -159,7 +167,8 @@ def test_guards_match_evaluate():
              ex.Pow(t, Fraction(-2))]
     pts = [[-1.0], [0.0], [1e-7], [4.0]]
     for e in cases:
-        _, rejected, _ = ex.compile_batch([e], ("t",))(pts)
+        values, b = _run([e], ("t",), pts)
+        rejected = b.rejected | ~np.isfinite(values[0])
         assert rejected.tolist() == [_scalar([e], (p[0], 0, 0)) is None
                                      for p in pts]
 

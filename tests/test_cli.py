@@ -95,6 +95,21 @@ class TestVerify:
         assert err == ("error: check lemma1.1[f0,a0]: rejected 641 sample "
                        "points (NonFiniteError: 641)\n")
 
+    def test_domain_with_a_negative_lo(self, capsys):
+        # the default box written out: argparse reads '-2,2' after --domain
+        # as an option unless the CLI glues the two
+        for argv in (("verify", "--model", N1, "--suite", "prop2"),
+                     ("darboux", "--model", N2, "--object", "R_dn", "--json")):
+            default = run(capsys, *argv)
+            assert default[0] == 0
+            assert run(capsys, *argv, "--domain", "-2,2") == default
+        glued = run(capsys, "verify", "--model", N1, "--suite", "lemma1",
+                    "--domain=-1,3", "--json")
+        spaced = run(capsys, "verify", "--model", N1, "--suite", "lemma1",
+                     "--domain", "-1,3", "--json")
+        assert spaced == glued and glued[0] == 0
+        assert json.loads(glued[1])["meta"]["box"] == [-1.0, 3.0]
+
     def test_json_report_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", N1,
                            "--suite", "prop2", "--points", "4", "--json")

@@ -201,9 +201,10 @@ TREES = st.recursive(
 def _evaluate(e, point):
     """The value of e at a point of COORDS by the one-row compiled program;
     raises the error it names there."""
-    values, _, errors = ex.compile_batch([e], COORDS)([point])
-    if errors:
-        raise errors[0]
+    b = ex.Batch(np.array([point], dtype=float))
+    values = ex.compile_batch([e], COORDS)(b)
+    if b.rejected[0]:
+        raise b.errors[0]
     return values.item(0)
 
 
@@ -503,10 +504,10 @@ class TestWalks:
         assert _depth(d) > 2 * sys.getrecursionlimit()
         assert scalar_evaluate.evaluate(e, {"q1": 1.0}) == 1.0
         assert scalar_evaluate.evaluate(d, {"q1": 1.0}) == 5000.0
-        run = ex.compile_batch([e, d], ["q1"])
-        values, rejected, errors = run(np.array([[1.0], [-1.0]]))
+        b = ex.Batch(np.array([[1.0], [-1.0]]))
+        values = ex.compile_batch([e, d], ["q1"])(b)
         assert values.tolist() == [[1.0, 1.0], [5000.0, -5000.0]]
-        assert not rejected.any() and errors == {}
+        assert not b.rejected.any() and b.errors == {}
         s = ex.substitute(d, {"q1": ex.var("t")})
         assert s.names == {"t"} and _evaluate(s, (1.0, 0.0, 0.0)) == 5000.0
 
@@ -654,8 +655,8 @@ class TestCall:
         X = np.array(rand_points(3, n=5))
         b = ex.Batch(X)
         f, g = ex.Call(k, (u, v)), ex.Call(k, (v, u))
-        values, _, _ = ex.compile_batch([f, ex.add(f, g)], CALL_COORDS)(X, b)
-        ex.compile_batch([ex.mul(g, ex.var("t"))], CALL_COORDS)(X, b)
+        values = ex.compile_batch([f, ex.add(f, g)], CALL_COORDS)(b)
+        ex.compile_batch([ex.mul(g, ex.var("t"))], CALL_COORDS)(b)
         # each argument tuple has its own child batch of its columns, which
         # every program run in the batch shares
         uv = X[:, 0] * X[:, 1]
@@ -664,7 +665,7 @@ class TestCall:
             np.column_stack([X[:, 2], uv]).tobytes()]
         assert values[1].tobytes() == (uv * X[:, 2] + X[:, 2] * uv).tobytes()
         # on the coordinates in order, the kernel runs on the batch itself
-        ex.compile_batch([ex.Call(k, tuple(map(ex.var, CALL_COORDS)))], CALL_COORDS)(X, b)
+        ex.compile_batch([ex.Call(k, tuple(map(ex.var, CALL_COORDS)))], CALL_COORDS)(b)
         assert len(runs) == 3 and runs[2] is X
 
     def test_kernel_rejections_join_the_program_errors(self):
@@ -679,11 +680,12 @@ class TestCall:
         call = ex.Call(Kernel(value, None, 2), (ex.var("t"), ex.var("q1")))
         e = ex.add(ex.div(ex.ONE, ex.var("t")), call)
         X = np.array([[1.0, -1.0], [0.0, -1.0], [1.0, 2.0], [0.0, 1.0]])
-        values, rejected, errors = ex.compile_batch([e], ("t", "q1"))(X)
+        b = ex.Batch(X)
+        values = ex.compile_batch([e], ("t", "q1"))(b)
         # the rows the division rejected first start rejected in the batch
         assert seen == [[False, True, False, True]]
-        assert rejected.tolist() == [True, True, False, True]
-        assert [type(errors[i]) for i in (0, 1, 3)] == [
+        assert b.rejected.tolist() == [True, True, False, True]
+        assert [type(b.errors[i]) for i in (0, 1, 3)] == [
             DomainError, SingularPointError, SingularPointError]
-        assert str(errors[0]) == "negative q1 at (1.0, -1.0)"
+        assert str(b.errors[0]) == "negative q1 at (1.0, -1.0)"
         assert values[0, 2] == 3.0

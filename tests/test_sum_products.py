@@ -404,13 +404,15 @@ def batch_bits(fs, X):
     rows of fs over one shared batch."""
     b = fields.Batch(np.asarray(X, dtype=float))
     with np.errstate(all="ignore"):
-        values = np.array([f._value(b) for f in fs])
+        values = np.array([fields.program([f])(b)[0] for f in fs])
         grads = []
         for f in fs:
             try:
-                grads.append(f._grad(b))
+                partials = fields.program([f.diff(c) for c in f.space.coords])
             except OrderOverflowError:  # a call past its order budget
                 grads.append(None)
+            else:
+                grads.append(partials(b).T)
     live = ~b.rejected
     assert live.any()
     return (values[:, live].tobytes(), [g if g is None else g[live].tobytes()

@@ -26,6 +26,8 @@ from jetlift import (
     phase_j,
     tensor_product,
 )
+from jetlift.errors import SpaceMismatchError
+from jetlift.fields import coord_field
 
 
 def rand_points(dim, n=64, seed=0):
@@ -277,3 +279,20 @@ class TestVariance:
                     assert repr(a.variance) in str(err.value)
                     assert (repr(b.variance) if hasattr(b, "variance")
                             else type(b).__name__) in str(err.value)
+
+
+def test_components_on_another_space_are_refused():
+    # a phase-space field inside a base tensor once read the wrong point
+    # column, or past the end of the point, when evaluated
+    p1 = coord_field(phase_j(1), "p1")
+    for make in (lambda: VectorField(BE, [p1, 0.0]),
+                 lambda: VectorField.from_dict(BE, {"t": p1}),
+                 lambda: OneForm.from_dict(BE, {"q1": p1}),
+                 lambda: Tensor11(BE, [[0.0, 0.0], [p1, 0.0]]),
+                 lambda: Tensor11.from_dict(BE, {"q1,q1": p1}),
+                 lambda: VectorField.from_dict(BE, {"q1": "t"}).scaled(p1)):
+        with pytest.raises(SpaceMismatchError):
+            make()
+    # a field on the tensor's own space is taken as it is
+    q1 = coord_field(BE, "q1")
+    assert VectorField(BE, [q1, 0.0]).comps[0] is q1
