@@ -218,7 +218,7 @@ class FibredTransform:
 
         return [ProceduralField(self.base, lambda b, i=i: solution(b)[:, i],
                                 lambda b, i=i: inverse_jacobian(b)[:, i, :],
-                                2, _on_batch=True) for i in range(n)]
+                                _on_batch=True) for i in range(n)]
 
     # -- chart maps ---------------------------------------------------------
 

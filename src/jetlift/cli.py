@@ -248,13 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _glue_domain(argv) -> list:
-    """argv with each '--domain lo,hi' written '--domain=lo,hi': argparse
-    takes a word that starts with '-' and is not a number, as '-2,2' is,
-    for an option, not for the value of the one before it."""
+    """argv with each '--domain lo,hi' written '--domain=lo,hi', and so for
+    each prefix of '--domain' that argparse accepts for it ('--dom'):
+    argparse takes a word that starts with '-' and is not a number, as
+    '-2,2' is, for an option, not for the value of the one before it."""
     out = []
     for word in argv:
-        if out and out[-1] == "--domain" and not word.startswith("--"):
-            out[-1] = f"--domain={word}"
+        if (out and len(out[-1]) > 2 and "--domain".startswith(out[-1])
+                and not word.startswith("--")):
+            out[-1] = f"{out[-1]}={word}"
         else:
             out.append(word)
     return out

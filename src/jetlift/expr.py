@@ -41,6 +41,7 @@ from .errors import (
     ExprError,
     ParseError,
     SingularPointError,
+    SpaceMismatchError,
     UnknownIdentifierError,
 )
 
@@ -490,7 +491,8 @@ def compile_batch(roots, coords):
     instruction of the program, in post-order; a row rejected before keeps
     its error. A non-finite value is not an error: the caller judges those
     rows. Every value of a row without an error is the one scalar
-    evaluation gives.
+    evaluation gives. A batch whose points do not have len(coords)
+    coordinates is a SpaceMismatchError.
 
     A kernel on the columns in order runs on batch itself, any other on the
     child batch of its argument values, one per argument tuple, so that
@@ -498,11 +500,14 @@ def compile_batch(roots, coords):
     the rows rejected so far as rejected.
     """
     program, out_slots = _compile(roots, {c: j for j, c in enumerate(coords)})
-    return functools.partial(_run, program, out_slots)
+    return functools.partial(_run, program, out_slots, tuple(coords))
 
 
-def _run(program, out_slots, batch):
+def _run(program, out_slots, coords, batch):
     X = batch.X
+    if X.shape[1] != len(coords):
+        raise SpaceMismatchError(
+            f"{X.shape[1]}-coordinate points for fields on {coords}")
     m = len(X)
     vals = []
 

@@ -16,8 +16,9 @@ fields on one space: `program(fields)` compiles their trees into one
 `expr.compile_batch` program, built once where the list is, whose run(b)
 gives their values over a Batch b. A procedural second derivative
 evaluates the parent gradient once, on the stacked shifted copies of the
-array. `eval(point)` and `grad(point)` are the one-row case for every
-field, compiled per call.
+array. `evaluate(points, fn)` runs fn on a Batch of points and raises the
+error of the first row it rejects; `eval(point)` and `grad(point)` are its
+one-row case for every field, compiled per call.
 """
 from __future__ import annotations
 
@@ -32,14 +33,14 @@ from .spaces import Space
 FD_STEP = 1e-5
 
 
-def at_point(point, fn):
-    """fn of the one-row batch of point; the error that rejects the row, if
-    one does."""
-    b = Batch(np.array([point], dtype=float).reshape(1, -1))
+def evaluate(points, fn):
+    """fn of a Batch of the points (an (m, dim) array, or a list of points);
+    the error of the first row it rejects, if it rejects one."""
+    b = Batch(np.array(points, dtype=float, ndmin=2))
     with np.errstate(all="ignore"):
         out = fn(b)
-    if b.rejected[0]:
-        raise b.errors[0]
+    if b.rejected.any():
+        raise b.errors[int(np.argmax(b.rejected))]
     return out
 
 
@@ -86,11 +87,11 @@ class SymbolicField:
         return [self]
 
     def eval(self, point) -> float:
-        return float(at_point(point, program([self]))[0, 0])
+        return float(evaluate([point], program([self]))[0, 0])
 
     def grad(self, point):
         """All first partials at a point, as a tuple."""
-        return tuple(at_point(point, program(
+        return tuple(evaluate([point], program(
             [self.diff(c) for c in self.space.coords]))[:, 0].tolist())
 
     def diff(self, coord: str) -> "SymbolicField":
@@ -166,16 +167,15 @@ class ProceduralField(SymbolicField):
     """A field given by functions of the point array: value_fn maps an
     (m, dim) array to the (m,) values and grad_fn to the (m, dim) first
     partials. Rows a function cannot evaluate hold nan or inf. Its tree is
-    one call of their Kernel on the coordinates."""
+    one call of their Kernel, of order budget 2, on the coordinates."""
 
-    def __init__(self, space: Space, value_fn, grad_fn=None, order_budget=2,
-                 _on_batch=False):
+    def __init__(self, space: Space, value_fn, grad_fn=None, _on_batch=False):
         # _on_batch: the functions take the Batch itself, so that they can
         # evaluate other fields in it and reject rows
         if not _on_batch:
             value_fn = _over_points(value_fn)
             grad_fn = None if grad_fn is None else _over_points(grad_fn)
-        kernel = Kernel(value_fn, grad_fn, order_budget)
+        kernel = Kernel(value_fn, grad_fn, 2)
         SymbolicField.__init__(self, space, ex.Call(
             kernel, tuple([ex.var(c) for c in space.coords])))
 

@@ -14,13 +14,11 @@ from .charts import FibredTransform
 from .errors import (EigenError, NonFiniteError, SpaceMismatchError,
                      TransformError)
 from .fields import (
-    Batch,
     ProceduralField,
     ScalarField,
     SymbolicField,
-    at_point,
     by_point,
-    evaluate_batch,
+    evaluate,
     inject,
     program,
     zero,
@@ -319,7 +317,7 @@ def eigen_analysis(R: Tensor11, point) -> EigenData:
     real, pairwise distinct eigenvalues."""
     _require_annihilates_dt(R)
     block = _stacked(_q_block(R))
-    w, V, U = at_point(point, lambda b: _eigen(block(b), b))
+    w, V, U = evaluate([point], lambda b: _eigen(block(b), b))
     return EigenData(tuple(point), tuple(w[0]), V[0], U[0])
 
 
@@ -365,22 +363,16 @@ def _eigenvalue_fields(base, block):
         return b.once(("eigen-grad", id(block)), compute)
 
     return [ProceduralField(base, lambda b, i=i: eigen(b)[0][:, i],
-                            lambda b, i=i: perturbation(b)[:, i, :], 2,
+                            lambda b, i=i: perturbation(b)[:, i, :],
                             _on_batch=True) for i in range(n)]
 
 
 def _eigen_probe(R: Tensor11):
-    """A `Checker._accept` batch that rejects each point eigen_analysis(R, .)
-    refuses, with the error it raises, judging the whole array in one
+    """A `Checker._accept` judge that rejects each point eigen_analysis(R, .)
+    refuses, with the error it raises, judging the whole Batch in one
     `_eigen`."""
     block = _stacked(_q_block(R))
-
-    def probe(X):
-        b = Batch(X)
-        with np.errstate(all="ignore"):
-            _eigen(block(b), b)
-        return np.zeros(len(X)), b.rejected, b.errors
-    return probe
+    return lambda b: _eigen(block(b), b)[0]
 
 
 def build_dn_transform(R: Tensor11, box=DEFAULT_BOX, points=16,
@@ -392,22 +384,21 @@ def build_dn_transform(R: Tensor11, box=DEFAULT_BOX, points=16,
     checker = Checker(points=points, seed=seed, tol=tol, box=box)
     lam = eigenvalue_fields(R)
     drawn, _ = checker._accept(R.space.dim, _eigen_probe(R))
-    base_pts = list(map(tuple, drawn.tolist()))
-    tors = max_residual(nijenhuis_torsion(R), base_pts)
+    tors = max_residual(nijenhuis_torsion(R), drawn)
     if tors >= tol:
         raise TransformError(
             f"nonzero torsion (residual {tors:.3e}); eigenvalue coordinates "
             "do not yield Darboux-Nijenhuis coordinates")
     # the q-Jacobian of the eigenvalues, row-major, at every sampled point
-    J, batch = evaluate_batch(
-        [f.diff(f"q{j + 1}") for f in lam for j in range(n)], base_pts)
-    for k, det in enumerate(np.linalg.det(J.T.reshape(-1, n, n))):
-        if batch.rejected[k]:
-            raise batch.errors[k]
-        if abs(det) < EIGEN_DISTINCT_THRESHOLD:
-            raise TransformError(
-                f"degenerate eigenvalue Jacobian at {base_pts[k]}; the "
-                "eigenvalues are not usable as coordinates")
+    jacobian = program([f.diff(f"q{j + 1}") for f in lam for j in range(n)])
+
+    def nondegenerate(b):
+        det = np.linalg.det(by_point(jacobian(b), n, n))
+        b.reject(np.flatnonzero(np.abs(det) < EIGEN_DISTINCT_THRESHOLD),
+                 lambda i: TransformError(
+                     f"degenerate eigenvalue Jacobian at {b.point(i)}; the "
+                     "eigenvalues are not usable as coordinates"))
+    evaluate(drawn, nondegenerate)
     return FibredTransform(n, lam)
 
 

@@ -6,9 +6,10 @@ node (or constant zeros), bounded in the box, draw their round and record
 0 unevaluated. Points that trip the singularity guard (or any other
 evaluation error), overflow, or give a non-finite value are rejected and
 redrawn; too many rejections abort. A round of points is drawn by one
-`getrandbits` call, evaluated at once (a check by one compiled program)
-and judged with masks; only rejected points and per-point probes are
-visited one at a time.
+`getrandbits` call into one `Batch` and judged at once: a judge is a
+function of the Batch that returns the values of its rows and rejects
+there the rows that fail (a check is one compiled program); only
+rejected points and per-point probes are visited one at a time.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .errors import (
     TransformError,
 )
 from .expr import Batch
-from .fields import program
+from .fields import evaluate, program
 
 DEFAULT_POINTS = 64
 DEFAULT_SEED = 0
@@ -199,12 +200,12 @@ def _decided(lhs, rhs, box) -> bool:
 
 
 def _compiled_residuals(a, b=None, sizes=None):
-    """points -> (residual per point, rejected mask, {row: error}),
-    evaluating every component of a (and b) over all points at once, in
-    one program compiled here once. A rejected row keeps the error of the
-    first instruction of the program that fails there (the components of
-    a, then of b, each after the nodes it shares with those before), else
-    the NonFiniteError of `_values`. With sizes, a row per point of one
+    """A judge: the residual per point of a Batch b, evaluating every
+    component of a (and b) over all its points at once, in one program
+    compiled here once. A rejected row keeps the error of the first
+    instruction of the program that fails there (the components of a, then
+    of b, each after the nodes it shares with those before), else the
+    NonFiniteError of `_values`. With sizes, a row per point of one
     residual for each run of that many consecutive components.
     SpaceMismatchError as `_sides` raises it."""
     return _residual_program(*_sides(a, b), sizes)
@@ -216,52 +217,40 @@ def _residual_program(lhs, rhs, space, sizes=None):
     run = ex.compile_batch([f.expr for f in lhs + rhs], space.coords)
     k = len(lhs)
 
-    def residuals(points):
-        values, b = _judged(run, points)
-        with np.errstate(all="ignore"):  # rejected points may hold inf or nan
-            diff = np.abs(values[:k] - values[k:] if rhs else values)
-            if sizes is None:
-                res = np.max(diff, axis=0)
-            else:
-                res = np.array([part.max(axis=0, initial=0.0) for part in
-                                np.split(diff, np.cumsum(sizes)[:-1])]).T
-        return res, b.rejected, b.errors
+    def residuals(b):
+        values = _finite(b, run(b))
+        diff = np.abs(values[:k] - values[k:] if rhs else values)
+        if sizes is None:
+            return np.max(diff, axis=0)
+        return np.array([part.max(axis=0, initial=0.0) for part in
+                         np.split(diff, np.cumsum(sizes)[:-1])]).T
 
     return residuals
 
 
-def _judged(run, points):
-    """The (k, m) values run gives over a new Batch of the points, and that
-    Batch, with each row whose values are not all finite rejected too."""
-    b = Batch(np.asarray(points, dtype=float))
-    with np.errstate(all="ignore"):
-        values = run(b)
+def _finite(b, values):
+    """The (k, m) values of a program over the Batch b, each row whose
+    values are not all finite rejected in b."""
     b.reject(np.flatnonzero(~np.isfinite(values).all(axis=0)), lambda i: (
         NonFiniteError(f"non-finite value at {b.point(i)}")))
-    return values, b
+    return values
 
 
-def _through(fwd, batch):
-    """batch at the images y = fwd(x) of the points x, the components of the
-    forward map fwd evaluated over all of them in one Batch; a point where
-    they cannot be evaluated, or are not finite, is rejected with that
-    Batch's error. The values are an object array holding (y, batch's value
-    at y) for each accepted point and None for each rejected one."""
+def _through(fwd, judge):
+    """A judge of the points x that runs judge on a child batch of their
+    images y = fwd(x), the forward map's components evaluated in the Batch
+    of x. A point is rejected with fwd's error where that fails or is not
+    finite, else with judge's at its image. Its values are the (m, 1 + dim)
+    rows of each point's residual, then its image."""
     images = program(fwd)
 
-    def run(points):
-        Y, b = _judged(images, points)
-        Y = Y.T
+    def run(b):
+        Y = _finite(b, images(b)).T
         live = np.flatnonzero(~b.rejected)
-        values = np.empty(len(Y), dtype=object)
+        out = np.column_stack([np.full(len(Y), np.nan), Y])
         if live.size:
-            res, mask, errors = batch(Y[live])
-            for j, i in enumerate(live.tolist()):
-                if mask[j]:
-                    b.reject([i], lambda _, e=errors[j]: e)
-                else:
-                    values[i] = (tuple(Y[i].tolist()), res[j])
-        return values, b.rejected, b.errors
+            out[live, 0] = b.on("images", lambda: Y[live], judge, rows=live)
+        return out
     return run
 
 
@@ -272,25 +261,22 @@ def max_residual(a, points, b=None) -> float:
     are no points."""
     if len(points) == 0:
         raise SamplingError("no sample points to take the residual at")
-    res, rejected, errors = _compiled_residuals(a, b)(points)
-    if rejected.any():
-        raise errors[int(np.argmax(rejected))]
-    return float(np.max(res))
+    return float(np.max(evaluate(points, _compiled_residuals(a, b))))
 
 
 def _each_point(fn):
-    """Lift a per-point fn, called with each point as a tuple, to a batch: a
-    point where fn raises a rejectable error is rejected with that error.
-    The values are an object array of fn's results (None where rejected)."""
-    def batch(points):
-        values, errors = np.empty(len(points), dtype=object), {}
-        for j, pt in enumerate(map(tuple, np.asarray(points).tolist())):
+    """A judge that calls fn with each point of a Batch as a tuple: a point
+    where fn raises a rejectable error is rejected with that error. The
+    values are an object array of fn's results (None where rejected)."""
+    def judge(b):
+        values = np.empty(len(b.X), dtype=object)
+        for j, pt in enumerate(map(tuple, b.X.tolist())):
             try:
                 values[j] = fn(pt)
             except _REJECTABLE as exc:
-                errors[j] = exc
-        return values, np.isin(np.arange(len(points)), list(errors)), errors
-    return batch
+                b.reject([j], lambda _: exc)
+        return values
+    return judge
 
 
 class Checker:
@@ -336,17 +322,20 @@ class Checker:
     def draw_point(self, dim: int) -> tuple:
         return tuple(self.draw_points(1, dim)[0].tolist())
 
-    def _accept(self, dim, batch, message=lambda why: (
+    def _accept(self, dim, judge, message=lambda why: (
             f"{why}; the objects are singular on most of the box")):
-        """The first self.points points of the stream that batch does not
+        """The first self.points points of the stream that judge does not
         reject, as an array, and their values in the same order; abort at the
         rejection that makes them more than 10x self.points, counting them by
-        error class. Each round draws the points still missing."""
+        error class. Each round draws the points still missing into one
+        Batch b; judge(b) gives their values and rejects rows in b."""
         points, values, rejected = [], [], Counter()  # rejected: by error class
         spare, missing = 10 * self.points, self.points  # spare: before the abort
         while missing:
-            X = self.draw_points(missing, dim)
-            vals, mask, errors = batch(X)
+            b = Batch(self.draw_points(missing, dim))
+            with np.errstate(all="ignore"):  # rejected rows may overflow
+                vals = judge(b)
+            X, mask, errors = b.X, b.rejected, b.errors
             if mask.any():
                 bad = np.flatnonzero(mask).tolist()
                 rejected.update(type(errors[j]).__name__ for j in bad[:spare + 1])
@@ -376,9 +365,9 @@ class Checker:
         of objects) evaluates, redrawing the others as a check does; return
         each group's largest absolute component over them."""
         # one program for all groups, so that their shared terms run once
-        batch = _compiled_residuals(
+        judge = _compiled_residuals(
             list(groups), sizes=[len(_leaves(g)) for g in groups])
-        _, res = self._accept(_objects(groups)[0].space.dim, batch)
+        _, res = self._accept(_objects(groups)[0].space.dim, judge)
         return res.max(axis=0, initial=0.0).tolist()
 
     def record(self, check_id, identity, residual, worst_point=(), tol=None,
@@ -391,15 +380,14 @@ class Checker:
         self.report.items.append(item)
         return item
 
-    def _record(self, check_id, identity, dim, batch, tol=None, via=None):
+    def _record(self, check_id, identity, dim, judge, tol=None, via=None):
         """Record the first accepted point with the largest residual, a
         non-finite one read as inf (it never passes); none if all are 0."""
         if via is not None:  # draw in via's source box, judge at the images
-            dim, batch = via.src.dim, _through(via.fwd, batch)
-        points, res = self._accept(dim, batch, lambda why: f"check {check_id}: {why}")
-        if via is not None:  # each value is (image, residual)
-            points = np.array([image for image, _ in res])
-            res = [r for _, r in res]
+            dim, judge = via.src.dim, _through(via.fwd, judge)
+        points, res = self._accept(dim, judge, lambda why: f"check {check_id}: {why}")
+        if via is not None:  # each value is the residual, then the image
+            points, res = res[:, 1:], res[:, 0]
         res = np.asarray(res, dtype=float)
         res[~np.isfinite(res)] = math.inf
         i = int(np.argmax(res))

@@ -29,9 +29,9 @@ from .errors import SpaceMismatchError
 from .fields import (
     ScalarField,
     SymbolicField,
-    at_point,
     compose,
     const_field,
+    evaluate,
     parse_field,
     program,
 )
@@ -122,7 +122,7 @@ class _Indexed:
         program, so that a node they share (a Newton solve, an
         eigen-analysis) runs once. Raises the first error in component
         order that rejects the point."""
-        return at_point(point, program(self.components())).reshape(
+        return evaluate([point], program(self.components())).reshape(
             (self.space.dim,) * len(self.variance))
 
     def _pairs(self, other):

@@ -110,6 +110,18 @@ class TestVerify:
         assert spaced == glued and glued[0] == 0
         assert json.loads(glued[1])["meta"]["box"] == [-1.0, 3.0]
 
+    def test_abbreviated_domain_with_a_negative_lo(self, capsys):
+        # argparse takes any unique prefix of --domain for it; the CLI
+        # glues the value to each
+        argv = ("verify", "--model", N1, "--suite", "lemma1")
+        default = run(capsys, *argv)
+        assert default[0] == 0
+        for flag in ("--dom", "--d"):
+            assert run(capsys, *argv, flag, "-2,2") == default
+        code, out, _ = run(capsys, *argv, "--dom", "0,2", "--json")
+        assert code == 0
+        assert json.loads(out)["meta"]["box"] == [0.0, 2.0]
+
     def test_json_report_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", N1,
                            "--suite", "prop2", "--points", "4", "--json")

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from call_nodes import twin
-from jetlift import FibredTransform, Tensor11, base_e, build_dn_transform
+from jetlift import (FibredTransform, Tensor11, VectorField, base_e,
+                     build_dn_transform)
 from jetlift.errors import SpaceMismatchError
 from jetlift.expr import Batch
 from jetlift.fields import ProceduralField, coord_field, parse_field, program
 from jetlift.model import load_model
 from jetlift.pn import _q_block, eigenvalue_fields
+from jetlift.report import max_residual
 from jetlift.spaces import phase_j
 from jetlift.tensors import sum_products
 
@@ -158,3 +160,19 @@ def test_call_node_twins():
 def test_a_program_is_on_one_space():
     with pytest.raises(SpaceMismatchError):
         program([coord_field(BE1, "q1"), coord_field(phase_j(1), "p1")])
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: parse_field("q1", BE1).eval((1.0, 2.0, 3.0)),
+    lambda: max_residual(parse_field("q1", BE1), [(1.0, 2.0, 3.0)]),
+    lambda: VectorField.from_dict(BE1, {"q1": "t"}).eval_at((5.0, 1.0, 9.0)),
+    lambda: parse_field("q1", BE1).eval((1.0,)),
+    lambda: program([parse_field("q1", BE1)])(Batch(np.zeros((4, 3)))),
+], ids=["eval-wide", "max_residual-wide", "eval_at-wide", "eval-narrow",
+        "program-wide"])
+def test_a_point_of_the_wrong_width_is_a_space_mismatch(evaluate):
+    # column j of a wider point is no coordinate of the space, and a
+    # narrower one has no column for q1
+    with pytest.raises(SpaceMismatchError, match="-coordinate points for "
+                       r"fields on \('t', 'q1'\)"):
+        evaluate()

@@ -288,6 +288,18 @@ class TestDarboux:
         with pytest.raises(TransformError):
             build_dn_transform(R)
 
+    def test_degenerate_jacobian_refused_at_the_first_sampled_point(self):
+        # constant, distinct eigenvalues: every drawn point passes the eigen
+        # probe and the torsion check, and the Jacobian check refuses the
+        # first of them
+        R = Tensor11.from_dict(base_e(2), {"q1,q1": "1", "q2,q2": "2"})
+        with pytest.raises(TransformError) as info:
+            build_dn_transform(R)
+        assert str(info.value) == (
+            "degenerate eigenvalue Jacobian at (1.3776874061001925, "
+            "1.03181761176121, -0.31771367667662); the eigenvalues are not "
+            "usable as coordinates")
+
     def test_wrong_transform_fails_diagonality(self):
         # dropping the t*q2 term leaves an off-diagonal remainder
         R = dn_example_tensor()

@@ -29,6 +29,7 @@ from jetlift import (
     verify_dn,
 )
 from jetlift import pn
+from jetlift.expr import Batch
 from jetlift.fields import FD_STEP, Kernel, ProceduralField, evaluate_batch
 from jetlift.model import load_model
 from jetlift.report import _REJECTABLE, Checker
@@ -370,8 +371,10 @@ def test_the_eigen_probe_judges_each_row_as_eigen_analysis(name):
             one.append(None)
         except _REJECTABLE as exc:
             one.append((type(exc), str(exc)))
-    _, rejected, errors = pn._eigen_probe(R)(X)
-    assert [(type(errors[i]), str(errors[i])) if rejected[i] else None
+    b = Batch(X)
+    with np.errstate(all="ignore"):
+        pn._eigen_probe(R)(b)
+    assert [(type(b.errors[i]), str(b.errors[i])) if b.rejected[i] else None
             for i in range(len(X))] == one
     assert one.count(None) not in (0, len(X))
     if name == "complex":

@@ -6,6 +6,7 @@ import os
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from jetlift import (
@@ -25,6 +26,7 @@ from jetlift import (
 )
 from jetlift.cli import _parse_domain, main
 from jetlift.errors import ModelError
+from jetlift.expr import Batch
 from jetlift.fields import const_field
 from jetlift.report import (
     _REJECTABLE,
@@ -141,14 +143,14 @@ def test_abort_reasons_come_from_the_batch(monkeypatch):
     import jetlift
 
     calls = []
-    real = jetlift.fields.at_point
+    real = jetlift.fields.evaluate
 
-    def at_point(*args):
+    def evaluate(*args):
         calls.append(1)
         return real(*args)
 
-    for module in (jetlift.fields, jetlift.tensors, jetlift.pn):
-        monkeypatch.setattr(module, "at_point", at_point)
+    for module in (jetlift.fields, jetlift.tensors, jetlift.pn, jetlift.report):
+        monkeypatch.setattr(module, "evaluate", evaluate)
     X = VectorField.from_dict(BE, {"t": 1.0, "q1": "q1"})
     Xp = newton_without_preimage()
     with pytest.raises(SamplingError) as info:
@@ -204,10 +206,12 @@ def test_stored_error_is_the_per_point_error(name, a, good, bad, cls, side):
         else:
             residual_between(lhs, rhs, bad)
     assert type(want.value).__name__ == cls
-    _, rejected, errors = _compiled_residuals(lhs, rhs)([good, bad])
-    assert rejected.tolist() == [False, True]
-    assert type(errors[1]) is type(want.value)
-    assert str(errors[1]) == str(want.value)
+    b = Batch(np.array([good, bad]))
+    with np.errstate(all="ignore"):
+        _compiled_residuals(lhs, rhs)(b)
+    assert b.rejected.tolist() == [False, True]
+    assert type(b.errors[1]) is type(want.value)
+    assert str(b.errors[1]) == str(want.value)
     with pytest.raises(type(want.value)) as got:
         max_residual(lhs, [good, bad], rhs)
     assert str(got.value) == str(want.value)

@@ -3,9 +3,10 @@
 `Checker.draw_points` builds each round's doubles from one `getrandbits`
 call; it must give, byte for byte, the doubles `rng.uniform` gives, and
 leave the stream where they leave it. `Checker._accept` and
-`Checker._record` judge a round with masks; on scripted batches they must
+`Checker._record` judge a round in one Batch; on scripted judges they must
 accept the points, name the worst point and abort with the message and
-histogram of the per-point loop they replaced (`scalar_checker`).
+histogram of the per-point loop they replaced (`scalar_checker`, which
+takes each round's values, rejected mask and errors through `triple`).
 """
 import math
 import random
@@ -23,6 +24,7 @@ from jetlift.errors import (
     SamplingError,
     SingularPointError,
 )
+from jetlift.expr import Batch
 from jetlift.report import Checker
 
 
@@ -56,22 +58,33 @@ RESIDUALS = [0.0, -0.0, 0.5, 2.0, math.inf, -math.inf, math.nan]
 
 
 def scripted(script):
-    """A batch that judges the k-th point it is handed, counted over all
-    its rounds, by script[k % len(script)]: an error class rejects the
-    point, a number is its residual."""
+    """A judge that judges the k-th row it is handed, counted over all its
+    Batches, by script[k % len(script)]: an error class rejects the row, a
+    number is its residual."""
     seen = [0]
 
-    def batch(points):
-        m = len(points)
-        values, mask, errors = np.full(m, math.nan), np.zeros(m, dtype=bool), {}
+    def judge(b):
+        m = len(b.X)
+        values = np.full(m, math.nan)
         for j in range(m):
             entry = script[(seen[0] + j) % len(script)]
             if isinstance(entry, type):
-                mask[j], errors[j] = True, entry(f"point {seen[0] + j}")
+                error = entry(f"point {seen[0] + j}")
+                b.reject([j], lambda _: error)
             else:
                 values[j] = entry
         seen[0] += m
-        return values, mask, errors
+        return values
+    return judge
+
+
+def triple(judge):
+    """judge as the per-point loop takes a round: points -> (values,
+    rejected mask, {row: error}) of one new Batch of the points."""
+    def batch(points):
+        b = Batch(np.asarray(points, dtype=float))
+        values = judge(b)
+        return values, b.rejected, b.errors
     return batch
 
 
@@ -94,7 +107,8 @@ def judged(script, points, dim, seed):
                 result = ([tuple(p) for p in pts.tolist()], pack(values.tolist()),
                           (pack([item.max_residual]), item.worst_point))
             else:
-                accepted = scalar_checker.accept(ch, dim, scripted(script), message)
+                accepted = scalar_checker.accept(ch, dim, triple(scripted(script)),
+                                                 message)
                 worst, worst_pt = scalar_checker.worst(accepted)
                 result = ([pt for pt, _ in accepted], pack(v for _, v in accepted),
                           (pack([worst]), worst_pt))
