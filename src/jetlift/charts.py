@@ -17,12 +17,12 @@ import numpy as np
 from .errors import TransformError
 from .fields import (
     Batch,
-    ProceduralField,
     by_point,
     compose,
     const_field,
     coord_field,
     inject,
+    procedural_map,
     program,
 )
 from .spaces import Space, base_e, phase_j
@@ -30,12 +30,6 @@ from .tensors import TwoForm, _matsum, _table, _transport
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
-
-#: the Newton inverse of each forward map, by n and its trees: its call
-#: nodes are interned for the whole process, so equal maps must give the
-#: same kernels, not a new set of nodes each
-_NEWTON_INVERSES = {}
-
 
 def _determinant(space, M):
     """Determinant of a small matrix of fields, by cofactor expansion."""
@@ -122,22 +116,22 @@ class FibredTransform:
         if q_inv is not None and len(q_inv) != n:
             raise TransformError(f"need {n} inverse components")
         if q_inv is None:
-            key = (n, tuple([f.expr for f in self.q_fwd]))
-            if key not in _NEWTON_INVERSES:
-                _NEWTON_INVERSES[key] = self._newton_inverse()
-            q_inv = _NEWTON_INVERSES[key]
+            q_inv = procedural_map(self.base, ("newton inverse",) + tuple(
+                [f.expr for f in self.q_fwd]), n, self._newton_inverse)
         self.q_inv = list(q_inv)
 
     # -- numeric inverse ----------------------------------------------------
 
     def _newton_inverse(self):
-        """Invert Q = Q(t, q) by Newton's method seeded at the target, over
-        all the points of a batch at once with one stacked linear solve per
-        step. A row stops when it converges, when its iterate repeats an
-        earlier one bit for bit (the step depends on q alone, so the
-        iterates cycle through points that all failed NEWTON_TOL and can
-        never converge), or after NEWTON_MAX_ITER steps; the rows that do
-        not converge are rejected."""
+        """The `procedural_map` functions of the inverse q = q(t, Q): its
+        state inverts Q = Q(t, q) by Newton's method seeded at the target,
+        over all the points of a batch at once with one stacked linear solve
+        per step, and its gradient is read from the inverse of the forward
+        Jacobian at the solution. A row stops when it converges, when its
+        iterate repeats an earlier one bit for bit (the step depends on q
+        alone, so the iterates cycle through points that all failed
+        NEWTON_TOL and can never converge), or after NEWTON_MAX_ITER steps;
+        the rows that do not converge are rejected."""
         n = self.n
         # the forward map and its derivatives, compiled once for every solve
         # and gradient: Q, the flattened dQ/dq and dQ/dt
@@ -190,35 +184,26 @@ class FibredTransform:
                 active = rows[~cycled]
             else:
                 b.reject(active, failed)
-            return q
+            return (q,)
 
-        key = ("newton", id(dQdq))
-
-        def solution(b):
-            return b.once(key, lambda: solve(b))
-
-        def inverse_jacobian(b):
+        def inverse_jacobian(b, state):
             # dq/dQ = Jq^{-1}; dq/dt = -Jq^{-1} dQ/dt, all at the solution:
             # row i of the (m, n, 1 + n) result is the gradient of q^i
-            def compute():
-                q = solution(b)
+            q, = state
 
-                def at(fn):
-                    return b.on(key + ("at",),
-                                lambda: np.column_stack([b.X[:, 0], q]), fn)
+            def at(fn):
+                return b.on((solve, "at"),
+                            lambda: np.column_stack([b.X[:, 0], q]), fn)
 
-                jac = at(lambda c: by_point(dQdq(c), n, n))
-                live = np.flatnonzero(~b.rejected)
-                jinv = np.zeros_like(jac)
-                jinv[live] = np.linalg.inv(jac[live])
-                dt = at(lambda c: by_point(dQdt(c), n))
-                dt_part = (-jinv @ dt[..., None])[..., 0]
-                return np.concatenate([dt_part[..., None], jinv], axis=2)
-            return b.once(key + ("grad",), compute)
+            jac = at(lambda c: by_point(dQdq(c), n, n))
+            live = np.flatnonzero(~b.rejected)
+            jinv = np.zeros_like(jac)
+            jinv[live] = np.linalg.inv(jac[live])
+            dt = at(lambda c: by_point(dQdt(c), n))
+            dt_part = (-jinv @ dt[..., None])[..., 0]
+            return np.concatenate([dt_part[..., None], jinv], axis=2)
 
-        return [ProceduralField(self.base, lambda b, i=i: solution(b)[:, i],
-                                lambda b, i=i: inverse_jacobian(b)[:, i, :],
-                                _on_batch=True) for i in range(n)]
+        return solve, inverse_jacobian
 
     # -- chart maps ---------------------------------------------------------
 

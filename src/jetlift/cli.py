@@ -19,7 +19,10 @@ import math
 import sys
 from itertools import product
 
+import numpy as np
+
 from .errors import JetliftError, ModelError
+from .fields import Batch, program
 from .lifts import (
     complete_lift_cotangent,
     complete_lift_tensor11,
@@ -31,9 +34,8 @@ from .lifts import (
     vlift_twoform,
 )
 from .model import load_model
-from .pn import build_dn_transform, eigen_analysis, pn_check, verify_dn
+from .pn import build_dn_transform, eigenvalue_fields, pn_check, verify_dn
 from .report import (
-    _REJECTABLE,
     DEFAULT_BOX,
     DEFAULT_POINTS,
     DEFAULT_SEED,
@@ -174,18 +176,12 @@ def cmd_darboux(args) -> int:
         return 1
     T = build_dn_transform(R, box=box, seed=args.seed, **sizes)
     report = verify_dn(R, T, seed=args.seed, box=box, **sizes)
-    sampler = Checker(seed=args.seed, box=box)
-    samples = []
-    for _ in range(100):
-        if len(samples) == 3:
-            break
-        pt = sampler.draw_point(R.space.dim)
-        try:
-            data = eigen_analysis(R, pt)
-        except _REJECTABLE:  # a point the checks would redraw
-            continue
-        samples.append({"point": list(pt),
-                        "eigenvalues": [float(v) for v in data.eigenvalues]})
+    # the first 3 of 100 points where the eigenvalues evaluate, in one batch
+    b = Batch(Checker(seed=args.seed, box=box).draw_points(100, R.space.dim))
+    with np.errstate(all="ignore"):
+        lam = program(eigenvalue_fields(R))(b).T
+    samples = [{"point": list(b.point(i)), "eigenvalues": lam[i].tolist()}
+               for i in np.flatnonzero(~b.rejected)[:3].tolist()]
     if args.json:
         print(json.dumps({"object": args.object, "pn": pn.to_dict(),
                           "eigenvalue_samples": samples,

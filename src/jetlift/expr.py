@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     DomainError,
     ExprError,
+    NonFiniteError,
     ParseError,
     SingularPointError,
     SpaceMismatchError,
@@ -426,6 +427,13 @@ class Batch:
             if not self.rejected[i]:
                 self.rejected[i] = True
                 self.errors[i] = error(i)
+
+    def reject_nonfinite(self, values):
+        """values, the (k, m) values of k quantities at these rows, each row
+        whose values are not all finite rejected with a NonFiniteError."""
+        self.reject(np.flatnonzero(~np.isfinite(values).all(axis=0)), lambda i: (
+            NonFiniteError(f"non-finite value at {self.point(i)}")))
+        return values
 
     def absorb(self, child):
         """Reject each row whose points in child were rejected, with the

@@ -164,20 +164,17 @@ class Kernel:
 
 
 class ProceduralField(SymbolicField):
-    """A field given by functions of the point array: value_fn maps an
-    (m, dim) array to the (m,) values and grad_fn to the (m, dim) first
-    partials. Rows a function cannot evaluate hold nan or inf. Its tree is
-    one call of their Kernel, of order budget 2, on the coordinates."""
+    """A field given by functions of a Batch b: value_fn(b) gives the (m,)
+    values and grad_fn(b) the (m, dim) first partials at the points b.X,
+    e.g. `lambda b: np.exp(b.X[:, 1]) * b.X[:, 2]`. Rows a function cannot
+    evaluate hold nan or inf, or are rejected in b; a function may
+    evaluate other fields in b. Its tree is one call of their Kernel, of
+    order budget 2, on the coordinates."""
 
-    def __init__(self, space: Space, value_fn, grad_fn=None, _on_batch=False):
-        # _on_batch: the functions take the Batch itself, so that they can
-        # evaluate other fields in it and reject rows
-        if not _on_batch:
-            value_fn = _over_points(value_fn)
-            grad_fn = None if grad_fn is None else _over_points(grad_fn)
-        kernel = Kernel(value_fn, grad_fn, 2)
+    def __init__(self, space: Space, value_fn, grad_fn=None):
         SymbolicField.__init__(self, space, ex.Call(
-            kernel, tuple([ex.var(c) for c in space.coords])))
+            Kernel(value_fn, grad_fn, 2),
+            tuple([ex.var(c) for c in space.coords])))
 
     # own entries, so that each class's eval, grad and diff can be wrapped
     eval, grad, diff = SymbolicField.eval, SymbolicField.grad, SymbolicField.diff
@@ -186,8 +183,32 @@ class ProceduralField(SymbolicField):
         return f"ProceduralField({self.space}, budget={self.expr.kernel.budget})"
 
 
-def _over_points(fn):
-    return lambda b: np.asarray(fn(b.X), dtype=float)
+#: the fields of each procedural map, by its space and key: their call
+#: nodes are interned for the whole process, so a map made again must give
+#: the same kernels, not a new set of nodes each
+_MAPS = {}
+
+
+def procedural_map(space: Space, key, k: int, make) -> list:
+    """The k fields on space of the procedural map named key (a hashable
+    that fixes the map, such as its defining trees), made once per space
+    and key for the process. make() gives (state, jacobian): state(b) runs
+    once per Batch b, and its first item is the (m, k) values; jacobian(b,
+    s) gives the (m, k, dim) first partials from that state s, also once
+    per batch. Field i is column i of both."""
+    if (space, key) not in _MAPS:
+        state, jacobian = make()
+
+        def values(b):  # the memo is keyed by the map's own functions
+            return b.once(state, lambda: state(b))
+
+        def grads(b):
+            return b.once(jacobian, lambda: jacobian(b, values(b)))
+
+        _MAPS[space, key] = [ProceduralField(
+            space, lambda b, i=i: values(b)[0][:, i],
+            lambda b, i=i: grads(b)[:, i, :]) for i in range(k)]
+    return list(_MAPS[space, key])
 
 
 def _shifted(X):
@@ -264,12 +285,3 @@ def by_point(values, *shape):
     of each point's values: matmul and solve give one point's bits only on
     a contiguous stack."""
     return np.ascontiguousarray(values.T).reshape(-1, *shape)
-
-
-def evaluate_batch(fields, points):
-    """The (len(fields), m) values of the fields at an (m, dim) point array,
-    evaluated in one Batch, and that Batch: its rejected rows, and the
-    error evaluating each of them alone raises."""
-    b = Batch(np.asarray(points, dtype=float))
-    with np.errstate(all="ignore"):
-        return program(fields)(b), b

@@ -25,6 +25,7 @@ any depth: no pass over an expression recurses once per level.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .catalog import SuiteInputs
 from .charts import FibredTransform
@@ -37,6 +38,22 @@ KINDS = ("scalar_E", "scalar_J", "vector_E", "oneform_E", "tensor11_E",
          "twoform_E", "transform")
 TENSOR_KINDS = {"vector_E": VectorField, "oneform_E": OneForm,
                 "tensor11_E": Tensor11, "twoform_E": TwoForm}
+
+
+class _Object(dict):
+    """A JSON object, and twice: the first key it gives more than once (json
+    would keep its last value silently), or None."""
+
+    def __init__(self, pairs):
+        dict.__init__(self, pairs)
+        self.twice = next((key for key, k in Counter(
+            key for key, _ in pairs).items() if k > 1), None)
+
+
+def _once(obj, where: str):
+    """Refuse a JSON object that gives a key twice."""
+    if getattr(obj, "twice", None) is not None:
+        raise ModelError(f"{where} {obj.twice!r} twice")
 
 
 def _parse_component(space: Space, comps: dict, name: str, key: str):
@@ -60,6 +77,7 @@ def _parse_component(space: Space, comps: dict, name: str, key: str):
 def _build_object(name: str, spec: dict, n: int):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ModelError(f"object {name!r}: expected a dict with a 'kind'")
+    _once(spec, f"object {name!r} gives")
     kind = spec["kind"]
     if kind not in KINDS:
         raise ModelError(f"object {name!r}: unknown kind {kind!r}; "
@@ -67,6 +85,7 @@ def _build_object(name: str, spec: dict, n: int):
     comps = spec.get("components", {})
     if not isinstance(comps, dict):
         raise ModelError(f"object {name!r}: 'components' must be a dict")
+    _once(comps, f"object {name!r} gives component")
     be = base_e(n)
     pj = phase_j(n)
 
@@ -88,6 +107,11 @@ def _build_object(name: str, spec: dict, n: int):
                              "R(dt) = 0 (no nonzero 't' row)")
         return kind, obj
     # transform
+    names = [f"{q}{i}" for q in ("Q", "inv_q") for i in range(1, n + 1)]
+    for key in comps:
+        if key not in names:
+            raise ModelError(f"object {name!r}: transform has no component "
+                             f"{key!r}; expected {names}")
     q_fwd, q_inv = [], []
     have_inv = any(k.startswith("inv_") for k in comps)
     for i in range(1, n + 1):
@@ -150,19 +174,21 @@ class Model:
 def load_model(path: str) -> Model:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_Object)
     except OSError as exc:
         raise ModelError(f"cannot read model file: {exc}")
     except json.JSONDecodeError as exc:
         raise ModelError(f"model file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ModelError("model file must contain a JSON object")
+    _once(data, "model file gives")
     n = data.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ModelError("model needs a positive integer 'n'")
     raw = data.get("objects", {})
     if not isinstance(raw, dict) or not raw:
         raise ModelError("model needs a non-empty 'objects' dict")
+    _once(raw, "model gives object")
     objects = {}
     for name, spec in raw.items():
         try:

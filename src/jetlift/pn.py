@@ -11,15 +11,14 @@ import numpy as np
 
 from . import expr as ex
 from .charts import FibredTransform
-from .errors import (EigenError, NonFiniteError, SpaceMismatchError,
-                     TransformError)
+from .errors import EigenError, SpaceMismatchError, TransformError
 from .fields import (
-    ProceduralField,
     ScalarField,
     SymbolicField,
     by_point,
     evaluate,
     inject,
+    procedural_map,
     program,
     zero,
 )
@@ -279,8 +278,7 @@ def _eigen(A, b):
     block is not finite."""
     m, n = A.shape[:2]
     w, V, U = np.zeros((m, n)), np.zeros((m, n, n)), np.zeros((m, n, n))
-    b.reject(np.flatnonzero(~np.isfinite(A).all(axis=(1, 2))), lambda i: (
-        NonFiniteError(f"non-finite value at {b.point(i)}")))
+    b.reject_nonfinite(A.reshape(m, n * n).T)
     live = np.flatnonzero(~b.rejected)
     wc, Vc = np.linalg.eig(A[live])
     imag = np.max(np.abs(wc.imag), axis=1)
@@ -321,38 +319,23 @@ def eigen_analysis(R: Tensor11, point) -> EigenData:
     return EigenData(tuple(point), tuple(w[0]), V[0], U[0])
 
 
-#: the eigenvalue fields of each q-block, by its base and its trees: their
-#: call nodes are interned for the whole process, so equal blocks must give
-#: the same kernels, not a new set of nodes each
-_EIGENVALUE_FIELDS = {}
-
-
 def eigenvalue_fields(R: Tensor11):
     """Eigenvalues of the q-block as procedural fields on the base, in
     ascending order per point, with analytic first derivatives from
     first-order eigenvalue perturbation; made once per q-block."""
     _require_annihilates_dt(R)
-    block = _q_block(R)
-    key = (R.space, tuple([f.expr for row in block for f in row]))
-    if key not in _EIGENVALUE_FIELDS:
-        _EIGENVALUE_FIELDS[key] = _eigenvalue_fields(R.space, block)
-    return list(_EIGENVALUE_FIELDS[key])
-
-
-def _eigenvalue_fields(base, block):
+    base, block = R.space, _q_block(R)
     n = base.n
-    stacked = _stacked(block)
-    dstacked = [_stacked([[f.diff(name) for f in row] for row in block])
-                for name in base.coords]
 
-    def eigen(b):
-        return b.once(("eigen", id(block)), lambda: _eigen(stacked(b), b))
+    def make():
+        stacked = _stacked(block)
+        dstacked = [_stacked([[f.diff(name) for f in row] for row in block])
+                    for name in base.coords]
 
-    def perturbation(b):
-        # (m, n, dim): u_i . dA/dx^c . v_i for every eigenvalue i and
-        # coordinate c
-        def compute():
-            _, V, U = eigen(b)
+        def perturbation(b, state):
+            # (m, n, dim): u_i . dA/dx^c . v_i for every eigenvalue i and
+            # coordinate c
+            _, V, U = state
             out = np.empty((len(b.X), n, base.dim))
             for c, partial in enumerate(dstacked):
                 dA = partial(b)
@@ -360,19 +343,10 @@ def _eigenvalue_fields(base, block):
                     out[:, i, c] = (U[:, i:i + 1, :] @ dA
                                     @ V[:, :, i:i + 1])[:, 0, 0]
             return out
-        return b.once(("eigen-grad", id(block)), compute)
+        return lambda b: _eigen(stacked(b), b), perturbation
 
-    return [ProceduralField(base, lambda b, i=i: eigen(b)[0][:, i],
-                            lambda b, i=i: perturbation(b)[:, i, :],
-                            _on_batch=True) for i in range(n)]
-
-
-def _eigen_probe(R: Tensor11):
-    """A `Checker._accept` judge that rejects each point eigen_analysis(R, .)
-    refuses, with the error it raises, judging the whole Batch in one
-    `_eigen`."""
-    block = _stacked(_q_block(R))
-    return lambda b: _eigen(block(b), b)[0]
+    return procedural_map(base, ("eigenvalues",) + tuple(
+        [f.expr for row in block for f in row]), n, make)
 
 
 def build_dn_transform(R: Tensor11, box=DEFAULT_BOX, points=16,
@@ -383,7 +357,8 @@ def build_dn_transform(R: Tensor11, box=DEFAULT_BOX, points=16,
     n = R.space.n
     checker = Checker(points=points, seed=seed, tol=tol, box=box)
     lam = eigenvalue_fields(R)
-    drawn, _ = checker._accept(R.space.dim, _eigen_probe(R))
+    probe = program(lam)  # a point is drawn where the eigenvalues evaluate
+    drawn, _ = checker._accept(R.space.dim, lambda b: probe(b).T)
     tors = max_residual(nijenhuis_torsion(R), drawn)
     if tors >= tol:
         raise TransformError(

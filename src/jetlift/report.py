@@ -218,7 +218,7 @@ def _residual_program(lhs, rhs, space, sizes=None):
     k = len(lhs)
 
     def residuals(b):
-        values = _finite(b, run(b))
+        values = b.reject_nonfinite(run(b))
         diff = np.abs(values[:k] - values[k:] if rhs else values)
         if sizes is None:
             return np.max(diff, axis=0)
@@ -226,14 +226,6 @@ def _residual_program(lhs, rhs, space, sizes=None):
                          np.split(diff, np.cumsum(sizes)[:-1])]).T
 
     return residuals
-
-
-def _finite(b, values):
-    """The (k, m) values of a program over the Batch b, each row whose
-    values are not all finite rejected in b."""
-    b.reject(np.flatnonzero(~np.isfinite(values).all(axis=0)), lambda i: (
-        NonFiniteError(f"non-finite value at {b.point(i)}")))
-    return values
 
 
 def _through(fwd, judge):
@@ -245,7 +237,7 @@ def _through(fwd, judge):
     images = program(fwd)
 
     def run(b):
-        Y = _finite(b, images(b)).T
+        Y = b.reject_nonfinite(images(b)).T
         live = np.flatnonzero(~b.rejected)
         out = np.column_stack([np.full(len(Y), np.nan), Y])
         if live.size:

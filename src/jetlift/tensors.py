@@ -98,9 +98,13 @@ class _Indexed:
         """Components keyed by their coordinate names joined with ',' ("q1",
         "q1,t"); missing ones are 0."""
         rank = len(cls.variance)
-        flat = [0.0] * space.dim ** rank
+        flat, keys = [0.0] * space.dim ** rank, {}
         for key, v in named.items():
-            flat[_flat_index(space, key, rank)] = v
+            i = _flat_index(space, key, rank)
+            if i in keys:  # "q1,q1" and "q1, q1": the last would win
+                raise SpaceMismatchError(
+                    f"{keys[i]!r} and {key!r} name one component")
+            flat[i], keys[i] = v, key
         return cls(space, _nest(flat, space.dim, rank))
 
     def components(self) -> list:

@@ -16,5 +16,4 @@ def twin(f) -> ProceduralField:
     the caller's batch, rejecting there the rows f rejects."""
     value = program([f])
     grad = program([f.diff(c) for c in f.space.coords])
-    return ProceduralField(f.space, lambda b: value(b)[0],
-                           lambda b: grad(b).T, _on_batch=True)
+    return ProceduralField(f.space, lambda b: value(b)[0], lambda b: grad(b).T)

@@ -194,7 +194,7 @@ class TestNonFinite:
 
     def test_nan_value_is_rejected_per_point(self):
         nan_field = ProceduralField(base_e(1),
-                                    lambda X: np.full(len(X), math.nan))
+                                    lambda b: np.full(len(b.X), math.nan))
         with pytest.raises(SamplingError):
             Checker(points=4).vanish("x", "", nan_field)
 

@@ -27,12 +27,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batch_values import evaluate_batch
 from call_nodes import holds_call, twin
 from jetlift import build_dn_transform, complete_lift_tensor11, verify_dn
 from jetlift import expr as ex
 from jetlift.errors import ExprError
-from jetlift.fields import (ProceduralField, const_field, coord_field, evaluate_batch,
-                            inject, parse_field)
+from jetlift.fields import (ProceduralField, const_field, coord_field, inject,
+                            parse_field)
 from jetlift.model import load_model
 from jetlift.spaces import base_e, phase_j
 from jetlift.tensors import OneForm, VectorField, _matsum, lie_derivative, sum_products

@@ -433,6 +433,51 @@ def test_bad_input_is_exit_2_without_traceback(argv, names, tmp_path, capsys):
     assert names in err
 
 
+# model text whose key was ignored, or whose last value of a key given twice
+# silently won; the text as written, since json.dumps cannot repeat a key
+T_N2 = '"T": {"kind": "transform", "components": {"Q1": "q1 + t*q2", "Q2": "q2"'
+IGNORED_OR_REPEATED = {
+    "transform-extra.json": '{"n": 2, "objects": {' + T_N2 +
+                            ', "Q3": "t", "P1": "nonsense("}}}}',
+    "transform-inv-q3.json": '{"n": 2, "objects": {' + T_N2 +
+                             ', "inv_q1": "q1", "inv_q2": "q2", "inv_q3": "t"}}}}',
+    "spaced-twice.json": '{"n": 1, "objects": {"R": {"kind": "tensor11_E", '
+                         '"components": {"q1,q1": "q1", "q1, q1": "t*0 + 5"}}}}',
+    "component-twice.json": '{"n": 1, "objects": {"R": {"kind": "tensor11_E", '
+                            '"components": {"q1,q1": "q1", "q1,q1": "5"}}}}',
+    "object-twice.json": '{"n": 1, "objects": {"R": {"kind": "tensor11_E", '
+                         '"components": {"q1,q1": "q1"}}, "R": {"kind": '
+                         '"tensor11_E", "components": {"q1,q1": "5"}}}}',
+}
+
+
+@pytest.mark.parametrize("model, argv, names", [
+    ("transform-extra.json", ("print", "--object", "T"),
+     "object 'T': transform has no component 'Q3'; expected "
+     "['Q1', 'Q2', 'inv_q1', 'inv_q2']"),
+    ("transform-extra.json", ("verify", "--suite", "naturality"),
+     "object 'T': transform has no component 'Q3'; expected "
+     "['Q1', 'Q2', 'inv_q1', 'inv_q2']"),
+    ("transform-inv-q3.json", ("print", "--object", "T"),
+     "object 'T': transform has no component 'inv_q3'; expected "
+     "['Q1', 'Q2', 'inv_q1', 'inv_q2']"),
+    ("spaced-twice.json", ("print", "--object", "R"),
+     "object 'R': 'q1,q1' and 'q1, q1' name one component"),
+    ("component-twice.json", ("print", "--object", "R"),
+     "object 'R' gives component 'q1,q1' twice"),
+    ("object-twice.json", ("print", "--object", "R"),
+     "model gives object 'R' twice"),
+], ids=["extra-print", "extra-verify", "inv-q3", "spaced", "component",
+        "object"])
+def test_an_ignored_or_repeated_key_is_exit_2(model, argv, names, tmp_path,
+                                              capsys):
+    path = tmp_path / model
+    path.write_text(IGNORED_OR_REPEATED[model])
+    code, out, err = run(capsys, argv[0], "--model", str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {names}\n"
+
+
 # model text that ended in a traceback: a token the number syntax or the
 # exponent rule rejects, a constant that folding overflowed or turned
 # complex, a non-finite constant the printer could not show, and text

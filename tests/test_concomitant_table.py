@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import per_pair_concomitant
+from batch_values import evaluate_batch
 from call_nodes import holds_call
 from jetlift import expr as ex
 from jetlift import pn
 from jetlift.catalog import torsion_example
-from jetlift.fields import ProceduralField, evaluate_batch
+from jetlift.fields import ProceduralField
 from jetlift.lifts import (complete_lift_tensor11, complete_lift_vector,
                            momentum_function, vlift_oneform)
 from jetlift.model import load_model
@@ -78,9 +79,9 @@ def procedural_tensor():
     """The complete lift of the torsion example with its (q1, q1) entry
     multiplied by the procedural field exp(q1) * p1."""
     Rt = complete_lift_tensor11(torsion_example())
-    f = ProceduralField(Rt.space, lambda X: np.exp(X[:, 1]) * X[:, 2],
-                        lambda X: np.column_stack([0 * X[:, 0], np.exp(X[:, 1]) * X[:, 2],
-                                                   np.exp(X[:, 1])]))
+    f = ProceduralField(Rt.space, lambda b: np.exp(b.X[:, 1]) * b.X[:, 2],
+                        lambda b: np.column_stack([0 * b.X[:, 0], np.exp(b.X[:, 1]) * b.X[:, 2],
+                                                   np.exp(b.X[:, 1])]))
     entries = [list(row) for row in Rt.entries]
     entries[1][1] = entries[1][1] * f
     return Tensor11(Rt.space, entries)

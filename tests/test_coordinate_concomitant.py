@@ -13,9 +13,10 @@ import os
 import numpy as np
 import pytest
 
+from batch_values import evaluate_batch
 from jetlift import pn
 from jetlift.catalog import dn_example_tensor, torsion_example
-from jetlift.fields import evaluate_batch, parse_field
+from jetlift.fields import parse_field
 from jetlift.lifts import complete_lift_tensor11
 from jetlift.model import load_model
 from jetlift.report import DEFAULT_TOL, Checker, max_residual

@@ -76,7 +76,7 @@ def field(e):
     return SymbolicField(BE1, e if isinstance(e, ex.Expr) else ex.parse_expr(e, BE1.coords))
 
 
-PROC = ProceduralField(BE1, lambda X: X[:, 0] * X[:, 1], lambda X: X[:, ::-1])
+PROC = ProceduralField(BE1, lambda b: b.X[:, 0] * b.X[:, 1], lambda b: b.X[:, ::-1])
 
 # (lhs, rhs or None for vanish, box, decided)
 EDGES = [

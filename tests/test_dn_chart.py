@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from batch_values import evaluate_batch
 from dn_family import dn_family
 from jetlift import (
     SamplingError,
@@ -23,7 +24,6 @@ from jetlift import (
     verify_dn,
 )
 from jetlift.expr import Batch
-from jetlift.fields import evaluate_batch
 from jetlift.model import load_model
 from jetlift.report import Checker, _compiled_residuals, _through
 

@@ -561,10 +561,10 @@ class TestProcedural:
         sym = parse_field("sin(q1*t) + q1^3", space)
         proc = ProceduralField(
             space,
-            lambda X: np.sin(X[:, 1] * X[:, 0]) + X[:, 1]**3,
-            lambda X: np.column_stack([
-                X[:, 1] * np.cos(X[:, 1] * X[:, 0]),
-                X[:, 0] * np.cos(X[:, 1] * X[:, 0]) + 3 * X[:, 1]**2]))
+            lambda b: np.sin(b.X[:, 1] * b.X[:, 0]) + b.X[:, 1]**3,
+            lambda b: np.column_stack([
+                b.X[:, 1] * np.cos(b.X[:, 1] * b.X[:, 0]),
+                b.X[:, 0] * np.cos(b.X[:, 1] * b.X[:, 0]) + 3 * b.X[:, 1]**2]))
         return sym, proc
 
     def test_first_derivatives_exact(self):

@@ -124,12 +124,12 @@ def test_mixed_factors():
     # the factors of test_sum_products' mixed fold: symbolic, procedural and
     # a quotient by a procedural field that is 0 where t = q2
     s = [parse_field(src, BE2) for src in ("t*q1 + 1", "sin(q2)", "q1^2 - t")]
-    p = ProceduralField(BE2, lambda X: np.exp(X[:, 1]) * X[:, 2],
-                        lambda X: np.column_stack([0 * X[:, 0], np.exp(X[:, 1]) * X[:, 2],
-                                                   np.exp(X[:, 1])]))
-    q = s[0] / ProceduralField(BE2, lambda X: X[:, 0] - X[:, 2],
-                               lambda X: np.column_stack([1 + 0 * X[:, 0], 0 * X[:, 0],
-                                                          -1 + 0 * X[:, 0]]))
+    p = ProceduralField(BE2, lambda b: np.exp(b.X[:, 1]) * b.X[:, 2],
+                        lambda b: np.column_stack([0 * b.X[:, 0], np.exp(b.X[:, 1]) * b.X[:, 2],
+                                                   np.exp(b.X[:, 1])]))
+    q = s[0] / ProceduralField(BE2, lambda b: b.X[:, 0] - b.X[:, 2],
+                               lambda b: np.column_stack([1 + 0 * b.X[:, 0], 0 * b.X[:, 0],
+                                                          -1 + 0 * b.X[:, 0]]))
     got = sum_products(BE2, [("+", [s[0], p]), ("-", [p, s[1], s[2]]),
                              ("+-", [s[1], q]), ("-", [q, q])])
     fields = [*s, p, q, got]

@@ -84,6 +84,30 @@ class TestErrors:
                 "T": {"kind": "transform", "components": {
                     "Q1": "q1", "Q2": "q2", "inv_q1": "q1"}}}}))
 
+    def test_a_key_given_twice_at_any_level(self, tmp_path):
+        # json would keep the last value of each
+        R = '{"kind": "tensor11_E", "components": {"q1,q1": "q1"}}'
+        for text, names in [
+                ('{"n": 1, "n": 2, "objects": {"R": %s}}' % R,
+                 "model file gives 'n' twice"),
+                ('{"n": 1, "objects": {"R": {"kind": "tensor11_E", "kind": '
+                 '"oneform_E", "components": {"q1": "q1"}}}}',
+                 "object 'R' gives 'kind' twice")]:
+            path = tmp_path / "model.json"
+            path.write_text(text)
+            with pytest.raises(ModelError) as info:
+                load_model(str(path))
+            assert str(info.value) == names
+
+    def test_a_twoform_term_and_its_mirror_add(self, tmp_path):
+        # "q1,t" and "t,q1" are two components of a TwoForm, not one twice
+        m = load_model(write_model(tmp_path, {"n": 1, "objects": {
+            "w": {"kind": "twoform_E",
+                  "components": {"q1,t": "q1", "t,q1": "t"}}}}))
+        _, w = m.get("w")
+        assert str(w.entries[1][0]) == "q1 - t"
+        assert str(w.entries[0][1]) == "t - q1"
+
     def test_unknown_object(self, tmp_path):
         m = load_model(write_model(tmp_path, {"n": 1, "objects": {
             "f": {"kind": "scalar_E", "components": {"value": "t"}}}}))

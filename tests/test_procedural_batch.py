@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from batch_values import evaluate_batch
 from jetlift import (
     FibredTransform,
     SamplingError,
@@ -28,9 +29,8 @@ from jetlift import (
     phase_j,
     verify_dn,
 )
-from jetlift import pn
 from jetlift.expr import Batch
-from jetlift.fields import FD_STEP, Kernel, ProceduralField, evaluate_batch
+from jetlift.fields import FD_STEP, Kernel, ProceduralField, program
 from jetlift.model import load_model
 from jetlift.report import _REJECTABLE, Checker
 
@@ -122,6 +122,29 @@ def bits(x) -> bytes:
 GENERIC = Tensor11.from_dict(base_e(2), {
     "q1,q1": "2 + sin(q1)*t", "q1,q2": "1 + q1*q1/7",
     "q2,q1": "0.3 + t*t/11", "q2,q2": "q1 - q2/3"})
+
+
+def test_two_maps_in_one_program_keep_their_own_state():
+    # each procedural map keeps its state and Jacobian per batch under its
+    # own key: two Newton inverses, or the eigenvalues of two q-blocks,
+    # evaluated in one program must not read each other's
+    be = base_e(2)
+    inverses = [FibredTransform(2, [parse_field(a, be), parse_field(b, be)]).q_inv
+                for a, b in (("q1 + t*q2", "q2"), ("q1 + sin(q2)/3", "q2 - t*q1/5"))]
+    blocks = [eigenvalue_fields(R) for R in (GENERIC, Tensor11.from_dict(
+        be, {"q1,q1": "2*q1", "q1,q2": "1", "q2,q2": "t - q2"}))]
+    X = rand_points(3, n=32, seed=5)
+    for maps in (inverses, blocks):
+        fields = [[g for f in m for g in (f, *map(f.diff, be.coords))]
+                  for m in maps]
+        both, b = evaluate_batch(fields[0] + fields[1], X)
+        (one, b1), (two, b2) = [evaluate_batch(f, X) for f in fields]
+        assert (b.rejected == b1.rejected | b2.rejected).all()
+        keep = ~b.rejected
+        assert keep.sum() > len(X) // 2
+        assert not np.array_equal(one[:, keep], two[:, keep])
+        assert (both[:, keep].tobytes()
+                == np.vstack([one, two])[:, keep].tobytes())
 
 
 def test_eigenvalue_gradient_is_the_per_point_perturbation():
@@ -244,8 +267,8 @@ def test_verify_dn_work(monkeypatch):
 
 def test_nan_component_is_rejected_not_passed():
     be = base_e(1)
-    nan = ProceduralField(be, lambda X: np.full(len(X), math.nan),
-                          lambda X: np.full(X.shape, math.nan))
+    nan = ProceduralField(be, lambda b: np.full(len(b.X), math.nan),
+                          lambda b: np.full(b.X.shape, math.nan))
     T = FibredTransform(1, [parse_field("q1", be)], [nan])
     R = Tensor11.from_dict(be, {"q1,q1": "q1"})
     with pytest.raises(SamplingError, match="NonFiniteError"):
@@ -255,7 +278,7 @@ def test_nan_component_is_rejected_not_passed():
 def test_phase_points_are_rejected_per_row():
     # a field that is nan on half of phase space: only those rows go
     pj = phase_j(1)
-    f = ProceduralField(pj, lambda X: np.where(X[:, 2] > 0, 1.0, math.nan))
+    f = ProceduralField(pj, lambda b: np.where(b.X[:, 2] > 0, 1.0, math.nan))
     values, batch = evaluate_batch([f], rand_points(3, n=16))
     assert not batch.rejected.any()  # nan is a value, not an error
     assert np.isnan(values[0]).sum() == sum(
@@ -318,8 +341,8 @@ def test_eval_at_raises_the_first_error_in_component_order():
     # both fail near q1 = 0, by two different guards, so that the message
     # tells which component raised first
     sym = parse_field("q1^-1", base)
-    proc = 1.0 / ProceduralField(base, lambda X: X[:, 1], lambda X: np.column_stack(
-        [np.zeros(len(X)), np.ones(len(X))]))
+    proc = 1.0 / ProceduralField(base, lambda b: b.X[:, 1], lambda b: np.column_stack(
+        [np.zeros(len(b.X)), np.ones(len(b.X))]))
     singular = [(0.5, 0.0), (0.5, -1.0), (0.5, 1e-9), (0.5, 2.0)]
     cases = [(L, rand_points(5, n=16))]
     for comps in ([proc, sym], [sym, proc], ["log(q1)", "1/q1"], ["t", "sqrt(q1)"]):
@@ -338,8 +361,8 @@ def test_eval_at_raises_the_first_error_in_component_order():
 def test_procedural_and_symbolic_division_raise_one_message():
     base = base_e(1)
     sym = parse_field("1/q1", base)
-    proc = 1.0 / ProceduralField(base, lambda X: X[:, 1], lambda X: np.column_stack(
-        [np.zeros(len(X)), np.ones(len(X))]))
+    proc = 1.0 / ProceduralField(base, lambda b: b.X[:, 1], lambda b: np.column_stack(
+        [np.zeros(len(b.X)), np.ones(len(b.X))]))
     for pt in [(0.5, 0.0), (0.5, -0.0), (0.5, 1e-9)]:
         errors = []
         for f in (sym, proc):
@@ -373,7 +396,7 @@ def test_the_eigen_probe_judges_each_row_as_eigen_analysis(name):
             one.append((type(exc), str(exc)))
     b = Batch(X)
     with np.errstate(all="ignore"):
-        pn._eigen_probe(R)(b)
+        program(eigenvalue_fields(R))(b)
     assert [(type(b.errors[i]), str(b.errors[i])) if b.rejected[i] else None
             for i in range(len(X))] == one
     assert one.count(None) not in (0, len(X))
@@ -384,7 +407,8 @@ def test_the_eigen_probe_judges_each_row_as_eigen_analysis(name):
 def test_the_eigen_probe_draws_the_points_sample_draws():
     R = EIGEN_REFUSED["complex"]
     want = Checker(points=16).sample(3, lambda pt: eigen_analysis(R, pt))
-    got, _ = Checker(points=16)._accept(3, pn._eigen_probe(R))
+    values = program(eigenvalue_fields(R))
+    got, _ = Checker(points=16)._accept(3, lambda b: values(b).T)
     assert list(map(tuple, got.tolist())) == want
 
 

@@ -428,12 +428,12 @@ def rand_points(dim, n=64, seed=0):
 def test_mixed_factors_fold_over_fields_bit_for_bit():
     space = base_e(2)
     s = [parse_field(src, space) for src in ("t*q1 + 1", "sin(q2)", "q1^2 - t")]
-    p = ProceduralField(space, lambda X: np.exp(X[:, 1]) * X[:, 2],
-                        lambda X: np.column_stack([0 * X[:, 0], np.exp(X[:, 1]) * X[:, 2],
-                                                   np.exp(X[:, 1])]))
-    q = s[0] / ProceduralField(space, lambda X: X[:, 0] - X[:, 2],
-                               lambda X: np.column_stack([1 + 0 * X[:, 0], 0 * X[:, 0],
-                                                          -1 + 0 * X[:, 0]]))
+    p = ProceduralField(space, lambda b: np.exp(b.X[:, 1]) * b.X[:, 2],
+                        lambda b: np.column_stack([0 * b.X[:, 0], np.exp(b.X[:, 1]) * b.X[:, 2],
+                                                   np.exp(b.X[:, 1])]))
+    q = s[0] / ProceduralField(space, lambda b: b.X[:, 0] - b.X[:, 2],
+                               lambda b: np.column_stack([1 + 0 * b.X[:, 0], 0 * b.X[:, 0],
+                                                          -1 + 0 * b.X[:, 0]]))
     terms = [("+", [s[0], p]), ("-", [p, s[1], s[2]]), ("+-", [s[1], q]),
              ("+", [s[2]]), ("-", [q, q]), ("+-", [s[0], s[1]])]
     got = sum_products(space, terms)

@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+from batch_values import evaluate_batch
 from call_nodes import holds_call
 from jetlift import (
     Bivector,
@@ -32,7 +33,7 @@ from jetlift import (
     pullback_twoform,
     vlift_oneform,
 )
-from jetlift.fields import compose, evaluate_batch, zero
+from jetlift.fields import compose, zero
 from jetlift.model import load_model
 from jetlift.tensors import _table, sum_fields
 
