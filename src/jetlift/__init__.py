@@ -97,15 +97,7 @@ from .pn import (
     verify_dn,
 )
 from .report import CheckItem, CheckReport, Checker
-from .model import Model, load_model
-from .catalog import (
-    SuiteInputs,
-    dn_example_expected_transform,
-    dn_example_tensor,
-    standard_corpus,
-    torsion_example,
-    torsion_free_example,
-)
+from .model import Model, SuiteInputs, load_model
 from .suites import SUITES, run_all_suites, run_suite
 
 __version__ = "0.1.0"

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import dataclass, field
 
-from .catalog import SuiteInputs
 from .charts import FibredTransform
 from .errors import ExprError, ModelError, SpaceMismatchError
 from .fields import parse_field
@@ -132,6 +132,25 @@ def _build_object(name: str, spec: dict, n: int):
         raise ModelError(f"object {name!r}: {exc}")
 
 
+@dataclass
+class SuiteInputs:
+    """A model's objects in the slots the identity suites take, each list in
+    the model's order."""
+    n: int
+    tensors: list = field(default_factory=list)      # (1,1) tensors killing dt
+    oneforms: list = field(default_factory=list)
+    twoforms: list = field(default_factory=list)
+    vert_fields: list = field(default_factory=list)  # vertical vector fields
+    tnorm_fields: list = field(default_factory=list)  # <X, dt> = 1 fields
+    scalars: list = field(default_factory=list)      # functions on the base
+    transforms: list = field(default_factory=list)
+
+    @property
+    def lift_fields(self):
+        """Vector fields the complete lift accepts."""
+        return self.vert_fields + self.tnorm_fields
+
+
 class Model:
     """A named collection of geometric objects sharing one fibre dimension."""
 
@@ -150,15 +169,20 @@ class Model:
 
     def suite_inputs(self) -> SuiteInputs:
         """Sort the model's objects into the slots the identity suites use."""
-        verts, tnorms = [], []
-        for X in self.by_kind("vector_E"):
+        verts, tnorms, bad = [], [], []
+        for name, (kind, X) in self.objects.items():
+            if kind != "vector_E":
+                continue
             if X.is_vertical:
                 verts.append(X)
             elif X.is_t_normalized:
                 tnorms.append(X)
             else:
-                raise ModelError("suite vector fields must have dt-component "
-                                 "0 or 1")
+                bad.append(repr(name))
+        if bad:
+            raise ModelError(f"object{'s' * (len(bad) > 1)} {', '.join(bad)}: "
+                             "suite vector fields must have dt-component "
+                             "0 or 1")
         return SuiteInputs(
             n=self.n,
             tensors=self.by_kind("tensor11_E"),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .catalog import SuiteInputs
 from .fields import coord_field, inject
 from .lifts import (
     canonical_theta,
@@ -25,6 +24,7 @@ from .lifts import (
     vlift_twoform,
 )
 from .charts import pullback_twoform
+from .model import SuiteInputs
 from .pn import (
     commutation_defect,
     magri_morosi_table,

@@ -28,7 +28,6 @@ from jetlift import (
     complete_lift_cotangent,
     complete_lift_tensor11,
     complete_lift_vector,
-    dn_example_tensor,
     eigen_analysis,
     extended_t,
     haantjes_tensor,
@@ -39,13 +38,12 @@ from jetlift import (
     pn_check,
     run_all_suites,
     run_suite,
-    standard_corpus,
-    torsion_example,
-    torsion_free_example,
     vlift_oneform,
     vlift_tensor11,
     vlift_twoform,
 )
+from corpus import (dn_example_tensor, standard_corpus, torsion_example,
+                    torsion_free_example)
 
 
 def seeded_points(dim, n=64, seed=0):

@@ -16,7 +16,6 @@ from jetlift import (
     parse_field,
 )
 from jetlift import expr as ex
-from jetlift.catalog import standard_corpus
 from jetlift.fields import ProceduralField
 from jetlift.report import (
     CheckReport,
@@ -26,6 +25,7 @@ from jetlift.report import (
 )
 from jetlift.suites import SUITES
 import scalar_evaluate
+from corpus import standard_corpus
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

@@ -382,6 +382,13 @@ BAD_MODELS = {
     # log(0) loads, but its derivative divides by the constant zero
     "log-zero.json": {"n": 1, "objects": {"R": {
         "kind": "tensor11_E", "components": {"q1,q1": "q1 + log(0)*t"}}}},
+    # a field the suites cannot sort: dt-component neither 0 nor 1
+    "vector-dt-2.json": {"n": 1, "objects": {
+        "Xbad": {"kind": "vector_E", "components": {"t": "2", "q1": "q1"}}}},
+    "vector-dt-two-bad.json": {"n": 1, "objects": {
+        "Xbad": {"kind": "vector_E", "components": {"t": "2", "q1": "q1"}},
+        "Xv": {"kind": "vector_E", "components": {"q1": "q1"}},
+        "Xq": {"kind": "vector_E", "components": {"t": "q1"}}}},
 }
 LEMMA1 = ("verify", "--model", N1, "--suite", "lemma1")
 R_DN = ("darboux", "--model", N2, "--object", "R_dn")
@@ -416,6 +423,10 @@ R_DN = ("darboux", "--model", N2, "--object", "R_dn")
       "complete"), "object 'R', component 'q1,q1': cannot differentiate"),
     (("verify", "--model", "log-zero.json", "--suite", "all"),
      "object 'R', component 'q1,q1': cannot differentiate"),
+    (("verify", "--model", "vector-dt-2.json", "--suite", "lemma1"),
+     "object 'Xbad': suite vector fields must have dt-component 0 or 1"),
+    (("verify", "--model", "vector-dt-two-bad.json", "--suite", "all"),
+     "objects 'Xbad', 'Xq': suite vector fields must have dt-component"),
 ])
 def test_bad_input_is_exit_2_without_traceback(argv, names, tmp_path, capsys):
     # a check on no points, or at no tolerance, must not pass; a number

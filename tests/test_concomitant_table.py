@@ -12,9 +12,9 @@ import pytest
 import per_pair_concomitant
 from batch_values import evaluate_batch
 from call_nodes import holds_call
+from corpus import torsion_example
 from jetlift import expr as ex
 from jetlift import pn
-from jetlift.catalog import torsion_example
 from jetlift.fields import ProceduralField
 from jetlift.lifts import (complete_lift_tensor11, complete_lift_vector,
                            momentum_function, vlift_oneform)

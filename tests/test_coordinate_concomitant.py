@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from batch_values import evaluate_batch
+from corpus import dn_example_tensor, torsion_example
 from jetlift import pn
-from jetlift.catalog import dn_example_tensor, torsion_example
 from jetlift.fields import parse_field
 from jetlift.lifts import complete_lift_tensor11
 from jetlift.model import load_model

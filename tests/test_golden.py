@@ -1,9 +1,12 @@
 """Golden digests of the seeded reports.
 
 Every performance change must leave the seeded reports byte for byte as
-they were. This test pins that: it hashes (sha256) the stdout of six
+they were. This test pins that: it hashes (sha256) the stdout of eight
 seeded CLI runs and compares each digest with the value captured before
-the last change that was meant to keep them. One more digest covers the
+the last change that was meant to keep them. The two runs on the tests'
+corpus (models/corpus_n1.json, corpus_n2.json) have the digests of
+`run_all_suites` on the Python corpus those files replaced, so they also
+pin that the files hold the same objects. One more digest covers the
 printed trees, which no report shows: the stdout and exit code of `print`
 and of every `lift --kind` of every object of n1 and n2, with and without
 `--json`. A last one covers the Darboux-Nijenhuis report of the n = 3
@@ -61,13 +64,20 @@ GOLDEN = [
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "3"],
      "503958e0dc5db96744563ef00fdc716c81727994f6e6f56416ccd53aab5b068c"),
+    (["verify", "--model", os.path.join(MODELS, "corpus_n1.json"),
+      "--suite", "all", "--json", "--seed", "0"],
+     "7cadc2a1124b9d209523f2906561e2b6d75d6ccf69b3acd11e5c56d29d3b1da4"),
+    (["verify", "--model", os.path.join(MODELS, "corpus_n2.json"),
+      "--suite", "all", "--json", "--seed", "0"],
+     "fafe36925c4a58b6e177f84977c81654576f8aa1fa8685fe5e2ea4cb606d5b08"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN,
                          ids=["verify-n1", "verify-n2", "darboux-n2",
                               "darboux-n2-seed1", "darboux-n2-seed2",
-                              "darboux-n2-seed3"])
+                              "darboux-n2-seed3", "verify-corpus-n1",
+                              "verify-corpus-n2"])
 def test_seeded_report_digest(capsys, argv, digest):
     code = main(argv)
     out = capsys.readouterr().out

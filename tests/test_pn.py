@@ -17,8 +17,6 @@ from jetlift import (
     build_dn_transform,
     complete_lift_tensor11,
     differential,
-    dn_example_expected_transform,
-    dn_example_tensor,
     eigen_analysis,
     eigenvalue_fields,
     fiber_hamiltonian_field,
@@ -39,6 +37,7 @@ from jetlift import (
     exterior_derivative,
     wedge,
 )
+from corpus import dn_example_tensor
 from jetlift.lifts import LiftError
 
 
@@ -259,7 +258,11 @@ class TestDarboux:
         # coordinate tuples as sets rather than slot by slot
         R = dn_example_tensor()
         T = build_dn_transform(R)
-        expect = dn_example_expected_transform()
+        # the closed form: Q1 = q1 - t*q2 (= u), Q2 = q2 + 3 (= v + 3)
+        be = base_e(2)
+        expect = FibredTransform(
+            2, [parse_field("q1 - t*q2", be), parse_field("q2 + 3", be)],
+            [parse_field("q1 + t*(q2 - 3)", be), parse_field("q2 - 3", be)])
         for pt in rand_points(3, n=16, seed=5):
             got = sorted(f.eval(pt) for f in T.q_fwd)
             ref = sorted(g.eval(pt) for g in expect.q_fwd)

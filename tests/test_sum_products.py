@@ -38,6 +38,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from call_nodes import holds_call
+from corpus import standard_corpus
 from jetlift import (
     FibredTransform,
     OneForm,
@@ -71,7 +72,6 @@ from jetlift import (
 from jetlift import charts, fields, tensors
 from jetlift.errors import OrderOverflowError
 from jetlift import expr as ex
-from jetlift.catalog import standard_corpus
 from jetlift.charts import _determinant
 from jetlift.fields import (
     ProceduralField,
