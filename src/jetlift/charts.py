@@ -24,6 +24,7 @@ from .fields import (
     inject,
     procedural_map,
     program,
+    second_partials,
 )
 from .spaces import Space, base_e, phase_j
 from .tensors import TwoForm, _matsum, _table, _transport
@@ -126,19 +127,20 @@ class FibredTransform:
         """The `procedural_map` functions of the inverse q = q(t, Q): its
         state inverts Q = Q(t, q) by Newton's method seeded at the target,
         over all the points of a batch at once with one stacked linear solve
-        per step, and its gradient is read from the inverse of the forward
-        Jacobian at the solution. A row stops when it converges, when its
+        per step, and its derivatives follow from the implicit function
+        theorem at the solution. A row stops when it converges, when its
         iterate repeats an earlier one bit for bit (the step depends on q
         alone, so the iterates cycle through points that all failed
         NEWTON_TOL and can never converge), or after NEWTON_MAX_ITER steps;
         the rows that do not converge are rejected."""
         n = self.n
-        # the forward map and its derivatives, compiled once for every solve
-        # and gradient: Q, the flattened dQ/dq and dQ/dt
+        # the forward map and its derivatives, compiled once for every solve,
+        # gradient and Hessian: Q, the flattened dQ/dq, dQ/dt and Q_zz
         fwd = program(self.q_fwd)
         dQdq = program([f.diff(f"q{j + 1}") for f in self.q_fwd
                         for j in range(n)])
         dQdt = program([f.diff("t") for f in self.q_fwd])
+        d2Q = second_partials(self.q_fwd)
 
         def solve(b):
             X = b.X
@@ -186,24 +188,36 @@ class FibredTransform:
                 b.reject(active, failed)
             return (q,)
 
+        def at(b, state, fn):
+            # fn of the child batch at the solutions (t, q), made once
+            return b.on((solve, "at"),
+                        lambda: np.column_stack([b.X[:, 0], state[0]]), fn)
+
         def inverse_jacobian(b, state):
             # dq/dQ = Jq^{-1}; dq/dt = -Jq^{-1} dQ/dt, all at the solution:
             # row i of the (m, n, 1 + n) result is the gradient of q^i
-            q, = state
-
-            def at(fn):
-                return b.on((solve, "at"),
-                            lambda: np.column_stack([b.X[:, 0], q]), fn)
-
-            jac = at(lambda c: by_point(dQdq(c), n, n))
+            jac = at(b, state, lambda c: by_point(dQdq(c), n, n))
             live = np.flatnonzero(~b.rejected)
             jinv = np.zeros_like(jac)
             jinv[live] = np.linalg.inv(jac[live])
-            dt = at(lambda c: by_point(dQdt(c), n))
+            dt = at(b, state, lambda c: by_point(dQdt(c), n))
             dt_part = (-jinv @ dt[..., None])[..., 0]
             return np.concatenate([dt_part[..., None], jinv], axis=2)
 
-        return solve, inverse_jacobian
+        def inverse_hessian(b, state, grads):
+            # Q(t, q(t, Q)) = Q is linear in x = (t, Q), so with z = (t, q)
+            # and D = dz/dx (dt/dx = e_t over the gradient of q), Jq d_a d_b q
+            # + Q_zz[D_a, D_b] = 0: d_a d_b q = -Jq^{-1} D^T Q_zz D, with the
+            # second partials Q_zz at the solution
+            m, dim = len(b.X), n + 1
+            D = np.zeros((m, dim, dim))
+            D[:, 0, 0] = 1.0
+            D[:, 1:] = grads
+            S = D.swapaxes(1, 2)[:, None] @ at(b, state, d2Q) @ D[:, None]
+            jinv = np.ascontiguousarray(grads[:, :, 1:])
+            return -(jinv @ S.reshape(m, n, dim * dim)).reshape(m, n, dim, dim)
+
+        return solve, inverse_jacobian, inverse_hessian
 
     # -- chart maps ---------------------------------------------------------
 

@@ -36,7 +36,8 @@ class NonFiniteError(EvaluationError):
 
 
 class OrderOverflowError(JetliftError):
-    """A procedural field was asked for derivatives beyond order 2."""
+    """A procedural field was asked for a partial it has no rule for: a
+    third partial, or a second one of a field given no Hessian."""
 
 
 class SpaceMismatchError(JetliftError):

@@ -6,10 +6,11 @@ random-point evaluation, so simplification here is best-effort only
 
 Besides the grammar's nodes, a `Call` applies a procedural kernel (an
 eigenvalue, a Newton inverse) to argument trees: an elemental function
-with a supplied gradient, differentiated by the chain rule over its
-arguments and evaluated by its kernel over a whole `Batch`. Every scalar
-field is a tree, procedural or not. A call prints, but its text does not
-parse back: the printer's parse-back rule covers trees without calls.
+with a supplied gradient and Hessian, differentiated by the chain rule
+over its arguments and evaluated by its kernel over a whole `Batch`.
+Every scalar field is a tree, procedural or not. A call prints, but its
+text does not parse back: the printer's parse-back rule covers trees
+without calls.
 
 Nodes are interned, so a tree is a DAG. Differentiation, compilation and
 substitution visit it by one iterative post-order walk (`_postorder`),
@@ -136,7 +137,7 @@ class Call(Expr):
     """kernel applied to the tuple of trees args. A kernel has value(b), its
     (m,) values over a Batch b of argument points, rejecting in b the rows
     it cannot evaluate, and partial(a), the kernel of its partial by
-    argument a (OrderOverflowError past its order budget)."""
+    argument a (OrderOverflowError when it has no rule for that partial)."""
 
     __slots__ = ("kernel", "args")
 
@@ -401,9 +402,10 @@ class Batch:
     here, the error that evaluating that point alone raises (the first one
     met, in the order the one-point evaluation meets them).
 
-    A child batch evaluates points derived from these (projected, mapped,
-    shifted); its row r belongs to row rows[r] of its parent (row r when
-    rows is None), and `absorb` passes its rejections up."""
+    A child batch evaluates points derived from these (argument values,
+    Newton iterates and solutions); its row r belongs to row rows[r] of its
+    parent (row r when rows is None), and `absorb` passes its rejections
+    up."""
 
     def __init__(self, X, rejected=None, rows=None):
         self.X = X

@@ -2,9 +2,8 @@
 
 Every scalar field is a symbolic expression tree, and fields and numbers
 combine into trees. A procedural field (a value function plus analytic
-first partials; second derivatives fall back to central differences of
-the gradient) is the tree of one `expr.Call` on its chart's coordinates:
-its `Kernel` holds the functions and the order budget. Sums, products,
+first and, optionally, second partials) is the tree of one `expr.Call` on
+its chart's coordinates: its `Kernel` holds the functions. Sums, products,
 quotients, `compose` and `inject` of procedural fields are tree operations
 like any other, and a derivative applies the chain rule through the tree.
 
@@ -14,11 +13,10 @@ share runs once per point array, and for each rejected row the error that
 evaluating that point alone raises. The unit of evaluation is a list of
 fields on one space: `program(fields)` compiles their trees into one
 `expr.compile_batch` program, built once where the list is, whose run(b)
-gives their values over a Batch b. A procedural second derivative
-evaluates the parent gradient once, on the stacked shifted copies of the
-array. `evaluate(points, fn)` runs fn on a Batch of points and raises the
-error of the first row it rejects; `eval(point)` and `grad(point)` are its
-one-row case for every field, compiled per call.
+gives their values over a Batch b. `evaluate(points, fn)` runs fn on a
+Batch of points and raises the error of the first row it rejects;
+`eval(point)` and `grad(point)` are its one-row case for every field,
+compiled per call.
 """
 from __future__ import annotations
 
@@ -28,9 +26,6 @@ from . import expr as ex
 from .errors import OrderOverflowError, SpaceMismatchError
 from .expr import Batch
 from .spaces import Space
-
-#: central-difference step for procedural second derivatives
-FD_STEP = 1e-5
 
 
 def evaluate(points, fn):
@@ -122,14 +117,17 @@ ScalarField = SymbolicField  # every scalar field is a tree
 
 class Kernel:
     """The procedural function of an `expr.Call`: value_fn(b) gives the (m,)
-    values and grad_fn(b) the (m, k) partials by its k arguments over a
-    Batch b of argument points (rows they cannot evaluate hold nan or inf,
-    or are rejected in b), each computed once per batch. budget is the
-    number of derivative orders left; a partial past the first takes the
-    central difference of its parent's gradient."""
+    values, grad_fn(b) the (m, k) partials and hess_fn(b) the (m, k, k)
+    second partials by its k arguments over a Batch b of argument points
+    (rows they cannot evaluate hold nan or inf, or are rejected in b), each
+    computed once per batch. The partial by argument a takes its values from
+    column a of the gradient and its own gradient from column a of the
+    Hessian; a partial with no function to give it (a third one, or a
+    second one with no hess_fn) is an OrderOverflowError."""
 
-    def __init__(self, value_fn, grad_fn, budget, label="procedural"):
-        self.value_fn, self.grad_fn, self.budget = value_fn, grad_fn, budget
+    def __init__(self, value_fn, grad_fn=None, hess_fn=None,
+                 label="procedural"):
+        self.value_fn, self.grad_fn, self.hess_fn = value_fn, grad_fn, hess_fn
         self.partials, self.label = {}, label
 
     def value(self, b):
@@ -138,25 +136,19 @@ class Kernel:
     def grad(self, b):
         return b.once((self, "grad"), lambda: self.grad_fn(b))
 
+    def hess(self, b):
+        return b.once((self, "hess"), lambda: self.hess_fn(b))
+
     def partial(self, a: int) -> "Kernel":
         """The kernel of the partial by argument a, made once."""
         if a not in self.partials:
-            if self.budget <= 0 or self.grad_fn is None:
+            if self.grad_fn is None:
                 raise OrderOverflowError(
-                    "procedural fields support derivatives up to order 2")
-            grad_fn = None
-            if self.budget >= 2:
-                def grad_fn(b):
-                    # the parent gradient at x + h e_j and x - h e_j for
-                    # every j, stacked in that order, in one child batch
-                    # shared by every second derivative over b
-                    m, dim = b.X.shape
-                    G = b.on("shifted", lambda: _shifted(b.X), self.grad,
-                             np.tile(np.arange(m), 2 * dim))
-                    G = G[:, a].reshape(2 * dim, m)
-                    return ((G[0::2] - G[1::2]) / (2.0 * FD_STEP)).T
-            self.partials[a] = Kernel(lambda b: self.grad(b)[:, a], grad_fn,
-                                      self.budget - 1, f"{self.label}.d{a}")
+                    f"{self.label} has no derivative by argument {a}")
+            self.partials[a] = Kernel(
+                lambda b: self.grad(b)[:, a],
+                None if self.hess_fn is None else lambda b: self.hess(b)[:, a],
+                None, f"{self.label}.d{a}")
         return self.partials[a]
 
     def __repr__(self):
@@ -165,22 +157,24 @@ class Kernel:
 
 class ProceduralField(SymbolicField):
     """A field given by functions of a Batch b: value_fn(b) gives the (m,)
-    values and grad_fn(b) the (m, dim) first partials at the points b.X,
-    e.g. `lambda b: np.exp(b.X[:, 1]) * b.X[:, 2]`. Rows a function cannot
+    values, grad_fn(b) the (m, dim) first partials and hess_fn(b) the (m,
+    dim, dim) second partials at the points b.X, e.g.
+    `lambda b: np.exp(b.X[:, 1]) * b.X[:, 2]`. Rows a function cannot
     evaluate hold nan or inf, or are rejected in b; a function may
-    evaluate other fields in b. Its tree is one call of their Kernel, of
-    order budget 2, on the coordinates."""
+    evaluate other fields in b. Its tree is one call of their Kernel on the
+    coordinates: it has as many orders of derivatives as it has functions
+    for them."""
 
-    def __init__(self, space: Space, value_fn, grad_fn=None):
+    def __init__(self, space: Space, value_fn, grad_fn=None, hess_fn=None):
         SymbolicField.__init__(self, space, ex.Call(
-            Kernel(value_fn, grad_fn, 2),
+            Kernel(value_fn, grad_fn, hess_fn),
             tuple([ex.var(c) for c in space.coords])))
 
     # own entries, so that each class's eval, grad and diff can be wrapped
     eval, grad, diff = SymbolicField.eval, SymbolicField.grad, SymbolicField.diff
 
     def __repr__(self):
-        return f"ProceduralField({self.space}, budget={self.expr.kernel.budget})"
+        return f"ProceduralField({self.space}, {self.expr.kernel})"
 
 
 #: the fields of each procedural map, by its space and key: their call
@@ -192,12 +186,14 @@ _MAPS = {}
 def procedural_map(space: Space, key, k: int, make) -> list:
     """The k fields on space of the procedural map named key (a hashable
     that fixes the map, such as its defining trees), made once per space
-    and key for the process. make() gives (state, jacobian): state(b) runs
-    once per Batch b, and its first item is the (m, k) values; jacobian(b,
-    s) gives the (m, k, dim) first partials from that state s, also once
-    per batch. Field i is column i of both."""
+    and key for the process. make() gives (state, jacobian, hessian):
+    state(b) runs once per Batch b, and its first item is the (m, k)
+    values; jacobian(b, s) gives the (m, k, dim) first partials from that
+    state s, and hessian(b, s, g) the (m, k, dim, dim) second partials from
+    s and those first partials g, each also once per batch. Field i is
+    entry i of all three."""
     if (space, key) not in _MAPS:
-        state, jacobian = make()
+        state, jacobian, hessian = make()
 
         def values(b):  # the memo is keyed by the map's own functions
             return b.once(state, lambda: state(b))
@@ -205,20 +201,14 @@ def procedural_map(space: Space, key, k: int, make) -> list:
         def grads(b):
             return b.once(jacobian, lambda: jacobian(b, values(b)))
 
+        def hessians(b):
+            return b.once(hessian, lambda: hessian(b, values(b), grads(b)))
+
         _MAPS[space, key] = [ProceduralField(
             space, lambda b, i=i: values(b)[0][:, i],
-            lambda b, i=i: grads(b)[:, i, :]) for i in range(k)]
+            lambda b, i=i: grads(b)[:, i, :],
+            lambda b, i=i: hessians(b)[:, i]) for i in range(k)]
     return list(_MAPS[space, key])
-
-
-def _shifted(X):
-    """2 * dim copies of X stacked: copy 2j shifted by +FD_STEP and copy
-    2j + 1 by -FD_STEP in coordinate j."""
-    m, dim = X.shape
-    Y, j = np.tile(X, (2 * dim, 1, 1)), np.arange(dim)
-    Y[2 * j, :, j] += FD_STEP
-    Y[2 * j + 1, :, j] -= FD_STEP
-    return Y.reshape(2 * dim * m, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +268,23 @@ def program(fields):
             f"fields on mixed spaces: {sorted(map(str, spaces))}")
     coords = spaces.pop().coords if spaces else ()
     return ex.compile_batch([f.expr for f in fields], coords)
+
+
+def second_partials(fields):
+    """run(b): the (m, len(fields), dim, dim) second partials of the fields
+    by their space's coordinates over a Batch b, one `program` of the
+    partials by each pair of coordinates a <= c, compiled here once."""
+    coords = fields[0].space.coords
+    A, C = np.triu_indices(len(coords))
+    run = program([f.diff(coords[a]).diff(coords[c])
+                   for f in fields for a, c in zip(A, C)])
+
+    def hessians(b):
+        out = np.empty((len(b.X), len(fields), len(coords), len(coords)))
+        out[:, :, A, C] = out[:, :, C, A] = by_point(
+            run(b), len(fields), len(A))
+        return out
+    return hessians
 
 
 def by_point(values, *shape):

@@ -20,6 +20,7 @@ from .fields import (
     inject,
     procedural_map,
     program,
+    second_partials,
     zero,
 )
 from .lifts import (
@@ -321,29 +322,48 @@ def eigen_analysis(R: Tensor11, point) -> EigenData:
 
 def eigenvalue_fields(R: Tensor11):
     """Eigenvalues of the q-block as procedural fields on the base, in
-    ascending order per point, with analytic first derivatives from
-    first-order eigenvalue perturbation; made once per q-block."""
+    ascending order per point, with analytic first and second derivatives
+    from eigenvalue perturbation; made once per q-block."""
     _require_annihilates_dt(R)
     base, block = R.space, _q_block(R)
-    n = base.n
+    n, dim = base.n, base.dim
 
     def make():
         stacked = _stacked(block)
         dstacked = [_stacked([[f.diff(name) for f in row] for row in block])
                     for name in base.coords]
+        d2stacked = second_partials([f for row in block for f in row])
+
+        def dA(b):  # dA/dx^c for every coordinate c, once per batch
+            return b.once(dA, lambda: [partial(b) for partial in dstacked])
 
         def perturbation(b, state):
             # (m, n, dim): u_i . dA/dx^c . v_i for every eigenvalue i and
             # coordinate c
             _, V, U = state
-            out = np.empty((len(b.X), n, base.dim))
-            for c, partial in enumerate(dstacked):
-                dA = partial(b)
+            out = np.empty((len(b.X), n, dim))
+            for c, partial in enumerate(dA(b)):
                 for i in range(n):
-                    out[:, i, c] = (U[:, i:i + 1, :] @ dA
+                    out[:, i, c] = (U[:, i:i + 1, :] @ partial
                                     @ V[:, :, i:i + 1])[:, 0, 0]
             return out
-        return lambda b: _eigen(stacked(b), b), perturbation
+
+        def second_order(b, state, _):
+            # (m, n, dim, dim): u_i d_a d_c A v_i plus the sum over j != i of
+            # (P_a[i, j] P_c[j, i] + P_c[i, j] P_a[j, i]) / (lambda_i -
+            # lambda_j), where P_c[i, j] = u_i . dA/dx^c . v_j (Lancaster 1964)
+            w, V, U = state
+            P = np.stack([U @ partial @ V for partial in dA(b)], axis=1)
+            PP = P[:, :, None] * P.swapaxes(2, 3)[:, None]  # (m, a, c, i, j)
+            gaps = w[:, :, None] - w[:, None, :]
+            gaps[:, range(n), range(n)] = np.inf  # j = i adds no term
+            mixed = ((PP + PP.swapaxes(1, 2)) / gaps[:, None, None]).sum(4)
+            d2A = d2stacked(b).reshape(-1, n, n, dim, dim)
+            own = (U[:, None, None] @ np.ascontiguousarray(
+                np.moveaxis(d2A, (3, 4), (1, 2))) @ V[:, None, None])
+            return np.moveaxis(own[..., range(n), range(n)] + mixed, 3, 1)
+
+        return lambda b: _eigen(stacked(b), b), perturbation, second_order
 
     return procedural_map(base, ("eigenvalues",) + tuple(
         [f.expr for row in block for f in row]), n, make)

@@ -32,6 +32,15 @@ def dn_family(n):
     return R, [parse_field(f"{e} + {3 * i}", be) for i, e in enumerate(u)]
 
 
+def dense_eigenvalues(n):
+    """The eigenvalues u_i + 5(i-1) of `dn_dense(n)` as symbolic fields in
+    t, q1..qn, unsorted."""
+    be = base_e(n)
+    total = " + ".join(f"q{i}" for i in range(1, n + 1))
+    return [parse_field(f"q{i} - t^2*({total})/(1 + {n}*t^2) + {5 * (i - 1)}", be)
+            for i in range(1, n + 1)]
+
+
 def dn_dense(n):
     """D with eigenvalues u_i + 5(i-1) pushed into the chart
     q = (I + t^2 1 1^T) u, whose inverse u = q - t^2 (sum q)/(1 + n t^2) 1

@@ -66,12 +66,21 @@ def test_family_verify_dn_passes(family):
     assert report.passed
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: central differences of the eigenvalue chart's gradient "
-    "put dn.lift_diagonal at 3.2e-6, above PROCEDURAL_TOL, on a known chart"))
 def test_dense_n5_verify_dn_passes():
     R = dn_dense(5)
     report = verify_dn(R, build_dn_transform(R))
+    assert report.passed
+
+
+@pytest.mark.parametrize("kind, n", [("dense", 6), ("family", 5),
+                                     ("family", 6), ("family", 7)])
+def test_verify_dn_passes_known_charts_up_to_n7(kind, n):
+    # the second derivatives of the eigenvalue chart and of its Newton
+    # inverse are exact: central differences of the gradient failed
+    # dn.lift_diagonal here (3.2e-6 on dn_dense(6), 4.7e-6 on dn_family(7))
+    R = dn_dense(n) if kind == "dense" else dn_family(n)[0]
+    report = verify_dn(R, build_dn_transform(R))
+    assert [item.check_id for item in report.items] == DN_CHECKS
     assert report.passed
 
 
@@ -104,9 +113,16 @@ def test_no_dn_check_rejects_a_point(monkeypatch):
     assert report.passed
     # one round of exactly 32 points per check: nothing was redrawn
     assert [len(X) for X in drawn] == [32] * 4
-    # each worst point is the image of a drawn point, not a drawn point
+    # each worst point is the image of a drawn point, not a drawn point; a
+    # check whose residuals are all exactly 0 (dn.eigen_locality, with exact
+    # second derivatives) has none
     maps = [T.base_map()] * 2 + [T.phase_map()] * 2
+    assert [bool(item.worst_point) for item in report.items] == [
+        item.max_residual > 0 for item in report.items]
+    assert sum(item.max_residual > 0 for item in report.items) >= 3
     for item, X, chart in zip(report.items, drawn, maps):
+        if not item.worst_point:
+            continue
         images = evaluate_batch(chart.fwd, X)[0].T
         assert list(item.worst_point) in images.tolist()
 

@@ -556,15 +556,23 @@ class TestText:
 
 
 class TestProcedural:
-    def make(self):
+    def make(self, hessian=True):
         space = base_e(1)
         sym = parse_field("sin(q1*t) + q1^3", space)
+
+        def hess(b):
+            t, q = b.X[:, 0], b.X[:, 1]
+            s, c = np.sin(q * t), np.cos(q * t)
+            mixed = c - q * t * s
+            return np.stack([np.column_stack([-q * q * s, mixed]),
+                             np.column_stack([mixed, -t * t * s + 6 * q])], axis=1)
         proc = ProceduralField(
             space,
             lambda b: np.sin(b.X[:, 1] * b.X[:, 0]) + b.X[:, 1]**3,
             lambda b: np.column_stack([
                 b.X[:, 1] * np.cos(b.X[:, 1] * b.X[:, 0]),
-                b.X[:, 0] * np.cos(b.X[:, 1] * b.X[:, 0]) + 3 * b.X[:, 1]**2]))
+                b.X[:, 0] * np.cos(b.X[:, 1] * b.X[:, 0]) + 3 * b.X[:, 1]**2]),
+            hess if hessian else None)
         return sym, proc
 
     def test_first_derivatives_exact(self):
@@ -573,19 +581,26 @@ class TestProcedural:
             assert proc.diff("q1").eval(pt) == pytest.approx(
                 sym.diff("q1").eval(pt), abs=1e-12)
 
-    def test_second_derivatives_fd(self):
+    def test_second_derivatives_exact(self):
+        # each second partial is the entry of the kernel's Hessian, by
+        # either order of the coordinates
         sym, proc = self.make()
-        a = proc.diff("q1").diff("t")
-        b = sym.diff("q1").diff("t")
-        for pt in rand_points(2):
-            assert a.eval(pt) == pytest.approx(b.eval(pt), abs=1e-6)
+        for a in ("t", "q1"):
+            for c in ("t", "q1"):
+                got, want = proc.diff(a).diff(c), sym.diff(a).diff(c)
+                for pt in rand_points(2):
+                    assert got.eval(pt) == pytest.approx(want.eval(pt), abs=1e-12)
 
-    def test_order_budget(self):
-        from jetlift import OrderOverflowError
+    def test_a_partial_with_no_rule_raises(self):
+        # a third partial, or a second one with no Hessian given
         _, proc = self.make()
         d2 = proc.diff("q1").diff("q1")
         with pytest.raises(OrderOverflowError):
             d2.diff("q1")
+        _, first_only = self.make(hessian=False)
+        d1 = first_only.diff("t")
+        with pytest.raises(OrderOverflowError):
+            d1.diff("q1")
 
     def test_mixed_arithmetic(self):
         sym, proc = self.make()
@@ -604,13 +619,14 @@ CALL_COORDS = ("t", "q1", "q2")
 
 def product_kernel(runs=None):
     """A kernel giving the product of its first two arguments, with their
-    swapped values as its partials; runs lists the X of each batch it
-    evaluates."""
+    swapped values as its partials and the constant swap as its Hessian;
+    runs lists the X of each batch it evaluates."""
     def value(b):
         if runs is not None:
             runs.append(b.X)
         return b.X[:, 0] * b.X[:, 1]
-    return Kernel(value, lambda b: b.X[:, [1, 0]], 2)
+    return Kernel(value, lambda b: b.X[:, [1, 0]],
+                  lambda b: np.tile([[0.0, 1.0], [1.0, 0.0]], (len(b.X), 1, 1)))
 
 
 class TestCall:
@@ -636,7 +652,13 @@ class TestCall:
         # an argument whose derivative is the constant zero adds no term
         assert ex.differentiate(call, "q2") is ex.Call(k.partial(1), (u, v))
         assert ex.differentiate(call, "p1") is ex.ZERO
-        assert k.partial(0) is k.partial(0) and k.partial(0).budget == 1
+        assert k.partial(0) is k.partial(0)
+        # the partial's values are a column of the gradient, and its
+        # partials columns of the Hessian, which has no partial of its own
+        b = ex.Batch(np.array([[2.0, 3.0], [5.0, 7.0]]))
+        assert k.partial(0).value(b).tolist() == [3.0, 7.0]
+        assert k.partial(0).partial(1).value(b).tolist() == [1.0, 1.0]
+        assert k.partial(1).partial(1).value(b).tolist() == [0.0, 0.0]
         with pytest.raises(OrderOverflowError):
             k.partial(0).partial(1).partial(0)
 
@@ -677,7 +699,7 @@ class TestCall:
                 f"negative q1 at {b.point(i)}"))
             return b.X[:, 1].copy()
 
-        call = ex.Call(Kernel(value, None, 2), (ex.var("t"), ex.var("q1")))
+        call = ex.Call(Kernel(value), (ex.var("t"), ex.var("q1")))
         e = ex.add(ex.div(ex.ONE, ex.var("t")), call)
         X = np.array([[1.0, -1.0], [0.0, -1.0], [1.0, 2.0], [0.0, 1.0]])
         b = ex.Batch(X)

@@ -25,7 +25,14 @@ the coordinate basis of phase space rather than on the lifted probe basis:
 only the concomitant residuals changed (n2 theorem3.concomitant[R0]
 7.1e-15 -> 4.4e-16 and [R1] 8.9e-16 -> 0 at seed 0, darboux
 pn.magri_morosi_residual 7.1e-15 -> 4.4e-16), every verdict, check id,
-pass flag and worst point stayed.
+pass flag and worst point stayed. The four darboux-n2 digests and both
+n = 3 digests moved again when the eigenvalue chart and its Newton
+inverse came to give exact second derivatives in place of central
+differences of the gradient: every check id and pass flag stayed, and
+the residuals that take a second derivative fell (at seed 0, darboux
+dn.eigen_locality 2.2e-11 -> 0, whose worst point is then empty, and
+dn.lift_diagonal 7.2e-11 -> 1.8e-15; dn_dense(3) dn.lift_diagonal
+2.1e-7 -> 2.7e-12).
 
 The digests also pin the numpy build and the platform libm the reports
 were computed with (numpy 2.4 on x86-64 Linux with glibc); on another
@@ -54,16 +61,16 @@ GOLDEN = [
      "dce6d4708c034544146f7032481ae316723d6ce750cb804a1dfb1dbfa79be1db"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "0"],
-     "57ddbeb721745498604c1dc82c56f7c6afb59774d524d85bb2ef378a1a607658"),
+     "1bc5a79ccbfbf8cb88c535df3f1e987de610b3353407852710824b39278b49af"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "1"],
-     "8cc1155802d96614f0924d4dc45727fd94d34acbb8f396665f2b9c8e79811c8c"),
+     "41472f2b335a8d6336e6403cdc5b3fa617e865483fd8af18dc4e828dfb90e698"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "2"],
-     "3a33d795f76d2a04cf2448627dab97cf3a9bad7228a7140360a3a1d7844afdfb"),
+     "40fb79ffb4157a5c505da7fc86cf3b314c508be16758e4ad436a2712e3e6c1a6"),
     (["darboux", "--model", os.path.join(MODELS, "n2.json"),
       "--object", "R_dn", "--json", "--seed", "3"],
-     "503958e0dc5db96744563ef00fdc716c81727994f6e6f56416ccd53aab5b068c"),
+     "8a4b39c6a8345ce1b44b0b780293f25b75eaf4e371dcd32b19542f4da6a3f867"),
     (["verify", "--model", os.path.join(MODELS, "corpus_n1.json"),
       "--suite", "all", "--json", "--seed", "0"],
      "7cadc2a1124b9d209523f2906561e2b6d75d6ccf69b3acd11e5c56d29d3b1da4"),
@@ -109,8 +116,8 @@ def test_printed_trees_digest(capsys):
     assert digest.hexdigest() == PRINT_LIFT_DIGEST
 
 
-DN_FAMILY_N3_DIGEST = ("14c3a3da4f0e3bb4efdf2e165513a0e5"
-                       "24b45895b5e08adecf7c5a1630d81819")
+DN_FAMILY_N3_DIGEST = ("4a568a59e458d29df4d8bc4df19511a5"
+                       "fc147621c962f9d3759d0ba9fd1d69f4")
 
 
 def test_dn_family_n3_report_digest():
@@ -121,8 +128,8 @@ def test_dn_family_n3_report_digest():
     assert digest == DN_FAMILY_N3_DIGEST
 
 
-DN_DENSE_N3_DIGEST = ("e972598a6f64c5970a0214b7dde21821"
-                      "beb3cc579e025cdde730dbe723abbf93")
+DN_DENSE_N3_DIGEST = ("f5ccb4d34f5975b27343ecc7cccd618f"
+                      "c1639bebc29f303e5de706f578b7826c")
 
 
 def test_dn_dense_n3_report_digest():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from batch_values import evaluate_batch
+from dn_family import dense_eigenvalues, dn_dense, dn_family
 from jetlift import (
     FibredTransform,
     SamplingError,
@@ -30,11 +31,12 @@ from jetlift import (
     verify_dn,
 )
 from jetlift.expr import Batch
-from jetlift.fields import FD_STEP, Kernel, ProceduralField, program
+from jetlift.fields import Kernel, ProceduralField, program
 from jetlift.model import load_model
 from jetlift.report import _REJECTABLE, Checker
 
-N2 = os.path.join(os.path.dirname(__file__), "..", "models", "n2.json")
+MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
+N1, N2 = (os.path.join(MODELS, f"n{n}.json") for n in (1, 2))
 
 
 def rand_points(dim, n=64, seed=0):
@@ -51,10 +53,10 @@ def dn():
     base = {
         "eigenvalue": T.q_fwd,
         "eigenvalue.diff": [f.diff(c) for f in T.q_fwd for c in ("t", "q2")],
-        "eigenvalue.fd": [T.q_fwd[1].diff("q1").diff("q2")],
+        "eigenvalue.d2": [T.q_fwd[1].diff("q1").diff("q2")],
         "q_inv": T.q_inv,
         "q_inv.diff": [g.diff(c) for g in T.q_inv for c in ("t", "q1")],
-        "q_inv.fd": [T.q_inv[0].diff("q2").diff("t")],
+        "q_inv.d2": [T.q_inv[0].diff("q2").diff("t")],
         "Tensor11": [Rp.entries[a][b] for a, b in
                      ((0, 0), (1, 1), (1, 2), (2, 1), (2, 2))],
         "Tensor11.diff": [Rp.entries[1][1].diff("t"),
@@ -199,27 +201,45 @@ def test_composed_gradient_is_the_chain_rule_summed_in_order():
             assert bits(values[j, k]) == bits(want), (pt, j)
 
 
-def test_second_derivative_is_the_central_difference():
-    # d/dx^j of the k-th partial: (g_k(x + h e_j) - g_k(x - h e_j)) / 2h,
-    # from one-point gradients at the shifted points
-    lam = eigenvalue_fields(GENERIC)
-    coords = GENERIC.space.coords
-    points = rand_points(3, n=16)
-    fields = [f.diff(a).diff(c) for f in lam for a in coords for c in coords]
-    values, batch = evaluate_batch(fields, points)
+def second_partials(fields, X):
+    """The (len(fields), dim, dim, m) second partials of the fields at the
+    points X, and the batch that evaluated them."""
+    coords = fields[0].space.coords
+    values, batch = evaluate_batch(
+        [f.diff(a).diff(c) for f in fields for a in coords for c in coords], X)
+    return values.reshape(len(fields), len(coords), len(coords), -1), batch
+
+
+@pytest.mark.parametrize("kind, n", [("family", 2), ("family", 3),
+                                     ("family", 4), ("dense", 3), ("dense", 5)])
+def test_eigenvalue_hessian_is_the_closed_form_one(kind, n):
+    # the second-order perturbation of the sorted eigenvalues against the
+    # symbolic second derivatives of the closed-form ones, matched by value
+    R, eigenvalues = dn_family(n) if kind == "family" else (
+        dn_dense(n), dense_eigenvalues(n))
+    lam = eigenvalue_fields(R)
+    X = rand_points(n + 1, n=48, seed=n)
+    got, batch = second_partials(lam, X)
+    want, _ = second_partials(eigenvalues, X)
+    order = np.argsort(evaluate_batch(eigenvalues, X)[0], axis=0)
+    live = np.flatnonzero(~batch.rejected)
+    assert live.size > 40
+    for k in live.tolist():
+        assert np.max(np.abs(got[..., k] - want[order[:, k], ..., k])) <= 1e-9
+
+
+@pytest.mark.parametrize("path, name", [(N1, "T_exp"), (N2, "T_shear")],
+                         ids=["T_exp", "T_shear"])
+def test_newton_hessian_is_the_symbolic_inverses(path, name):
+    # the transform rebuilt without its inv_* components runs Newton
+    _, T = load_model(path).get(name)
+    newton = FibredTransform(T.n, T.q_fwd)
+    assert not any(g.expr is f.expr for g, f in zip(newton.q_inv, T.q_inv))
+    X = rand_points(T.n + 1, n=32, seed=7)
+    got, batch = second_partials(newton.q_inv, X)
+    want, _ = second_partials(T.q_inv, X)
     assert not batch.rejected.any()
-    for k, pt in enumerate(points):
-        n = 0
-        for f in lam:
-            for a in range(3):
-                for j in range(3):
-                    up, down = list(pt), list(pt)
-                    up[j] += FD_STEP
-                    down[j] += -FD_STEP
-                    want = (f.grad(tuple(up))[a]
-                            - f.grad(tuple(down))[a]) / (2.0 * FD_STEP)
-                    assert bits(values[n, k]) == bits(want), (pt, a, j)
-                    n += 1
+    assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_one_row_error_message_names_the_point(dn):

@@ -409,7 +409,7 @@ def batch_bits(fs, X):
         for f in fs:
             try:
                 partials = fields.program([f.diff(c) for c in f.space.coords])
-            except OrderOverflowError:  # a call past its order budget
+            except OrderOverflowError:  # a call with no rule for its partial
                 grads.append(None)
             else:
                 grads.append(partials(b).T)
