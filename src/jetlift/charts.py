@@ -3,14 +3,17 @@
 A ChartMap carries the forward coordinate functions (fields on the source
 chart) and the inverse coordinate functions (fields on the target chart).
 Push-forward of contravariant indices uses the forward Jacobian composed
-with the inverse; covariant indices use the Jacobian of the inverse. The
-transport formula itself is `tensors._transport`, beside the Lie
-derivative.
+with the inverse; covariant indices use the Jacobian of the inverse, each
+built once per map. The transport formula itself is `tensors._transport`,
+beside the Lie derivative.
 
 FibredTransform specializes to time-preserving maps (t, q) -> (t, Q(t, q))
-and induces the momentum-space map P_j = p_i dq^i/dQ^j.
+and induces the momentum-space map P_j = p_i dq^i/dQ^j; its Newton inverse
+evaluates its derivatives in the child batch of the composed calls.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -32,29 +35,31 @@ from .tensors import TwoForm, _matsum, _table, _transport
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 
-def _determinant(space, M):
-    """Determinant of a small matrix of fields, by cofactor expansion."""
-    d = len(M)
-    if d == 1:
-        return M[0][0]
-    # one 1 x 1 table per term, so that its zero terms are left out
-    terms = [("+" if j % 2 == 0 else "+-", [[M[0][j]]],
-              [[_determinant(space, [[M[i][k] for k in range(d) if k != j]
-                                     for i in range(1, d)])]]) for j in range(d)]
-    return _matsum(space, *terms[0], terms[1:])[0][0]
+def _determinant(space, M, memo=None, minor=None):
+    """Determinant of a small matrix of fields, or of its minor on the rows
+    and columns minor, by cofactor expansion; memo keeps each minor's."""
+    rows, cols = minor = minor or (tuple(range(len(M))),) * 2
+    if len(rows) < 2:
+        return M[rows[0]][cols[0]] if rows else const_field(space, 1.0)
+    memo = {} if memo is None else memo
+    if minor not in memo:
+        # one 1 x 1 table per term, so that its zero terms are left out
+        terms = [("+" if j % 2 == 0 else "+-", [[M[rows[0]][c]]], [[_determinant(
+            space, M, memo, (rows[1:], cols[:j] + cols[j + 1:]))]])
+            for j, c in enumerate(cols)]
+        memo[minor] = _matsum(space, *terms[0], terms[1:])[0][0]
+    return memo[minor]
 
 
 def invert_field_matrix(space, M):
-    """Inverse of a matrix of fields via the adjugate; entries become
-    rational expression trees."""
-    d = len(M)
-    det = _determinant(space, M)
-    if d == 1:
-        return [[const_field(space, 1.0) / det]]
+    """Inverse of a matrix of fields via the adjugate, each distinct minor
+    expanded once; entries become rational expression trees."""
+    d, memo, every = len(M), {}, tuple(range(len(M)))
+    det = _determinant(space, M, memo)
 
     def entry(i, j):
-        cof = _determinant(space, [[M[r][c] for c in range(d) if c != i]
-                                   for r in range(d) if r != j])
+        cof = _determinant(space, M, memo, (every[:j] + every[j + 1:],
+                                            every[:i] + every[i + 1:]))
         return (cof if (i + j) % 2 == 0 else -cof) / det
     return _table(d, 2, entry)
 
@@ -70,11 +75,13 @@ class ChartMap:
         self.fwd = list(fwd)
         self.inv = list(inv)
 
+    @functools.cached_property
     def _jac_fwd_at_inv(self):
         """J^a_b = d fwd^a / dx^b, composed with the inverse: fields on dst."""
         return [[compose(self.fwd[a].diff(name), self.inv, self.dst)
                  for name in self.src.coords] for a in range(self.dst.dim)]
 
+    @functools.cached_property
     def _jac_inv(self):
         """K^b_a = d inv^b / dy^a: fields on dst."""
         return [[self.inv[b].diff(name) for name in self.dst.coords]
@@ -87,8 +94,8 @@ class ChartMap:
         variance = getattr(obj, "variance", None)
         if variance is None:
             raise TypeError(f"cannot transform a {type(obj).__name__}")
-        J = self._jac_fwd_at_inv() if "u" in variance else None
-        K = self._jac_inv() if "d" in variance else None
+        J = self._jac_fwd_at_inv if "u" in variance else None
+        K = self._jac_inv if "d" in variance else None
         return _transport(obj, self.inv, self.dst, J, K)
 
     # the per-kind names callers use; bench/tracer.py wraps each of them
@@ -189,8 +196,9 @@ class FibredTransform:
             return (q,)
 
         def at(b, state, fn):
-            # fn of the child batch at the solutions (t, q), made once
-            return b.on((solve, "at"),
+            # fn in the child batch that expr._run gives a call on (t, *q_inv)
+            args = [coord_field(self.base, "t")] + self.q_inv
+            return b.on(("call", tuple([f.expr for f in args])),
                         lambda: np.column_stack([b.X[:, 0], state[0]]), fn)
 
         def inverse_jacobian(b, state):

@@ -19,12 +19,12 @@ evaluator: `compile_batch` turns the roots into a program run in a `Batch`
 of points, all at once, which rejects each point where a guard fails with
 the error the roots evaluated alone at that point would raise first; a
 one-point evaluation is its one-row case.
-Derivatives are memoised for the whole process, keyed by node and name
-beside the intern table, and so are gradient rows, by node and coordinates:
-a node is differentiated by a name at most once, and the same tree always
-has the same derivative node. The printer and
-the parser keep their own stacks too, so no function here calls itself
-and a tree or a text may be nested to any depth.
+Derivatives (by node and name), gradient rows (by node and coordinates)
+and substitutes (by node and mapping) are memoised for the whole process
+beside the intern table: each is made at most once, and the same tree
+always gives the same node. The printer and the parser keep their own
+stacks too, so no function here calls itself and a tree or a text may be
+nested to any depth.
 """
 from __future__ import annotations
 
@@ -583,10 +583,14 @@ def _run(program, out_slots, coords, batch):
     return np.array([vals[s] for s in out_slots]).reshape(len(out_slots), m)
 
 
+_SUBSTITUTIONS = {}  # mapping items -> {node: its substitute}, process-wide
+
+
 def substitute(e: Expr, mapping: dict) -> Expr:
-    """Rebuild e with every variable replaced by mapping[name] (an Expr)."""
-    new = {}
-    for node in _postorder((e,)):
+    """Rebuild e with every variable replaced by mapping[name] (an Expr),
+    walking only the nodes not yet rebuilt under that mapping."""
+    new = _SUBSTITUTIONS.setdefault(tuple(mapping.items()), {})
+    for node in _postorder((e,), new):
         if isinstance(node, Const):
             new[node] = node
         elif isinstance(node, Var):

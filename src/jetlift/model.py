@@ -135,15 +135,26 @@ def _build_object(name: str, spec: dict, n: int):
 @dataclass
 class SuiteInputs:
     """A model's objects in the slots the identity suites take, each list in
-    the model's order."""
+    the model's order; reading the vector fields refuses `unsorted` ones."""
     n: int
     tensors: list = field(default_factory=list)      # (1,1) tensors killing dt
     oneforms: list = field(default_factory=list)
     twoforms: list = field(default_factory=list)
-    vert_fields: list = field(default_factory=list)  # vertical vector fields
-    tnorm_fields: list = field(default_factory=list)  # <X, dt> = 1 fields
+    vert: list = field(default_factory=list)         # vertical vector fields
+    tnorm: list = field(default_factory=list)        # <X, dt> = 1 fields
+    unsorted: list = field(default_factory=list)     # the others' names
     scalars: list = field(default_factory=list)      # functions on the base
     transforms: list = field(default_factory=list)
+
+    def _sorted(self, fields):  # every vector field vertical or t-normalised
+        if bad := self.unsorted:
+            raise ModelError(f"object{'s' * (len(bad) > 1)} {', '.join(bad)}: "
+                             "suite vector fields must have dt-component "
+                             "0 or 1")
+        return fields
+
+    vert_fields = property(lambda self: self._sorted(self.vert))
+    tnorm_fields = property(lambda self: self._sorted(self.tnorm))
 
     @property
     def lift_fields(self):
@@ -179,17 +190,14 @@ class Model:
                 tnorms.append(X)
             else:
                 bad.append(repr(name))
-        if bad:
-            raise ModelError(f"object{'s' * (len(bad) > 1)} {', '.join(bad)}: "
-                             "suite vector fields must have dt-component "
-                             "0 or 1")
         return SuiteInputs(
             n=self.n,
             tensors=self.by_kind("tensor11_E"),
             oneforms=self.by_kind("oneform_E"),
             twoforms=self.by_kind("twoform_E"),
-            vert_fields=verts,
-            tnorm_fields=tnorms,
+            vert=verts,
+            tnorm=tnorms,
+            unsorted=bad,
             scalars=self.by_kind("scalar_E"),
             transforms=self.by_kind("transform"),
         )

@@ -1,11 +1,12 @@
-"""A Darboux-Nijenhuis known-answer family for every n.
+"""Darboux-Nijenhuis known-answer families for every n.
 
 D = sum_i (u_i + 3(i-1)) d/du_i (x) du^i is diagonal with each eigenvalue
 a function of its own coordinate, so it is torsion-free and its eigenvalues
 are Darboux-Nijenhuis coordinates. It is written in the chart
 q_i = u_i + t*u_{i+1}, q_n = u_n, whose inverse is exact back-substitution:
 u_n = q_n, u_i = q_i - t*u_{i+1}. The base chart's coordinates t, q1..qn
-stand for t, u1..un on the u side.
+stand for t, u1..un on the u side. `dn_dense` writes such a tensor in a
+chart with a dense Jacobian, `dn_curved` in a chart nonlinear in q.
 """
 from jetlift import FibredTransform, Tensor11, base_e, parse_field
 
@@ -57,3 +58,42 @@ def dn_dense(n):
     D = Tensor11.from_dict(be, {f"q{i},q{i}": f"q{i} + {5 * (i - 1)}"
                                 for i in range(1, n + 1)})
     return FibredTransform(n, fwd, inv).base_map().push(D)
+
+
+def _shears(x, a):
+    """The texts x_i + a*sin(x_{i+1}) (x_n kept), then y_i + a*sin(y_{i-1})
+    of those y (y_1 kept)."""
+    y = [f"({xi}) + {a}*sin({xj})" for xi, xj in zip(x, x[1:])] + [x[-1]]
+    return y[:1] + [f"({yi}) + {a}*sin({yh})" for yh, yi in zip(y, y[1:])]
+
+
+def _unshears(y, a):
+    """The inverse of `_shears`, by substitution forward, then backward."""
+    x = y[:1]
+    for yi in y[1:]:
+        x.append(f"{yi} - {a}*sin({x[-1]})")
+    u = x[-1:]
+    for xi in x[-2::-1]:
+        u.insert(0, f"{xi} - {a}*sin({u[0]})")
+    return u
+
+
+def dn_curved(n):
+    """(R, eigenvalues): D with eigenvalues u_i + 7(i-1) pushed into a chart
+    q(u) nonlinear in u, an upper shear u_i + (t/4) sin(u_{i+1}) followed by
+    a lower one v_i + (t/4) sin(v_{i-1}), whose inverse is exact (undo the
+    lower shear forward, then the upper one backward). Its Jacobian dq/du is
+    neither triangular nor a function of t alone, so the eigenbasis couples
+    the eigenvalues' second derivatives: u_i dA/dq^c v_j and u_j dA/dq^c v_i
+    are both nonzero for i != j, which no triangular or t-only chart gives.
+    On the default box |u_i - q_i| <= 1, so u_i - u_j stays within 6 and
+    the eigenvalues never cross."""
+    be = base_e(n)
+    q = [f"q{i}" for i in range(1, n + 1)]
+    u = _unshears(q, "t/4")
+    D = Tensor11.from_dict(be, {f"q{i},q{i}": f"q{i} + {7 * (i - 1)}"
+                                for i in range(1, n + 1)})
+    T = FibredTransform(n, [parse_field(e, be) for e in _shears(q, "t/4")],
+                        [parse_field(e, be) for e in u])
+    R = T.base_map().push(D)
+    return R, [parse_field(f"{e} + {7 * i}", be) for i, e in enumerate(u)]

@@ -389,6 +389,10 @@ BAD_MODELS = {
         "Xbad": {"kind": "vector_E", "components": {"t": "2", "q1": "q1"}},
         "Xv": {"kind": "vector_E", "components": {"q1": "q1"}},
         "Xq": {"kind": "vector_E", "components": {"t": "q1"}}}},
+    # a suite that reads no vector field still runs beside such a field
+    "tensor-and-dt-2.json": {"n": 1, "objects": {
+        "R": {"kind": "tensor11_E", "components": {"q1,q1": "q1"}},
+        "Xbad": {"kind": "vector_E", "components": {"t": "2", "q1": "q1"}}}},
 }
 LEMMA1 = ("verify", "--model", N1, "--suite", "lemma1")
 R_DN = ("darboux", "--model", N2, "--object", "R_dn")
@@ -427,6 +431,10 @@ R_DN = ("darboux", "--model", N2, "--object", "R_dn")
      "object 'Xbad': suite vector fields must have dt-component 0 or 1"),
     (("verify", "--model", "vector-dt-two-bad.json", "--suite", "all"),
      "objects 'Xbad', 'Xq': suite vector fields must have dt-component"),
+    (("verify", "--model", "tensor-and-dt-2.json", "--suite", "lemma1"),
+     "object 'Xbad': suite vector fields must have dt-component 0 or 1"),
+    (("verify", "--model", "tensor-and-dt-2.json", "--suite", "all"),
+     "object 'Xbad': suite vector fields must have dt-component 0 or 1"),
 ])
 def test_bad_input_is_exit_2_without_traceback(argv, names, tmp_path, capsys):
     # a check on no points, or at no tolerance, must not pass; a number
@@ -442,6 +450,18 @@ def test_bad_input_is_exit_2_without_traceback(argv, names, tmp_path, capsys):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert names in err
+
+
+def test_a_suite_without_vector_fields_runs_beside_an_unsorted_one(
+        tmp_path, capsys):
+    # theorem3 reads only the tensors: a vector field with dt-component 2
+    # refuses the suites that read vector fields, not the model
+    path = tmp_path / "tensor-and-dt-2.json"
+    path.write_text(json.dumps(BAD_MODELS[path.name]))
+    code, out, err = run(capsys, "verify", "--model", str(path), "--suite",
+                         "theorem3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("PASS: ")
 
 
 # model text whose key was ignored, or whose last value of a key given twice

@@ -6,9 +6,10 @@ and interval bounds keep every node finite in the box (`report._decided`).
 It must record the CheckItem that sampling records and leave the random
 stream where sampling leaves it. Each test runs its checks twice, once
 with the decision forced off, and compares the items, byte for byte, and
-the stream's state after each check. A last test runs the CLI twice in one
-process: the process-wide tables (the intern table, the derivative memo
-and the gradient rows) must leak nothing into a report.
+the stream's state after each check. The last tests run the CLI twice in
+one process: the process-wide tables (the intern table, the derivative
+memo, the gradient rows and the substitution memo) must leak nothing into
+a report.
 """
 import json
 import math
@@ -157,27 +158,44 @@ def test_a_decided_check_still_refuses_mismatched_sides():
             Checker().compare("x", "", [] if not b else a, b)
 
 
-def test_a_warm_process_gives_the_same_bytes():
+def cli_runs(*argvs):
+    """[exit code, stdout] of jetlift.cli.main on each argv in turn, all in
+    one new process."""
     script = """
 import contextlib, io, json, sys
 from jetlift.cli import main
 outs = []
-for _ in range(2):
-    for model in sys.argv[1:]:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(["verify", "--model", model, "--suite", "all", "--json"])
-        outs.append([code, buf.getvalue()])
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    outs.append([code, buf.getvalue()])
 print(json.dumps(outs))
 """
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", script] + [os.path.join(MODELS, f"{m}.json")
-                                          for m in ("n1", "n2")],
-        capture_output=True, text=True, env=env, timeout=600)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    outs = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_a_warm_process_gives_the_same_bytes():
+    argvs = [["verify", "--model", os.path.join(MODELS, f"{m}.json"),
+              "--suite", "all", "--json"] for m in ("n1", "n2")]
+    outs = cli_runs(*argvs, *argvs)
     assert [code for code, _ in outs] == [0] * 4
     assert outs[:2] == outs[2:] and outs[0][1] != outs[1][1]
+
+
+def test_a_warm_darboux_run_gives_a_fresh_ones_bytes():
+    # the chart maps compose through the substitution memo: a run after
+    # others in the process prints what a run in a new process prints
+    argvs = [["darboux", "--model", os.path.join(MODELS, "n2.json"),
+              "--object", "R_dn", "--json", "--seed", seed]
+             for seed in ("0", "1")]
+    outs = cli_runs(*argvs, *argvs)
+    assert [code for code, _ in outs] == [0] * 4
+    assert outs[:2] == outs[2:] and outs[0][1] != outs[1][1]
+    assert cli_runs(argvs[1]) == outs[1:2]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from batch_values import evaluate_batch
-from dn_family import dn_dense, dn_family
+from dn_family import dn_curved, dn_dense, dn_family
 from jetlift import (
     SamplingError,
     Tensor11,
@@ -80,6 +80,22 @@ def test_verify_dn_passes_known_charts_up_to_n7(kind, n):
     # dn.lift_diagonal here (3.2e-6 on dn_dense(6), 4.7e-6 on dn_family(7))
     R = dn_dense(n) if kind == "dense" else dn_family(n)[0]
     report = verify_dn(R, build_dn_transform(R))
+    assert [item.check_id for item in report.items] == DN_CHECKS
+    assert report.passed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_dn_passes_a_chart_nonlinear_in_q(n):
+    # the one known answer whose eigenbasis couples the eigenvalues'
+    # second derivatives (the sum over j != i of their Hessian)
+    R, eigenvalues = dn_curved(n)
+    T = build_dn_transform(R)
+    X = np.random.default_rng(n).uniform(-2.0, 2.0, size=(64, R.space.dim))
+    got, batch = evaluate_batch(T.q_fwd, X)
+    assert not batch.rejected.any()
+    assert np.max(np.abs(got - np.sort(evaluate_batch(eigenvalues, X)[0],
+                                       axis=0))) < 1e-9
+    report = verify_dn(R, T)
     assert [item.check_id for item in report.items] == DN_CHECKS
     assert report.passed
 

@@ -8,8 +8,12 @@ mutant that every suite still passed would show a formula the suites do
 not actually check. The sign of the Poisson map is one: no suite check
 sees it, so a test here holds it to the canonical bivector instead. The
 fold mutants replace an entry of its table, or the rule by which the
-contractions leave a term out (the zero set of `tensors._operands`).
+contractions leave a term out (the zero set of `tensors._operands`). The
+coupling sum of the eigenvalue Hessian is held to `verify_dn` on a chart
+nonlinear in q (`tests/dn_family.py` `dn_curved`), the one known answer
+whose eigenbasis couples the eigenvalues.
 """
+import inspect
 import math
 import os
 import random
@@ -18,7 +22,8 @@ from itertools import chain
 
 import pytest
 
-from jetlift import charts, pn, tensors
+from dn_family import dn_curved
+from jetlift import build_dn_transform, charts, fields, pn, tensors, verify_dn
 from jetlift import expr as ex
 from jetlift.fields import const_field, coord_field, zero
 from jetlift.model import load_model
@@ -230,3 +235,29 @@ def test_sum_products_folds_zero_beside_non_finite(monkeypatch):
     assert zero_term_folds()
     monkeypatch.setattr(tensors, "_operands", flags_zero_beside_non_finite)
     assert not zero_term_folds()
+
+
+def eigenvalue_fields_half_coupling():
+    """pn.eigenvalue_fields with the sum over j != i of its Hessian, the
+    coupling between the eigenvalues, halved: its own source, recompiled
+    in the module's namespace with that one line changed."""
+    src = inspect.getsource(pn.eigenvalue_fields)
+    line = "mixed = ((PP + PP.swapaxes(1, 2)) / gaps[:, None, None]).sum(4)"
+    assert src.count(line) == 1
+    namespace = dict(vars(pn))
+    exec(src.replace(line, line + " / 2"), namespace)
+    return namespace["eigenvalue_fields"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigenvalue_hessian_coupling_is_checked(monkeypatch, n):
+    R, _ = dn_curved(n)
+    assert verify_dn(R, build_dn_transform(R)).passed
+    patch_everywhere(monkeypatch, pn.eigenvalue_fields,
+                     eigenvalue_fields_half_coupling())
+    # the eigenvalue maps are made once per q-block for the process: a new
+    # table, so that the mutant makes its own
+    monkeypatch.setattr(fields, "_MAPS", {})
+    report = verify_dn(R, build_dn_transform(R))
+    assert "dn.lift_diagonal" in {i.check_id for i in report.items
+                                  if not i.passed}

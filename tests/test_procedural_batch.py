@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from batch_values import evaluate_batch
-from dn_family import dense_eigenvalues, dn_dense, dn_family
+from dn_family import dense_eigenvalues, dn_curved, dn_dense, dn_family
 from jetlift import (
     FibredTransform,
     SamplingError,
@@ -211,12 +211,15 @@ def second_partials(fields, X):
 
 
 @pytest.mark.parametrize("kind, n", [("family", 2), ("family", 3),
-                                     ("family", 4), ("dense", 3), ("dense", 5)])
+                                     ("family", 4), ("dense", 3), ("dense", 5),
+                                     ("curved", 2), ("curved", 3)])
 def test_eigenvalue_hessian_is_the_closed_form_one(kind, n):
     # the second-order perturbation of the sorted eigenvalues against the
     # symbolic second derivatives of the closed-form ones, matched by value
-    R, eigenvalues = dn_family(n) if kind == "family" else (
-        dn_dense(n), dense_eigenvalues(n))
+    if kind == "dense":
+        R, eigenvalues = dn_dense(n), dense_eigenvalues(n)
+    else:
+        R, eigenvalues = {"family": dn_family, "curved": dn_curved}[kind](n)
     lam = eigenvalue_fields(R)
     X = rand_points(n + 1, n=48, seed=n)
     got, batch = second_partials(lam, X)

@@ -198,8 +198,8 @@ def ref_determinant(space, M):
 def ref_push(m, obj):
     """ChartMap.push by the transport formula, its sums folded over fields."""
     variance, dst = obj.variance, m.dst
-    J = m._jac_fwd_at_inv() if "u" in variance else None
-    K = m._jac_inv() if "d" in variance else None
+    J = m._jac_fwd_at_inv if "u" in variance else None
+    K = m._jac_inv if "d" in variance else None
     comps = [fields.compose(f, m.inv, dst) for f in obj.components()]
     if not variance:
         return comps[0]

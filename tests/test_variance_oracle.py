@@ -90,8 +90,8 @@ def ref_lie_derivative(X, T):
 
 def ref_push(m, obj):
     """The six push bodies of ChartMap, by the kind of obj."""
-    J = m._jac_fwd_at_inv()
-    K = m._jac_inv()
+    J = m._jac_fwd_at_inv
+    K = m._jac_inv
     s, d, dst = range(m.src.dim), m.dst.dim, m.dst
 
     def c(f):
