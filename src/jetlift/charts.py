@@ -205,9 +205,9 @@ class FibredTransform:
             # dq/dQ = Jq^{-1}; dq/dt = -Jq^{-1} dQ/dt, all at the solution:
             # row i of the (m, n, 1 + n) result is the gradient of q^i
             jac = at(b, state, lambda c: by_point(dQdq(c), n, n))
-            live = np.flatnonzero(~b.rejected)
-            jinv = np.zeros_like(jac)
-            jinv[live] = np.linalg.inv(jac[live])
+            jinv = b.by_row(np.zeros_like(jac), np.flatnonzero(~b.rejected),
+                            lambda r: np.linalg.inv(jac[r]), lambda i: TransformError(
+                                f"singular Jacobian at t={b.X[i, 0]}, q={state[0][i]}"))
             dt = at(b, state, lambda c: by_point(dQdt(c), n))
             dt_part = (-jinv @ dt[..., None])[..., 0]
             return np.concatenate([dt_part[..., None], jinv], axis=2)

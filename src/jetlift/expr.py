@@ -12,13 +12,13 @@ Every scalar field is a tree, procedural or not. A call prints, but its
 text does not parse back: the printer's parse-back rule covers trees
 without calls.
 
-Nodes are interned, so a tree is a DAG. Differentiation, compilation and
+Nodes are interned, so a tree is a DAG. Differentiation, evaluation and
 substitution visit it by one iterative post-order walk (`_postorder`),
 each node once and without a Python frame per level. There is one
-evaluator: `compile_batch` turns the roots into a program run in a `Batch`
-of points, all at once, which rejects each point where a guard fails with
-the error the roots evaluated alone at that point would raise first; a
-one-point evaluation is its one-row case.
+evaluator: `compile_batch`'s program is the roots' nodes in post-order,
+each run once over a `Batch` of points, all at once, which rejects each
+point where a guard fails with the error the roots evaluated alone at
+that point would raise first; a one-point evaluation is its one-row case.
 Derivatives (by node and name), gradient rows (by node and coordinates)
 and substitutes (by node and mapping) are memoised for the whole process
 beside the intern table: each is made at most once, and the same tree
@@ -374,8 +374,7 @@ def _derivative(e: Expr, name: str, memo: dict) -> Expr:
 _MATH_UFUNCS = {name: np.frompyfunc(getattr(math, name), 1, 1)
                 for name in ("sin", "cos", "exp", "log")}
 _POW_UFUNC = np.frompyfunc(operator.pow, 2, 1)
-_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-          "neg": lambda u, _: -u}  # neg is given its one argument twice
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def _pointwise(fn, ufunc, u, *args):
@@ -437,6 +436,20 @@ class Batch:
             NonFiniteError(f"non-finite value at {self.point(i)}")))
         return values
 
+    def by_row(self, out, rows, f, error):
+        """out, with out[rows] = f(rows), numpy's linear algebra over those
+        rows at once; where a matrix is singular, out[i] = f(i) row by row,
+        each row i where that fails rejected with error(i)."""
+        try:
+            out[rows] = f(rows)
+        except np.linalg.LinAlgError:
+            for i in rows.tolist():
+                try:
+                    out[i] = f(i)
+                except np.linalg.LinAlgError:
+                    self.reject([i], error)
+        return out
+
     def absorb(self, child):
         """Reject each row whose points in child were rejected, with the
         error of the first of them."""
@@ -457,69 +470,41 @@ class Batch:
         return out
 
 
-def _compile(roots, column: dict):
-    """A topologically ordered program computing every root, with each node
-    computed once. Instructions are (op, payload, argument slots); returns
-    the program and the root slots. A call's payload is its kernel and its
-    arguments, or None for them when they are the columns in order."""
-    program = []
-    slot_of = {}  # node -> slot
-    for e in _postorder(roots):
-        cls = e.__class__
-        if cls is Const:
-            ins = ("const", e.value, ())
-        elif cls is Var:
-            ins = ("var", column[e.name], ())
-        elif cls is Unary:
-            ins = (e.op, None, (slot_of[e.arg],))
-        elif cls is Binary:
-            ins = (e.op, None, (slot_of[e.left], slot_of[e.right]))
-        elif cls is Pow:
-            ins = ("pow", e.exponent, (slot_of[e.base],))
-        elif cls is Call:
-            own = [column.get(getattr(a, "name", None)) for a in e.args]
-            ins = ("call", (e.kernel, None if own == [*range(len(column))]
-                            else e.args), [slot_of[a] for a in e.args])
-        else:
-            raise ExprError(f"unknown node {e!r}")
-        slot_of[e] = len(program)
-        program.append(ins)
-    return program, [slot_of[r] for r in roots]
-
-
 def compile_batch(roots, coords):
-    """Compile the root expressions, over the coordinates coords, into one
-    program, and return run(batch) that evaluates every root at every point
-    of a Batch in one pass.
+    """The program of the root expressions over the coordinates coords: run(
+    batch), which evaluates every root at every point of a Batch in one pass.
+    The program is the roots' nodes in post-order, each evaluated once.
 
     batch.X is an (m, len(coords)) array. run returns the (len(roots), m)
     values and rejects in batch each row where a guard fails (a denominator
     below SINGULAR_GUARD, a log, root or power out of its domain), a
     function raises (exp or a power overflows, sin or cos of an infinite
     value) or a call's kernel rejects the point. Its error is the one the
-    roots, evaluated alone in order, raise first: the first failing
-    instruction of the program, in post-order; a row rejected before keeps
-    its error. A non-finite value is not an error: the caller judges those
-    rows. Every value of a row without an error is the one scalar
-    evaluation gives. A batch whose points do not have len(coords)
-    coordinates is a SpaceMismatchError.
+    roots, evaluated alone in order, raise first: that of the first failing
+    node, in post-order; a row rejected before keeps its error. A
+    non-finite value is not an error: the caller judges those rows. Every
+    value of a row without an error is the one scalar evaluation gives. A
+    batch whose points do not have len(coords) coordinates is a
+    SpaceMismatchError.
 
-    A kernel on the columns in order runs on batch itself, any other on the
-    child batch of its argument values, one per argument tuple, so that
+    A call on the coordinates in order runs on batch itself, any other on
+    the child batch of its argument values, keyed ("call", args), so that
     each kernel runs once per batch however many programs call it; it sees
     the rows rejected so far as rejected.
     """
-    program, out_slots = _compile(roots, {c: j for j, c in enumerate(coords)})
-    return functools.partial(_run, program, out_slots, tuple(coords))
+    coords = tuple(coords)
+    return functools.partial(_run, _postorder(roots), tuple(roots), coords,
+                             {c: j for j, c in enumerate(coords)},
+                             tuple(map(Var, coords)))
 
 
-def _run(program, out_slots, coords, batch):
+def _run(order, roots, coords, column, own, batch):
     X = batch.X
     if X.shape[1] != len(coords):
         raise SpaceMismatchError(
             f"{X.shape[1]}-coordinate points for fields on {coords}")
     m = len(X)
-    vals = []
+    val = {}  # node -> its (m,) values
 
     def fail(bad, error):
         """Reject each row of the mask bad with error(row)."""
@@ -527,60 +512,66 @@ def _run(program, out_slots, coords, batch):
             batch.reject(np.flatnonzero(bad), error)
 
     with np.errstate(all="ignore"):
-        for op, payload, args in program:
-            f = _ARITH.get(op)
-            if f is not None:  # no guard can fail: the bulk of a program
-                vals.append(f(vals[args[0]], vals[args[-1]]))
+        for e in order:
+            cls = e.__class__
+            if cls is Binary and e.op != "div":  # no guard can fail: the bulk
+                val[e] = _ARITH[e.op](val[e.left], val[e.right])
                 continue
-            u = vals[args[0]] if args else None
             caught = {}
-            if op == "const":
-                v = np.full(m, payload)
-            elif op == "var":
-                v = X[:, payload]
-            elif op == "div":
-                w = vals[args[1]]
+            if cls is Binary:
+                u, w = val[e.left], val[e.right]
                 fail(np.abs(w) < SINGULAR_GUARD, lambda i: SingularPointError(
                     f"denominator {w.item(i)} below guard {SINGULAR_GUARD}"))
                 v = u / w
-            elif op == "sqrt":
-                fail(u < 0.0, lambda i: DomainError(
-                    f"sqrt of negative value {u.item(i)}"))
-                v = np.sqrt(u)
-            elif op == "log":
-                bad = u <= 0.0
-                fail(bad, lambda i: DomainError(
-                    f"log of non-positive value {u.item(i)}"))
-                v, caught = _pointwise(math.log, _MATH_UFUNCS[op],
-                                       np.where(bad, 1.0, u))
-            elif op == "pow":
+            elif cls is Unary:
+                op, u = e.op, val[e.arg]
+                if op == "neg":
+                    v = -u
+                elif op == "sqrt":
+                    fail(u < 0.0, lambda i: DomainError(
+                        f"sqrt of negative value {u.item(i)}"))
+                    v = np.sqrt(u)
+                elif op == "log":
+                    bad = u <= 0.0
+                    fail(bad, lambda i: DomainError(
+                        f"log of non-positive value {u.item(i)}"))
+                    v, caught = _pointwise(math.log, _MATH_UFUNCS[op],
+                                           np.where(bad, 1.0, u))
+                elif op in _MATH_UFUNCS:
+                    v, caught = _pointwise(getattr(math, op), _MATH_UFUNCS[op], u)
+                else:
+                    raise ExprError(f"cannot evaluate {op!r}")
+            elif cls is Const:
+                v = np.full(m, e.value)
+            elif cls is Var:
+                v = X[:, column[e.name]]
+            elif cls is Pow:
+                op, u, r = "pow", val[e.base], e.exponent
                 bad = np.zeros(m, dtype=bool)
-                if payload.denominator != 1:
+                if r.denominator != 1:
                     bad = u < 0.0
                     fail(bad, lambda i: DomainError(
                         f"fractional power of negative base {u.item(i)}"))
-                if payload < 0:
+                if r < 0:
                     small = np.abs(u) < SINGULAR_GUARD
                     fail(small, lambda i: SingularPointError(
                         f"base {u.item(i)} below guard for negative power"))
                     bad = bad | small
                 v, caught = _pointwise(operator.pow, _POW_UFUNC,
-                                       np.where(bad, 1.0, u), float(payload))
-            elif op in _MATH_UFUNCS:
-                v, caught = _pointwise(getattr(math, op), _MATH_UFUNCS[op], u)
-            elif op == "call":
-                kernel, own = payload
-                v = kernel.value(batch) if own is None else batch.on(
-                    ("call", own), lambda: np.column_stack([vals[s] for s in args]),
-                    kernel.value)
+                                       np.where(bad, 1.0, u), float(r))
+            elif cls is Call:
+                args = e.args
+                v = e.kernel.value(batch) if args == own else batch.on(
+                    ("call", args), lambda: np.column_stack([val[a] for a in args]),
+                    e.kernel.value)
             else:
-                raise ExprError(f"cannot evaluate {op!r}")
+                raise ExprError(f"unknown node {e!r}")
             if caught:  # sin or cos of inf: ValueError
                 batch.reject(list(caught), lambda i: (
                     caught[i] if isinstance(caught[i], OverflowError)
                     else DomainError(f"{op} of {u.item(i)}")))
-            vals.append(v)
-    return np.array([vals[s] for s in out_slots]).reshape(len(out_slots), m)
+            val[e] = v
+    return np.array([val[e] for e in roots]).reshape(len(roots), m)
 
 
 _SUBSTITUTIONS = {}  # mapping items -> {node: its substitute}, process-wide

@@ -293,16 +293,8 @@ def _eigen(A, b):
         gaps = np.diff(w, axis=1).min(axis=1)
         b.reject(np.flatnonzero(gaps < EIGEN_DISTINCT_THRESHOLD), lambda i: (
             EigenError(f"clustered eigenvalues {w[i]} at {b.point(i)}")))
-    live = np.flatnonzero(~b.rejected)
-    try:
-        U[live] = np.linalg.inv(V[live])
-    except np.linalg.LinAlgError:
-        for i in live.tolist():
-            try:
-                U[i] = np.linalg.inv(V[i])
-            except np.linalg.LinAlgError:
-                b.reject([i], lambda i: EigenError(
-                    f"defective eigenvector matrix at {b.point(i)}"))
+    b.by_row(U, np.flatnonzero(~b.rejected), lambda r: np.linalg.inv(V[r]),
+             lambda i: EigenError(f"defective eigenvector matrix at {b.point(i)}"))
     D = np.zeros_like(V)
     D[:, range(n), range(n)] = w
     misfit = np.max(np.abs(V @ D @ U - A), axis=(1, 2))

@@ -203,7 +203,7 @@ def _compiled_residuals(a, b=None, sizes=None):
     """A judge: the residual per point of a Batch b, evaluating every
     component of a (and b) over all its points at once, in one program
     compiled here once. A rejected row keeps the error of the first
-    instruction of the program that fails there (the components of a, then
+    node of the program that fails there (the components of a, then
     of b, each after the nodes it shares with those before), else the
     NonFiniteError of `_values`. With sizes, a row per point of one
     residual for each run of that many consecutive components.

@@ -128,14 +128,35 @@ def test_signed_zero_constants_stay_apart():
     assert _bits(values[:, 0]) == _bits([0.0, -0.0])
 
 
-def test_shared_subtrees_compile_once():
+def test_shared_subtrees_compile_once(monkeypatch):
     q = ex.Var("q1")
     a = ex.Binary("mul", ex.Unary("sin", q), ex.Unary("sin", q))
     b = ex.Binary("add", a, ex.Binary("mul", ex.Unary("sin", q),
                                       ex.Unary("sin", ex.Var("q1"))))
-    program, slots = ex._compile([a, b], {"q1": 0})
-    assert len(program) == 4  # q1, sin, mul, add
-    assert slots == [2, 3]
+    assert b.right is a  # interned: b is a + a
+    calls = []
+
+    def counted(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    monkeypatch.setitem(ex._MATH_UFUNCS, "sin",
+                        counted("sin", ex._MATH_UFUNCS["sin"]))
+    for op in ("mul", "add"):
+        monkeypatch.setitem(ex._ARITH, op, counted(op, ex._ARITH[op]))
+    run = ex.compile_batch([a, b], ("q1",))
+    for rounds in (1, 2):
+        values = run(ex.Batch(np.array([[0.5], [2.0]])))
+        # each node once per run: q1's sin, a = sin*sin, b = a + a
+        assert calls == ["sin", "mul", "add"] * rounds
+        s = [math.sin(0.5), math.sin(2.0)]
+        assert values.tolist() == [[x * x for x in s], [x * x + x * x for x in s]]
+
+
+def test_a_node_with_no_rule_is_an_expr_error():
+    e = ex.Unary("tan", ex.Var("t"))  # ex.fn refuses it; built directly
+    run = ex.compile_batch([ex.add(e, ex.ONE)], ("t",))
+    with pytest.raises(ex.ExprError, match="^cannot evaluate 'tan'$"):
+        run(ex.Batch(np.array([[0.5]])))
 
 
 def test_exp_overflow_is_masked_not_raised():
@@ -266,8 +287,8 @@ def test_batched_checks_match_per_point(suite):
 
 def test_check_compiles_once_across_rejection_rounds(monkeypatch):
     compiled = []
-    compile_ = ex._compile
-    monkeypatch.setattr(ex, "_compile",
+    compile_ = ex.compile_batch
+    monkeypatch.setattr(ex, "compile_batch",
                         lambda *args: compiled.append(1) or compile_(*args))
     f = parse_field("exp(q1)", base_e(1))
     ch = Checker(points=16, box=(700.0, 720.0))

@@ -19,6 +19,7 @@ from jetlift import (
     phase_j,
 )
 from jetlift.charts import NEWTON_TOL
+from jetlift.fields import Batch, program
 from jetlift.model import load_model
 from jetlift.pn import build_dn_transform
 
@@ -129,6 +130,18 @@ class TestNewtonInverse:
         T = FibredTransform(1, [parse_field("t + 0*q1", BE)])
         with pytest.raises(TransformError):
             T.base_map().push_scalar(parse_field("q1", BE)).eval((0.5, 0.7))
+
+    def test_singular_jacobian_at_the_solution_rejected(self):
+        # Newton converges on its seed q1 = 0, where dQ/dq1 = 3 q1^2 is 0
+        T = FibredTransform(1, [parse_field("q1^3", BE)])
+        with pytest.raises(TransformError, match=r"^singular Jacobian at t=0.0, q=\[0.\]$"):
+            T.q_inv[0].grad((0.0, 0.0))
+        # in a batch, only that row is rejected
+        b = Batch(np.array([[0.0, 8.0], [0.0, 0.0], [1.0, -1.0]]))
+        values = program([T.q_inv[0].diff("q1")])(b)
+        assert b.rejected.tolist() == [False, True, False]
+        assert isinstance(b.errors[1], TransformError)
+        assert values[0, [0, 2]] == pytest.approx([1 / 12, 1 / 3])
 
 
 @pytest.fixture(scope="module")

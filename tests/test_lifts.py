@@ -27,6 +27,9 @@ from jetlift import (
 from jetlift.fields import inject
 from jetlift.lifts import LiftError
 
+from corpus import standard_corpus
+from lift_oracles import cotangent_lift_defect
+
 
 def rand_points(dim, n=64, seed=0):
     rng = random.Random(seed)
@@ -169,6 +172,10 @@ class TestCotangentLift:
         pts = rand_points(extended_t(1).dim, n=16)
         assert rho_related(complete_lift_cotangent(R),
                            complete_lift_tensor11(R), pts)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_corpus_matches_the_oracle(self, n):
+        assert cotangent_lift_defect(standard_corpus(n).tensors) < 1e-12
 
     def test_zero(self):
         Z = Tensor11.zero(BE)

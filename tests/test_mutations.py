@@ -11,7 +11,10 @@ fold mutants replace an entry of its table, or the rule by which the
 contractions leave a term out (the zero set of `tensors._operands`). The
 coupling sum of the eigenvalue Hessian is held to `verify_dn` on a chart
 nonlinear in q (`tests/dn_family.py` `dn_curved`), the one known answer
-whose eigenbasis couples the eigenvalues.
+whose eigenbasis couples the eigenvalues. No suite sees the d/dp0 row of
+the cotangent complete lift either (`prop2` pairs it only with one-forms
+whose dp0 component is 0), so its mutant is held to the oracle of
+`tests/lift_oracles.py`.
 """
 import inspect
 import math
@@ -22,15 +25,17 @@ from itertools import chain
 
 import pytest
 
+from corpus import standard_corpus
 from dn_family import dn_curved
-from jetlift import build_dn_transform, charts, fields, pn, tensors, verify_dn
+from jetlift import build_dn_transform, charts, fields, lifts, pn, tensors, verify_dn
 from jetlift import expr as ex
 from jetlift.fields import const_field, coord_field, zero
 from jetlift.model import load_model
 from jetlift.report import max_residual
 from jetlift.suites import run_suite
 from jetlift.spaces import base_e
-from jetlift.tensors import Tensor12, sum_fields
+from jetlift.tensors import Tensor11, Tensor12, sum_fields
+from lift_oracles import cotangent_lift_defect
 
 N1 = os.path.join(os.path.dirname(__file__), "..", "models", "n1.json")
 
@@ -261,3 +266,24 @@ def test_eigenvalue_hessian_coupling_is_checked(monkeypatch, n):
     report = verify_dn(R, build_dn_transform(R))
     assert "dn.lift_diagonal" in {i.check_id for i in report.items
                                   if not i.passed}
+
+
+_complete_lift_cotangent = lifts.complete_lift_cotangent
+
+
+def p0_row_flipped(R):
+    """complete_lift_cotangent with every entry e of its d/dp0 row 1 - e."""
+    out = _complete_lift_cotangent(R)
+    space = out.space
+    entries = [list(row) for row in out.entries]
+    p0 = space.index("p0")
+    entries[p0] = [const_field(space, 1.0) - e for e in entries[p0]]
+    return Tensor11(space, entries)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cotangent_lift_p0_row_is_checked(monkeypatch, n):
+    tensors = standard_corpus(n).tensors
+    assert cotangent_lift_defect(tensors) < 1e-12
+    patch_everywhere(monkeypatch, _complete_lift_cotangent, p0_row_flipped)
+    assert cotangent_lift_defect(tensors) >= 1.0
